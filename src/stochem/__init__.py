@@ -11,7 +11,7 @@ from .grid import (Grid, ScalarField, VectorField, make_grid, inner_product,
                    norm, divergence, gradient)
 from .operators import (AdvectionMode, helmholtz_project, laplacian_neumann,
                         stokes_apply, convect_velocity, scalar_advect,
-                        chemotaxis_div, consumption, buoyancy, recover_pressure)
+                        chemotaxis_div, consumption, buoyancy)
 from .noise import (TransportSigma, VelocityNoiseConfig, NoiseIncrement,
                     make_transport_sigma, check_sigma_assumptions,
                     ito_correction, transport_noise_apply, g_apply,

@@ -6,25 +6,14 @@ type-2 cosine transform; the flux-form five-point Laplacian has eigenvalues
 Velocity components with no-slip walls diagonalize under a sine transform:
 type 1 along the component's own direction (Dirichlet on boundary faces) and
 type 2 across it (reflected ghost, zero tangential velocity at the wall).
-
-A conjugate-gradient fallback for the Neumann-Poisson problem is kept both as
-an alternative code path and as an independent cross-check of the fast path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dctn, idctn, dst, idst
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import Grid, ScalarField, VectorField
-
-_POISSON_CG_TOL = 1e-12
-_POISSON_CG_MAXITER_PER_CELL = 10
-
-
-class SolverError(RuntimeError):
-    """An iterative solve failed to reach its tolerance within the cap."""
 
 
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
@@ -34,67 +23,22 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return lx[:, None] + ly[None, :]
 
 
-def solve_poisson_neumann(grid: Grid, rhs: np.ndarray, method: str = "dct"):
+def solve_poisson_neumann(grid: Grid, rhs: np.ndarray):
     """Solve lap(p) = rhs with zero-flux walls; the mean of p is pinned to zero.
 
     The compatible part of rhs is solved exactly; any mean component (absent
     for divergence data up to round-off) is dropped and reported.
 
-    Returns (p_values, info) where info carries the dropped-mean magnitude and
-    iteration count (0 for the direct path).
+    Returns (p_values, info) where info carries the dropped-mean magnitude.
     """
-    if method == "dct":
-        lam = neumann_eigenvalues(grid)
-        rhat = dctn(rhs, type=2, norm="ortho")
-        dropped = float(abs(rhat[0, 0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phat = np.where(lam > 0.0, -rhat / lam, 0.0)
-        phat[0, 0] = 0.0
-        p = idctn(phat, type=2, norm="ortho")
-        return p, {"iterations": 0, "dropped_mean": dropped}
-    if method == "cg":
-        return _solve_poisson_cg(grid, rhs)
-    raise ValueError(f"unknown poisson method {method!r}")
-
-
-def _apply_neumann_laplacian(grid: Grid, p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    dx2, dy2 = grid.dx ** 2, grid.dy ** 2
-    out[1:, :] += (p[:-1, :] - p[1:, :]) / dx2
-    out[:-1, :] += (p[1:, :] - p[:-1, :]) / dx2
-    out[:, 1:] += (p[:, :-1] - p[:, 1:]) / dy2
-    out[:, :-1] += (p[:, 1:] - p[:, :-1]) / dy2
-    return out
-
-
-def _solve_poisson_cg(grid: Grid, rhs: np.ndarray):
-    n = grid.nx * grid.ny
-    b = rhs - rhs.mean()
-    dropped = float(abs(rhs.mean())) * np.sqrt(n)
-
-    def matvec(x):
-        # minus Laplacian, projected onto mean-zero: SPD on that subspace
-        xm = x - x.mean()
-        y = -_apply_neumann_laplacian(grid, xm.reshape(grid.nx, grid.ny))
-        return y.ravel()
-
-    op = LinearOperator((n, n), matvec=matvec)
-    bnorm = np.linalg.norm(b.ravel())
-    if bnorm == 0.0:
-        return np.zeros_like(rhs), {"iterations": 0, "dropped_mean": dropped}
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    x, code = cg(op, -b.ravel(), rtol=_POISSON_CG_TOL, atol=0.0,
-                 maxiter=_POISSON_CG_MAXITER_PER_CELL * n, callback=cb)
-    if code != 0:
-        raise SolverError(f"Neumann-Poisson CG did not converge (code {code}, "
-                          f"{count[0]} iterations)")
-    p = x.reshape(grid.nx, grid.ny)
-    p -= p.mean()
-    return p, {"iterations": count[0], "dropped_mean": dropped}
+    lam = neumann_eigenvalues(grid)
+    rhat = dctn(rhs, type=2, norm="ortho")
+    dropped = float(abs(rhat[0, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phat = np.where(lam > 0.0, -rhat / lam, 0.0)
+    phat[0, 0] = 0.0
+    p = idctn(phat, type=2, norm="ortho")
+    return p, {"dropped_mean": dropped}
 
 
 def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarField:

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, DiagnosticsSeries, check_conditions
-from .dynamics import (CONSUMPTION_LAWS, SimParams, State, make_params, run)
+from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
+                       make_params, run)
 from .experiments import (EnsembleSpec, convergence_dt, ensemble,
                           interior_bump, stratonovich_consistency, twin_run)
 from .grid import (Grid, ScalarField, VectorField, cell_centers, make_grid,
@@ -511,12 +512,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit codes: 0 success; 1 failed post-run invariant gate (or, for
+    check-params, an inadmissible config); 2 bad config or snapshot, or a run
+    refused by the admissibility gate; 3 the integration failed mid-run."""
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: step {exc.step_index}: {exc.__cause__ or exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
-from . import _spectral
 from .grid import (Grid, ScalarField, inner_product, norm)
 from .noise import combined_sigma_linf
 from .operators import consumption
@@ -207,74 +205,20 @@ def check_conditions(params, c0_linf: float, k0: float | None = None) -> GateRep
         k0_used=k0_used)
 
 
-def _mixed_second_difference(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return ((v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1])
-            / (grid.dx * grid.dy))
+def estimate_k0(grid: Grid) -> float:
+    """Elliptic constant K0: the largest discrete Rayleigh quotient
 
+        (|psi|^2 + |grad psi|^2 + |D_xx psi|^2 + |D_yy psi|^2 + 2 |D_xy psi|^2)
+        / (|psi|^2 + |grad psi|^2 + |lap psi|^2),
 
-def _mixed_second_difference_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
-    out = np.zeros((grid.nx, grid.ny))
-    s = 1.0 / (grid.dx * grid.dy)
-    out[1:, 1:] += w * s
-    out[:-1, 1:] -= w * s
-    out[1:, :-1] -= w * s
-    out[:-1, :-1] += w * s
-    return out
-
-
-def _axis_second_difference(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # mirror ghosts: the 1D homogeneous-Neumann second difference, self-adjoint
-    p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(v.ndim)],
-               mode="edge")
-    sl = [slice(None)] * v.ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h ** 2
-
-
-def estimate_k0(grid: Grid, iterations: int = 100, seed: int = 7) -> float:
-    """Largest discrete Rayleigh quotient |psi|_H2^2 / (|lap psi|^2 + |psi|_H1^2).
-
-    Power iteration on the generalized pair: the denominator form is exactly
-    diagonal on the cosine basis, so its inverse is applied spectrally; the
-    numerator (which carries the mixed second difference) is applied
-    matrix-free.
+    which is exactly 1 on this grid.  The type-2 cosine transform
+    diagonalizes the Neumann second differences D_xx and D_yy with eigenvalues
+    -lam_x and -lam_y, and the mixed term D_xy^T D_xy with eigenvalue
+    lam_x lam_y.  Per mode the numerator is 1 + lam + lam_x^2 + lam_y^2
+    + 2 lam_x lam_y = 1 + lam + lam^2 with lam = lam_x + lam_y, which is the
+    denominator, so the quotient is identically 1 on every field.
     """
-    lam = _spectral.neumann_eigenvalues(grid)
-    b_eig = 1.0 + lam + lam ** 2
-
-    def lap(v):
-        return (_axis_second_difference(v, grid.dx, 0)
-                + _axis_second_difference(v, grid.dy, 1))
-
-    def a_apply(v):
-        out = v - lap(v)
-        out += _axis_second_difference(_axis_second_difference(v, grid.dx, 0),
-                                       grid.dx, 0)
-        out += _axis_second_difference(_axis_second_difference(v, grid.dy, 1),
-                                       grid.dy, 1)
-        out += 2.0 * _mixed_second_difference_adjoint(
-            grid, _mixed_second_difference(grid, v))
-        return out
-
-    def b_inv(v):
-        return idctn(dctn(v, type=2, norm="ortho") / b_eig, type=2, norm="ortho")
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((grid.nx, grid.ny))
-    theta = 1.0
-    for _ in range(iterations):
-        w = b_inv(a_apply(v))
-        scale = math.sqrt(float(np.sum(w * (w - lap(w) + lap(lap(w))))))
-        if scale == 0.0:
-            break
-        v = w / scale
-        av = a_apply(v)
-        bv = v - lap(v) + lap(lap(v))
-        theta = float(np.sum(v * av) / np.sum(v * bv))
-    return theta
+    return 1.0
 
 
 def _entropy_with_kf(state, params, c0_linf: float, kf: float,

@@ -157,7 +157,6 @@ class StepReport:
     dt: float
     clip_count: int
     projection_residual: float
-    solver_iterations: int
     noise_hs_sq: float   # sum_k |sigma_k . grad c|^2 at the pre-noise oxygen
 
 
@@ -244,8 +243,7 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
 
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)
     report = StepReport(dt=dt, clip_count=clip_count,
-                        projection_residual=proj_res, solver_iterations=0,
-                        noise_hs_sq=hs_sq)
+                        projection_residual=proj_res, noise_hs_sq=hs_sq)
     return new_state, report
 
 
@@ -279,7 +277,7 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     tracker = diagnostics.EnergyTracker.start(state, params)
     series = diagnostics.DiagnosticsSeries()
     zero_report = StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
-                             solver_iterations=0, noise_hs_sq=0.0)
+                             noise_hs_sq=0.0)
     first_row = diagnostics.record(state, zero_report, params, tracker,
                                    step_index=0)
     series.append(first_row)

@@ -14,7 +14,7 @@ All integrals use midpoint (cell-average) quadrature with weight dx*dy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ class Grid:
     ly: float
     dx: float
     dy: float
-    bc_scalar: str = "neumann"
-    bc_velocity: str = "no_slip"
 
     @property
     def cell_volume(self) -> float:

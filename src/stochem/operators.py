@@ -42,7 +42,7 @@ def laplacian_neumann(phi: ScalarField) -> ScalarField:
     return divergence(gradient(phi))
 
 
-def helmholtz_project(v: VectorField, method: str = "dct") -> VectorField:
+def helmholtz_project(v: VectorField) -> VectorField:
     """Project a face field onto the discretely divergence-free subspace.
 
     Solves the Neumann-Poisson problem lap(p) = div(v) and subtracts grad(p).
@@ -51,7 +51,7 @@ def helmholtz_project(v: VectorField, method: str = "dct") -> VectorField:
     """
     g = v.grid
     rhs = divergence(v)
-    p, _info = _spectral.solve_poisson_neumann(g, rhs.values, method=method)
+    p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
     gp = gradient(ScalarField(g, p))
     return VectorField(g, v.u_x - gp.u_x, v.u_y - gp.u_y)
 
@@ -204,28 +204,6 @@ def buoyancy(n: ScalarField, phi: ScalarField) -> VectorField:
     out.u_x[1:-1, :] = 0.5 * (n.values[:-1, :] + n.values[1:, :]) * gpx[1:-1, :]
     out.u_y[:, 1:-1] = 0.5 * (n.values[:, :-1] + n.values[:, 1:]) * gpy[:, 1:-1]
     return out
-
-
-def recover_pressure(state, params, method: str = "dct") -> ScalarField:
-    """Diagnostic pressure from the instantaneous momentum balance.
-
-    Solves the Neumann-Poisson problem lap(p) = div(f) with
-    f = -convection + viscous + buoyancy evaluated at the current state,
-    normalized to zero mean.  The time stepper never needs this field; it is
-    reconstructed for inspection only.
-    """
-    u, n = state.u, state.n
-    g = u.grid
-    f = zeros_vector(g)
-    conv = convect_velocity(u, u, AdvectionMode.CENTERED_SKEW)
-    visc = stokes_apply(u)
-    buoy = buoyancy(n, params.phi)
-    f.u_x = -conv.u_x + params.eta * visc.u_x + buoy.u_x
-    f.u_y = -conv.u_y + params.eta * visc.u_y + buoy.u_y
-    rhs = divergence(f)
-    p, _info = _spectral.solve_poisson_neumann(g, rhs.values, method=method)
-    p = p - p.mean()
-    return ScalarField(g, p)
 
 
 def divergence_residual(v: VectorField) -> float:

@@ -1,0 +1,84 @@
+"""Independent reference solvers the package itself does not need.
+
+The conjugate-gradient Neumann-Poisson solve cross-checks the direct cosine
+transform path; ``recover_pressure`` reconstructs the diagnostic pressure of
+a state, which the time stepper never uses.
+"""
+
+import numpy as np
+from scipy.sparse.linalg import LinearOperator, cg
+
+from stochem import _spectral
+from stochem.grid import ScalarField, divergence, zeros_vector
+from stochem.operators import (AdvectionMode, buoyancy, convect_velocity,
+                               stokes_apply)
+
+POISSON_CG_TOL = 1e-12
+POISSON_CG_MAXITER_PER_CELL = 10
+
+
+class SolverError(RuntimeError):
+    """An iterative solve failed to reach its tolerance within the cap."""
+
+
+def apply_neumann_laplacian(grid, p):
+    """Five-point Laplacian with zero boundary flux, written face by face."""
+    out = np.zeros_like(p)
+    dx2, dy2 = grid.dx ** 2, grid.dy ** 2
+    out[1:, :] += (p[:-1, :] - p[1:, :]) / dx2
+    out[:-1, :] += (p[1:, :] - p[:-1, :]) / dx2
+    out[:, 1:] += (p[:, :-1] - p[:, 1:]) / dy2
+    out[:, :-1] += (p[:, 1:] - p[:, :-1]) / dy2
+    return out
+
+
+def solve_poisson_cg(grid, rhs):
+    """CG solve of lap(p) = rhs on the mean-zero subspace.
+
+    Returns (p, iterations); p has zero mean and the mean of rhs is dropped.
+    """
+    n = grid.nx * grid.ny
+    b = rhs - rhs.mean()
+
+    def matvec(x):
+        # minus Laplacian, projected onto mean-zero: SPD on that subspace
+        xm = x - x.mean()
+        y = -apply_neumann_laplacian(grid, xm.reshape(grid.nx, grid.ny))
+        return y.ravel()
+
+    op = LinearOperator((n, n), matvec=matvec)
+    if np.linalg.norm(b.ravel()) == 0.0:
+        return np.zeros_like(rhs), 0
+    count = [0]
+
+    def cb(_):
+        count[0] += 1
+
+    x, code = cg(op, -b.ravel(), rtol=POISSON_CG_TOL, atol=0.0,
+                 maxiter=POISSON_CG_MAXITER_PER_CELL * n, callback=cb)
+    if code != 0:
+        raise SolverError(f"Neumann-Poisson CG did not converge (code {code}, "
+                          f"{count[0]} iterations)")
+    p = x.reshape(grid.nx, grid.ny)
+    p -= p.mean()
+    return p, count[0]
+
+
+def recover_pressure(state, params):
+    """Diagnostic pressure from the instantaneous momentum balance.
+
+    Solves the Neumann-Poisson problem lap(p) = div(f) with
+    f = -convection + viscous + buoyancy evaluated at the current state,
+    normalized to zero mean.
+    """
+    u, n = state.u, state.n
+    g = u.grid
+    f = zeros_vector(g)
+    conv = convect_velocity(u, u, AdvectionMode.CENTERED_SKEW)
+    visc = stokes_apply(u)
+    buoy = buoyancy(n, params.phi)
+    f.u_x = -conv.u_x + params.eta * visc.u_x + buoy.u_x
+    f.u_y = -conv.u_y + params.eta * visc.u_y + buoy.u_y
+    rhs = divergence(f)
+    p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
+    return ScalarField(g, p - p.mean())

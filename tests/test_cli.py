@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +279,26 @@ def test_malformed_config_returns_error(tmp_path, capsys):
     p.write_text("[physics]\ndelta = -3\n")
     assert main(["check-params", "--config", str(p)]) == 2
     assert "delta" in capsys.readouterr().err
+
+
+def test_cmd_run_mid_run_failure_exits_3(tmp_path, capsys):
+    # the admissibility gate says nothing about the step size: a fast initial
+    # velocity makes the first step exceed the advective bound
+    cfg = _write_cfg(tmp_path, MINIMAL + "[ic]\nu_amplitude = 80\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--allow-inadmissible"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1: dt=0.001 exceeds the advective bound")
+    assert "Traceback" not in err
+
+
+def test_import_loads_no_iterative_solver():
+    import stochem
+    src = str(Path(stochem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, stochem.cli; "
+            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0

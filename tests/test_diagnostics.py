@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochem.diagnostics import (DiagnosticsRow, admissible_c0_bound,
                                  check_conditions, compute_kf,
@@ -98,11 +100,69 @@ def test_admissible_bound_monotone_families():
     assert bounds[0] < bounds[1] < bounds[2]
 
 
-def test_estimate_k0_stable_and_order_one():
-    g = make_grid(24, 24, 1.0, 1.0)
-    k0 = estimate_k0(g)
-    assert 0.5 < k0 < 4.0
-    assert estimate_k0(g) == pytest.approx(k0, rel=1e-9)
+def test_estimate_k0_is_exactly_one():
+    for nx, ny, lx, ly in ((8, 8, 1.0, 1.0), (16, 24, 1.0, 1.7),
+                           (33, 17, 2.0, 0.6), (256, 256, 1.0, 1.0)):
+        assert estimate_k0(make_grid(nx, ny, lx, ly)) == 1.0
+
+
+def test_k0_override_reaches_the_gate():
+    g = make_grid(16, 16, 1.0, 1.0)
+    params = default_params(g, gamma=0.1)
+    assert check_conditions(params, 0.3).k0_used == 1.0
+    pinned = check_conditions(default_params(g, gamma=0.1, k0=2.0), 0.3)
+    assert pinned.k0_used == 2.0
+    assert check_conditions(params, 0.3, k0=2.0) == pinned
+    # xi / (2 K0) binds once K0 > 1/2, so doubling K0 halves the bound
+    sigma_sq = 2.0
+    expected = params.xi / 4.0 / (6.0 * sigma_sq) - params.gamma ** 2
+    assert pinned.gamma_linear_margin == pytest.approx(expected, rel=1e-12)
+
+
+# Neumann second-difference stencils, independent of the spectral basis: the
+# oracle for the closed form of estimate_k0.
+
+def _axis_second_difference(v, h, axis):
+    # mirror ghosts: the 1D homogeneous-Neumann second difference, self-adjoint
+    p = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(v.ndim)],
+               mode="edge")
+    sl = [slice(None)] * v.ndim
+    lo, mid, hi = list(sl), list(sl), list(sl)
+    lo[axis] = slice(0, -2)
+    mid[axis] = slice(1, -1)
+    hi[axis] = slice(2, None)
+    return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h ** 2
+
+
+def _mixed_second_difference(grid, v):
+    return ((v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1])
+            / (grid.dx * grid.dy))
+
+
+def _k0_forms(grid, v):
+    """(numerator, denominator) of the K0 Rayleigh quotient at v."""
+    dxx = _axis_second_difference(v, grid.dx, 0)
+    dyy = _axis_second_difference(v, grid.dy, 1)
+    base = (np.sum(v ** 2) + np.sum((np.diff(v, axis=0) / grid.dx) ** 2)
+            + np.sum((np.diff(v, axis=1) / grid.dy) ** 2))
+    num = (base + np.sum(dxx ** 2) + np.sum(dyy ** 2)
+           + 2.0 * np.sum(_mixed_second_difference(grid, v) ** 2))
+    den = base + np.sum((dxx + dyy) ** 2)
+    return float(num), float(den)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(8, 8, 1.0, 1.0),
+                                            (16, 24, 1.0, 1.7),
+                                            (33, 17, 2.0, 0.6),
+                                            (4, 5, 1.0, 1.0),
+                                            (64, 64, 1.0, 1.0)])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 31))
+def test_k0_numerator_form_equals_denominator_form(nx, ny, lx, ly, seed):
+    g = make_grid(nx, ny, lx, ly)
+    v = np.random.default_rng(seed).standard_normal((nx, ny))
+    num, den = _k0_forms(g, v)
+    assert abs(num - den) <= 1e-13 * den
 
 
 def test_entropy_functional_values():

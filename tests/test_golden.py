@@ -1,0 +1,124 @@
+"""Golden-output oracle: fixed configs must reproduce pinned bytes.
+
+A refactor or speed change that keeps the numerics keeps these hashes.  A
+change that moves them on purpose updates the pinned values and says why in
+CHANGES.md.  The digests pin the bits produced by the numpy/scipy FFT stack
+the suite runs on; a different FFT backend may round differently.
+"""
+
+import hashlib
+
+import pytest
+
+from stochem.cli import main
+
+NOISY = """\
+[grid]
+nx = 24
+ny = 24
+
+[physics]
+gamma = 0.1
+
+[noise]
+amplitude = 0.02
+
+[time]
+t_end = 0.04
+dt = 1e-3
+sample_every = 8
+seed = 2023
+
+[ic]
+u_amplitude = 0.2
+
+[output]
+formats = csv,snapshot
+"""
+
+QUIET = (NOISY.replace("gamma = 0.1", "gamma = 0")
+         .replace("amplitude = 0.02", "amplitude = 0"))
+
+# the README quick-start config
+PLUME = """\
+[grid]
+nx = 64
+ny = 64
+
+[physics]
+eta = 1.0        # fluid viscosity
+mu = 1.0         # oxygen diffusivity
+delta = 1.0      # cell diffusivity
+chi = 1.0        # chemotactic constant
+gamma = 0.1      # transport-noise intensity
+
+[noise]
+amplitude = 0.02 # velocity-forcing amplitude (0 disables)
+
+[time]
+t_end = 2.0
+dt = 1e-3
+sample_every = 20
+seed = 42
+
+[ic]
+n_recipe = gaussian_blob
+c_recipe = linear_gradient
+c_min = 0.05
+c_max = 0.3
+u_recipe = taylor_vortex_pair
+u_amplitude = 0.2
+
+[output]
+directory = out
+formats = csv,snapshot
+"""
+
+GOLDEN = {
+    "noisy": {
+        "diagnostics.csv":
+            "7cafb262de702f0ecb376c8c6f364a674ee86c7b7bab35ceeb975b050627e98e",
+        "final.cns":
+            "0256d746c89f091ace0de903893e9594d4465d70de984d5fa283885aaa25d69d",
+    },
+    "quiet": {
+        "diagnostics.csv":
+            "f10194de44fabfa463ce80130ae35a309aac678383c42a0e54d884dc0ce0c9f0",
+        "final.cns":
+            "7027c9f94e1c0bc7e50c59fc6a6d3aa8e636d52e1c56d88521e4787ad82d42be",
+    },
+}
+
+PLUME_CHECK_PARAMS = """\
+K_f = 1.5
+smallness condition on the consumption term: PASS (margin +0.467008)
+noise intensity, linear branch: PASS (margin +0.031875)
+noise intensity, power branch (p=2): PASS (margin +0.0233114)
+admissible |c0|_inf bound = 0.408248290449
+measured |sigma|_inf = 1.41421356237
+elliptic constant K0 = 1
+admissible
+"""
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, text", [("noisy", NOISY), ("quiet", QUIET)])
+def test_run_outputs_match_golden_hashes(tmp_path, name, text):
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    got = {f: _sha256(out / f) for f in GOLDEN[name]}
+    assert got == GOLDEN[name]
+
+
+def test_check_params_output_matches_golden(tmp_path, capsys):
+    cfg = tmp_path / "plume.ini"
+    cfg.write_text(PLUME)
+    assert main(["check-params", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "elliptic constant K0 = 1\n" in out
+    assert out == PLUME_CHECK_PARAMS

@@ -8,11 +8,12 @@ from stochem.grid import (ScalarField, VectorField, divergence, full_scalar,
 from stochem.operators import (AdvectionMode, buoyancy, chemotaxis_div,
                                consumption, convect_velocity,
                                divergence_residual, helmholtz_project,
-                               laplacian_neumann, recover_pressure,
-                               scalar_advect, stokes_apply)
+                               laplacian_neumann, scalar_advect,
+                               stokes_apply)
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal, random_vector
+from oracles import recover_pressure
 
 
 # ---------------------------------------------------------------- laplacian

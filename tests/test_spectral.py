@@ -8,6 +8,7 @@ from stochem._spectral import (solve_poisson_neumann, solve_scalar_diffusion,
 from stochem.grid import make_grid
 
 from conftest import random_scalar, random_vector
+from oracles import solve_poisson_cg
 
 
 def dense_neumann_laplacian(grid):
@@ -40,16 +41,16 @@ def test_poisson_dct_matches_dense_lstsq(rng):
     p_dense = p_dense.reshape(g.nx, g.ny)
     p_dense -= p_dense.mean()
     assert np.max(np.abs(p_fast - p_dense)) < 1e-11
-    assert info["iterations"] == 0
+    assert info["dropped_mean"] < 1e-12
 
 
 def test_poisson_cg_matches_dct(rng):
     g = make_grid(12, 12, 1.0, 1.0)
     rhs = random_scalar(g, rng).values
     rhs -= rhs.mean()
-    p_fast, _ = solve_poisson_neumann(g, rhs, method="dct")
-    p_cg, info = solve_poisson_neumann(g, rhs, method="cg")
-    assert info["iterations"] > 0
+    p_fast, _ = solve_poisson_neumann(g, rhs)
+    p_cg, iterations = solve_poisson_cg(g, rhs)
+    assert iterations > 0
     assert np.max(np.abs(p_fast - p_cg)) < 1e-9
 
 
