@@ -14,8 +14,8 @@ from .operators import (AdvectionMode, helmholtz_project, laplacian_neumann,
                         chemotaxis_div, consumption, buoyancy)
 from .noise import (TransportSigma, VelocityNoiseConfig, NoiseIncrement,
                     make_transport_sigma, check_sigma_assumptions,
-                    ito_correction, transport_noise_apply, g_apply,
-                    sample_increments, make_velocity_noise)
+                    transport_noise_apply, g_apply, sample_increments,
+                    make_velocity_noise)
 from .dynamics import (ConsumptionLaw, SimParams, State, StepReport,
                        linear_consumption, make_params, stable_dt, step, run)
 from .diagnostics import (DiagnosticsRow, DiagnosticsSeries, GateReport,

@@ -1,8 +1,9 @@
 """Configuration, orchestration, and persistence.
 
 Config files are INI-style with '#' comments; every key is optional and
-falls back to a documented default, unknown keys are rejected, and error
-messages name the offending key and the violated constraint.
+falls back to a documented default, unknown keys and non-finite numbers are
+rejected, and error messages name the offending key and the violated
+constraint.
 
 Persistence formats:
 * diagnostics CSV with the fixed header
@@ -29,8 +30,9 @@ import numpy as np
 from .diagnostics import DiagnosticsRow, DiagnosticsSeries, check_conditions
 from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
                        make_params, run)
-from .experiments import (EnsembleSpec, convergence_dt, ensemble,
-                          interior_bump, stratonovich_consistency, twin_run)
+from .experiments import (EnsembleSpec, ExperimentError, convergence_dt,
+                          ensemble, interior_bump, stratonovich_consistency,
+                          twin_run)
 from .grid import (Grid, ScalarField, VectorField, cell_centers, make_grid,
                    norm, zeros_scalar, zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
@@ -70,8 +72,6 @@ _SCHEMA = {
         "chi": (float, 1.0, "must be >= 0 (chemotactic constant)", lambda v: v >= 0),
         "gamma": (float, 0.1, "must be >= 0 (transport noise intensity)",
                   lambda v: v >= 0),
-        "xi_mode": (str, "corrected", "must be 'corrected' or 'literal'",
-                    lambda v: v in ("corrected", "literal")),
         "f_name": (str, "linear", "must name a consumption law: "
                    + ", ".join(sorted(CONSUMPTION_LAWS)),
                    lambda v: v in CONSUMPTION_LAWS),
@@ -167,6 +167,8 @@ def parse_config(text: str) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
                                   f"as {typ.__name__}") from exc
+            if typ is float and not math.isfinite(val):
+                raise ConfigError(f"[{section}] {key} = {val}: must be finite")
             if not pred(val):
                 raise ConfigError(f"[{section}] {key} = {val}: {constraint}")
             values[section][key] = val
@@ -237,7 +239,7 @@ def build_simulation(cfg: RunConfig) -> tuple[SimParams, State]:
                            cfg.values["ic"]["c_base"], 1.0))
     params = make_params(grid, eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
                          chi=ph["chi"], gamma=ph["gamma"], phi=phi, f=law,
-                         vnoise=vnoise, sigma=sigma, xi_mode=ph["xi_mode"])
+                         vnoise=vnoise, sigma=sigma)
 
     ic = cfg.values["ic"]
     if ic["n_recipe"] == "uniform":
@@ -486,8 +488,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override [time] seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default STOCHEM_THREADS or 1)")
 
     p = sub.add_parser("run", help="integrate and write diagnostics")
     common(p)
@@ -503,6 +503,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("twin", "convergence", "stratonovich",
                                      "ensemble"))
     common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="ensemble worker threads (default STOCHEM_THREADS or 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("snapshot-info", help="describe a snapshot file")
@@ -513,8 +515,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit codes: 0 success; 1 failed post-run invariant gate (or, for
-    check-params, an inadmissible config); 2 bad config or snapshot, or a run
-    refused by the admissibility gate; 3 the integration failed mid-run."""
+    check-params, an inadmissible config); 2 bad config or snapshot, a run
+    refused by the admissibility gate, or an experiment set-up the study
+    rejects; 3 the integration failed mid-run, in a run, an experiment or
+    one ensemble replica (the message names the replica and the step)."""
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -525,6 +529,9 @@ def main(argv=None) -> int:
         print(f"error: step {exc.step_index}: {exc.__cause__ or exc}",
               file=sys.stderr)
         return 3
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc.__cause__, SimulationError) else 2
 
 
 if __name__ == "__main__":

@@ -5,14 +5,15 @@ the admissibility gate all live here.  Nothing in this module influences the
 integration; it observes, and the CLI decides what to do with violations.
 
 The energy identity is tracked incrementally: the gradient and consumption
-integrands are accumulated with the trapezoid rule every step and the noise
-quadratic variation with its per-step compensator, so each diagnostics row
-carries the normalized defect of
+integrands are accumulated with the trapezoid rule every step, so each
+diagnostics row carries the normalized defect of
 
-    |c(t)|^2 + 2 xi int |grad c|^2 + 2 int (n f(c), c) - gamma^2 int HS = |c0|^2
+    |c(t)|^2 + (2 xi - gamma^2) int |grad c|^2 + 2 int (n f(c), c) = |c0|^2
 
-with the martingale part discarded.  At gamma = 0 this is the exact
-deterministic balance and the defect measures pure discretization error.
+with the martingale part discarded: the expected quadratic-variation growth
+of the transport noise cancels against its discrete Ito correction, leaving
+the 2 mu gradient drain.  At gamma = 0 this is the exact deterministic
+balance and the defect measures pure discretization error.
 """
 
 from __future__ import annotations
@@ -253,7 +254,6 @@ class EnergyTracker:
         self.kf = kf
         self.i_grad = 0.0
         self.i_cons = 0.0
-        self.i_hs = 0.0
         self._prev_grad_sq = grad_sq
         self._prev_cons = cons
 
@@ -272,20 +272,15 @@ class EnergyTracker:
         cons = inner_product(consumption(state.n, state.c, params.f), state.c)
         self.i_grad += 0.5 * dt * (self._prev_grad_sq + grad_sq)
         self.i_cons += 0.5 * dt * (self._prev_cons + cons)
-        self.i_hs += dt * report.noise_hs_sq
         self._prev_grad_sq = grad_sq
         self._prev_cons = cons
 
     def residual(self, state, params) -> float:
-        if getattr(params, "correction_mode", "discrete") == "discrete":
-            # noise growth and its discrete correction cancel in expectation,
-            # leaving the (2 xi - gamma^2) = 2 mu gradient drain of the identity
-            lhs = (norm(state.c, "L2") ** 2
-                   + (2.0 * params.xi - params.gamma ** 2) * self.i_grad
-                   + 2.0 * self.i_cons)
-        else:
-            lhs = (norm(state.c, "L2") ** 2 + 2.0 * params.xi * self.i_grad
-                   + 2.0 * self.i_cons - params.gamma ** 2 * self.i_hs)
+        # noise growth and its discrete correction cancel in expectation,
+        # leaving the (2 xi - gamma^2) = 2 mu gradient drain of the identity
+        lhs = (norm(state.c, "L2") ** 2
+               + (2.0 * params.xi - params.gamma ** 2) * self.i_grad
+               + 2.0 * self.i_cons)
         return (lhs - self.c0_l2sq) / max(self.c0_l2sq, 1e-300)
 
 

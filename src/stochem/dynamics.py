@@ -3,19 +3,21 @@
 Each step advances the cell density, then the oxygen, then the velocity, in
 that order, so each later equation sees the freshest coupling fields:
 
-1. density: explicit upwind advection and chemotactic drift, implicit
+1. density_substep: explicit upwind advection and chemotactic drift, implicit
    diffusion (mass is conserved to round-off: both explicit pieces are
    wall-tight flux forms and the implicit solve preserves the mean);
-2. oxygen: explicit advection, explicit consumption limited to the oxygen
-   actually available in the cell (the limiter is counted, never silent),
-   implicit diffusion with the Stratonovich correction absorbed into the
-   effective diffusivity, then the explicit transport-noise increment;
-3. velocity: explicit convection, buoyancy and stochastic forcing, implicit
-   viscosity, then projection onto the discretely divergence-free subspace.
+2. oxygen_substep: explicit advection, explicit consumption limited to the
+   oxygen actually available in the cell (the limiter is counted, never
+   silent), implicit diffusion at mu, then the explicit transport-noise
+   increment and its exact discrete Ito correction;
+3. velocity_substep: explicit convection, buoyancy and stochastic forcing,
+   implicit viscosity, then projection onto the discretely divergence-free
+   subspace.
 
 Diffusion is implicit and unconditionally stable, so the admissible step is
 advection-limited only; steps above the advective bound are rejected rather
-than silently subdivided.
+than silently subdivided.  march, on the steps of time_grid, is the one
+stepping loop of runs and experiments.
 """
 
 from __future__ import annotations
@@ -88,13 +90,10 @@ class SimParams:
     delta: float                   # cell diffusivity
     chi: float                     # chemotactic constant
     gamma: float                   # transport-noise intensity
-    xi: float                      # effective oxygen diffusivity in the solver
     phi: ScalarField               # gravitational / centrifugal potential
     f: ConsumptionLaw
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
-    xi_mode: str = "corrected"
-    correction_mode: str = "discrete"   # or "xi_implicit" (literal abstract form)
     dt_max: float = 0.1
     cfl_safety: float = 0.5
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
@@ -106,39 +105,26 @@ class SimParams:
     def grid(self) -> Grid:
         return self.phi.grid
 
-
-def resolve_xi(mu: float, eta: float, gamma: float, xi_mode: str) -> float:
-    """Effective oxygen diffusivity.
-
-    'corrected' adds the Stratonovich drift to the oxygen diffusivity
-    (dimensionally consistent); 'literal' adds it to the viscosity constant,
-    reproducing the abstract operator form verbatim.
-    """
-    if xi_mode == "corrected":
-        return mu + 0.5 * gamma ** 2
-    if xi_mode == "literal":
-        return eta + 0.5 * gamma ** 2
-    raise ValueError(f"unknown xi_mode {xi_mode!r}")
+    @property
+    def xi(self) -> float:
+        """Effective oxygen diffusivity mu + gamma^2/2 of the Stratonovich
+        form; it feeds the admissibility gate and the entropy weight only."""
+        return self.mu + 0.5 * self.gamma ** 2
 
 
 def make_params(grid: Grid, *, eta: float, mu: float, delta: float, chi: float,
                 gamma: float, phi: ScalarField, f: ConsumptionLaw,
                 vnoise: VelocityNoiseConfig, sigma: TransportSigma,
-                xi_mode: str = "corrected", **extra) -> SimParams:
-    """Validate coefficients and resolve the effective oxygen diffusivity."""
+                **extra) -> SimParams:
+    """Validate the coefficients."""
     if eta <= 0.0 or delta <= 0.0:
         raise ValueError("eta and delta must be strictly positive")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     if chi < 0.0 or gamma < 0.0:
         raise ValueError("chi and gamma must be nonnegative")
-    xi = resolve_xi(mu, eta, gamma, xi_mode)
-    if xi < mu:
-        raise ValueError(f"effective diffusivity xi={xi} below mu={mu}; "
-                         f"xi_mode={xi_mode!r} is inconsistent with these coefficients")
-    return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma, xi=xi,
-                     phi=phi, f=f, vnoise=vnoise, sigma=sigma, xi_mode=xi_mode,
-                     **extra)
+    return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
+                     phi=phi, f=f, vnoise=vnoise, sigma=sigma, **extra)
 
 
 @dataclass
@@ -175,7 +161,7 @@ def stable_dt(state: State, params: SimParams) -> float:
     speed_y = np.maximum(uy[:, :-1], uy[:, 1:]) + params.chi * np.maximum(
         np.abs(gy[:, :-1]), np.abs(gy[:, 1:]))
     rate = float(np.max(speed_x / g.dx + speed_y / g.dy))
-    if params.gamma > 0.0 and params.correction_mode == "discrete":
+    if params.gamma > 0.0:
         # the explicit discrete Ito correction is a forward-Euler diffusion
         rate = max(rate, 0.5 * params.gamma ** 2
                    * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
@@ -184,50 +170,62 @@ def stable_dt(state: State, params: SimParams) -> float:
     return min(params.dt_max, params.cfl_safety / rate)
 
 
-def step(state: State, params: SimParams, inc: NoiseIncrement,
-         dt: float) -> tuple[State, StepReport]:
-    """One Euler-Maruyama step; raises CflError above the advective bound."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    bound = stable_dt(state, params)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt:g} exceeds the advective bound {bound:g}")
+def density_substep(state: State, params: SimParams,
+                    dt: float) -> ScalarField:
+    """Explicit transport and chemotactic drift, implicit diffusion."""
     g = state.u.grid
-
-    # (1) cell density: explicit transport, implicit diffusion
     adv_n = scalar_advect(state.u, state.n, params.scalar_mode)
     chemo = chemotaxis_div(state.n, state.c, params.chi)
     n_star = ScalarField(g, state.n.values - dt * (adv_n.values + chemo.values))
-    n_new = _spectral.solve_scalar_diffusion(g, n_star, dt * params.delta)
+    return _spectral.solve_scalar_diffusion(g, n_star, dt * params.delta)
 
-    # (2) oxygen: explicit transport and limited consumption against the fresh
-    # density, implicit diffusion, explicit transport noise with its exact
-    # discrete correction ((gamma^2/2) sum_k L_k^2, the Stratonovich rewrite
-    # of the discrete noise map); "xi_implicit" instead folds the generic
-    # correction into the implicit diffusivity
+
+def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
+                 dt: float) -> tuple[ScalarField, int]:
+    """Transport, limited consumption and implicit diffusion at mu; returns
+    the diffused oxygen and the number of cells where the limiter acted."""
+    g = state.u.grid
     adv_c = scalar_advect(state.u, state.c, params.scalar_mode)
     c_adv = state.c.values - dt * adv_c.values
     uptake = dt * n_new.values * params.f.eval(state.c.values)
     available = np.maximum(c_adv, 0.0)
-    clipped = uptake > available
-    clip_count = int(np.count_nonzero(clipped))
+    clip_count = int(np.count_nonzero(uptake > available))
     c_star = ScalarField(g, c_adv - np.minimum(uptake, available))
-    discrete_corr = params.correction_mode == "discrete"
-    solve_coef = params.mu if discrete_corr else params.xi
-    c_mid = _spectral.solve_scalar_diffusion(g, c_star, dt * solve_coef)
-    hs_sq = 0.0
-    if params.gamma > 0.0:
-        hs_sq = noise_mod.transport_hs_sq(c_mid, params.sigma)
-        kick = transport_noise_apply(c_mid, params.sigma, params.gamma, inc)
-        c_new = ScalarField(g, c_mid.values + kick.values)
-        if discrete_corr:
-            corr = noise_mod.transport_ito_correction(c_mid, params.sigma,
-                                                      params.gamma)
-            c_new.values += dt * corr.values
-    else:
-        c_new = c_mid
+    return _spectral.solve_scalar_diffusion(g, c_star, dt * params.mu), clip_count
 
-    # (3) velocity: explicit forcing, implicit viscosity, projection
+
+def oxygen_kick(c_mid: ScalarField, params: SimParams,
+                inc: NoiseIncrement) -> np.ndarray:
+    """Transport-noise increment gamma sum_k (sigma_k . grad c) dbeta_k."""
+    return transport_noise_apply(c_mid, params.sigma, params.gamma, inc).values
+
+
+def oxygen_correction(c_mid: ScalarField, params: SimParams,
+                      dt: float) -> np.ndarray:
+    """dt times the exact discrete Ito correction (gamma^2/2) sum_k L_k^2 c."""
+    return dt * noise_mod.transport_ito_correction(c_mid, params.sigma,
+                                                   params.gamma).values
+
+
+def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
+                   inc: NoiseIncrement,
+                   dt: float) -> tuple[ScalarField, int, float]:
+    """Drift, then the noise increment and its correction; returns the new
+    oxygen, the limiter count and transport_hs_sq at the drifted oxygen."""
+    c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
+    if params.gamma <= 0.0:
+        return c_mid, clip_count, 0.0
+    hs_sq = noise_mod.transport_hs_sq(c_mid, params.sigma)
+    c_new = ScalarField(c_mid.grid, c_mid.values + oxygen_kick(c_mid, params, inc))
+    c_new.values += oxygen_correction(c_mid, params, dt)
+    return c_new, clip_count, hs_sq
+
+
+def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
+                     params: SimParams, inc: NoiseIncrement,
+                     dt: float) -> tuple[VectorField, float]:
+    """Returns the projected new velocity and its divergence residual."""
+    g = state.u.grid
     conv = convect_velocity(state.u, state.u, params.velocity_mode)
     buoy = buoyancy(n_new, params.phi)
     forced = VectorField(g,
@@ -239,12 +237,64 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
         forced.u_y += gw.u_y
     u_mid = _spectral.solve_velocity_diffusion(g, forced, dt * params.eta)
     u_new = helmholtz_project(u_mid)
-    proj_res = divergence_residual(u_new)
+    return u_new, divergence_residual(u_new)
 
+
+def step(state: State, params: SimParams, inc: NoiseIncrement,
+         dt: float) -> tuple[State, StepReport]:
+    """One Euler-Maruyama step; raises CflError above the advective bound."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    bound = stable_dt(state, params)
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(f"dt={dt:g} exceeds the advective bound {bound:g}")
+    n_new = density_substep(state, params, dt)
+    c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
+    u_new, proj_res = velocity_substep(state, n_new, c_new, params, inc, dt)
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)
     report = StepReport(dt=dt, clip_count=clip_count,
                         projection_residual=proj_res, noise_hs_sq=hs_sq)
     return new_state, report
+
+
+def time_grid(span: float, dt: float) -> list[float]:
+    """Step sizes covering ``span``: fixed dt, plus one landing step when the
+    remainder is at least 1e-12 dt."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if span < 0.0:
+        raise ValueError(f"time span {span} is negative")
+    n_full = int(np.floor(span / dt + 1e-9))
+    remainder = span - n_full * dt
+    return [dt] * n_full + ([remainder] if remainder >= 1e-12 * dt else [])
+
+
+def seeded_increments(seed: int, replica: int, k_modes: int):
+    """run's default increment provider (step_index, dt) -> NoiseIncrement."""
+    return lambda index, dt: sample_increments(seed, replica, index, dt, k_modes)
+
+
+def march(initial: State, params: SimParams, dts: list[float], increments):
+    """The stepping loop: take one step per entry of ``dts`` and yield
+    (step number from 1, state, report) after each.
+
+    ``increments`` maps (step index from 0, dt) to a NoiseIncrement.  A
+    failing step, including one that leaves a non-finite field, raises
+    SimulationError naming the step.
+    """
+    state = initial
+    for index, dt_step in enumerate(dts):
+        try:
+            state, report = step(state, params, increments(index, dt_step),
+                                 dt_step)
+            for name, values in (("n", state.n.values), ("c", state.c.values),
+                                 ("u_x", state.u.u_x), ("u_y", state.u.u_y)):
+                if not np.isfinite(values).all():
+                    raise FloatingPointError(f"field {name} is not finite")
+        except Exception as exc:
+            raise SimulationError(f"step {index + 1} failed: {exc}",
+                                  step_index=index + 1) from exc
+        yield index + 1, state, report
 
 
 def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
@@ -260,50 +310,29 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dts = time_grid(t_end - initial.t, dt)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     if scalar_mode is not None:
         params = replace(params, scalar_mode=scalar_mode)
-    k = params.vnoise.n_modes
-
-    def default_increments(step_index: int, dt_step: float) -> NoiseIncrement:
-        return sample_increments(seed, replica, step_index, dt_step, k)
-
-    provider = increments if increments is not None else default_increments
+    if increments is None:
+        increments = seeded_increments(seed, replica, params.vnoise.n_modes)
 
     state = initial.copy()
     tracker = diagnostics.EnergyTracker.start(state, params)
     series = diagnostics.DiagnosticsSeries()
-    zero_report = StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
-                             noise_hs_sq=0.0)
-    first_row = diagnostics.record(state, zero_report, params, tracker,
-                                   step_index=0)
-    series.append(first_row)
-    if on_sample is not None:
-        on_sample(state, first_row)
 
-    span = t_end - initial.t
-    n_full = int(np.floor(span / dt + 1e-9))
-    remainder = span - n_full * dt
-    if remainder < 1e-12 * dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder > 0.0 else 0)
+    def sample(state: State, report: StepReport, index: int) -> None:
+        row = diagnostics.record(state, report, params, tracker,
+                                 step_index=index)
+        series.append(row)
+        if on_sample is not None:
+            on_sample(state, row)
 
-    for k_step in range(total_steps):
-        dt_step = dt if k_step < n_full else remainder
-        try:
-            inc = provider(k_step, dt_step)
-            state, report = step(state, params, inc, dt_step)
-        except Exception as exc:
-            raise SimulationError(f"step {k_step + 1} failed: {exc}",
-                                  step_index=k_step + 1) from exc
+    sample(state, StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
+                             noise_hs_sq=0.0), 0)
+    for index, state, report in march(state, params, dts, increments):
         tracker.update(state, params, report)
-        if (k_step + 1) % sample_every == 0 or k_step == total_steps - 1:
-            row = diagnostics.record(state, report, params, tracker,
-                                     step_index=k_step + 1)
-            series.append(row)
-            if on_sample is not None:
-                on_sample(state, row)
+        if index % sample_every == 0 or index == len(dts):
+            sample(state, report, index)
     return state, series

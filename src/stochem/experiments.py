@@ -15,34 +15,27 @@
   cancel.
 * ensemble runs independent replicas and aggregates diagnostics columns with
   Welford statistics.
+
+Every study steps through dynamics.march on dynamics.time_grid, or, for the
+oxygen-only transport test, through the oxygen phase functions of step.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _spectral
-from .dynamics import SimParams, State, step
+from .dynamics import (SimParams, State, march, oxygen_correction,
+                       oxygen_drift, oxygen_kick, seeded_increments,
+                       time_grid)
 from .grid import ScalarField, cell_centers, norm
-from .noise import (NoiseIncrement, merge_increments, sample_increments,
-                    transport_ito_correction, transport_noise_modes)
+from .noise import merge_increments, transport_noise_modes
 
 
 class ExperimentError(RuntimeError):
     pass
-
-
-def _lockstep_time_grid(t_end: float, dt: float) -> list[float]:
-    n_full = int(math.floor(t_end / dt + 1e-9))
-    steps = [dt] * n_full
-    rem = t_end - n_full * dt
-    if rem > 1e-12 * dt:
-        steps.append(rem)
-    return steps
 
 
 @dataclass
@@ -88,18 +81,15 @@ def twin_run(params: SimParams, initial: State, seed: int,
              perturbation_amplitude: float, t_end: float, dt: float,
              sample_every: int = 1) -> TwinReport:
     """Two runs, one Brownian path, perturbed scalars; Y(t) per sample."""
-    k = params.vnoise.n_modes
-    a = initial.copy()
-    b = perturbed_copy(initial, perturbation_amplitude)
+    dts = time_grid(t_end - initial.t, dt)
+    draw = seeded_increments(seed, 0, params.vnoise.n_modes)
+    other = perturbed_copy(initial, perturbation_amplitude)
     times = [0.0]
-    ys = [_separation(a, b)]
-    t0 = initial.t
-    for idx, dt_step in enumerate(_lockstep_time_grid(t_end - t0, dt)):
-        inc = sample_increments(seed, 0, idx, dt_step, k)
-        a, _ = step(a, params, inc, dt_step)
-        b, _ = step(b, params, inc, dt_step)
-        if (idx + 1) % sample_every == 0:
-            times.append(a.t - t0)
+    ys = [_separation(initial, other)]
+    for (index, a, _), (_, b, _) in zip(march(initial, params, dts, draw),
+                                        march(other, params, dts, draw)):
+        if index % sample_every == 0:
+            times.append(a.t - initial.t)
             ys.append(_separation(a, b))
     times = np.asarray(times)
     ys = np.asarray(ys)
@@ -132,20 +122,14 @@ def _state_distance(a: State, b: State) -> float:
     return float(np.sqrt(s * g.cell_volume))
 
 
-def brownian_path(seed: int, replica: int, n_fine: int, dt_fine: float,
-                  k_modes: int) -> list[NoiseIncrement]:
-    return [sample_increments(seed, replica, s, dt_fine, k_modes)
-            for s in range(n_fine)]
-
-
 def convergence_dt(params: SimParams, initial: State, seed: int,
                    dt_levels: list[float], t_end: float,
                    replica: int = 0) -> ConvergenceReport:
     """Shared-path step refinement; the fitted log-log slope is the strong order.
 
-    Levels must be nested by halving and divide t_end exactly; increments are
-    drawn once at the finest level and summed for the coarser ones, so every
-    level integrates the same Brownian path.
+    Levels must be nested by halving and t_end a multiple of the finest;
+    increments are drawn once at the finest level and summed for the coarser
+    ones, so every level integrates the same Brownian path.
     """
     if len(dt_levels) < 3:
         raise ExperimentError(f"need >= 3 nested dt levels, got {len(dt_levels)}")
@@ -167,14 +151,15 @@ def convergence_dt(params: SimParams, initial: State, seed: int,
         raise ExperimentError(f"t_end={t_end} is not a multiple of the finest dt")
     n_fine = int(round(n_fine))
 
-    k = params.vnoise.n_modes
-    fine = brownian_path(seed, replica, n_fine, dt_fine, k)
+    draw = seeded_increments(seed, replica, params.vnoise.n_modes)
+    fine = [draw(s, dt_fine) for s in range(n_fine)]
     finals: list[State] = []
     for d, r in zip(dts, ratios):
-        state = initial.copy()
-        for j in range(n_fine // r):
-            inc = merge_increments(fine[j * r:(j + 1) * r]) if r > 1 else fine[j]
-            state, _ = step(state, params, inc, d)
+        def coarse(index: int, _dt: float, r: int = r):
+            return merge_increments(fine[index * r:(index + 1) * r])
+        state = initial
+        for _, state, _ in march(initial, params, time_grid(t_end, d), coarse):
+            pass
         finals.append(state)
     reference = finals[-1]
     errors = np.array([_state_distance(s, reference) for s in finals[:-1]])
@@ -203,52 +188,47 @@ def _masked_l2sq(values: np.ndarray, mask: np.ndarray, vol: float) -> float:
 def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                              dt_levels: list[float], t_end: float,
                              n_replicas: int = 16) -> StratonovichReport:
-    """Pure transport test: corrected diffusivity xi versus naive mu.
+    """Pure transport test: step's oxygen phases with and without the correction.
 
-    The velocity is frozen at zero and the density at zero, so the oxygen
-    evolves by implicit diffusion plus the explicit transport increment.  For
-    each level the predictable drift of the interior |c|^2 is accumulated
-    step by step (diffusion change plus the quadratic-variation compensator
-    of the noise kick) and averaged over replicas.
+    Velocity and density stay frozen at their initial values (zero in the CLI
+    study), so the oxygen evolves by implicit diffusion plus the explicit
+    transport increment.  For each level the predictable drift of the
+    interior |c|^2 is accumulated step by step (deterministic change plus
+    the quadratic-variation compensator of the noise kick) and averaged over
+    replicas.
     """
     if len(dt_levels) < 1:
         raise ExperimentError("need at least one dt level")
     dts = sorted((float(d) for d in dt_levels), reverse=True)
     g = initial.c.grid
-    sigma = params.sigma
-    mask = sigma.interior_mask
+    mask = params.sigma.interior_mask
     vol = g.cell_volume
-    gamma = params.gamma
 
-    def drift_one(c0: ScalarField, corrected: bool, dt: float,
+    def drift_one(corrected: bool, dt: float,
                   replica: int) -> tuple[float, ScalarField]:
         # predictable (compensated) drift of the masked |c|^2: per step the
         # mean over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2
         # with m the deterministic part and A_k the noise amplitudes, so the
         # martingale fluctuation never enters the measurement
-        steps = _lockstep_time_grid(t_end, dt)
-        c = c0.copy()
+        draw = seeded_increments(seed, replica, params.vnoise.n_modes)
+        c = initial.c
         acc = 0.0
-        for idx, dt_step in enumerate(steps):
-            inc = sample_increments(seed, replica, idx, dt_step, 1)
-            c_mid = _spectral.solve_scalar_diffusion(g, c, dt_step * params.mu)
-            if gamma > 0.0:
-                m1, m2 = transport_noise_modes(c_mid, sigma)
-                mean_part = c_mid.values
-                if corrected:
-                    corr = transport_ito_correction(c_mid, sigma, gamma)
-                    mean_part = c_mid.values + dt_step * corr.values
-                hs_masked = (float(np.sum(m1[mask] ** 2))
-                             + float(np.sum(m2[mask] ** 2))) * vol
-                acc += (_masked_l2sq(mean_part, mask, vol)
-                        + gamma ** 2 * dt_step * hs_masked
-                        - _masked_l2sq(c.values, mask, vol))
-                c = ScalarField(g, mean_part
-                                + gamma * (m1 * inc.dbeta[0] + m2 * inc.dbeta[1]))
-            else:
-                acc += (_masked_l2sq(c_mid.values, mask, vol)
-                        - _masked_l2sq(c.values, mask, vol))
-                c = c_mid
+        for index, dt_step in enumerate(time_grid(t_end, dt)):
+            frozen = State(u=initial.u, c=c, n=initial.n, t=initial.t)
+            c_mid, _ = oxygen_drift(frozen, initial.n, params, dt_step)
+            mean_part = c_mid.values
+            c_new = c_mid.values + oxygen_kick(c_mid, params,
+                                               draw(index, dt_step))
+            if corrected:
+                corr = oxygen_correction(c_mid, params, dt_step)
+                mean_part = c_mid.values + corr
+                c_new += corr
+            hs_masked = sum(float(np.sum(m[mask] ** 2)) for m in
+                            transport_noise_modes(c_mid, params.sigma)) * vol
+            acc += (_masked_l2sq(mean_part, mask, vol)
+                    + params.gamma ** 2 * dt_step * hs_masked
+                    - _masked_l2sq(c.values, mask, vol))
+            c = ScalarField(g, c_new)
         return acc / t_end, c
 
     drift_a = np.zeros(len(dts))
@@ -257,8 +237,8 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     for li, d in enumerate(dts):
         acc_a = acc_b = 0.0
         for r in range(n_replicas):
-            da, fa = drift_one(initial.c, True, d, r)
-            db, fb = drift_one(initial.c, False, d, r)
+            da, fa = drift_one(True, d, r)
+            db, fb = drift_one(False, d, r)
             acc_a += da
             acc_b += db
             if li == len(dts) - 1 and r == 0:
@@ -266,7 +246,7 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
         drift_a[li] = acc_a / n_replicas
         drift_b[li] = acc_b / n_replicas
     identical = bool(np.array_equal(final_a.values, final_b.values))
-    ref = gamma ** 2 * norm(initial.c, "H1_semi") ** 2
+    ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
     return StratonovichReport(dt_levels=np.asarray(dts),
                               drift_corrected=drift_a, drift_naive=drift_b,
                               gap=drift_b - drift_a, reference_gap=ref,

@@ -22,7 +22,6 @@ import numpy as np
 
 from .grid import (Grid, ScalarField, VectorField, divergence, norm,
                    require_same_grid, scalar_face_gradients, zeros_vector)
-from .operators import laplacian_neumann
 
 
 @dataclass(frozen=True)
@@ -171,78 +170,53 @@ def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
                             max_q_deviation=q_dev, linf=linf, w1inf=w1inf)
 
 
-def ito_correction(c: ScalarField, gamma: float) -> ScalarField:
-    """Drift correction (gamma^2 / 2) * lap(c) from the Stratonovich rewrite."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    lap = laplacian_neumann(c)
-    return ScalarField(c.grid, (0.5 * gamma ** 2) * lap.values)
-
-
-def transport_ito_correction(c: ScalarField, sigma: TransportSigma, gamma: float,
-                             scheme: str = "taper") -> ScalarField:
+def transport_ito_correction(c: ScalarField, sigma: TransportSigma,
+                             gamma: float) -> ScalarField:
     """Exact Ito correction of the discrete noise map: (gamma^2/2) sum_k L_k^2 c.
 
     Applying the same discrete operator twice is what makes the expected
     quadratic-variation growth of the noise cancel the correction's drain to
     round-off wherever the operator is locally antisymmetric (the whole
-    q = Id region); the generic (gamma^2/2) lap(c) of ito_correction differs
-    from this by an O(dx^2) stencil mismatch that would leave a fixed-grid
-    bias in the energy drift.
+    q = Id region); a generic (gamma^2/2) lap(c) would differ from this by an
+    O(dx^2) stencil mismatch that leaves a fixed-grid bias in the energy
+    drift.
     """
-    m1, m2 = transport_noise_modes(c, sigma, scheme=scheme)
-    acc = transport_noise_modes(ScalarField(c.grid, m1), sigma, scheme=scheme)[0]
-    acc = acc + transport_noise_modes(ScalarField(c.grid, m2), sigma,
-                                      scheme=scheme)[1]
+    m1, m2 = transport_noise_modes(c, sigma)
+    acc = transport_noise_modes(ScalarField(c.grid, m1), sigma)[0]
+    acc = acc + transport_noise_modes(ScalarField(c.grid, m2), sigma)[1]
     return ScalarField(c.grid, (0.5 * gamma ** 2) * acc)
 
 
-def transport_noise_modes(c: ScalarField, sigma: TransportSigma,
-                          scheme: str = "taper") -> list[np.ndarray]:
+def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:
     """Cell fields approximating sigma_k . grad c, one per transport field.
 
-    'taper': face gradients weighted by the face sigma, averaged to the cell.
-    Annihilates constants everywhere and degrades gracefully over the cutoff
-    ring.  'skew': the exactly antisymmetric stencil
-    (sigma_E c_E - sigma_W c_W) / (2 dx); its pairing with c is zero to
-    round-off for every field, at the price of not annihilating constants on
-    the ring cells where the face divergence of sigma is nonzero.  The two
-    coincide wherever sigma is constant, in particular on the whole q = Id
-    region.
+    Face gradients are weighted by the face sigma and averaged to the cell,
+    which annihilates constants everywhere and degrades gracefully over the
+    cutoff ring.
     """
-    g = require_same_grid(c, sigma.sigma1)
+    require_same_grid(c, sigma.sigma1)
+    gx, gy = scalar_face_gradients(c)
     out = []
-    if scheme == "taper":
-        gx, gy = scalar_face_gradients(c)
-        for s in (sigma.sigma1, sigma.sigma2):
-            px = s.u_x * gx
-            py = s.u_y * gy
-            out.append(0.5 * (px[:-1, :] + px[1:, :])
-                       + 0.5 * (py[:, :-1] + py[:, 1:]))
-        return out
-    if scheme == "skew":
-        p = np.pad(c.values, 1, mode="edge")
-        for s in (sigma.sigma1, sigma.sigma2):
-            nx = (s.u_x[1:, :] * p[2:, 1:-1] - s.u_x[:-1, :] * p[:-2, 1:-1]) / (2 * g.dx)
-            ny = (s.u_y[:, 1:] * p[1:-1, 2:] - s.u_y[:, :-1] * p[1:-1, :-2]) / (2 * g.dy)
-            out.append(nx + ny)
-        return out
-    raise ValueError(f"unknown transport-noise scheme {scheme!r}")
+    for s in (sigma.sigma1, sigma.sigma2):
+        px = s.u_x * gx
+        py = s.u_y * gy
+        out.append(0.5 * (px[:-1, :] + px[1:, :])
+                   + 0.5 * (py[:, :-1] + py[:, 1:]))
+    return out
 
 
 def transport_noise_apply(c: ScalarField, sigma: TransportSigma, gamma: float,
-                          inc: NoiseIncrement, scheme: str = "taper") -> ScalarField:
+                          inc: NoiseIncrement) -> ScalarField:
     """One increment of the oxygen transport noise, gamma * sum_k (sigma_k . grad c) dbeta_k."""
-    modes = transport_noise_modes(c, sigma, scheme=scheme)
+    modes = transport_noise_modes(c, sigma)
     acc = gamma * (modes[0] * inc.dbeta[0] + modes[1] * inc.dbeta[1])
     return ScalarField(c.grid, acc)
 
 
-def transport_hs_sq(c: ScalarField, sigma: TransportSigma,
-                    scheme: str = "taper") -> float:
+def transport_hs_sq(c: ScalarField, sigma: TransportSigma) -> float:
     """Sum over k of the squared L2 norm of sigma_k . grad c (unit intensity)."""
     g = c.grid
-    modes = transport_noise_modes(c, sigma, scheme=scheme)
+    modes = transport_noise_modes(c, sigma)
     return float(sum(np.sum(m ** 2) for m in modes)) * g.cell_volume
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochem.cli import (ConfigError, SnapshotError, build_simulation,
-                         main, parse_config, read_snapshot, write_snapshot)
+from stochem.cli import (_SCHEMA, ConfigError, SnapshotError,
+                         build_simulation, main, parse_config, read_snapshot,
+                         write_snapshot)
 from stochem.dynamics import State
 from stochem.grid import ScalarField, VectorField, make_grid
 
@@ -22,7 +23,6 @@ def test_minimal_document_fills_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg[("grid", "nx")] == 16
     assert cfg[("physics", "eta")] == 1.0
-    assert cfg[("physics", "xi_mode")] == "corrected"
     assert cfg[("time", "sample_every")] == 10
     params, state = build_simulation(cfg)
     assert params.grid.nx == 16
@@ -46,17 +46,25 @@ def test_validation_names_key_and_constraint():
         parse_config("[physics]\ndelta = -1\n")
     with pytest.raises(ConfigError, match=r"\[grid\] nx.*as int"):
         parse_config("[grid]\nnx = four\n")
-    with pytest.raises(ConfigError, match=r"xi_mode"):
-        parse_config("[physics]\nxi_mode = bogus\n")
+    with pytest.raises(ConfigError, match=r"\[physics\] phi_kind = bogus"):
+        parse_config("[physics]\nphi_kind = bogus\n")
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key, spec in keys.items() if spec[0] is float]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+def test_non_finite_float_rejected(section, key, raw):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = .*finite"):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
 
 
 def test_xi_resolution_from_config():
-    cfg = parse_config("[physics]\nxi_mode = corrected\nmu = 1.0\ngamma = 0.2\n")
+    cfg = parse_config("[physics]\nmu = 1.0\ngamma = 0.2\n")
     params, _ = build_simulation(cfg)
     assert params.xi == pytest.approx(1.02, abs=1e-15)
-    cfg = parse_config("[physics]\nxi_mode = literal\neta = 2.0\ngamma = 0.2\n")
-    params, _ = build_simulation(cfg)
-    assert params.xi == pytest.approx(2.02, abs=1e-15)
 
 
 def test_comments_and_inline_comments():
@@ -291,6 +299,39 @@ def test_cmd_run_mid_run_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 1: dt=0.001 exceeds the advective bound")
     assert "Traceback" not in err
+
+
+def test_experiment_setup_error_exits_2(tmp_path, capsys):
+    # t_end is not a multiple of the finest dt level
+    text = REFERENCE.replace("t_end = 0.02", "t_end = 0.0105")
+    cfg = _write_cfg(tmp_path, text)
+    code = main(["experiment", "convergence", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end=0.0105 is not a multiple")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which,message", [
+    ("twin", "error: step 1: dt=0.001 exceeds the advective bound"),
+    ("ensemble", "error: replica 0 (base seed 1234) failed: step 1 failed: "
+                 "dt=0.001 exceeds the advective bound"),
+])
+def test_experiment_mid_run_failure_exits_3(tmp_path, capsys, which, message):
+    cfg = _write_cfg(tmp_path, MINIMAL + "[ic]\nu_amplitude = 80\n")
+    code = main(["experiment", which, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["run", "check-params"])
+def test_threads_only_on_experiment(tmp_path, command):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--threads", "8"])
+    assert exc.value.code == 2
 
 
 def test_import_loads_no_iterative_solver():

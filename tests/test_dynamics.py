@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from stochem import dynamics
 from stochem.dynamics import (CflError, SimulationError, State, linear_consumption,
                               run, saturating_consumption, stable_dt, step)
+from stochem.experiments import twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
                           scalar_from_function, zeros_vector)
 from stochem.noise import sample_increments
@@ -233,29 +237,36 @@ def test_run_positivity_and_max_principle():
     assert series.column("div_residual").max() < 1e-10
 
 
-def test_xi_implicit_mode_preserves_invariants():
-    # the alternative correction handling (generic drift folded into the
-    # implicit diffusivity) must keep the structural guarantees, just with a
-    # different discretization error signature
-    from dataclasses import replace
-    params, st = _reference_setup()
-    params = replace(params, correction_mode="xi_implicit")
-    assert params.xi == pytest.approx(params.mu + 0.5 * params.gamma ** 2)
-    _, series = run(st, params, 0.05, 1e-3, seed=4, sample_every=10)
-    mass = series.column("mass_n")
-    assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
-    assert series.column("min_n").min() >= 0.0
-    c0max = series.column("max_c")[0]
-    assert series.column("max_c").max() <= c0max * (1.0 + 1e-10)
-    assert np.all(np.isfinite(series.column("energy_residual")))
-
-
 def test_run_propagates_failures_with_step_index():
     params, st = _reference_setup()
     st.u.u_x[5, 5] = 80.0   # forces a CFL rejection at the first step
     with pytest.raises(SimulationError) as err:
         run(st, params, 0.01, 1e-3, seed=0)
     assert err.value.step_index == 1
+
+
+def _nan_at_step_three(seed, replica, index, dt, k_modes):
+    inc = sample_increments(seed, replica, index, dt, k_modes)
+    return replace(inc, dbeta=np.full(2, np.nan)) if index == 2 else inc
+
+
+def test_run_stops_on_non_finite_state():
+    # a NaN increment passes stable_dt (min(dt_max, safety / nan) = dt_max),
+    # so only the per-step finiteness check stops the run, at its step
+    params, st = _reference_setup()
+    k = params.vnoise.n_modes
+    with pytest.raises(SimulationError, match="field c is not finite") as err:
+        run(st, params, 0.01, 1e-3, seed=4, sample_every=5,
+            increments=lambda i, dt: _nan_at_step_three(4, 0, i, dt, k))
+    assert err.value.step_index == 3
+
+
+def test_twin_run_stops_on_non_finite_state(monkeypatch):
+    params, st = _reference_setup()
+    monkeypatch.setattr(dynamics, "sample_increments", _nan_at_step_three)
+    with pytest.raises(SimulationError, match="field c is not finite") as err:
+        twin_run(params, st, 4, 1e-6, 0.01, 1e-3)
+    assert err.value.step_index == 3
 
 
 def test_deterministic_dt_self_convergence():

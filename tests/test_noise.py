@@ -6,12 +6,12 @@ from stochem.grid import (ScalarField, divergence, full_scalar,
                           zeros_vector)
 from stochem.noise import (NoiseIncrement, TransportSigma,
                            check_sigma_assumptions, combined_sigma_linf,
-                           g_apply, g_hilbert_schmidt, ito_correction,
+                           g_apply, g_hilbert_schmidt,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
                            transport_hs_sq, transport_ito_correction,
                            transport_noise_apply, transport_noise_modes)
-from stochem.operators import divergence_residual, laplacian_neumann
+from stochem.operators import divergence_residual
 
 from conftest import random_scalar
 
@@ -83,17 +83,6 @@ def test_sigma_report_detects_defects():
 
 # --------------------------------------------------------------- transport
 
-def test_ito_correction_is_half_gamma_sq_laplacian(rng):
-    g = make_grid(24, 24, 1.0, 1.0)
-    c = random_scalar(g, rng)
-    assert norm(ito_correction(c, 0.0), "Linf") == 0.0
-    assert norm(ito_correction(full_scalar(g, 3.0), 0.5), "Linf") == 0.0
-    out = ito_correction(c, 0.2)
-    lap = laplacian_neumann(c)
-    scale = max(np.max(np.abs(lap.values)), 1.0)
-    assert np.max(np.abs(out.values - 0.02 * lap.values)) < 1e-15 * scale
-
-
 def test_transport_noise_zero_cases(rng):
     g = make_grid(32, 32, 1.0, 1.0)
     sig = make_transport_sigma(g, 1)
@@ -107,10 +96,6 @@ def test_transport_noise_zero_cases(rng):
                          step_index=0, replica_index=0, seed=0)
     out = transport_noise_apply(full_scalar(g, 4.0), sig, 1.0, inc)
     assert norm(out, "Linf") == 0.0
-    # the antisymmetric scheme annihilates constants off the cutoff ring
-    modes = transport_noise_modes(full_scalar(g, 4.0), sig, scheme="skew")
-    for m in modes:
-        assert np.max(np.abs(m[sig.interior_mask])) == 0.0
 
 
 def test_transport_noise_linear_oxygen(rng):
@@ -122,17 +107,6 @@ def test_transport_noise_linear_oxygen(rng):
                          step_index=0, replica_index=0, seed=0)
     out = transport_noise_apply(c, sig, 1.0, inc)
     assert np.max(np.abs(out.values[sig.interior_mask] - h)) < 1e-13
-
-
-def test_transport_noise_skew_pairing_vanishes(rng):
-    g = make_grid(48, 48, 1.0, 1.0)
-    sig = make_transport_sigma(g, 2)
-    for _ in range(5):
-        c = random_scalar(g, rng)
-        modes = transport_noise_modes(c, sig, scheme="skew")
-        for m in modes:
-            pair = inner_product(ScalarField(g, m), c)
-            assert abs(pair) <= 1e-12 * max(norm(c, "L2") ** 2, 1e-30)
 
 
 def test_transport_noise_hilbert_schmidt_identity(rng):
