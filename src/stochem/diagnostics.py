@@ -222,8 +222,7 @@ def estimate_k0(grid: Grid) -> float:
     return 1.0
 
 
-def _entropy_with_kf(state, params, c0_linf: float, kf: float,
-                     k_gn: float) -> float:
+def _entropy_with_kf(state, params, c0_linf: float, kf: float) -> float:
     n = state.n.values
     if float(n.min()) < -1e-13:
         raise ValueError(f"entropy functional needs n >= 0, min n = {n.min():g}")
@@ -233,15 +232,15 @@ def _entropy_with_kf(state, params, c0_linf: float, kf: float,
     nlogn *= g.cell_volume
     grad_c_sq = norm(state.c, "H1_semi") ** 2
     u_sq = norm(state.u, "L2") ** 2
-    weight = 8.0 * kf * k_gn * c0_linf ** 2 / (3.0 * params.xi * params.eta)
+    weight = 8.0 * kf * c0_linf ** 2 / (3.0 * params.xi * params.eta)
     return nlogn + kf * grad_c_sq + weight * u_sq + math.exp(-1.0) * g.area
 
 
-def entropy_functional(state, params, c0_linf: float, k_gn: float = 1.0) -> float:
+def entropy_functional(state, params, c0_linf: float) -> float:
     """Nonnegative Lyapunov functional: cell entropy plus weighted energies
     plus the e^{-1}|O| offset that makes x ln x integrable from below."""
     kf = compute_kf(params, c0_linf)
-    return _entropy_with_kf(state, params, c0_linf, kf, k_gn)
+    return _entropy_with_kf(state, params, c0_linf, kf)
 
 
 class EnergyTracker:
@@ -295,8 +294,7 @@ def record(state, report, params, tracker: EnergyTracker,
         max_c=float(state.c.values.max()),
         l2_u=norm(state.u, "L2"),
         h1_c=math.sqrt(norm(state.c, "L2") ** 2 + norm(state.c, "H1_semi") ** 2),
-        entropy=_entropy_with_kf(state, params, tracker.c0_linf, tracker.kf,
-                                 params.k_gn),
+        entropy=_entropy_with_kf(state, params, tracker.c0_linf, tracker.kf),
         energy_residual=tracker.residual(state, params),
         clip_count=report.clip_count,
         div_residual=report.projection_residual)

@@ -9,7 +9,8 @@ that order, so each later equation sees the freshest coupling fields:
 2. oxygen_substep: explicit advection, explicit consumption limited to the
    oxygen actually available in the cell (the limiter is counted, never
    silent), implicit diffusion at mu, then the explicit transport-noise
-   increment and its exact discrete Ito correction;
+   increment and its exact discrete Ito correction, both built from one
+   evaluation of the noise modes sigma_k . grad c of the drifted oxygen;
 3. velocity_substep: explicit convection, buoyancy and stochastic forcing,
    implicit viscosity, then projection onto the discretely divergence-free
    subspace.
@@ -33,6 +34,9 @@ from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
 from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
                         convect_velocity, divergence_residual,
                         helmholtz_project, scalar_advect)
+
+
+CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
 
 
 class CflError(RuntimeError):
@@ -95,10 +99,7 @@ class SimParams:
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
     dt_max: float = 0.1
-    cfl_safety: float = 0.5
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
-    velocity_mode: AdvectionMode = AdvectionMode.CENTERED_SKEW
-    k_gn: float = 1.0              # Gagliardo-Nirenberg constant for monitoring
     k0: float | None = None        # elliptic-regularity constant override
 
     @property
@@ -167,7 +168,7 @@ def stable_dt(state: State, params: SimParams) -> float:
                    * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
     if rate <= 0.0:
         return params.dt_max
-    return min(params.dt_max, params.cfl_safety / rate)
+    return min(params.dt_max, CFL_SAFETY / rate)
 
 
 def density_substep(state: State, params: SimParams,
@@ -194,16 +195,18 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
     return _spectral.solve_scalar_diffusion(g, c_star, dt * params.mu), clip_count
 
 
-def oxygen_kick(c_mid: ScalarField, params: SimParams,
+def oxygen_kick(modes: list[np.ndarray], params: SimParams,
                 inc: NoiseIncrement) -> np.ndarray:
-    """Transport-noise increment gamma sum_k (sigma_k . grad c) dbeta_k."""
-    return transport_noise_apply(c_mid, params.sigma, params.gamma, inc).values
+    """Transport-noise increment gamma sum_k L_k c dbeta_k from the modes
+    L_k c = sigma_k . grad c."""
+    return transport_noise_apply(modes, params.gamma, inc)
 
 
-def oxygen_correction(c_mid: ScalarField, params: SimParams,
+def oxygen_correction(modes: list[np.ndarray], params: SimParams,
                       dt: float) -> np.ndarray:
-    """dt times the exact discrete Ito correction (gamma^2/2) sum_k L_k^2 c."""
-    return dt * noise_mod.transport_ito_correction(c_mid, params.sigma,
+    """dt times the exact discrete Ito correction (gamma^2/2) sum_k L_k^2 c,
+    from the modes L_k c."""
+    return dt * noise_mod.transport_ito_correction(modes, params.sigma,
                                                    params.gamma).values
 
 
@@ -211,13 +214,17 @@ def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
                    inc: NoiseIncrement,
                    dt: float) -> tuple[ScalarField, int, float]:
     """Drift, then the noise increment and its correction; returns the new
-    oxygen, the limiter count and transport_hs_sq at the drifted oxygen."""
+    oxygen, the limiter count and transport_hs_sq at the drifted oxygen.
+
+    The noise modes of the drifted oxygen are evaluated once and shared by
+    the kick, the correction and the Hilbert-Schmidt norm."""
     c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
     if params.gamma <= 0.0:
         return c_mid, clip_count, 0.0
-    hs_sq = noise_mod.transport_hs_sq(c_mid, params.sigma)
-    c_new = ScalarField(c_mid.grid, c_mid.values + oxygen_kick(c_mid, params, inc))
-    c_new.values += oxygen_correction(c_mid, params, dt)
+    modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
+    hs_sq = noise_mod.transport_hs_sq(modes, c_mid.grid)
+    c_new = ScalarField(c_mid.grid, c_mid.values + oxygen_kick(modes, params, inc))
+    c_new.values += oxygen_correction(modes, params, dt)
     return c_new, clip_count, hs_sq
 
 
@@ -226,7 +233,7 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
                      dt: float) -> tuple[VectorField, float]:
     """Returns the projected new velocity and its divergence residual."""
     g = state.u.grid
-    conv = convect_velocity(state.u, state.u, params.velocity_mode)
+    conv = convect_velocity(state.u, state.u, AdvectionMode.CENTERED_SKEW)
     buoy = buoyancy(n_new, params.phi)
     forced = VectorField(g,
                          state.u.u_x + dt * (buoy.u_x - conv.u_x),
@@ -306,7 +313,9 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     function of (seed, replica, step index), so reruns reproduce bitwise.
     ``increments`` may supply a callable (step_index, dt) -> NoiseIncrement
     to share or aggregate Brownian paths across runs; ``on_sample`` is
-    called with (state, row) at every recorded sample.
+    called with (state, row) at every recorded sample.  A failing step, or
+    a sampled state that diagnostics rejects, raises SimulationError naming
+    the step.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
@@ -323,8 +332,12 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     series = diagnostics.DiagnosticsSeries()
 
     def sample(state: State, report: StepReport, index: int) -> None:
-        row = diagnostics.record(state, report, params, tracker,
-                                 step_index=index)
+        try:
+            row = diagnostics.record(state, report, params, tracker,
+                                     step_index=index)
+        except ValueError as exc:   # a measurement rejected the state
+            raise SimulationError(f"sample at step {index} failed: {exc}",
+                                  step_index=index) from exc
         series.append(row)
         if on_sample is not None:
             on_sample(state, row)

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import noise as noise_mod
 from .dynamics import (SimParams, State, march, oxygen_correction,
                        oxygen_drift, oxygen_kick, seeded_increments,
                        time_grid)
 from .grid import ScalarField, cell_centers, norm
-from .noise import merge_increments, transport_noise_modes
+from .noise import merge_increments
 
 
 class ExperimentError(RuntimeError):
@@ -216,15 +217,15 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
         for index, dt_step in enumerate(time_grid(t_end, dt)):
             frozen = State(u=initial.u, c=c, n=initial.n, t=initial.t)
             c_mid, _ = oxygen_drift(frozen, initial.n, params, dt_step)
+            modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
             mean_part = c_mid.values
-            c_new = c_mid.values + oxygen_kick(c_mid, params,
+            c_new = c_mid.values + oxygen_kick(modes, params,
                                                draw(index, dt_step))
             if corrected:
-                corr = oxygen_correction(c_mid, params, dt_step)
+                corr = oxygen_correction(modes, params, dt_step)
                 mean_part = c_mid.values + corr
                 c_new += corr
-            hs_masked = sum(float(np.sum(m[mask] ** 2)) for m in
-                            transport_noise_modes(c_mid, params.sigma)) * vol
+            hs_masked = sum(float(np.sum(m[mask] ** 2)) for m in modes) * vol
             acc += (_masked_l2sq(mean_part, mask, vol)
                     + params.gamma ** 2 * dt_step * hs_masked
                     - _masked_l2sq(c.values, mask, vol))
@@ -319,29 +320,21 @@ def ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleStats:
         raise ExperimentError("need at least one replica")
 
     def one(rep: int):
-        return run(spec.initial, spec.params, spec.t_end, spec.dt,
-                   seed=spec.base_seed, sample_every=spec.sample_every,
-                   replica=rep)[1]
+        try:
+            return run(spec.initial, spec.params, spec.t_end, spec.dt,
+                       seed=spec.base_seed, sample_every=spec.sample_every,
+                       replica=rep)[1]
+        except Exception as exc:
+            raise ExperimentError(
+                f"replica {rep} (base seed {spec.base_seed}) failed: {exc}"
+            ) from exc
 
-    results: list = [None] * spec.n_replicas
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {rep: pool.submit(one, rep) for rep in range(spec.n_replicas)}
-        for rep, fut in futures.items():
-            try:
-                results[rep] = fut.result()
-            except Exception as exc:
-                raise ExperimentError(
-                    f"replica {rep} (base seed {spec.base_seed}) failed: {exc}"
-                ) from exc
+            results = list(pool.map(one, range(spec.n_replicas)))
     else:
-        for rep in range(spec.n_replicas):
-            try:
-                results[rep] = one(rep)
-            except Exception as exc:
-                raise ExperimentError(
-                    f"replica {rep} (base seed {spec.base_seed}) failed: {exc}"
-                ) from exc
+        # serial replicas stay on the calling thread
+        results = [one(rep) for rep in range(spec.n_replicas)]
 
     n_rows = len(results[0])
     for rep, series in enumerate(results):

@@ -120,15 +120,6 @@ def require_same_grid(a: Field, b: Field) -> Grid:
     return a.grid
 
 
-def enforce_no_slip(v: VectorField) -> VectorField:
-    """Zero the wall-normal faces in place and return the field."""
-    v.u_x[0, :] = 0.0
-    v.u_x[-1, :] = 0.0
-    v.u_y[:, 0] = 0.0
-    v.u_y[:, -1] = 0.0
-    return v
-
-
 def inner_product(a: Field, b: Field) -> float:
     """Discrete L2 pairing: sum of pointwise products weighted by cell volume.
 

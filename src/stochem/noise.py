@@ -2,11 +2,12 @@
 
 The transport fields are the canonical constant unit fields, ramped to zero
 over a ring of faces near the walls (the continuum construction is
-discontinuous at the boundary; the ramp width is the resolution knob).  Face
-values follow clip((d - w)/w, 0, 1) in units of the face's distance d to the
-nearest wall, so faces within w of a wall are exactly zero, the measured
-Lipschitz surrogate is 1/(w*dx), and the covariance q(x,x) equals the
-identity at every cell at least 2w cells from the boundary.
+discontinuous at the boundary; the ramp width is the resolution knob).
+sigma_1 = (ramp_x, 0) lives on the vertical faces and sigma_2 = (0, ramp_y)
+on the horizontal ones, so only the two ramps are stored.  Face values follow
+clip((d - w)/w, 0, 1) in units of the face's distance d to the nearest wall,
+so faces within w of a wall are exactly zero and the covariance q(x,x)
+equals the identity at every cell at least 2w cells from the boundary.
 
 Brownian increments are counter-based: the value of every draw is a pure
 function of (seed, replica, step, mode), which is what makes twin paths,
@@ -20,16 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, VectorField, divergence, norm,
-                   require_same_grid, scalar_face_gradients, zeros_vector)
+from .grid import (Grid, ScalarField, VectorField, norm, require_same_grid,
+                   scalar_face_gradients, zeros_vector)
 
 
 @dataclass(frozen=True)
 class TransportSigma:
-    sigma1: VectorField
-    sigma2: VectorField
-    linf: float          # max over k of the pointwise sup of |sigma_k|
-    w1inf: float         # sup-norm surrogate including max one-sided differences
+    grid: Grid
+    ramp_x: np.ndarray   # sigma_1 = (ramp_x, 0), on the vertical faces
+    ramp_y: np.ndarray   # sigma_2 = (0, ramp_y), on the horizontal faces
     cutoff_width: int
     interior_mask: np.ndarray  # cells where q(x,x) = Id holds exactly
 
@@ -39,8 +39,6 @@ class AssumptionReport:
     max_interior_divergence: float
     boundary_zero_violations: int
     max_q_deviation: float
-    linf: float
-    w1inf: float
 
     @property
     def ok(self) -> bool:
@@ -54,9 +52,6 @@ class NoiseIncrement:
     dw: np.ndarray       # K increments of the cylindrical process
     dbeta: np.ndarray    # 2 increments of the planar motion
     dt: float
-    step_index: int
-    replica_index: int
-    seed: int
 
 
 def _face_distances(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -82,97 +77,75 @@ def make_transport_sigma(grid: Grid, cutoff_width: int = 1) -> TransportSigma:
         raise ValueError(f"cutoff_width {w} too wide for a "
                          f"{grid.nx}x{grid.ny} grid (must be < min/4)")
     dxf, dyf = _face_distances(grid)
-    ramp_x = np.clip((dxf - w) / w, 0.0, 1.0)
-    ramp_y = np.clip((dyf - w) / w, 0.0, 1.0)
-
-    s1 = zeros_vector(grid)
-    s1.u_x[...] = ramp_x
-    s2 = zeros_vector(grid)
-    s2.u_y[...] = ramp_y
-
     ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
     dist = np.minimum(np.minimum(ii, grid.nx - 1 - ii),
                       np.minimum(jj, grid.ny - 1 - jj))
-    mask = dist >= 2 * w
-
-    linf = max(float(np.max(np.abs(ramp_x))), float(np.max(np.abs(ramp_y))))
-    w1inf = max(linf, _max_face_difference(grid, s1), _max_face_difference(grid, s2))
-    return TransportSigma(sigma1=s1, sigma2=s2, linf=linf, w1inf=w1inf,
-                          cutoff_width=w, interior_mask=mask)
+    return TransportSigma(grid=grid,
+                          ramp_x=np.clip((dxf - w) / w, 0.0, 1.0),
+                          ramp_y=np.clip((dyf - w) / w, 0.0, 1.0),
+                          cutoff_width=w, interior_mask=dist >= 2 * w)
 
 
 def zero_transport_sigma(grid: Grid) -> TransportSigma:
     """Disabled transport noise: zero fields, empty identity-covariance region."""
-    return TransportSigma(sigma1=zeros_vector(grid), sigma2=zeros_vector(grid),
-                          linf=0.0, w1inf=0.0, cutoff_width=0,
+    return TransportSigma(grid=grid, ramp_x=np.zeros((grid.nx + 1, grid.ny)),
+                          ramp_y=np.zeros((grid.nx, grid.ny + 1)),
+                          cutoff_width=0,
                           interior_mask=np.zeros((grid.nx, grid.ny), dtype=bool))
-
-
-def _max_face_difference(grid: Grid, v: VectorField) -> float:
-    best = 0.0
-    for comp, (hx, hy) in ((v.u_x, (grid.dx, grid.dy)), (v.u_y, (grid.dx, grid.dy))):
-        if comp.shape[0] > 1:
-            best = max(best, float(np.max(np.abs(np.diff(comp, axis=0)))) / hx)
-        if comp.shape[1] > 1:
-            best = max(best, float(np.max(np.abs(np.diff(comp, axis=1)))) / hy)
-    return best
 
 
 def combined_sigma_linf(sigma: TransportSigma) -> float:
     """Root-sum-square of the per-field sup norms, as the noise conditions use."""
-    s1 = max(float(np.max(np.abs(sigma.sigma1.u_x))),
-             float(np.max(np.abs(sigma.sigma1.u_y))))
-    s2 = max(float(np.max(np.abs(sigma.sigma2.u_x))),
-             float(np.max(np.abs(sigma.sigma2.u_y))))
-    return math.sqrt(s1 ** 2 + s2 ** 2)
+    return math.sqrt(float(np.max(np.abs(sigma.ramp_x))) ** 2
+                     + float(np.max(np.abs(sigma.ramp_y))) ** 2)
 
 
 def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
-    """Measure how well a transport family satisfies its structural contract."""
-    grid = sigma.sigma1.grid
+    """Measure how well a transport family satisfies its structural contract.
+
+    The covariance is q = diag(<ramp_x>^2, <ramp_y>^2) with cell averages
+    <.>; its off-diagonal vanishes by construction.
+    """
+    grid = sigma.grid
     w = sigma.cutoff_width
     mask = sigma.interior_mask
-
-    max_div = 0.0
-    for s in (sigma.sigma1, sigma.sigma2):
-        d = divergence(s).values
-        if mask.any():
-            max_div = max(max_div, float(np.max(np.abs(d[mask]))))
-
-    dxf, dyf = _face_distances(grid)
-    violations = 0
-    for s in (sigma.sigma1, sigma.sigma2):
-        violations += int(np.count_nonzero(np.abs(s.u_x[dxf <= w]) > 0.0))
-        violations += int(np.count_nonzero(np.abs(s.u_y[dyf <= w]) > 0.0))
-
-    q_dev = 0.0
+    # div sigma_1 = d_x ramp_x and div sigma_2 = d_y ramp_y
+    div1 = np.diff(sigma.ramp_x, axis=0) / grid.dx
+    div2 = np.diff(sigma.ramp_y, axis=1) / grid.dy
+    qxx = (0.5 * (sigma.ramp_x[:-1, :] + sigma.ramp_x[1:, :])) ** 2
+    qyy = (0.5 * (sigma.ramp_y[:, :-1] + sigma.ramp_y[:, 1:])) ** 2
+    max_div = q_dev = 0.0
     if mask.any():
-        comps = []
-        for s in (sigma.sigma1, sigma.sigma2):
-            cx = 0.5 * (s.u_x[:-1, :] + s.u_x[1:, :])
-            cy = 0.5 * (s.u_y[:, :-1] + s.u_y[:, 1:])
-            comps.append((cx, cy))
-        qxx = sum(cx * cx for cx, _ in comps)
-        qyy = sum(cy * cy for _, cy in comps)
-        qxy = sum(cx * cy for cx, cy in comps)
+        max_div = max(float(np.max(np.abs(div1[mask]))),
+                      float(np.max(np.abs(div2[mask]))))
         q_dev = max(float(np.max(np.abs(qxx[mask] - 1.0))),
-                    float(np.max(np.abs(qyy[mask] - 1.0))),
-                    float(np.max(np.abs(qxy[mask]))))
-
-    linf = 0.0
-    for s in (sigma.sigma1, sigma.sigma2):
-        linf = max(linf, float(np.max(np.abs(s.u_x))),
-                   float(np.max(np.abs(s.u_y))))
-    w1inf = max(linf, _max_face_difference(grid, sigma.sigma1),
-                _max_face_difference(grid, sigma.sigma2))
+                    float(np.max(np.abs(qyy[mask] - 1.0))))
+    dxf, dyf = _face_distances(grid)
+    violations = (int(np.count_nonzero(sigma.ramp_x[dxf <= w]))
+                  + int(np.count_nonzero(sigma.ramp_y[dyf <= w])))
     return AssumptionReport(max_interior_divergence=max_div,
                             boundary_zero_violations=violations,
-                            max_q_deviation=q_dev, linf=linf, w1inf=w1inf)
+                            max_q_deviation=q_dev)
 
 
-def transport_ito_correction(c: ScalarField, sigma: TransportSigma,
+def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:
+    """Cell fields L_k c approximating sigma_k . grad c, one per transport field.
+
+    Face gradients are weighted by the face ramp and averaged to the cell,
+    which annihilates constants everywhere and degrades gracefully over the
+    cutoff ring.
+    """
+    require_same_grid(c, sigma)
+    gx, gy = scalar_face_gradients(c)
+    px = sigma.ramp_x * gx
+    py = sigma.ramp_y * gy
+    return [0.5 * (px[:-1, :] + px[1:, :]), 0.5 * (py[:, :-1] + py[:, 1:])]
+
+
+def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
                              gamma: float) -> ScalarField:
-    """Exact Ito correction of the discrete noise map: (gamma^2/2) sum_k L_k^2 c.
+    """Exact Ito correction of the discrete noise map, (gamma^2/2) sum_k L_k^2 c,
+    from the modes [L_1 c, L_2 c] of transport_noise_modes.
 
     Applying the same discrete operator twice is what makes the expected
     quadratic-variation growth of the noise cancel the correction's drain to
@@ -181,55 +154,31 @@ def transport_ito_correction(c: ScalarField, sigma: TransportSigma,
     O(dx^2) stencil mismatch that leaves a fixed-grid bias in the energy
     drift.
     """
-    m1, m2 = transport_noise_modes(c, sigma)
-    acc = transport_noise_modes(ScalarField(c.grid, m1), sigma)[0]
-    acc = acc + transport_noise_modes(ScalarField(c.grid, m2), sigma)[1]
-    return ScalarField(c.grid, (0.5 * gamma ** 2) * acc)
+    g = sigma.grid
+    acc = transport_noise_modes(ScalarField(g, modes[0]), sigma)[0]
+    acc = acc + transport_noise_modes(ScalarField(g, modes[1]), sigma)[1]
+    return ScalarField(g, (0.5 * gamma ** 2) * acc)
 
 
-def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:
-    """Cell fields approximating sigma_k . grad c, one per transport field.
-
-    Face gradients are weighted by the face sigma and averaged to the cell,
-    which annihilates constants everywhere and degrades gracefully over the
-    cutoff ring.
-    """
-    require_same_grid(c, sigma.sigma1)
-    gx, gy = scalar_face_gradients(c)
-    out = []
-    for s in (sigma.sigma1, sigma.sigma2):
-        px = s.u_x * gx
-        py = s.u_y * gy
-        out.append(0.5 * (px[:-1, :] + px[1:, :])
-                   + 0.5 * (py[:, :-1] + py[:, 1:]))
-    return out
+def transport_noise_apply(modes: list[np.ndarray], gamma: float,
+                          inc: NoiseIncrement) -> np.ndarray:
+    """One increment of the oxygen transport noise, gamma sum_k L_k c dbeta_k."""
+    return gamma * (modes[0] * inc.dbeta[0] + modes[1] * inc.dbeta[1])
 
 
-def transport_noise_apply(c: ScalarField, sigma: TransportSigma, gamma: float,
-                          inc: NoiseIncrement) -> ScalarField:
-    """One increment of the oxygen transport noise, gamma * sum_k (sigma_k . grad c) dbeta_k."""
-    modes = transport_noise_modes(c, sigma)
-    acc = gamma * (modes[0] * inc.dbeta[0] + modes[1] * inc.dbeta[1])
-    return ScalarField(c.grid, acc)
-
-
-def transport_hs_sq(c: ScalarField, sigma: TransportSigma) -> float:
-    """Sum over k of the squared L2 norm of sigma_k . grad c (unit intensity)."""
-    g = c.grid
-    modes = transport_noise_modes(c, sigma)
-    return float(sum(np.sum(m ** 2) for m in modes)) * g.cell_volume
+def transport_hs_sq(modes: list[np.ndarray], grid: Grid) -> float:
+    """Sum over k of the squared L2 norm of the modes L_k c (unit intensity)."""
+    return float(sum(np.sum(m ** 2) for m in modes)) * grid.cell_volume
 
 
 @dataclass(frozen=True)
 class VelocityNoiseConfig:
     n_modes: int
     amplitude: float
-    mode_decay: float
     multiplicative_gain: float
     modes: tuple[VectorField, ...]   # unit-L2, discretely divergence-free
     lambdas: np.ndarray
     l_g: float
-    l_lip: float
 
 
 def _stream_mode_numbers(count: int) -> list[tuple[int, int]]:
@@ -269,10 +218,9 @@ def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
     hs_unit = math.sqrt(float(np.sum(lambdas ** 2)))
     gain = float(multiplicative_gain)
     return VelocityNoiseConfig(
-        n_modes=n_modes, amplitude=float(amplitude), mode_decay=float(mode_decay),
-        multiplicative_gain=gain, modes=tuple(modes), lambdas=lambdas,
-        l_g=float(amplitude) * (1.0 + abs(gain)) * hs_unit,
-        l_lip=float(amplitude) * abs(gain) * hs_unit)
+        n_modes=n_modes, amplitude=float(amplitude), multiplicative_gain=gain,
+        modes=tuple(modes), lambdas=lambdas,
+        l_g=float(amplitude) * (1.0 + abs(gain)) * hs_unit)
 
 
 def g_scale(u: VectorField, cfg: VelocityNoiseConfig) -> float:
@@ -323,9 +271,7 @@ def sample_increments(seed: int, replica: int, step: int, dt: float,
     bitgen = np.random.Philox(counter=counter, key=key)
     z = np.random.Generator(bitgen).standard_normal(k_modes + 2)
     z *= math.sqrt(dt)
-    return NoiseIncrement(dw=z[:k_modes], dbeta=z[k_modes:], dt=float(dt),
-                          step_index=int(step), replica_index=int(replica),
-                          seed=int(seed))
+    return NoiseIncrement(dw=z[:k_modes], dbeta=z[k_modes:], dt=float(dt))
 
 
 def merge_increments(parts: list[NoiseIncrement]) -> NoiseIncrement:
@@ -334,7 +280,4 @@ def merge_increments(parts: list[NoiseIncrement]) -> NoiseIncrement:
         raise ValueError("cannot merge an empty increment list")
     dw = np.sum([p.dw for p in parts], axis=0)
     dbeta = np.sum([p.dbeta for p in parts], axis=0)
-    dt = float(sum(p.dt for p in parts))
-    first = parts[0]
-    return NoiseIncrement(dw=dw, dbeta=dbeta, dt=dt, step_index=first.step_index,
-                          replica_index=first.replica_index, seed=first.seed)
+    return NoiseIncrement(dw=dw, dbeta=dbeta, dt=float(sum(p.dt for p in parts)))

@@ -3,13 +3,15 @@ import pytest
 
 from dataclasses import replace
 
-from stochem import dynamics
+from stochem import dynamics, noise
+from stochem.cli import build_simulation, parse_config
 from stochem.dynamics import (CflError, SimulationError, State, linear_consumption,
                               run, saturating_consumption, stable_dt, step)
 from stochem.experiments import twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
                           scalar_from_function, zeros_vector)
 from stochem.noise import sample_increments
+from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal
@@ -267,6 +269,50 @@ def test_twin_run_stops_on_non_finite_state(monkeypatch):
     with pytest.raises(SimulationError, match="field c is not finite") as err:
         twin_run(params, st, 4, 1e-6, 0.01, 1e-3)
     assert err.value.step_index == 3
+
+
+def test_run_reports_failed_sample_with_step_index():
+    # the centered scalar stencil undershoots n below the entropy's
+    # tolerance by step 5; the sampled row, not the step, detects it
+    cfg = parse_config("""
+[grid]
+nx = 32
+ny = 32
+[physics]
+chi = 0.0
+gamma = 0.0
+delta = 1e-6
+[noise]
+amplitude = 0.0
+[ic]
+n_base = 0.0
+n_sigma = 0.05
+u_amplitude = 1.0
+""")
+    params, st = build_simulation(cfg)
+    with pytest.raises(SimulationError, match="sample at step 5 failed: "
+                       "entropy functional needs n >= 0") as err:
+        run(st, params, 0.2, 1e-3, seed=1, sample_every=5,
+            scalar_mode=AdvectionMode.CENTERED_SKEW)
+    assert err.value.step_index == 5
+
+
+@pytest.mark.parametrize("gamma, calls", [(0.1, 3), (0.0, 0)])
+def test_step_evaluates_noise_modes_once_per_use(monkeypatch, gamma, calls):
+    # one evaluation of the drifted oxygen's modes feeds the kick, the
+    # correction and the HS norm; the correction applies L_1 and L_2 once each
+    params, st = _reference_setup(gamma=gamma)
+    seen = []
+    original = noise.transport_noise_modes
+
+    def counted(c, sigma):
+        seen.append(c)
+        return original(c, sigma)
+
+    monkeypatch.setattr(noise, "transport_noise_modes", counted)
+    inc = sample_increments(3, 0, 0, 1e-3, params.vnoise.n_modes)
+    step(st, params, inc, 1e-3)
+    assert len(seen) == calls
 
 
 def test_deterministic_dt_self_convergence():

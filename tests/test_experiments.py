@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochem.dynamics import State, run
+from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (EnsembleSpec, ExperimentError, convergence_dt,
                                  ensemble, interior_bump,
                                  stratonovich_consistency, twin_run)
@@ -156,14 +156,16 @@ def test_ensemble_threaded_matches_serial():
         assert np.array_equal(serial.variance[col], threaded.variance[col])
 
 
-def test_ensemble_reports_failing_replica():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_reports_failing_replica(threads):
     params, st = _setup()
     st = st.copy()
     st.u.u_x[5, 5] = 90.0   # every replica violates the advective bound
     spec = EnsembleSpec(n_replicas=3, base_seed=7, params=params, initial=st,
                         t_end=0.01, dt=1e-3)
-    with pytest.raises(ExperimentError, match="replica 0"):
-        ensemble(spec)
+    with pytest.raises(ExperimentError, match="replica 0") as err:
+        ensemble(spec, threads=threads)
+    assert isinstance(err.value.__cause__, SimulationError)
 
 
 def test_ensemble_mean_energy_residual_is_martingale_small():

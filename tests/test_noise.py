@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stochem.grid import (ScalarField, divergence, full_scalar,
-                          inner_product, make_grid, norm, scalar_from_function,
-                          zeros_vector)
-from stochem.noise import (NoiseIncrement, TransportSigma,
-                           check_sigma_assumptions, combined_sigma_linf,
+from stochem.grid import (ScalarField, VectorField, divergence, full_scalar,
+                          inner_product, make_grid, norm, scalar_face_gradients,
+                          scalar_from_function, zeros_vector)
+from stochem.noise import (NoiseIncrement, check_sigma_assumptions,
+                           combined_sigma_linf,
                            g_apply, g_hilbert_schmidt,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
@@ -25,8 +27,7 @@ def test_canonical_sigma_satisfies_assumptions():
     assert rep.max_interior_divergence == 0.0
     assert rep.boundary_zero_violations == 0
     assert rep.max_q_deviation == 0.0
-    assert rep.linf == 1.0
-    assert sig.linf == 1.0
+    assert sig.ramp_x.max() == sig.ramp_y.max() == 1.0
     assert rep.ok
     # q = Id exactly at every cell at least two cells from the boundary
     ii, jj = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
@@ -35,19 +36,33 @@ def test_canonical_sigma_satisfies_assumptions():
     assert combined_sigma_linf(sig) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
+def _full_fields(sig):
+    """sigma_1 = (ramp_x, 0) and sigma_2 = (0, ramp_y) as face vector fields."""
+    g = sig.grid
+    return (VectorField(g, sig.ramp_x, np.zeros_like(sig.ramp_y)),
+            VectorField(g, np.zeros_like(sig.ramp_x), sig.ramp_y))
+
+
 def test_sigma_divergence_free_everywhere_it_matters():
     g = make_grid(48, 40, 1.2, 1.0)
     for w in (1, 2):
         sig = make_transport_sigma(g, w)
-        for s in (sig.sigma1, sig.sigma2):
+        for s in _full_fields(sig):
             d = divergence(s).values
             assert np.max(np.abs(d[sig.interior_mask])) == 0.0
 
 
-def test_sigma_w1inf_scaling():
-    g = make_grid(64, 64, 1.0, 1.0)
-    assert make_transport_sigma(g, 1).w1inf == pytest.approx(1.0 / (1 * g.dx))
-    assert make_transport_sigma(g, 2).w1inf == pytest.approx(1.0 / (2 * g.dx))
+def test_modes_match_full_vector_field_stencil(rng):
+    # the ramps alone give the face-weighted stencil of the full fields
+    g = make_grid(24, 20, 1.2, 1.0)
+    sig = make_transport_sigma(g, 2)
+    c = random_scalar(g, rng)
+    gx, gy = scalar_face_gradients(c)
+    for mode, s in zip(transport_noise_modes(c, sig), _full_fields(sig)):
+        px, py = s.u_x * gx, s.u_y * gy
+        ref = (0.5 * (px[:-1, :] + px[1:, :])
+               + 0.5 * (py[:, :-1] + py[:, 1:]))
+        assert np.array_equal(mode, ref)
 
 
 def test_sigma_cutoff_too_wide():
@@ -62,21 +77,13 @@ def test_sigma_report_detects_defects():
     g = make_grid(32, 32, 1.0, 1.0)
     sig = make_transport_sigma(g, 1)
     # plant one nonzero boundary-adjacent face
-    bad1 = sig.sigma1.copy()
-    bad1.u_x[0, 10] = 0.5
-    bad = TransportSigma(sigma1=bad1, sigma2=sig.sigma2, linf=sig.linf,
-                         w1inf=sig.w1inf, cutoff_width=1,
-                         interior_mask=sig.interior_mask)
-    rep = check_sigma_assumptions(bad)
+    bad_x = sig.ramp_x.copy()
+    bad_x[0, 10] = 0.5
+    rep = check_sigma_assumptions(replace(sig, ramp_x=bad_x))
     assert rep.boundary_zero_violations >= 1
     # scale both fields by 1/sqrt(2): q = Id/2 in the interior
-    s1, s2 = sig.sigma1.copy(), sig.sigma2.copy()
-    for s in (s1, s2):
-        s.u_x *= 1.0 / np.sqrt(2.0)
-        s.u_y *= 1.0 / np.sqrt(2.0)
-    halved = TransportSigma(sigma1=s1, sigma2=s2, linf=sig.linf / np.sqrt(2.0),
-                            w1inf=sig.w1inf, cutoff_width=1,
-                            interior_mask=sig.interior_mask)
+    halved = replace(sig, ramp_x=sig.ramp_x / np.sqrt(2.0),
+                     ramp_y=sig.ramp_y / np.sqrt(2.0))
     rep = check_sigma_assumptions(halved)
     assert rep.max_q_deviation == pytest.approx(0.5, abs=1e-14)
 
@@ -87,15 +94,14 @@ def test_transport_noise_zero_cases(rng):
     g = make_grid(32, 32, 1.0, 1.0)
     sig = make_transport_sigma(g, 1)
     c = random_scalar(g, rng)
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.zeros(2), dt=0.01,
-                         step_index=0, replica_index=0, seed=0)
-    out = transport_noise_apply(c, sig, 1.0, inc)
-    assert norm(out, "Linf") == 0.0
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.zeros(2), dt=0.01)
+    out = transport_noise_apply(transport_noise_modes(c, sig), 1.0, inc)
+    assert np.max(np.abs(out)) == 0.0
     # constant oxygen: the default scheme annihilates it everywhere
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([0.3, -0.2]), dt=0.01,
-                         step_index=0, replica_index=0, seed=0)
-    out = transport_noise_apply(full_scalar(g, 4.0), sig, 1.0, inc)
-    assert norm(out, "Linf") == 0.0
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([0.3, -0.2]), dt=0.01)
+    modes = transport_noise_modes(full_scalar(g, 4.0), sig)
+    out = transport_noise_apply(modes, 1.0, inc)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_transport_noise_linear_oxygen(rng):
@@ -103,10 +109,9 @@ def test_transport_noise_linear_oxygen(rng):
     sig = make_transport_sigma(g, 1)
     c = scalar_from_function(g, lambda x, y: x)
     h = 0.125
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([h, 0.0]), dt=0.01,
-                         step_index=0, replica_index=0, seed=0)
-    out = transport_noise_apply(c, sig, 1.0, inc)
-    assert np.max(np.abs(out.values[sig.interior_mask] - h)) < 1e-13
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([h, 0.0]), dt=0.01)
+    out = transport_noise_apply(transport_noise_modes(c, sig), 1.0, inc)
+    assert np.max(np.abs(out[sig.interior_mask] - h)) < 1e-13
 
 
 def test_transport_noise_hilbert_schmidt_identity(rng):
@@ -130,9 +135,10 @@ def test_transport_discrete_correction_cancels_quadratic_variation(rng):
     vals = np.zeros((48, 48))
     vals[10:-10, 10:-10] = rng.standard_normal((28, 28))
     c = ScalarField(g, vals)
-    corr = transport_ito_correction(c, sig, 1.0)      # (1/2) sum L_k^2 c
+    modes = transport_noise_modes(c, sig)
+    corr = transport_ito_correction(modes, sig, 1.0)  # (1/2) sum L_k^2 c
     drain = 2.0 * inner_product(corr, c)
-    growth = transport_hs_sq(c, sig)
+    growth = transport_hs_sq(modes, g)
     assert drain + growth == pytest.approx(0.0, abs=1e-11 * max(growth, 1.0))
 
 
@@ -152,8 +158,7 @@ def test_g_apply_linear_in_increments(rng):
     u = zeros_vector(g)
     c = full_scalar(g, 0.1)
     inc = sample_increments(1, 0, 5, 0.01, 3)
-    double = NoiseIncrement(dw=2.0 * inc.dw, dbeta=inc.dbeta, dt=inc.dt,
-                            step_index=5, replica_index=0, seed=1)
+    double = NoiseIncrement(dw=2.0 * inc.dw, dbeta=inc.dbeta, dt=inc.dt)
     one = g_apply(u, c, cfg, inc)
     two = g_apply(u, c, cfg, double)
     assert np.max(np.abs(two.u_x - 2.0 * one.u_x)) < 1e-14
