@@ -17,7 +17,8 @@ from .noise import (TransportSigma, VelocityNoiseConfig, NoiseIncrement,
                     transport_noise_apply, g_apply, sample_increments,
                     make_velocity_noise)
 from .dynamics import (ConsumptionLaw, SimParams, State, StepReport,
-                       linear_consumption, make_params, stable_dt, step, run)
+                       linear_consumption, make_params, stable_dt,
+                       stack_states, step, run)
 from .diagnostics import (DiagnosticsRow, DiagnosticsSeries, GateReport,
                           total_mass, compute_kf, check_conditions,
                           entropy_functional, energy_identity_residual)

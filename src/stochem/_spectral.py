@@ -6,6 +6,8 @@ type-2 cosine transform; the flux-form five-point Laplacian has eigenvalues
 Velocity components with no-slip walls diagonalize under a sine transform:
 type 1 along the component's own direction (Dirichlet on boundary faces) and
 type 2 across it (reflected ghost, zero tangential velocity at the wall).
+Every transform runs on the last two axes, so a stack of lanes is solved in
+one call, each lane bitwise as if it were solved alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dctn, idctn, dst, idst
 
-from .grid import Grid, ScalarField, VectorField
+from .grid import LANE_REDUCE, Grid, ScalarField, VectorField, per_lane
 
 
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
@@ -29,15 +31,16 @@ def solve_poisson_neumann(grid: Grid, rhs: np.ndarray):
     The compatible part of rhs is solved exactly; any mean component (absent
     for divergence data up to round-off) is dropped and reported.
 
-    Returns (p_values, info) where info carries the dropped-mean magnitude.
+    Returns (p_values, info) where info carries the dropped-mean magnitude,
+    per lane.
     """
     lam = neumann_eigenvalues(grid)
-    rhat = dctn(rhs, type=2, norm="ortho")
-    dropped = float(abs(rhat[0, 0]))
+    rhat = dctn(rhs, type=2, norm="ortho", axes=LANE_REDUCE)
+    dropped = per_lane(np.abs(rhat[..., 0, 0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         phat = np.where(lam > 0.0, -rhat / lam, 0.0)
-    phat[0, 0] = 0.0
-    p = idctn(phat, type=2, norm="ortho")
+    phat[..., 0, 0] = 0.0
+    p = idctn(phat, type=2, norm="ortho", axes=LANE_REDUCE)
     return p, {"dropped_mean": dropped}
 
 
@@ -50,12 +53,13 @@ def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarF
     if coef == 0.0:
         return rhs.copy()
     lam = neumann_eigenvalues(grid)
-    rhat = dctn(rhs.values, type=2, norm="ortho")
+    rhat = dctn(rhs.values, type=2, norm="ortho", axes=LANE_REDUCE)
     chat = rhat / (1.0 + coef * lam)
-    out = idctn(chat, type=2, norm="ortho")
+    out = idctn(chat, type=2, norm="ortho", axes=LANE_REDUCE)
     # the exact solve preserves the zero mode; pin it so the transform
     # round-trip cannot leak mass
-    out += rhs.values.mean() - out.mean()
+    out += (rhs.values.mean(axis=LANE_REDUCE)
+            - out.mean(axis=LANE_REDUCE))[..., None, None]
     return ScalarField(grid, out)
 
 
@@ -80,23 +84,25 @@ def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> Vecto
     out_x = np.zeros_like(rhs.u_x)
     out_y = np.zeros_like(rhs.u_y)
     if coef == 0.0:
-        out_x[1:-1, :] = rhs.u_x[1:-1, :]
-        out_y[:, 1:-1] = rhs.u_y[:, 1:-1]
+        out_x[..., 1:-1, :] = rhs.u_x[..., 1:-1, :]
+        out_y[..., 1:-1] = rhs.u_y[..., 1:-1]
         return VectorField(grid, out_x, out_y)
 
     lam_x = (_dirichlet_face_eigenvalues(grid.nx, grid.dx)[:, None]
              + _wall_offset_eigenvalues(grid.ny, grid.dy)[None, :])
-    bx = rhs.u_x[1:-1, :]
-    bhat = dst(dst(bx, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+    bx = rhs.u_x[..., 1:-1, :]
+    bhat = dst(dst(bx, type=1, axis=-2, norm="ortho"), type=2, axis=-1,
+               norm="ortho")
     bhat /= (1.0 + coef * lam_x)
-    out_x[1:-1, :] = idst(idst(bhat, type=2, axis=1, norm="ortho"),
-                          type=1, axis=0, norm="ortho")
+    out_x[..., 1:-1, :] = idst(idst(bhat, type=2, axis=-1, norm="ortho"),
+                               type=1, axis=-2, norm="ortho")
 
     lam_y = (_wall_offset_eigenvalues(grid.nx, grid.dx)[:, None]
              + _dirichlet_face_eigenvalues(grid.ny, grid.dy)[None, :])
-    by = rhs.u_y[:, 1:-1]
-    bhat = dst(dst(by, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+    by = rhs.u_y[..., 1:-1]
+    bhat = dst(dst(by, type=2, axis=-2, norm="ortho"), type=1, axis=-1,
+               norm="ortho")
     bhat /= (1.0 + coef * lam_y)
-    out_y[:, 1:-1] = idst(idst(bhat, type=1, axis=1, norm="ortho"),
-                          type=2, axis=0, norm="ortho")
+    out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho"),
+                            type=2, axis=-2, norm="ortho")
     return VectorField(grid, out_x, out_y)

@@ -320,13 +320,24 @@ def read_snapshot(path: str | Path) -> State:
 
 
 def _thread_count(args) -> int:
+    """--threads, else STOCHEM_THREADS, else 1; a value that is not a
+    positive integer is a ConfigError naming the flag or the variable."""
     if args.threads is not None:
-        return max(1, args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, "
+                              f"got {args.threads}")
+        return args.threads
     env = os.environ.get("STOCHEM_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"STOCHEM_THREADS must be a positive integer, "
+                          f"got {env!r}")
+    return threads
 
 
 def _prepare(args):
@@ -398,6 +409,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    threads = _thread_count(args)
     cfg, params, initial = _prepare(args)
     outdir = Path(args.out or cfg[("output", "directory")])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -447,7 +459,7 @@ def cmd_experiment(args) -> int:
         spec = EnsembleSpec(n_replicas=ex["replicas"], base_seed=seed,
                             params=params, initial=initial, t_end=t["t_end"],
                             dt=t["dt"], sample_every=t["sample_every"])
-        stats = ensemble(spec, threads=_thread_count(args))
+        stats = ensemble(spec, threads=threads)
         with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
             cols = spec.columns
             header = ["t"] + [f"{c}_{s}" for c in cols
@@ -504,7 +516,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                      "ensemble"))
     common(p)
     p.add_argument("--threads", type=int, default=None,
-                   help="ensemble worker threads (default STOCHEM_THREADS or 1)")
+                   help="ensemble worker threads, splitting the replicas "
+                        "into chunks (default STOCHEM_THREADS or 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("snapshot-info", help="describe a snapshot file")

@@ -19,6 +19,11 @@ Diffusion is implicit and unconditionally stable, so the admissible step is
 advection-limited only; steps above the advective bound are rejected rather
 than silently subdivided.  march, on the steps of time_grid, is the one
 stepping loop of runs and experiments.
+
+A state may carry one leading lane axis (see stack_states): every lane is an
+independent trajectory, one step advances them all, and each lane's numbers
+are bitwise those of the same trajectory stepped alone.  Per-lane checks
+name the lowest failing lane.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
-from .grid import Grid, ScalarField, VectorField, scalar_face_gradients
+from .grid import (LANE_REDUCE, Grid, ScalarField, VectorField, per_lane,
+                   scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
 from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
@@ -39,16 +45,32 @@ from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
 CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
 
 
-class CflError(RuntimeError):
+class LaneError(RuntimeError):
+    """A per-lane check failed; ``lane`` is None for an unbatched state."""
+
+    def __init__(self, message: str, lane: int | None = None):
+        super().__init__(message)
+        self.lane = lane
+
+
+class CflError(LaneError):
     """The requested step exceeds the advective stability bound."""
 
 
 class SimulationError(RuntimeError):
-    """A run aborted; carries the failing step index."""
+    """A run aborted; carries the failing step index and, for a batched
+    state, the failing lane, which the message names and ``reason`` omits."""
 
-    def __init__(self, message: str, step_index: int):
-        super().__init__(message)
+    def __init__(self, message: str, step_index: int, lane: int | None = None):
+        super().__init__(message if lane is None else f"lane {lane}: {message}")
+        self.reason = message
         self.step_index = step_index
+        self.lane = lane
+
+
+def first_failing_lane(bad) -> int | None:
+    """None for the flag of an unbatched check, else the lowest flagged lane."""
+    return None if np.ndim(bad) == 0 else int(np.flatnonzero(bad)[0])
 
 
 @dataclass(frozen=True)
@@ -138,17 +160,58 @@ class State:
     def copy(self) -> "State":
         return State(self.u.copy(), self.c.copy(), self.n.copy(), self.t)
 
+    @property
+    def lanes(self) -> list[int | None]:
+        """[None] for an unbatched state, else the indices of its lane axis."""
+        lanes = self.n.lanes
+        if len(lanes) > 1:
+            raise ValueError(f"a state has at most one lane axis, got {lanes}")
+        return list(range(lanes[0])) if lanes else [None]
+
+    def lane(self, index: int | None) -> "State":
+        """A view of one lane; the state itself for index None."""
+        if index is None:
+            return self
+        g = self.n.grid
+        return State(u=VectorField(g, self.u.u_x[index], self.u.u_y[index]),
+                     c=ScalarField(g, self.c.values[index]),
+                     n=ScalarField(g, self.n.values[index]), t=self.t)
+
+
+def stack_states(states: list[State]) -> State:
+    """A batched state whose lane i is a copy of ``states[i]``; the lanes
+    share the time of the first."""
+    g = states[0].n.grid
+    return State(u=VectorField(g, np.stack([s.u.u_x for s in states]),
+                               np.stack([s.u.u_y for s in states])),
+                 c=ScalarField(g, np.stack([s.c.values for s in states])),
+                 n=ScalarField(g, np.stack([s.n.values for s in states])),
+                 t=states[0].t)
+
 
 @dataclass(frozen=True)
 class StepReport:
+    # each entry but dt holds one value per lane of a batched step
     dt: float
     clip_count: int
     projection_residual: float
     noise_hs_sq: float   # sum_k |sigma_k . grad c|^2 at the pre-noise oxygen
 
+    def lane(self, index: int | None) -> "StepReport":
+        """The entries of one lane; the report itself for index None."""
+        if index is None:
+            return self
 
-def stable_dt(state: State, params: SimParams) -> float:
-    """Advective step bound: safety / max cell Courant rate, capped at dt_max.
+        def pick(value):
+            return np.asarray(value)[index].item() if np.ndim(value) else value
+        return StepReport(dt=self.dt, clip_count=pick(self.clip_count),
+                          projection_residual=pick(self.projection_residual),
+                          noise_hs_sq=pick(self.noise_hs_sq))
+
+
+def stable_dt(state: State, params: SimParams):
+    """Advective step bound: safety / max cell Courant rate, capped at dt_max;
+    one bound per lane of a batched state.
 
     The per-cell rate adds the fluid speed and the chemotactic drift speed
     chi |grad c| on each axis; diffusion is implicit and does not constrain.
@@ -157,18 +220,18 @@ def stable_dt(state: State, params: SimParams) -> float:
     ux = np.abs(state.u.u_x)
     uy = np.abs(state.u.u_y)
     gx, gy = scalar_face_gradients(state.c)
-    speed_x = np.maximum(ux[:-1, :], ux[1:, :]) + params.chi * np.maximum(
-        np.abs(gx[:-1, :]), np.abs(gx[1:, :]))
-    speed_y = np.maximum(uy[:, :-1], uy[:, 1:]) + params.chi * np.maximum(
-        np.abs(gy[:, :-1]), np.abs(gy[:, 1:]))
-    rate = float(np.max(speed_x / g.dx + speed_y / g.dy))
+    speed_x = np.maximum(ux[..., :-1, :], ux[..., 1:, :]) + params.chi * np.maximum(
+        np.abs(gx[..., :-1, :]), np.abs(gx[..., 1:, :]))
+    speed_y = np.maximum(uy[..., :-1], uy[..., 1:]) + params.chi * np.maximum(
+        np.abs(gy[..., :-1]), np.abs(gy[..., 1:]))
+    rate = np.max(speed_x / g.dx + speed_y / g.dy, axis=LANE_REDUCE)
     if params.gamma > 0.0:
         # the explicit discrete Ito correction is a forward-Euler diffusion
-        rate = max(rate, 0.5 * params.gamma ** 2
-                   * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
-    if rate <= 0.0:
-        return params.dt_max
-    return min(params.dt_max, CFL_SAFETY / rate)
+        rate = np.maximum(rate, 0.5 * params.gamma ** 2
+                          * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
+    with np.errstate(divide="ignore"):
+        bound = np.fmin(params.dt_max, CFL_SAFETY / rate)
+    return per_lane(np.where(rate > 0.0, bound, params.dt_max))
 
 
 def density_substep(state: State, params: SimParams,
@@ -190,7 +253,7 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
     c_adv = state.c.values - dt * adv_c.values
     uptake = dt * n_new.values * params.f.eval(state.c.values)
     available = np.maximum(c_adv, 0.0)
-    clip_count = int(np.count_nonzero(uptake > available))
+    clip_count = per_lane((uptake > available).sum(axis=LANE_REDUCE))
     c_star = ScalarField(g, c_adv - np.minimum(uptake, available))
     return _spectral.solve_scalar_diffusion(g, c_star, dt * params.mu), clip_count
 
@@ -249,12 +312,16 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
 
 def step(state: State, params: SimParams, inc: NoiseIncrement,
          dt: float) -> tuple[State, StepReport]:
-    """One Euler-Maruyama step; raises CflError above the advective bound."""
+    """One Euler-Maruyama step of every lane; raises CflError naming the
+    lowest lane above its advective bound."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     bound = stable_dt(state, params)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt:g} exceeds the advective bound {bound:g}")
+    too_long = np.asarray(dt > bound * (1.0 + 1e-12))
+    if too_long.any():
+        lane = first_failing_lane(too_long)
+        limit = bound if lane is None else bound[lane]
+        raise CflError(f"dt={dt:g} exceeds the advective bound {limit:g}", lane)
     n_new = density_substep(state, params, dt)
     c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
     u_new, proj_res = velocity_substep(state, n_new, c_new, params, inc, dt)
@@ -281,13 +348,25 @@ def seeded_increments(seed: int, replica: int, k_modes: int):
     return lambda index, dt: sample_increments(seed, replica, index, dt, k_modes)
 
 
+def stacked_increments(seed: int, replicas: list[int], k_modes: int):
+    """A batched run's default provider: lane i gets replica replicas[i]'s
+    draw, the draws stacked on a leading lane axis."""
+    def draw(index: int, dt: float) -> NoiseIncrement:
+        incs = [sample_increments(seed, r, index, dt, k_modes)
+                for r in replicas]
+        return NoiseIncrement(dw=np.stack([inc.dw for inc in incs]),
+                              dbeta=np.stack([inc.dbeta for inc in incs]),
+                              dt=incs[0].dt)
+    return draw
+
+
 def march(initial: State, params: SimParams, dts: list[float], increments):
     """The stepping loop: take one step per entry of ``dts`` and yield
     (step number from 1, state, report) after each.
 
     ``increments`` maps (step index from 0, dt) to a NoiseIncrement.  A
     failing step, including one that leaves a non-finite field, raises
-    SimulationError naming the step.
+    SimulationError naming the step and, for a batched state, the lane.
     """
     state = initial
     for index, dt_step in enumerate(dts):
@@ -296,11 +375,15 @@ def march(initial: State, params: SimParams, dts: list[float], increments):
                                  dt_step)
             for name, values in (("n", state.n.values), ("c", state.c.values),
                                  ("u_x", state.u.u_x), ("u_y", state.u.u_y)):
-                if not np.isfinite(values).all():
-                    raise FloatingPointError(f"field {name} is not finite")
+                finite = np.isfinite(values)
+                if not finite.all():
+                    raise LaneError(f"field {name} is not finite",
+                                    first_failing_lane(
+                                        ~finite.all(axis=LANE_REDUCE)))
         except Exception as exc:
             raise SimulationError(f"step {index + 1} failed: {exc}",
-                                  step_index=index + 1) from exc
+                                  step_index=index + 1,
+                                  lane=getattr(exc, "lane", None)) from exc
         yield index + 1, state, report
 
 
@@ -311,11 +394,15 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
 
     Returns (final_state, DiagnosticsSeries).  The noise path is a pure
     function of (seed, replica, step index), so reruns reproduce bitwise.
+    A batched ``initial`` (see stack_states) integrates all its lanes with
+    one step per time step: lane i follows replica ``replica + i``, and the
+    series is a list with one DiagnosticsSeries per lane, each bitwise the
+    series of that replica run alone.
     ``increments`` may supply a callable (step_index, dt) -> NoiseIncrement
     to share or aggregate Brownian paths across runs; ``on_sample`` is
-    called with (state, row) at every recorded sample.  A failing step, or
-    a sampled state that diagnostics rejects, raises SimulationError naming
-    the step.
+    called with (state, row) at every recorded sample, per lane.  A failing
+    step, or a sampled state that diagnostics rejects, raises
+    SimulationError naming the step and, when batched, the lane.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
@@ -324,28 +411,36 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
         raise ValueError("sample_every must be >= 1")
     if scalar_mode is not None:
         params = replace(params, scalar_mode=scalar_mode)
-    if increments is None:
-        increments = seeded_increments(seed, replica, params.vnoise.n_modes)
-
     state = initial.copy()
-    tracker = diagnostics.EnergyTracker.start(state, params)
-    series = diagnostics.DiagnosticsSeries()
+    lanes = state.lanes
+    batched = lanes != [None]
+    if increments is None:
+        k_modes = params.vnoise.n_modes
+        increments = (stacked_increments(seed, [replica + i for i in lanes],
+                                         k_modes) if batched
+                      else seeded_increments(seed, replica, k_modes))
+    trackers = [diagnostics.EnergyTracker.start(state.lane(i), params)
+                for i in lanes]
+    series = [diagnostics.DiagnosticsSeries() for _ in lanes]
 
     def sample(state: State, report: StepReport, index: int) -> None:
-        try:
-            row = diagnostics.record(state, report, params, tracker,
-                                     step_index=index)
-        except ValueError as exc:   # a measurement rejected the state
-            raise SimulationError(f"sample at step {index} failed: {exc}",
-                                  step_index=index) from exc
-        series.append(row)
-        if on_sample is not None:
-            on_sample(state, row)
+        for lane, tracker, rows in zip(lanes, trackers, series):
+            view = state.lane(lane)
+            try:
+                row = diagnostics.record(view, report.lane(lane), params,
+                                         tracker, step_index=index)
+            except ValueError as exc:   # a measurement rejected the state
+                raise SimulationError(f"sample at step {index} failed: {exc}",
+                                      step_index=index, lane=lane) from exc
+            rows.append(row)
+            if on_sample is not None:
+                on_sample(view, row)
 
     sample(state, StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
                              noise_hs_sq=0.0), 0)
     for index, state, report in march(state, params, dts, increments):
-        tracker.update(state, params, report)
+        for lane, tracker in zip(lanes, trackers):
+            tracker.update(state.lane(lane), params, report.lane(lane))
         if index % sample_every == 0 or index == len(dts):
             sample(state, report, index)
-    return state, series
+    return state, (series if batched else series[0])

@@ -10,6 +10,11 @@ Boundary conventions are fixed once here and honored by every operator:
 homogeneous Neumann for scalars (mirror ghosts, zero boundary-face gradient)
 and no-slip for velocity (zero wall-normal faces, reflected tangential ghosts).
 All integrals use midpoint (cell-average) quadrature with weight dx*dy.
+
+Field arrays may carry one leading lane axis, one lane per independent
+trajectory of a batched run.  Every operator indexes from the end and
+reduces per lane over ``LANE_REDUCE``, so a lane's numbers are bitwise those
+of the same field without the lane axis.
 """
 
 from __future__ import annotations
@@ -19,8 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+LANE_REDUCE = (-2, -1)   # the spatial axes a per-lane reduction sums over
+
+
 class GridError(ValueError):
     """Raised for invalid grid construction or mismatched-grid operands."""
+
+
+def per_lane(x):
+    """A per-lane numpy reduction: a Python number for an unbatched field,
+    else one entry per lane."""
+    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -58,12 +72,17 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
 @dataclass
 class ScalarField:
     grid: Grid
-    values: np.ndarray  # shape (nx, ny), cell centers
+    values: np.ndarray  # shape (..., nx, ny), cell centers
 
     def __post_init__(self):
         expected = (self.grid.nx, self.grid.ny)
-        if self.values.shape != expected:
+        if self.values.shape[-2:] != expected:
             raise GridError(f"scalar field shape {self.values.shape} != {expected}")
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        """Leading lane shape: () for an unbatched field."""
+        return self.values.shape[:-2]
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
@@ -72,15 +91,23 @@ class ScalarField:
 @dataclass
 class VectorField:
     grid: Grid
-    u_x: np.ndarray  # shape (nx+1, ny), vertical faces
-    u_y: np.ndarray  # shape (nx, ny+1), horizontal faces
+    u_x: np.ndarray  # shape (..., nx+1, ny), vertical faces
+    u_y: np.ndarray  # shape (..., nx, ny+1), horizontal faces
 
     def __post_init__(self):
         g = self.grid
-        if self.u_x.shape != (g.nx + 1, g.ny):
+        if self.u_x.shape[-2:] != (g.nx + 1, g.ny):
             raise GridError(f"u_x shape {self.u_x.shape} != {(g.nx + 1, g.ny)}")
-        if self.u_y.shape != (g.nx, g.ny + 1):
+        if self.u_y.shape[-2:] != (g.nx, g.ny + 1):
             raise GridError(f"u_y shape {self.u_y.shape} != {(g.nx, g.ny + 1)}")
+        if self.u_x.shape[:-2] != self.u_y.shape[:-2]:
+            raise GridError(f"u_x lanes {self.u_x.shape[:-2]} != "
+                            f"u_y lanes {self.u_y.shape[:-2]}")
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        """Leading lane shape: () for an unbatched field."""
+        return self.u_x.shape[:-2]
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.u_x.copy(), self.u_y.copy())
@@ -97,9 +124,9 @@ def full_scalar(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full((grid.nx, grid.ny), float(value)))
 
 
-def zeros_vector(grid: Grid) -> VectorField:
-    return VectorField(grid, np.zeros((grid.nx + 1, grid.ny)),
-                       np.zeros((grid.nx, grid.ny + 1)))
+def zeros_vector(grid: Grid, lanes: tuple[int, ...] = ()) -> VectorField:
+    return VectorField(grid, np.zeros(lanes + (grid.nx + 1, grid.ny)),
+                       np.zeros(lanes + (grid.nx, grid.ny + 1)))
 
 
 def cell_centers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -120,28 +147,32 @@ def require_same_grid(a: Field, b: Field) -> Grid:
     return a.grid
 
 
-def inner_product(a: Field, b: Field) -> float:
-    """Discrete L2 pairing: sum of pointwise products weighted by cell volume.
+def inner_product(a: Field, b: Field):
+    """Discrete L2 pairing: sum of pointwise products weighted by cell volume,
+    per lane.
 
     Vector fields pair face-by-face, each face carrying the full cell volume,
     which is the quadrature under which the projection is an orthogonal one.
     """
     g = require_same_grid(a, b)
     if isinstance(a, ScalarField) and isinstance(b, ScalarField):
-        return float(np.sum(a.values * b.values)) * g.cell_volume
+        s = np.sum(a.values * b.values, axis=LANE_REDUCE)
+        return per_lane(s) * g.cell_volume
     if isinstance(a, VectorField) and isinstance(b, VectorField):
-        s = np.sum(a.u_x * b.u_x) + np.sum(a.u_y * b.u_y)
-        return float(s) * g.cell_volume
+        s = (np.sum(a.u_x * b.u_x, axis=LANE_REDUCE)
+             + np.sum(a.u_y * b.u_y, axis=LANE_REDUCE))
+        return per_lane(s) * g.cell_volume
     raise GridError("inner_product needs two fields of the same kind")
 
 
 def scalar_face_gradients(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Face-normal gradients of a cell scalar; zero on boundary faces (Neumann)."""
     g = f.grid
-    gx = np.zeros((g.nx + 1, g.ny))
-    gy = np.zeros((g.nx, g.ny + 1))
-    gx[1:-1, :] = (f.values[1:, :] - f.values[:-1, :]) / g.dx
-    gy[:, 1:-1] = (f.values[:, 1:] - f.values[:, :-1]) / g.dy
+    v = f.values
+    gx = np.zeros(f.lanes + (g.nx + 1, g.ny))
+    gy = np.zeros(f.lanes + (g.nx, g.ny + 1))
+    gx[..., 1:-1, :] = (v[..., 1:, :] - v[..., :-1, :]) / g.dx
+    gy[..., 1:-1] = (v[..., 1:] - v[..., :-1]) / g.dy
     return gx, gy
 
 
@@ -152,11 +183,12 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     g = v.grid
-    d = (v.u_x[1:, :] - v.u_x[:-1, :]) / g.dx + (v.u_y[:, 1:] - v.u_y[:, :-1]) / g.dy
+    d = ((v.u_x[..., 1:, :] - v.u_x[..., :-1, :]) / g.dx
+         + (v.u_y[..., 1:] - v.u_y[..., :-1]) / g.dy)
     return ScalarField(g, d)
 
 
-def _velocity_gradient_sq_sum(v: VectorField) -> float:
+def _velocity_gradient_sq_sum(v: VectorField):
     """Sum over quadrature points of |grad u|^2 for a no-slip staggered field.
 
     Tangential derivatives at walls use the reflected ghost (u_ghost = -u_wall
@@ -165,39 +197,43 @@ def _velocity_gradient_sq_sum(v: VectorField) -> float:
     """
     g = v.grid
     dx, dy = g.dx, g.dy
+    ux, uy = v.u_x, v.u_y
     total = 0.0
     # u_x: d/dx lives on cells, d/dy on nodes
-    dux_dx = (v.u_x[1:, :] - v.u_x[:-1, :]) / dx
-    total += float(np.sum(dux_dx ** 2))
-    dux_dy = np.empty((g.nx + 1, g.ny + 1))
-    dux_dy[:, 1:-1] = (v.u_x[:, 1:] - v.u_x[:, :-1]) / dy
-    dux_dy[:, 0] = 2.0 * v.u_x[:, 0] / dy
-    dux_dy[:, -1] = -2.0 * v.u_x[:, -1] / dy
-    total += float(np.sum(dux_dy ** 2))
+    dux_dx = (ux[..., 1:, :] - ux[..., :-1, :]) / dx
+    total += np.sum(dux_dx ** 2, axis=LANE_REDUCE)
+    dux_dy = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
+    dux_dy[..., 1:-1] = (ux[..., 1:] - ux[..., :-1]) / dy
+    dux_dy[..., 0] = 2.0 * ux[..., 0] / dy
+    dux_dy[..., -1] = -2.0 * ux[..., -1] / dy
+    total += np.sum(dux_dy ** 2, axis=LANE_REDUCE)
     # u_y: d/dy on cells, d/dx on nodes
-    duy_dy = (v.u_y[:, 1:] - v.u_y[:, :-1]) / dy
-    total += float(np.sum(duy_dy ** 2))
-    duy_dx = np.empty((g.nx + 1, g.ny + 1))
-    duy_dx[1:-1, :] = (v.u_y[1:, :] - v.u_y[:-1, :]) / dx
-    duy_dx[0, :] = 2.0 * v.u_y[0, :] / dx
-    duy_dx[-1, :] = -2.0 * v.u_y[-1, :] / dx
-    total += float(np.sum(duy_dx ** 2))
+    duy_dy = (uy[..., 1:] - uy[..., :-1]) / dy
+    total += np.sum(duy_dy ** 2, axis=LANE_REDUCE)
+    duy_dx = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
+    duy_dx[..., 1:-1, :] = (uy[..., 1:, :] - uy[..., :-1, :]) / dx
+    duy_dx[..., 0, :] = 2.0 * uy[..., 0, :] / dx
+    duy_dx[..., -1, :] = -2.0 * uy[..., -1, :] / dx
+    total += np.sum(duy_dx ** 2, axis=LANE_REDUCE)
     return total
 
 
-def norm(f: Field, kind: str) -> float:
-    """Discrete norms: 'L2', 'Linf', and the gradient seminorm 'H1_semi'."""
+def norm(f: Field, kind: str):
+    """Discrete norms: 'L2', 'Linf', and the gradient seminorm 'H1_semi';
+    a float, or one value per lane of a batched field."""
     g = f.grid
     if kind == "L2":
-        return float(np.sqrt(inner_product(f, f)))
+        return per_lane(np.sqrt(inner_product(f, f)))
     if kind == "Linf":
         if isinstance(f, ScalarField):
-            return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-        return float(max(np.max(np.abs(f.u_x)), np.max(np.abs(f.u_y))))
+            return per_lane(np.max(np.abs(f.values), axis=LANE_REDUCE))
+        return per_lane(np.maximum(np.max(np.abs(f.u_x), axis=LANE_REDUCE),
+                                   np.max(np.abs(f.u_y), axis=LANE_REDUCE)))
     if kind == "H1_semi":
         if isinstance(f, ScalarField):
             gx, gy = scalar_face_gradients(f)
-            s = np.sum(gx ** 2) + np.sum(gy ** 2)
-            return float(np.sqrt(s * g.cell_volume))
-        return float(np.sqrt(_velocity_gradient_sq_sum(f) * g.cell_volume))
+            s = (np.sum(gx ** 2, axis=LANE_REDUCE)
+                 + np.sum(gy ** 2, axis=LANE_REDUCE))
+            return per_lane(np.sqrt(s * g.cell_volume))
+        return per_lane(np.sqrt(_velocity_gradient_sq_sum(f) * g.cell_volume))
     raise GridError(f"unknown norm kind {kind!r}")

@@ -11,7 +11,9 @@ equals the identity at every cell at least 2w cells from the boundary.
 
 Brownian increments are counter-based: the value of every draw is a pure
 function of (seed, replica, step, mode), which is what makes twin paths,
-nested refinement, and parallel replicas replayable bit for bit.
+nested refinement, and parallel replicas replayable bit for bit.  A batched
+run stacks one draw per lane on a leading lane axis; an increment without
+that axis drives every lane alike.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, VectorField, norm, require_same_grid,
-                   scalar_face_gradients, zeros_vector)
+from .grid import (LANE_REDUCE, Grid, ScalarField, VectorField, norm,
+                   per_lane, require_same_grid, scalar_face_gradients,
+                   zeros_vector)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class NoiseIncrement:
-    dw: np.ndarray       # K increments of the cylindrical process
-    dbeta: np.ndarray    # 2 increments of the planar motion
+    dw: np.ndarray       # (..., K) increments of the cylindrical process
+    dbeta: np.ndarray    # (..., 2) increments of the planar motion
     dt: float
 
 
@@ -139,7 +142,8 @@ def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndar
     gx, gy = scalar_face_gradients(c)
     px = sigma.ramp_x * gx
     py = sigma.ramp_y * gy
-    return [0.5 * (px[:-1, :] + px[1:, :]), 0.5 * (py[:, :-1] + py[:, 1:])]
+    return [0.5 * (px[..., :-1, :] + px[..., 1:, :]),
+            0.5 * (py[..., :-1] + py[..., 1:])]
 
 
 def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
@@ -152,23 +156,36 @@ def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
     round-off wherever the operator is locally antisymmetric (the whole
     q = Id region); a generic (gamma^2/2) lap(c) would differ from this by an
     O(dx^2) stencil mismatch that leaves a fixed-grid bias in the energy
-    drift.
+    drift.  L_1 only differences along x and L_2 only along y, so each is
+    applied with its own one-axis stencil, the same arithmetic as
+    transport_noise_modes.
     """
     g = sigma.grid
-    acc = transport_noise_modes(ScalarField(g, modes[0]), sigma)[0]
-    acc = acc + transport_noise_modes(ScalarField(g, modes[1]), sigma)[1]
+    m1, m2 = modes
+    gx = np.zeros(m1.shape[:-2] + (g.nx + 1, g.ny))
+    gx[..., 1:-1, :] = (m1[..., 1:, :] - m1[..., :-1, :]) / g.dx
+    px = sigma.ramp_x * gx
+    gy = np.zeros(m2.shape[:-2] + (g.nx, g.ny + 1))
+    gy[..., 1:-1] = (m2[..., 1:] - m2[..., :-1]) / g.dy
+    py = sigma.ramp_y * gy
+    acc = 0.5 * (px[..., :-1, :] + px[..., 1:, :])
+    acc = acc + 0.5 * (py[..., :-1] + py[..., 1:])
     return ScalarField(g, (0.5 * gamma ** 2) * acc)
 
 
 def transport_noise_apply(modes: list[np.ndarray], gamma: float,
                           inc: NoiseIncrement) -> np.ndarray:
     """One increment of the oxygen transport noise, gamma sum_k L_k c dbeta_k."""
-    return gamma * (modes[0] * inc.dbeta[0] + modes[1] * inc.dbeta[1])
+    db1 = inc.dbeta[..., 0, None, None]   # per-lane scalars over the cells
+    db2 = inc.dbeta[..., 1, None, None]
+    return gamma * (modes[0] * db1 + modes[1] * db2)
 
 
-def transport_hs_sq(modes: list[np.ndarray], grid: Grid) -> float:
-    """Sum over k of the squared L2 norm of the modes L_k c (unit intensity)."""
-    return float(sum(np.sum(m ** 2) for m in modes)) * grid.cell_volume
+def transport_hs_sq(modes: list[np.ndarray], grid: Grid):
+    """Sum over k of the squared L2 norm of the modes L_k c (unit intensity),
+    per lane."""
+    hs = sum(np.sum(m ** 2, axis=LANE_REDUCE) for m in modes)
+    return per_lane(hs) * grid.cell_volume
 
 
 @dataclass(frozen=True)
@@ -223,22 +240,31 @@ def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
         l_g=float(amplitude) * (1.0 + abs(gain)) * hs_unit)
 
 
-def g_scale(u: VectorField, cfg: VelocityNoiseConfig) -> float:
-    """State-dependent amplitude; bounded and 1-Lipschitz in |u|_L2."""
-    return cfg.amplitude * (1.0 + cfg.multiplicative_gain * math.tanh(norm(u, "L2")))
+# math.tanh applied per lane: numpy's vectorised tanh can differ from it in
+# the last bit, and a lane must keep the bits of its unbatched run
+_lane_tanh = np.frompyfunc(math.tanh, 1, 1)
+
+
+def g_scale(u: VectorField, cfg: VelocityNoiseConfig):
+    """State-dependent amplitude; bounded and 1-Lipschitz in |u|_L2; one
+    value per lane."""
+    scale = cfg.amplitude * (1.0 + cfg.multiplicative_gain
+                             * _lane_tanh(norm(u, "L2")))
+    return per_lane(np.asarray(scale, dtype=float))
 
 
 def g_apply(u: VectorField, c: ScalarField, cfg: VelocityNoiseConfig,
             inc: NoiseIncrement) -> VectorField:
     """One increment of the velocity forcing, scale * sum_k lambda_k psi_k dW_k."""
     g = u.grid
-    out = zeros_vector(g)
+    out = zeros_vector(g, u.lanes)
     if cfg.amplitude == 0.0:
         return out
-    scale = g_scale(u, cfg)
-    k = min(cfg.n_modes, len(inc.dw))
-    for lam, mode, dw in zip(cfg.lambdas[:k], cfg.modes[:k], inc.dw[:k]):
-        w = scale * lam * dw
+    k = min(cfg.n_modes, inc.dw.shape[-1])
+    weights = (np.asarray(g_scale(u, cfg))[..., None] * cfg.lambdas[:k]
+               * inc.dw[..., :k])
+    for i, mode in enumerate(cfg.modes[:k]):
+        w = weights[..., i, None, None]   # per-lane scalars over the faces
         out.u_x += w * mode.u_x
         out.u_y += w * mode.u_y
     return out

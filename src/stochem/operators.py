@@ -65,27 +65,29 @@ def stokes_apply(u: VectorField) -> VectorField:
     """
     g = u.grid
     dx2, dy2 = g.dx ** 2, g.dy ** 2
-    out = zeros_vector(g)
+    out = zeros_vector(g, u.lanes)
 
     ux = u.u_x
     lap_x = np.zeros_like(ux)
-    lap_x[1:-1, :] = (ux[2:, :] - 2.0 * ux[1:-1, :] + ux[:-2, :]) / dx2
-    pad = np.empty((g.nx + 1, g.ny + 2))
-    pad[:, 1:-1] = ux
-    pad[:, 0] = -ux[:, 0]
-    pad[:, -1] = -ux[:, -1]
-    lap_x += (pad[:, 2:] - 2.0 * pad[:, 1:-1] + pad[:, :-2]) / dy2
-    out.u_x[1:-1, :] = lap_x[1:-1, :]
+    lap_x[..., 1:-1, :] = (ux[..., 2:, :] - 2.0 * ux[..., 1:-1, :]
+                           + ux[..., :-2, :]) / dx2
+    pad = np.empty(u.lanes + (g.nx + 1, g.ny + 2))
+    pad[..., 1:-1] = ux
+    pad[..., 0] = -ux[..., 0]
+    pad[..., -1] = -ux[..., -1]
+    lap_x += (pad[..., 2:] - 2.0 * pad[..., 1:-1] + pad[..., :-2]) / dy2
+    out.u_x[..., 1:-1, :] = lap_x[..., 1:-1, :]
 
     uy = u.u_y
     lap_y = np.zeros_like(uy)
-    lap_y[:, 1:-1] = (uy[:, 2:] - 2.0 * uy[:, 1:-1] + uy[:, :-2]) / dy2
-    pad = np.empty((g.nx + 2, g.ny + 1))
-    pad[1:-1, :] = uy
-    pad[0, :] = -uy[0, :]
-    pad[-1, :] = -uy[-1, :]
-    lap_y += (pad[2:, :] - 2.0 * pad[1:-1, :] + pad[:-2, :]) / dx2
-    out.u_y[:, 1:-1] = lap_y[:, 1:-1]
+    lap_y[..., 1:-1] = (uy[..., 2:] - 2.0 * uy[..., 1:-1] + uy[..., :-2]) / dy2
+    pad = np.empty(u.lanes + (g.nx + 2, g.ny + 1))
+    pad[..., 1:-1, :] = uy
+    pad[..., 0, :] = -uy[..., 0, :]
+    pad[..., -1, :] = -uy[..., -1, :]
+    lap_y += (pad[..., 2:, :] - 2.0 * pad[..., 1:-1, :]
+              + pad[..., :-2, :]) / dx2
+    out.u_y[..., 1:-1] = lap_y[..., 1:-1]
     return out
 
 
@@ -107,40 +109,47 @@ def convect_velocity(u: VectorField, v: VectorField,
     """
     g = require_same_grid(u, v)
     dx, dy = g.dx, g.dy
-    out = zeros_vector(g)
 
     # --- x component: dual cells around interior vertical faces ---
-    ubar = 0.5 * (u.u_x[:-1, :] + u.u_x[1:, :])            # advecting u at cell centers
-    vctr = _face_value(v.u_x[:-1, :], v.u_x[1:, :], ubar, mode)
+    # advecting u at cell centers
+    ubar = 0.5 * (u.u_x[..., :-1, :] + u.u_x[..., 1:, :])
+    vctr = _face_value(v.u_x[..., :-1, :], v.u_x[..., 1:, :], ubar, mode)
     fx = ubar * vctr                                        # x-flux at cell centers
+    lanes = fx.shape[:-2]                                   # lanes of u and v
+    out = zeros_vector(g, lanes)
     # advecting v interpolated to interior nodes (i=1..nx-1, j=0..ny)
-    vtil = 0.5 * (u.u_y[:-1, :] + u.u_y[1:, :])
-    vnode = np.zeros((g.nx - 1, g.ny + 1))
-    vnode[:, 1:-1] = _face_value(v.u_x[1:-1, :-1], v.u_x[1:-1, 1:],
-                                 vtil[:, 1:-1], mode)
+    vtil = 0.5 * (u.u_y[..., :-1, :] + u.u_y[..., 1:, :])
+    vnode = np.zeros(lanes + (g.nx - 1, g.ny + 1))
+    vnode[..., 1:-1] = _face_value(v.u_x[..., 1:-1, :-1], v.u_x[..., 1:-1, 1:],
+                                   vtil[..., 1:-1], mode)
     fy = vtil * vnode                                       # y-flux at nodes
-    div_flux = (fx[1:, :] - fx[:-1, :]) / dx + (fy[:, 1:] - fy[:, :-1]) / dy
+    div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
+                + (fy[..., 1:] - fy[..., :-1]) / dy)
     if mode is AdvectionMode.CENTERED_SKEW:
-        divd = (ubar[1:, :] - ubar[:-1, :]) / dx + (vtil[:, 1:] - vtil[:, :-1]) / dy
-        out.u_x[1:-1, :] = div_flux - 0.5 * v.u_x[1:-1, :] * divd
+        divd = ((ubar[..., 1:, :] - ubar[..., :-1, :]) / dx
+                + (vtil[..., 1:] - vtil[..., :-1]) / dy)
+        out.u_x[..., 1:-1, :] = div_flux - 0.5 * v.u_x[..., 1:-1, :] * divd
     else:
-        out.u_x[1:-1, :] = div_flux
+        out.u_x[..., 1:-1, :] = div_flux
 
     # --- y component, mirrored ---
-    vbar = 0.5 * (u.u_y[:, :-1] + u.u_y[:, 1:])
-    vctr = _face_value(v.u_y[:, :-1], v.u_y[:, 1:], vbar, mode)
+    vbar = 0.5 * (u.u_y[..., :-1] + u.u_y[..., 1:])
+    vctr = _face_value(v.u_y[..., :-1], v.u_y[..., 1:], vbar, mode)
     fy = vbar * vctr
-    util = 0.5 * (u.u_x[:, :-1] + u.u_x[:, 1:])
-    vnode = np.zeros((g.nx + 1, g.ny - 1))
-    vnode[1:-1, :] = _face_value(v.u_y[:-1, 1:-1], v.u_y[1:, 1:-1],
-                                 util[1:-1, :], mode)
+    util = 0.5 * (u.u_x[..., :-1] + u.u_x[..., 1:])
+    vnode = np.zeros(lanes + (g.nx + 1, g.ny - 1))
+    vnode[..., 1:-1, :] = _face_value(v.u_y[..., :-1, 1:-1],
+                                      v.u_y[..., 1:, 1:-1],
+                                      util[..., 1:-1, :], mode)
     fx = util * vnode
-    div_flux = (fx[1:, :] - fx[:-1, :]) / dx + (fy[:, 1:] - fy[:, :-1]) / dy
+    div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
+                + (fy[..., 1:] - fy[..., :-1]) / dy)
     if mode is AdvectionMode.CENTERED_SKEW:
-        divd = (util[1:, :] - util[:-1, :]) / dx + (vbar[:, 1:] - vbar[:, :-1]) / dy
-        out.u_y[:, 1:-1] = div_flux - 0.5 * v.u_y[:, 1:-1] * divd
+        divd = ((util[..., 1:, :] - util[..., :-1, :]) / dx
+                + (vbar[..., 1:] - vbar[..., :-1]) / dy)
+        out.u_y[..., 1:-1] = div_flux - 0.5 * v.u_y[..., 1:-1] * divd
     else:
-        out.u_y[:, 1:-1] = div_flux
+        out.u_y[..., 1:-1] = div_flux
     return out
 
 
@@ -155,13 +164,16 @@ def scalar_advect(u: VectorField, phi: ScalarField,
     """
     g = require_same_grid(u, phi)
     p = phi.values
-    fx = np.zeros((g.nx + 1, g.ny))
-    fy = np.zeros((g.nx, g.ny + 1))
-    fx[1:-1, :] = u.u_x[1:-1, :] * _face_value(p[:-1, :], p[1:, :],
-                                               u.u_x[1:-1, :], mode)
-    fy[:, 1:-1] = u.u_y[:, 1:-1] * _face_value(p[:, :-1], p[:, 1:],
-                                               u.u_y[:, 1:-1], mode)
-    d = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    ux = u.u_x[..., 1:-1, :]
+    uy = u.u_y[..., 1:-1]
+    inner_x = ux * _face_value(p[..., :-1, :], p[..., 1:, :], ux, mode)
+    inner_y = uy * _face_value(p[..., :-1], p[..., 1:], uy, mode)
+    fx = np.zeros(inner_x.shape[:-2] + (g.nx + 1, g.ny))
+    fy = np.zeros(inner_y.shape[:-2] + (g.nx, g.ny + 1))
+    fx[..., 1:-1, :] = inner_x
+    fy[..., 1:-1] = inner_y
+    d = ((fx[..., 1:, :] - fx[..., :-1, :]) / g.dx
+         + (fy[..., 1:] - fy[..., :-1]) / g.dy)
     return ScalarField(g, d)
 
 
@@ -178,11 +190,13 @@ def chemotaxis_div(n: ScalarField, c: ScalarField, chi: float) -> ScalarField:
     nv = n.values
     fx = np.zeros_like(gx)
     fy = np.zeros_like(gy)
-    fx[1:-1, :] = chi * gx[1:-1, :] * np.where(gx[1:-1, :] > 0.0,
-                                               nv[:-1, :], nv[1:, :])
-    fy[:, 1:-1] = chi * gy[:, 1:-1] * np.where(gy[:, 1:-1] > 0.0,
-                                               nv[:, :-1], nv[:, 1:])
-    d = (fx[1:, :] - fx[:-1, :]) / g.dx + (fy[:, 1:] - fy[:, :-1]) / g.dy
+    gxi = gx[..., 1:-1, :]
+    gyi = gy[..., 1:-1]
+    fx[..., 1:-1, :] = chi * gxi * np.where(gxi > 0.0, nv[..., :-1, :],
+                                            nv[..., 1:, :])
+    fy[..., 1:-1] = chi * gyi * np.where(gyi > 0.0, nv[..., :-1], nv[..., 1:])
+    d = ((fx[..., 1:, :] - fx[..., :-1, :]) / g.dx
+         + (fy[..., 1:] - fy[..., :-1]) / g.dy)
     return ScalarField(g, d)
 
 
@@ -200,12 +214,15 @@ def buoyancy(n: ScalarField, phi: ScalarField) -> VectorField:
     """
     g = require_same_grid(n, phi)
     gpx, gpy = scalar_face_gradients(phi)
-    out = zeros_vector(g)
-    out.u_x[1:-1, :] = 0.5 * (n.values[:-1, :] + n.values[1:, :]) * gpx[1:-1, :]
-    out.u_y[:, 1:-1] = 0.5 * (n.values[:, :-1] + n.values[:, 1:]) * gpy[:, 1:-1]
+    nv = n.values
+    out = zeros_vector(g, n.lanes)    # the potential carries no lanes
+    out.u_x[..., 1:-1, :] = (0.5 * (nv[..., :-1, :] + nv[..., 1:, :])
+                             * gpx[1:-1, :])
+    out.u_y[..., 1:-1] = 0.5 * (nv[..., :-1] + nv[..., 1:]) * gpy[:, 1:-1]
     return out
 
 
-def divergence_residual(v: VectorField) -> float:
-    """Max-norm of the discrete divergence, the projection quality measure."""
+def divergence_residual(v: VectorField):
+    """Max-norm of the discrete divergence, the projection quality measure;
+    one value per lane of a batched field."""
     return norm(divergence(v), "Linf")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -275,7 +276,8 @@ def test_threads_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv("STOCHEM_THREADS", "3")
     assert _thread_count(Args()) == 3
     monkeypatch.setenv("STOCHEM_THREADS", "junk")
-    assert _thread_count(Args()) == 1
+    with pytest.raises(ConfigError, match="STOCHEM_THREADS"):
+        _thread_count(Args())
     monkeypatch.delenv("STOCHEM_THREADS")
     assert _thread_count(Args()) == 1
     Args.threads = 5
@@ -324,6 +326,34 @@ def test_experiment_mid_run_failure_exits_3(tmp_path, capsys, which, message):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads", "-3"], None, "--threads"),
+    ([], "abc", "STOCHEM_THREADS"),
+    ([], "0", "STOCHEM_THREADS"),
+], ids=["threads=0", "threads=-3", "env=abc", "env=0"])
+def test_invalid_thread_count_exits_2(tmp_path, capsys, monkeypatch, flag,
+                                      env, source):
+    # rejected before anything runs: no output directory, no thread started
+    if env is None:
+        monkeypatch.delenv("STOCHEM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STOCHEM_THREADS", env)
+
+    def no_start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "o"
+    code = main(["experiment", "ensemble", "--config", str(cfg),
+                 "--out", str(out)] + flag)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {source} must be a positive integer")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "check-params"])

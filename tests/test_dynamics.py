@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from stochem import dynamics, noise
 from stochem.cli import build_simulation, parse_config
 from stochem.dynamics import (CflError, SimulationError, State, linear_consumption,
-                              run, saturating_consumption, stable_dt, step)
-from stochem.experiments import twin_run
+                              run, saturating_consumption, stable_dt,
+                              stack_states, step)
+from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
                           scalar_from_function, zeros_vector)
-from stochem.noise import sample_increments
+from stochem.noise import make_velocity_noise, sample_increments
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
@@ -297,10 +298,48 @@ u_amplitude = 1.0
     assert err.value.step_index == 5
 
 
-@pytest.mark.parametrize("gamma, calls", [(0.1, 3), (0.0, 0)])
+# ------------------------------------------------------------ batched lanes
+
+def test_batched_run_matches_unbatched_runs_bitwise():
+    # three distinct initial states, both noises on, a state-dependent
+    # forcing amplitude and a landing step: every lane of the batched run
+    # reproduces its own unbatched run bit for bit
+    params, st = _reference_setup(gamma=0.08, amplitude=0.03)
+    params = replace(params, vnoise=make_velocity_noise(
+        params.grid, params.vnoise.n_modes, 0.03, multiplicative_gain=0.5))
+    states = [st, perturbed_copy(st, 1e-3), perturbed_copy(st, -2e-3)]
+    final, lanes = run(stack_states(states), params, 0.0105, 1e-3, seed=21,
+                       sample_every=3, replica=4)
+    assert len(lanes) == 3
+    for i, (state, series) in enumerate(zip(states, lanes)):
+        alone_final, alone = run(state, params, 0.0105, 1e-3, seed=21,
+                                 sample_every=3, replica=4 + i)
+        assert [r.step for r in series] == [0, 3, 6, 9, 11]
+        assert [astuple(r) for r in series] == [astuple(r) for r in alone]
+        assert np.array_equal(final.n.values[i], alone_final.n.values)
+        assert np.array_equal(final.c.values[i], alone_final.c.values)
+        assert np.array_equal(final.u.u_x[i], alone_final.u.u_x)
+        assert np.array_equal(final.u.u_y[i], alone_final.u.u_y)
+    assert lanes[0].rows[-1].entropy != lanes[1].rows[-1].entropy
+
+
+def test_batched_run_names_the_failing_lane():
+    params, st = _reference_setup()
+    fast = st.copy()
+    fast.u.u_x[5, 5] = 80.0   # only lane 1 breaks the advective bound
+    with pytest.raises(SimulationError, match="lane 1: step 1 failed: "
+                       "dt=0.001 exceeds the advective bound") as err:
+        run(stack_states([st, fast, st]), params, 0.01, 1e-3, seed=0)
+    assert err.value.step_index == 1
+    assert err.value.lane == 1
+    assert isinstance(err.value.__cause__, CflError)
+
+
+@pytest.mark.parametrize("gamma, calls", [(0.1, 1), (0.0, 0)])
 def test_step_evaluates_noise_modes_once_per_use(monkeypatch, gamma, calls):
     # one evaluation of the drifted oxygen's modes feeds the kick, the
-    # correction and the HS norm; the correction applies L_1 and L_2 once each
+    # correction and the HS norm; the correction applies L_1 and L_2 with
+    # its own one-axis stencils, not through transport_noise_modes
     params, st = _reference_setup(gamma=gamma)
     seen = []
     original = noise.transport_noise_modes

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stochem import dynamics
 from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (EnsembleSpec, ExperimentError, convergence_dt,
                                  ensemble, interior_bump,
@@ -166,6 +169,54 @@ def test_ensemble_reports_failing_replica(threads):
     with pytest.raises(ExperimentError, match="replica 0") as err:
         ensemble(spec, threads=threads)
     assert isinstance(err.value.__cause__, SimulationError)
+
+
+@pytest.mark.parametrize("threads, chunks", [(1, [5]), (2, [3, 2]),
+                                             (3, [2, 2, 1])],
+                         ids=["threads=1", "threads=2", "threads=3"])
+def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
+                                                        chunks):
+    # threads split the 5 replicas into uneven chunks of lanes; the
+    # statistics equal those of one batch of 5 bit for bit
+    params, st = _setup()
+    spec = EnsembleSpec(n_replicas=5, base_seed=6, params=params, initial=st,
+                        t_end=0.012, dt=1e-3, sample_every=4)
+    reference = ensemble(spec, threads=1)
+    lanes = []
+    batched_run = dynamics.run
+
+    def counted(initial, *args, **kwargs):
+        lanes.append(initial.n.lanes[0])
+        return batched_run(initial, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "run", counted)
+    stats = ensemble(spec, threads=threads)
+    assert sorted(lanes, reverse=True) == chunks
+    for col in spec.columns:
+        for got, want in ((stats.mean, reference.mean),
+                          (stats.variance, reference.variance),
+                          (stats.maximum, reference.maximum),
+                          (stats.ci95, reference.ci95)):
+            assert np.array_equal(got[col], want[col])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_maps_failing_lane_to_replica(monkeypatch, threads):
+    # replica 3 is lane 3 of one chunk, or lane 0 of the second of two
+    draw = dynamics.sample_increments
+
+    def nan_for_replica_3(seed, replica, index, dt, k_modes):
+        inc = draw(seed, replica, index, dt, k_modes)
+        return replace(inc, dbeta=inc.dbeta * np.nan) if replica == 3 else inc
+
+    monkeypatch.setattr(dynamics, "sample_increments", nan_for_replica_3)
+    params, st = _setup()
+    spec = EnsembleSpec(n_replicas=5, base_seed=8, params=params, initial=st,
+                        t_end=0.01, dt=1e-3)
+    with pytest.raises(ExperimentError) as err:
+        ensemble(spec, threads=threads)
+    assert str(err.value) == ("replica 3 (base seed 8) failed: step 1 failed: "
+                              "field c is not finite")
 
 
 def test_ensemble_mean_energy_residual_is_martingale_small():

@@ -36,6 +36,9 @@ u_amplitude = 0.2
 formats = csv,snapshot
 """
 
+# the noisy config as a 4-replica ensemble
+ENSEMBLE = NOISY + "\n[experiment]\nreplicas = 4\n"
+
 QUIET = (NOISY.replace("gamma = 0.1", "gamma = 0")
          .replace("amplitude = 0.02", "amplitude = 0"))
 
@@ -89,6 +92,9 @@ GOLDEN = {
     },
 }
 
+GOLDEN_ENSEMBLE_STATS = \
+    "8cc989f0ea16c5c323f940aaef8c3e54524b3f53a2f87a7063a2e888681172b3"
+
 PLUME_CHECK_PARAMS = """\
 K_f = 1.5
 smallness condition on the consumption term: PASS (margin +0.467008)
@@ -113,6 +119,16 @@ def test_run_outputs_match_golden_hashes(tmp_path, name, text):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     got = {f: _sha256(out / f) for f in GOLDEN[name]}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ensemble_stats_match_golden_hash(tmp_path, threads):
+    cfg = tmp_path / "ensemble.ini"
+    cfg.write_text(ENSEMBLE)
+    out = tmp_path / "out"
+    assert main(["experiment", "ensemble", "--config", str(cfg),
+                 "--out", str(out), "--threads", threads]) == 0
+    assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
 
 
 def test_check_params_output_matches_golden(tmp_path, capsys):
