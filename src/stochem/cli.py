@@ -48,15 +48,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # (type, default, constraint description, predicate) per section/key
 _SCHEMA = {
     "grid": {
@@ -163,7 +154,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key [{section}] {key}")
             typ, _default, constraint, pred = _SCHEMA[section][key]
             try:
-                val = typ(raw) if typ is not bool else _parse_bool(raw)
+                val = typ(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
                                   f"as {typ.__name__}") from exc
@@ -374,10 +365,10 @@ def cmd_run(args) -> int:
     snap_every = cfg[("output", "snapshot_every")]
     sample_count = [0]
 
-    def on_sample(state, row):
+    def on_sample(state, rows):
         if "snapshot" in formats and snap_every > 0 \
                 and sample_count[0] % snap_every == 0:
-            write_snapshot(state, outdir / f"snapshot_{row.step:08d}.cns")
+            write_snapshot(state, outdir / f"snapshot_{rows[0].step:08d}.cns")
         sample_count[0] += 1
 
     final, series = run(initial, params, t["t_end"], t["dt"], seed=t["seed"],
@@ -425,7 +416,7 @@ def cmd_experiment(args) -> int:
             for ti, yi in zip(rep.times, rep.separation):
                 fh.write(f"{_fmt(ti)},{_fmt(yi)}\n")
         print(f"fitted growth rate: {rep.growth_rate!r}")
-        print(f"max separation: {rep.separation.max()!r}")
+        print(f"max separation: {float(rep.separation.max())!r}")
         return 0
 
     if args.which == "convergence":
@@ -451,7 +442,7 @@ def cmd_experiment(args) -> int:
                    "gap": list(rep.gap),
                    "reference_gap": rep.reference_gap}
         (outdir / "stratonovich.json").write_text(json.dumps(payload, indent=2))
-        print(f"finest-level drift gap: {rep.gap[-1]!r} "
+        print(f"finest-level drift gap: {float(rep.gap[-1])!r} "
               f"(reference {rep.reference_gap!r})")
         return 0
 

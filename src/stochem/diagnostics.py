@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, inner_product, norm)
+from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, inner_product,
+                   norm, per_lane)
 from .noise import combined_sigma_linf
 from .operators import consumption
 
@@ -73,9 +74,9 @@ class DiagnosticsSeries:
         return iter(self.rows)
 
 
-def total_mass(n: ScalarField) -> float:
-    """Midpoint-quadrature integral of the cell density."""
-    return float(np.sum(n.values)) * n.grid.cell_volume
+def total_mass(n: ScalarField):
+    """Midpoint-quadrature integral of the cell density, per lane."""
+    return per_lane(np.sum(n.values, axis=LANE_REDUCE)) * n.grid.cell_volume
 
 
 def _sample_law(f, c0_linf: float, samples: int = 1024):
@@ -173,7 +174,7 @@ def admissible_c0_bound(params, upper: float = 1e6) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_conditions(params, c0_linf: float, k0: float | None = None) -> GateReport:
+def check_conditions(params, c0_linf: float) -> GateReport:
     """Evaluate the admissibility conditions; report-only, never raises.
 
     The noise intensity must satisfy both branches:
@@ -183,8 +184,7 @@ def check_conditions(params, c0_linf: float, k0: float | None = None) -> GateRep
     p = 2 is the binding member.
     """
     kf, margin335 = _cond_335_margin(params, c0_linf)
-    k0_used = k0 if k0 is not None else (params.k0 if params.k0 is not None
-                                         else estimate_k0(params.grid))
+    k0_used = estimate_k0(params.grid)
     sig = combined_sigma_linf(params.sigma)
     gamma_sq = params.gamma ** 2
     if sig > 0.0:
@@ -222,82 +222,110 @@ def estimate_k0(grid: Grid) -> float:
     return 1.0
 
 
-def _entropy_with_kf(state, params, c0_linf: float, kf: float) -> float:
-    n = state.n.values
-    if float(n.min()) < -1e-13:
-        raise ValueError(f"entropy functional needs n >= 0, min n = {n.min():g}")
-    g = state.n.grid
-    pos = n > 0.0
-    nlogn = float(np.sum(np.where(pos, n * np.log(np.where(pos, n, 1.0)), 0.0)))
-    nlogn *= g.cell_volume
-    grad_c_sq = norm(state.c, "H1_semi") ** 2
-    u_sq = norm(state.u, "L2") ** 2
+def _nlogn(n: ScalarField):
+    """Integral of n ln n (with 0 ln 0 = 0), per lane."""
+    v = n.values
+    pos = v > 0.0
+    s = np.sum(np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0),
+               axis=LANE_REDUCE)
+    return per_lane(s) * n.grid.cell_volume
+
+
+def _entropy(params, kf: float, c0_linf: float, min_n: float, nlogn: float,
+             grad_sq: float, u_sq: float) -> float:
+    """One lane's entropy functional from its integrals: nlogn, |grad c|^2
+    and |u|^2; ``min_n`` guards the x ln x term."""
+    if min_n < -1e-13:
+        raise ValueError(f"entropy functional needs n >= 0, min n = {min_n:g}")
     weight = 8.0 * kf * c0_linf ** 2 / (3.0 * params.xi * params.eta)
-    return nlogn + kf * grad_c_sq + weight * u_sq + math.exp(-1.0) * g.area
+    return (nlogn + kf * grad_sq + weight * u_sq
+            + math.exp(-1.0) * params.grid.area)
 
 
 def entropy_functional(state, params, c0_linf: float) -> float:
     """Nonnegative Lyapunov functional: cell entropy plus weighted energies
     plus the e^{-1}|O| offset that makes x ln x integrable from below."""
-    kf = compute_kf(params, c0_linf)
-    return _entropy_with_kf(state, params, c0_linf, kf)
+    return _entropy(params, compute_kf(params, c0_linf), c0_linf,
+                    float(state.n.values.min()), _nlogn(state.n),
+                    norm(state.c, "H1_semi") ** 2, norm(state.u, "L2") ** 2)
+
+
+def _lane_floats(x, lanes: int) -> list:
+    """One Python number per lane, from a per-lane reduction or a scalar.
+
+    Per-lane scalar arithmetic runs on these, as in an unbatched run:
+    Python's float ** 2 is not always bitwise numpy's array ** 2."""
+    values = np.asarray(x).tolist()
+    return values if isinstance(values, list) else [values] * lanes
 
 
 class EnergyTracker:
-    """Per-run accumulator for the oxygen energy identity."""
+    """Per-run accumulator for the oxygen energy identity; each entry holds
+    one Python float per lane of the state it starts from."""
 
-    def __init__(self, c0_l2sq: float, c0_linf: float, kf: float,
-                 grad_sq: float, cons: float):
-        self.c0_l2sq = c0_l2sq
-        self.c0_linf = c0_linf
-        self.kf = kf
-        self.i_grad = 0.0
-        self.i_cons = 0.0
-        self._prev_grad_sq = grad_sq
-        self._prev_cons = cons
+    def __init__(self, state, params):
+        self.lanes = len(state.lanes)
+        self.c0_linf = _lane_floats(norm(state.c, "Linf"), self.lanes)
+        self.kf = [compute_kf(params, x) for x in self.c0_linf]
+        self.c0_l2sq = [x ** 2 for x in _lane_floats(norm(state.c, "L2"),
+                                                     self.lanes)]
+        self.i_grad = self.i_cons = [0.0] * self.lanes
+        # |grad c|^2 and (n f(c), c) at the latest state
+        self.grad_sq, self.cons = self._integrands(state, params)
 
-    @staticmethod
-    def start(state, params) -> "EnergyTracker":
-        c0_linf = norm(state.c, "Linf")
-        kf = compute_kf(params, c0_linf)
-        grad_sq = norm(state.c, "H1_semi") ** 2
+    def _integrands(self, state, params) -> tuple[list, list]:
+        grad = _lane_floats(norm(state.c, "H1_semi"), self.lanes)
         cons = inner_product(consumption(state.n, state.c, params.f), state.c)
-        return EnergyTracker(c0_l2sq=norm(state.c, "L2") ** 2, c0_linf=c0_linf,
-                             kf=kf, grad_sq=grad_sq, cons=cons)
+        return [x ** 2 for x in grad], _lane_floats(cons, self.lanes)
 
     def update(self, state, params, report) -> None:
-        dt = report.dt
-        grad_sq = norm(state.c, "H1_semi") ** 2
-        cons = inner_product(consumption(state.n, state.c, params.f), state.c)
-        self.i_grad += 0.5 * dt * (self._prev_grad_sq + grad_sq)
-        self.i_cons += 0.5 * dt * (self._prev_cons + cons)
-        self._prev_grad_sq = grad_sq
-        self._prev_cons = cons
+        grad_sq, cons = self._integrands(state, params)
+        half = 0.5 * report.dt
+        self.i_grad = [i + half * (a + b) for i, a, b
+                       in zip(self.i_grad, self.grad_sq, grad_sq)]
+        self.i_cons = [i + half * (a + b) for i, a, b
+                       in zip(self.i_cons, self.cons, cons)]
+        self.grad_sq, self.cons = grad_sq, cons
 
-    def residual(self, state, params) -> float:
+    def residual(self, c_sq: list, params) -> list:
+        """Normalized defect per lane, given each lane's |c|^2 now."""
         # noise growth and its discrete correction cancel in expectation,
         # leaving the (2 xi - gamma^2) = 2 mu gradient drain of the identity
-        lhs = (norm(state.c, "L2") ** 2
-               + (2.0 * params.xi - params.gamma ** 2) * self.i_grad
-               + 2.0 * self.i_cons)
-        return (lhs - self.c0_l2sq) / max(self.c0_l2sq, 1e-300)
+        drain = 2.0 * params.xi - params.gamma ** 2
+        return [(sq + drain * i_grad + 2.0 * i_cons - c0) / max(c0, 1e-300)
+                for sq, i_grad, i_cons, c0
+                in zip(c_sq, self.i_grad, self.i_cons, self.c0_l2sq)]
 
 
 def record(state, report, params, tracker: EnergyTracker,
-           step_index: int) -> DiagnosticsRow:
-    """Assemble one sampling instant's measurements."""
-    return DiagnosticsRow(
-        step=step_index,
-        t=state.t,
-        mass_n=total_mass(state.n),
-        min_n=float(state.n.values.min()),
-        max_c=float(state.c.values.max()),
-        l2_u=norm(state.u, "L2"),
-        h1_c=math.sqrt(norm(state.c, "L2") ** 2 + norm(state.c, "H1_semi") ** 2),
-        entropy=_entropy_with_kf(state, params, tracker.c0_linf, tracker.kf),
-        energy_residual=tracker.residual(state, params),
-        clip_count=report.clip_count,
-        div_residual=report.projection_residual)
+           step_index: int) -> list[DiagnosticsRow]:
+    """Assemble one sampling instant's measurements: one row per lane (a
+    one-element list for an unbatched state), each field reduced once for
+    all lanes and |grad c|^2 taken from the tracker.  A lane whose
+    measurements reject its state raises LaneError naming the lowest one."""
+    def floats(x):
+        return _lane_floats(x, tracker.lanes)
+    c_sq = [x ** 2 for x in floats(norm(state.c, "L2"))]
+    columns = zip(
+        state.lanes, floats(total_mass(state.n)),
+        floats(np.min(state.n.values, axis=LANE_REDUCE)),
+        floats(np.max(state.c.values, axis=LANE_REDUCE)),
+        floats(norm(state.u, "L2")), c_sq, tracker.grad_sq,
+        floats(_nlogn(state.n)), tracker.kf, tracker.c0_linf,
+        tracker.residual(c_sq, params), floats(report.clip_count),
+        floats(report.projection_residual))
+    rows = []
+    for lane, mass, min_n, max_c, l2_u, c2, grad_sq, nlogn, kf, c0_linf, \
+            residual, clips, div in columns:
+        try:   # DiagnosticsRow.COLUMNS order
+            rows.append(DiagnosticsRow(
+                step_index, state.t, mass, min_n, max_c, l2_u,
+                math.sqrt(c2 + grad_sq),
+                _entropy(params, kf, c0_linf, min_n, nlogn, grad_sq, l2_u ** 2),
+                residual, clips, div))
+        except ValueError as exc:   # a measurement rejected this lane
+            raise LaneError(str(exc), lane) from exc
+    return rows
 
 
 def energy_identity_residual(series: DiagnosticsSeries, params) -> float:

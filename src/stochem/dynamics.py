@@ -28,13 +28,13 @@ name the lowest failing lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
-from .grid import (LANE_REDUCE, Grid, ScalarField, VectorField, per_lane,
-                   scalar_face_gradients)
+from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, VectorField,
+                   per_lane, scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
 from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
@@ -43,14 +43,6 @@ from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
 
 
 CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
-
-
-class LaneError(RuntimeError):
-    """A per-lane check failed; ``lane`` is None for an unbatched state."""
-
-    def __init__(self, message: str, lane: int | None = None):
-        super().__init__(message)
-        self.lane = lane
 
 
 class CflError(LaneError):
@@ -122,7 +114,6 @@ class SimParams:
     sigma: TransportSigma
     dt_max: float = 0.1
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
-    k0: float | None = None        # elliptic-regularity constant override
 
     @property
     def grid(self) -> Grid:
@@ -196,17 +187,6 @@ class StepReport:
     clip_count: int
     projection_residual: float
     noise_hs_sq: float   # sum_k |sigma_k . grad c|^2 at the pre-noise oxygen
-
-    def lane(self, index: int | None) -> "StepReport":
-        """The entries of one lane; the report itself for index None."""
-        if index is None:
-            return self
-
-        def pick(value):
-            return np.asarray(value)[index].item() if np.ndim(value) else value
-        return StepReport(dt=self.dt, clip_count=pick(self.clip_count),
-                          projection_residual=pick(self.projection_residual),
-                          noise_hs_sq=pick(self.noise_hs_sq))
 
 
 def stable_dt(state: State, params: SimParams):
@@ -296,7 +276,7 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
                      dt: float) -> tuple[VectorField, float]:
     """Returns the projected new velocity and its divergence residual."""
     g = state.u.grid
-    conv = convect_velocity(state.u, state.u, AdvectionMode.CENTERED_SKEW)
+    conv = convect_velocity(state.u, state.u)
     buoy = buoyancy(n_new, params.phi)
     forced = VectorField(g,
                          state.u.u_x + dt * (buoy.u_x - conv.u_x),
@@ -389,7 +369,7 @@ def march(initial: State, params: SimParams, dts: list[float], increments):
 
 def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
         sample_every: int = 1, *, replica: int = 0, increments=None,
-        scalar_mode: AdvectionMode | None = None, on_sample=None):
+        on_sample=None):
     """March from initial.t to t_end with fixed dt plus one landing step.
 
     Returns (final_state, DiagnosticsSeries).  The noise path is a pure
@@ -397,20 +377,20 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     A batched ``initial`` (see stack_states) integrates all its lanes with
     one step per time step: lane i follows replica ``replica + i``, and the
     series is a list with one DiagnosticsSeries per lane, each bitwise the
-    series of that replica run alone.
+    series of that replica run alone.  One energy tracker and one
+    diagnostics.record per sample observe all lanes at once.
     ``increments`` may supply a callable (step_index, dt) -> NoiseIncrement
     to share or aggregate Brownian paths across runs; ``on_sample`` is
-    called with (state, row) at every recorded sample, per lane.  A failing
-    step, or a sampled state that diagnostics rejects, raises
-    SimulationError naming the step and, when batched, the lane.
+    called with (state, rows) at every recorded sample, the rows holding one
+    DiagnosticsRow per lane.  A failing step, or a sampled state that
+    diagnostics rejects, raises SimulationError naming the step and, when
+    batched, the lane.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
     dts = time_grid(t_end - initial.t, dt)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    if scalar_mode is not None:
-        params = replace(params, scalar_mode=scalar_mode)
     state = initial.copy()
     lanes = state.lanes
     batched = lanes != [None]
@@ -419,28 +399,25 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
         increments = (stacked_increments(seed, [replica + i for i in lanes],
                                          k_modes) if batched
                       else seeded_increments(seed, replica, k_modes))
-    trackers = [diagnostics.EnergyTracker.start(state.lane(i), params)
-                for i in lanes]
+    tracker = diagnostics.EnergyTracker(state, params)
     series = [diagnostics.DiagnosticsSeries() for _ in lanes]
 
     def sample(state: State, report: StepReport, index: int) -> None:
-        for lane, tracker, rows in zip(lanes, trackers, series):
-            view = state.lane(lane)
-            try:
-                row = diagnostics.record(view, report.lane(lane), params,
-                                         tracker, step_index=index)
-            except ValueError as exc:   # a measurement rejected the state
-                raise SimulationError(f"sample at step {index} failed: {exc}",
-                                      step_index=index, lane=lane) from exc
-            rows.append(row)
-            if on_sample is not None:
-                on_sample(view, row)
+        try:
+            rows = diagnostics.record(state, report, params, tracker,
+                                      step_index=index)
+        except LaneError as exc:   # a measurement rejected a lane's state
+            raise SimulationError(f"sample at step {index} failed: {exc}",
+                                  step_index=index, lane=exc.lane) from exc
+        for lane_series, row in zip(series, rows):
+            lane_series.append(row)
+        if on_sample is not None:
+            on_sample(state, rows)
 
     sample(state, StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
                              noise_hs_sq=0.0), 0)
     for index, state, report in march(state, params, dts, increments):
-        for lane, tracker in zip(lanes, trackers):
-            tracker.update(state.lane(lane), params, report.lane(lane))
+        tracker.update(state, params, report)
         if index % sample_every == 0 or index == len(dts):
             sample(state, report, index)
     return state, (series if batched else series[0])

@@ -31,6 +31,14 @@ class GridError(ValueError):
     """Raised for invalid grid construction or mismatched-grid operands."""
 
 
+class LaneError(RuntimeError):
+    """A per-lane check failed; ``lane`` is None for an unbatched state."""
+
+    def __init__(self, message: str, lane: int | None = None):
+        super().__init__(message)
+        self.lane = lane
+
+
 def per_lane(x):
     """A per-lane numpy reduction: a Python number for an unbatched field,
     else one entry per lane."""

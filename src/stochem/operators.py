@@ -98,14 +98,12 @@ def _face_value(left: np.ndarray, right: np.ndarray, carrier: np.ndarray,
     return np.where(carrier > 0.0, left, right)
 
 
-def convect_velocity(u: VectorField, v: VectorField,
-                     mode: AdvectionMode = AdvectionMode.CENTERED_SKEW) -> VectorField:
+def convect_velocity(u: VectorField, v: VectorField) -> VectorField:
     """Discrete (u . grad) v on the staggered layout.
 
-    CenteredSkew evaluates the exact average of the advective and divergence
-    forms, 1/2[(u.grad)v + div(u x v)]; its pairing against v is identically
-    zero for any u with vanishing wall-normal faces.  UpwindFlux is the
-    conservative flux form with donor-cell face values.
+    The exact average of the advective and divergence forms,
+    1/2[(u.grad)v + div(u x v)], with centered face values; its pairing
+    against v is identically zero for any u with vanishing wall-normal faces.
     """
     g = require_same_grid(u, v)
     dx, dy = g.dx, g.dy
@@ -113,43 +111,34 @@ def convect_velocity(u: VectorField, v: VectorField,
     # --- x component: dual cells around interior vertical faces ---
     # advecting u at cell centers
     ubar = 0.5 * (u.u_x[..., :-1, :] + u.u_x[..., 1:, :])
-    vctr = _face_value(v.u_x[..., :-1, :], v.u_x[..., 1:, :], ubar, mode)
+    vctr = 0.5 * (v.u_x[..., :-1, :] + v.u_x[..., 1:, :])
     fx = ubar * vctr                                        # x-flux at cell centers
     lanes = fx.shape[:-2]                                   # lanes of u and v
     out = zeros_vector(g, lanes)
     # advecting v interpolated to interior nodes (i=1..nx-1, j=0..ny)
     vtil = 0.5 * (u.u_y[..., :-1, :] + u.u_y[..., 1:, :])
     vnode = np.zeros(lanes + (g.nx - 1, g.ny + 1))
-    vnode[..., 1:-1] = _face_value(v.u_x[..., 1:-1, :-1], v.u_x[..., 1:-1, 1:],
-                                   vtil[..., 1:-1], mode)
+    vnode[..., 1:-1] = 0.5 * (v.u_x[..., 1:-1, :-1] + v.u_x[..., 1:-1, 1:])
     fy = vtil * vnode                                       # y-flux at nodes
     div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
                 + (fy[..., 1:] - fy[..., :-1]) / dy)
-    if mode is AdvectionMode.CENTERED_SKEW:
-        divd = ((ubar[..., 1:, :] - ubar[..., :-1, :]) / dx
-                + (vtil[..., 1:] - vtil[..., :-1]) / dy)
-        out.u_x[..., 1:-1, :] = div_flux - 0.5 * v.u_x[..., 1:-1, :] * divd
-    else:
-        out.u_x[..., 1:-1, :] = div_flux
+    divd = ((ubar[..., 1:, :] - ubar[..., :-1, :]) / dx
+            + (vtil[..., 1:] - vtil[..., :-1]) / dy)
+    out.u_x[..., 1:-1, :] = div_flux - 0.5 * v.u_x[..., 1:-1, :] * divd
 
     # --- y component, mirrored ---
     vbar = 0.5 * (u.u_y[..., :-1] + u.u_y[..., 1:])
-    vctr = _face_value(v.u_y[..., :-1], v.u_y[..., 1:], vbar, mode)
+    vctr = 0.5 * (v.u_y[..., :-1] + v.u_y[..., 1:])
     fy = vbar * vctr
     util = 0.5 * (u.u_x[..., :-1] + u.u_x[..., 1:])
     vnode = np.zeros(lanes + (g.nx + 1, g.ny - 1))
-    vnode[..., 1:-1, :] = _face_value(v.u_y[..., :-1, 1:-1],
-                                      v.u_y[..., 1:, 1:-1],
-                                      util[..., 1:-1, :], mode)
+    vnode[..., 1:-1, :] = 0.5 * (v.u_y[..., :-1, 1:-1] + v.u_y[..., 1:, 1:-1])
     fx = util * vnode
     div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
                 + (fy[..., 1:] - fy[..., :-1]) / dy)
-    if mode is AdvectionMode.CENTERED_SKEW:
-        divd = ((util[..., 1:, :] - util[..., :-1, :]) / dx
-                + (vbar[..., 1:] - vbar[..., :-1]) / dy)
-        out.u_y[..., 1:-1] = div_flux - 0.5 * v.u_y[..., 1:-1] * divd
-    else:
-        out.u_y[..., 1:-1] = div_flux
+    divd = ((util[..., 1:, :] - util[..., :-1, :]) / dx
+            + (vbar[..., 1:] - vbar[..., :-1]) / dy)
+    out.u_y[..., 1:-1] = div_flux - 0.5 * v.u_y[..., 1:-1] * divd
     return out
 
 

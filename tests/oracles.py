@@ -10,8 +10,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from stochem import _spectral
 from stochem.grid import ScalarField, divergence, zeros_vector
-from stochem.operators import (AdvectionMode, buoyancy, convect_velocity,
-                               stokes_apply)
+from stochem.operators import buoyancy, convect_velocity, stokes_apply
 
 POISSON_CG_TOL = 1e-12
 POISSON_CG_MAXITER_PER_CELL = 10
@@ -74,7 +73,7 @@ def recover_pressure(state, params):
     u, n = state.u, state.n
     g = u.grid
     f = zeros_vector(g)
-    conv = convect_velocity(u, u, AdvectionMode.CENTERED_SKEW)
+    conv = convect_velocity(u, u)
     visc = stokes_apply(u)
     buoy = buoyancy(n, params.phi)
     f.u_x = -conv.u_x + params.eta * visc.u_x + buoy.u_x

@@ -225,7 +225,18 @@ def test_cmd_snapshot_info(tmp_path, capsys, rng):
     assert "grid: 8 x 8" in out
 
 
-def test_cmd_experiment_twin_and_convergence(tmp_path):
+def _printed_floats(stdout: str) -> dict:
+    """The experiment summary lines "label: value ..." with their values
+    parsed as plain floats; a numpy repr such as np.float64(...) fails."""
+    assert "np." not in stdout
+    values = {}
+    for line in stdout.splitlines():
+        label, _, rest = line.partition(": ")
+        values[label] = float(rest.split()[0].rstrip(";"))
+    return values
+
+
+def test_cmd_experiment_twin_and_convergence(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "exp"
     assert main(["experiment", "twin", "--config", str(cfg),
@@ -233,6 +244,8 @@ def test_cmd_experiment_twin_and_convergence(tmp_path):
     lines = (out / "twin.csv").read_text().splitlines()
     assert lines[0] == "t,separation"
     assert len(lines) > 2
+    printed = _printed_floats(capsys.readouterr().out)
+    assert set(printed) == {"fitted growth rate", "max separation"}
 
     text = REFERENCE.replace("t_end = 0.02", "t_end = 0.016")
     cfg2 = _write_cfg(tmp_path, text)
@@ -241,6 +254,8 @@ def test_cmd_experiment_twin_and_convergence(tmp_path):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["slope"] > 0.4
     assert len(payload["errors"]) == 2
+    assert _printed_floats(capsys.readouterr().out) == {
+        "fitted strong-order slope": pytest.approx(payload["slope"], abs=1e-4)}
 
 
 def test_cmd_experiment_ensemble(tmp_path):
@@ -253,7 +268,7 @@ def test_cmd_experiment_ensemble(tmp_path):
     assert len(lines) == 1 + 5
 
 
-def test_cmd_experiment_stratonovich(tmp_path):
+def test_cmd_experiment_stratonovich(tmp_path, capsys):
     text = REFERENCE.replace("gamma = 0.08", "gamma = 0.15") \
                     .replace("nx = 24", "nx = 32").replace("ny = 24", "ny = 32") \
                     .replace("t_end = 0.02", "t_end = 0.024") \
@@ -265,6 +280,8 @@ def test_cmd_experiment_stratonovich(tmp_path):
     payload = json.loads((out / "stratonovich.json").read_text())
     assert len(payload["drift_corrected"]) == 3
     assert payload["reference_gap"] > 0.0
+    assert _printed_floats(capsys.readouterr().out) == {
+        "finest-level drift gap": payload["gap"][-1]}
 
 
 def test_threads_default_comes_from_environment(monkeypatch):

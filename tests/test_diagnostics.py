@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_check_conditions_reference_values():
 def test_check_conditions_gamma_branches():
     g = make_grid(32, 32, 1.0, 1.0)
     params = default_params(g, gamma=0.1)
-    rep = check_conditions(params, 0.3, k0=1.0)
+    rep = check_conditions(params, 0.3)
     sigma_sq = 2.0
     rhs_linear = min(params.xi, params.xi / 2.0) / (6.0 * sigma_sq)
     rhs_power = 3.0 * params.xi / (32.0 * math.sqrt(2.0) * sigma_sq)
@@ -87,7 +88,7 @@ def test_check_conditions_gamma_branches():
     assert rep.sigma_linf == pytest.approx(math.sqrt(2.0), rel=1e-14)
     # strong noise violates both branches
     loud = default_params(g, gamma=1.0)
-    rep = check_conditions(loud, 0.3, k0=1.0)
+    rep = check_conditions(loud, 0.3)
     assert not (rep.gamma_linear_ok or rep.gamma_power_ok)
 
 
@@ -104,19 +105,6 @@ def test_estimate_k0_is_exactly_one():
     for nx, ny, lx, ly in ((8, 8, 1.0, 1.0), (16, 24, 1.0, 1.7),
                            (33, 17, 2.0, 0.6), (256, 256, 1.0, 1.0)):
         assert estimate_k0(make_grid(nx, ny, lx, ly)) == 1.0
-
-
-def test_k0_override_reaches_the_gate():
-    g = make_grid(16, 16, 1.0, 1.0)
-    params = default_params(g, gamma=0.1)
-    assert check_conditions(params, 0.3).k0_used == 1.0
-    pinned = check_conditions(default_params(g, gamma=0.1, k0=2.0), 0.3)
-    assert pinned.k0_used == 2.0
-    assert check_conditions(params, 0.3, k0=2.0) == pinned
-    # xi / (2 K0) binds once K0 > 1/2, so doubling K0 halves the bound
-    sigma_sq = 2.0
-    expected = params.xi / 4.0 / (6.0 * sigma_sq) - params.gamma ** 2
-    assert pinned.gamma_linear_margin == pytest.approx(expected, rel=1e-12)
 
 
 # Neumann second-difference stencils, independent of the spectral basis: the
@@ -212,10 +200,10 @@ def test_energy_residual_first_order_in_dt():
     st = State(u=random_solenoidal(g, rng, 0.1),
                c=ScalarField(g, 0.05 + 0.2 * y),
                n=ScalarField(g, 0.3 + 0.1 * y), t=0.0)
+    centered = replace(params, scalar_mode=AdvectionMode.CENTERED_SKEW)
     res = []
     for dt in (2e-3, 1e-3):
-        _, series = run(st, params, 0.1, dt, seed=1,
-                        scalar_mode=AdvectionMode.CENTERED_SKEW)
+        _, series = run(st, centered, 0.1, dt, seed=1)
         res.append(energy_identity_residual(series, params))
     assert 0.4 <= res[1] / res[0] <= 0.6
 

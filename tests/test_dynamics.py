@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import astuple, replace
 
-from stochem import dynamics, noise
+from stochem import diagnostics, dynamics, noise
 from stochem.cli import build_simulation, parse_config
 from stochem.dynamics import (CflError, SimulationError, State, linear_consumption,
                               run, saturating_consumption, stable_dt,
@@ -272,7 +272,7 @@ def test_twin_run_stops_on_non_finite_state(monkeypatch):
     assert err.value.step_index == 3
 
 
-def test_run_reports_failed_sample_with_step_index():
+def _undershoot_setup():
     # the centered scalar stencil undershoots n below the entropy's
     # tolerance by step 5; the sampled row, not the step, detects it
     cfg = parse_config("""
@@ -291,11 +291,16 @@ n_sigma = 0.05
 u_amplitude = 1.0
 """)
     params, st = build_simulation(cfg)
+    return replace(params, scalar_mode=AdvectionMode.CENTERED_SKEW), st
+
+
+def test_run_reports_failed_sample_with_step_index():
+    params, st = _undershoot_setup()
     with pytest.raises(SimulationError, match="sample at step 5 failed: "
                        "entropy functional needs n >= 0") as err:
-        run(st, params, 0.2, 1e-3, seed=1, sample_every=5,
-            scalar_mode=AdvectionMode.CENTERED_SKEW)
+        run(st, params, 0.2, 1e-3, seed=1, sample_every=5)
     assert err.value.step_index == 5
+    assert err.value.lane is None
 
 
 # ------------------------------------------------------------ batched lanes
@@ -333,6 +338,44 @@ def test_batched_run_names_the_failing_lane():
     assert err.value.step_index == 1
     assert err.value.lane == 1
     assert isinstance(err.value.__cause__, CflError)
+
+
+def test_batched_run_names_the_lane_whose_sample_fails():
+    # lane 1 undershoots as in the unbatched run; its still neighbours do not
+    params, st = _undershoot_setup()
+    still = State(u=zeros_vector(params.grid), c=st.c, n=st.n, t=0.0)
+    with pytest.raises(SimulationError, match="lane 1: sample at step 5 "
+                       "failed: entropy functional needs n >= 0") as err:
+        run(stack_states([still, st, still]), params, 0.2, 1e-3, seed=1,
+            sample_every=5)
+    assert err.value.step_index == 5
+    assert err.value.lane == 1
+
+
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_run_observes_all_lanes_in_one_pass(monkeypatch, lanes):
+    # one record call per sample and 3 norms per step (|grad c| for the
+    # tracker, |c| and |u| for the row), whatever the lane count
+    params, st = _reference_setup(nx=16)
+    initial = st if lanes is None else stack_states([st] * lanes)
+    norms_at_record = []
+    calls = {"norm": 0}
+    original_norm, original_record = diagnostics.norm, diagnostics.record
+
+    def counted_norm(*args):
+        calls["norm"] += 1
+        return original_norm(*args)
+
+    def counted_record(*args, **kwargs):
+        norms_at_record.append(calls["norm"])
+        return original_record(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "norm", counted_norm)
+    monkeypatch.setattr(diagnostics, "record", counted_record)
+    _, series = run(initial, params, 0.005, 1e-3, seed=3, sample_every=1)
+    rows = series if lanes is None else series[0]
+    assert len(norms_at_record) == len(rows) == 6
+    assert np.diff(norms_at_record).tolist() == [3] * 5
 
 
 @pytest.mark.parametrize("gamma, calls", [(0.1, 1), (0.0, 0)])

@@ -162,7 +162,7 @@ def test_convect_velocity_matches_dense_skew_form(rng):
     g = make_grid(8, 8, 1.0, 1.0)
     u = random_vector(g, rng)     # deliberately not divergence-free
     v = random_vector(g, rng)
-    out = convect_velocity(u, v, AdvectionMode.CENTERED_SKEW)
+    out = convect_velocity(u, v)
     ref_x = dense_skew_convection_x(u, v)
     assert np.max(np.abs(out.u_x - ref_x)) < 1e-13 * max(1.0, np.max(np.abs(ref_x)))
 
@@ -170,7 +170,7 @@ def test_convect_velocity_matches_dense_skew_form(rng):
 def test_convect_velocity_zero_field(rng):
     g = make_grid(8, 8, 1.0, 1.0)
     u = random_vector(g, rng)
-    out = convect_velocity(u, zeros_vector(g), AdvectionMode.CENTERED_SKEW)
+    out = convect_velocity(u, zeros_vector(g))
     assert norm(out, "Linf") == 0.0
 
 
@@ -178,7 +178,7 @@ def test_convection_energy_neutral_for_solenoidal(rng):
     g = make_grid(32, 32, 1.0, 1.0)
     u = random_solenoidal(g, rng)
     v = random_vector(g, rng)
-    b0 = convect_velocity(u, v, AdvectionMode.CENTERED_SKEW)
+    b0 = convect_velocity(u, v)
     bound = 1e-12 * max(norm(u, "L2") * norm(v, "L2") ** 2, 1e-30)
     assert abs(inner_product(b0, v)) <= bound
 
