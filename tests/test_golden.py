@@ -39,6 +39,9 @@ formats = csv,snapshot
 # the noisy config as a 4-replica ensemble
 ENSEMBLE = NOISY + "\n[experiment]\nreplicas = 4\n"
 
+# the noisy config as the three path studies, each kept small
+STUDY = NOISY + "\n[experiment]\nlevels = 3\nreplicas = 3\n"
+
 QUIET = (NOISY.replace("gamma = 0.1", "gamma = 0")
          .replace("amplitude = 0.02", "amplitude = 0"))
 
@@ -95,6 +98,19 @@ GOLDEN = {
 GOLDEN_ENSEMBLE_STATS = \
     "8cc989f0ea16c5c323f940aaef8c3e54524b3f53a2f87a7063a2e888681172b3"
 
+# experiment name -> (output file, digest) on the STUDY config
+GOLDEN_STUDY = {
+    "twin": (
+        "twin.csv",
+        "417fc02054d911e679126f7c0fe906336273255995b3d71d4116b341d090dd7b"),
+    "convergence": (
+        "convergence.json",
+        "f5cada4f661a3ed0fe83170b44d236741e970fec10a66a621c72916405750117"),
+    "stratonovich": (
+        "stratonovich.json",
+        "b23b373a592556ebf1516ed90a4adcff507d106ec344cc255356e08b2496bcdf"),
+}
+
 PLUME_CHECK_PARAMS = """\
 K_f = 1.5
 smallness condition on the consumption term: PASS (margin +0.467008)
@@ -129,6 +145,17 @@ def test_ensemble_stats_match_golden_hash(tmp_path, threads):
     assert main(["experiment", "ensemble", "--config", str(cfg),
                  "--out", str(out), "--threads", threads]) == 0
     assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_STUDY))
+def test_study_output_matches_golden_hash(tmp_path, which):
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(STUDY)
+    out = tmp_path / "out"
+    assert main(["experiment", which, "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    name, digest = GOLDEN_STUDY[which]
+    assert _sha256(out / name) == digest
 
 
 def test_check_params_output_matches_golden(tmp_path, capsys):
