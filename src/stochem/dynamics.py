@@ -43,6 +43,7 @@ from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
 
 
 CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
+DT_MAX = 0.1       # stable_dt's cap, and its value where nothing moves
 
 
 class CflError(LaneError):
@@ -112,7 +113,6 @@ class SimParams:
     f: ConsumptionLaw
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
-    dt_max: float = 0.1
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
 
     @property
@@ -128,8 +128,7 @@ class SimParams:
 
 def make_params(grid: Grid, *, eta: float, mu: float, delta: float, chi: float,
                 gamma: float, phi: ScalarField, f: ConsumptionLaw,
-                vnoise: VelocityNoiseConfig, sigma: TransportSigma,
-                **extra) -> SimParams:
+                vnoise: VelocityNoiseConfig, sigma: TransportSigma) -> SimParams:
     """Validate the coefficients."""
     if eta <= 0.0 or delta <= 0.0:
         raise ValueError("eta and delta must be strictly positive")
@@ -138,7 +137,7 @@ def make_params(grid: Grid, *, eta: float, mu: float, delta: float, chi: float,
     if chi < 0.0 or gamma < 0.0:
         raise ValueError("chi and gamma must be nonnegative")
     return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
-                     phi=phi, f=f, vnoise=vnoise, sigma=sigma, **extra)
+                     phi=phi, f=f, vnoise=vnoise, sigma=sigma)
 
 
 @dataclass
@@ -190,7 +189,7 @@ class StepReport:
 
 
 def stable_dt(state: State, params: SimParams):
-    """Advective step bound: safety / max cell Courant rate, capped at dt_max;
+    """Advective step bound: safety / max cell Courant rate, capped at DT_MAX;
     one bound per lane of a batched state.
 
     The per-cell rate adds the fluid speed and the chemotactic drift speed
@@ -210,8 +209,8 @@ def stable_dt(state: State, params: SimParams):
         rate = np.maximum(rate, 0.5 * params.gamma ** 2
                           * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
     with np.errstate(divide="ignore"):
-        bound = np.fmin(params.dt_max, CFL_SAFETY / rate)
-    return per_lane(np.where(rate > 0.0, bound, params.dt_max))
+        bound = np.fmin(DT_MAX, CFL_SAFETY / rate)
+    return per_lane(np.where(rate > 0.0, bound, DT_MAX))
 
 
 def density_substep(state: State, params: SimParams,
@@ -238,21 +237,6 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
     return _spectral.solve_scalar_diffusion(g, c_star, dt * params.mu), clip_count
 
 
-def oxygen_kick(modes: list[np.ndarray], params: SimParams,
-                inc: NoiseIncrement) -> np.ndarray:
-    """Transport-noise increment gamma sum_k L_k c dbeta_k from the modes
-    L_k c = sigma_k . grad c."""
-    return transport_noise_apply(modes, params.gamma, inc)
-
-
-def oxygen_correction(modes: list[np.ndarray], params: SimParams,
-                      dt: float) -> np.ndarray:
-    """dt times the exact discrete Ito correction (gamma^2/2) sum_k L_k^2 c,
-    from the modes L_k c."""
-    return dt * noise_mod.transport_ito_correction(modes, params.sigma,
-                                                   params.gamma).values
-
-
 def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
                    inc: NoiseIncrement,
                    dt: float) -> tuple[ScalarField, int, float]:
@@ -266,8 +250,10 @@ def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
         return c_mid, clip_count, 0.0
     modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
     hs_sq = noise_mod.transport_hs_sq(modes, c_mid.grid)
-    c_new = ScalarField(c_mid.grid, c_mid.values + oxygen_kick(modes, params, inc))
-    c_new.values += oxygen_correction(modes, params, dt)
+    c_new = ScalarField(c_mid.grid, c_mid.values
+                        + transport_noise_apply(modes, params.gamma, inc))
+    c_new.values += dt * noise_mod.transport_ito_correction(
+        modes, params.sigma, params.gamma).values
     return c_new, clip_count, hs_sq
 
 
@@ -324,12 +310,12 @@ def time_grid(span: float, dt: float) -> list[float]:
 
 
 def seeded_increments(seed: int, replica: int, k_modes: int):
-    """run's default increment provider (step_index, dt) -> NoiseIncrement."""
+    """run's increment provider (step_index, dt) -> NoiseIncrement."""
     return lambda index, dt: sample_increments(seed, replica, index, dt, k_modes)
 
 
 def stacked_increments(seed: int, replicas: list[int], k_modes: int):
-    """A batched run's default provider: lane i gets replica replicas[i]'s
+    """A batched run's provider: lane i gets replica replicas[i]'s
     draw, the draws stacked on a leading lane axis."""
     def draw(index: int, dt: float) -> NoiseIncrement:
         incs = [sample_increments(seed, r, index, dt, k_modes)
@@ -368,8 +354,7 @@ def march(initial: State, params: SimParams, dts: list[float], increments):
 
 
 def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
-        sample_every: int = 1, *, replica: int = 0, increments=None,
-        on_sample=None):
+        sample_every: int = 1, *, replica: int = 0, on_sample=None):
     """March from initial.t to t_end with fixed dt plus one landing step.
 
     Returns (final_state, DiagnosticsSeries).  The noise path is a pure
@@ -378,11 +363,9 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     one step per time step: lane i follows replica ``replica + i``, and the
     series is a list with one DiagnosticsSeries per lane, each bitwise the
     series of that replica run alone.  One energy tracker and one
-    diagnostics.record per sample observe all lanes at once.
-    ``increments`` may supply a callable (step_index, dt) -> NoiseIncrement
-    to share or aggregate Brownian paths across runs; ``on_sample`` is
-    called with (state, rows) at every recorded sample, the rows holding one
-    DiagnosticsRow per lane.  A failing step, or a sampled state that
+    diagnostics.record per sample observe all lanes at once.  ``on_sample``
+    is called with (state, rows) at every recorded sample, the rows holding
+    one DiagnosticsRow per lane.  A failing step, or a sampled state that
     diagnostics rejects, raises SimulationError naming the step and, when
     batched, the lane.
     """
@@ -394,11 +377,10 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     state = initial.copy()
     lanes = state.lanes
     batched = lanes != [None]
-    if increments is None:
-        k_modes = params.vnoise.n_modes
-        increments = (stacked_increments(seed, [replica + i for i in lanes],
-                                         k_modes) if batched
-                      else seeded_increments(seed, replica, k_modes))
+    k_modes = params.vnoise.n_modes
+    increments = (stacked_increments(seed, [replica + i for i in lanes],
+                                     k_modes) if batched
+                  else seeded_increments(seed, replica, k_modes))
     tracker = diagnostics.EnergyTracker(state, params)
     series = [diagnostics.DiagnosticsSeries() for _ in lanes]
 

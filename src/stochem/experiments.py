@@ -17,21 +17,20 @@
 * ensemble runs independent replicas as the lanes of batched runs and
   aggregates diagnostics columns with Welford statistics.
 
-Every study steps through dynamics.march on dynamics.time_grid, or, for the
-oxygen-only transport test, through the oxygen phase functions of step.
+Every study but the oxygen-only transport test steps through dynamics.march
+on dynamics.time_grid.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import noise as noise_mod
-from .dynamics import (SimParams, SimulationError, State, march,
-                       oxygen_correction, oxygen_drift, oxygen_kick,
+from .dynamics import (SimParams, SimulationError, State, march, oxygen_drift,
                        seeded_increments, stack_states, time_grid)
 from .grid import ScalarField, cell_centers, norm
 from .noise import merge_increments
@@ -186,89 +185,84 @@ class StratonovichReport:
     identical: bool                 # corrected and naive states bitwise equal
 
 
-def _masked_l2sq(values: np.ndarray, mask: np.ndarray, vol: float) -> float:
-    return float(np.sum(values[mask] ** 2)) * vol
-
-
 def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                              dt_levels: list[float], t_end: float,
                              n_replicas: int = 16) -> StratonovichReport:
-    """Pure transport test: step's oxygen phases with and without the correction.
+    """Pure transport test: the corrected and the naive oxygen scheme as the
+    two lanes of one pair, driven by one draw per step.
 
     Velocity and density stay frozen at their initial values (zero in the CLI
     study), so the oxygen evolves by implicit diffusion plus the explicit
-    transport increment.  For each level the predictable drift of the
-    interior |c|^2 is accumulated step by step (deterministic change plus
-    the quadratic-variation compensator of the noise kick) and averaged over
-    replicas.
+    transport increment.  Each step makes one drift and one modes evaluation
+    for the pair; lane 0 alone adds the Ito correction from its own modes.
+    For each level the predictable drift of the interior |c|^2 is accumulated
+    step by step (deterministic change plus the quadratic-variation
+    compensator of the noise kick) and averaged over replicas.
     """
     if len(dt_levels) < 1:
         raise ExperimentError("need at least one dt level")
+    if t_end <= 0.0:
+        raise ExperimentError(f"t_end must be positive, got {t_end}")
+    if n_replicas < 1:
+        raise ExperimentError(f"need at least one replica, got {n_replicas}")
     dts = sorted((float(d) for d in dt_levels), reverse=True)
     g = initial.c.grid
-    mask = params.sigma.interior_mask
     vol = g.cell_volume
+    cells = np.flatnonzero(params.sigma.interior_mask)
+    pair = stack_states([initial, initial])
 
-    def drift_one(corrected: bool, dt: float,
-                  replica: int) -> tuple[float, ScalarField]:
-        # predictable (compensated) drift of the masked |c|^2: per step the
-        # mean over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2
-        # with m the deterministic part and A_k the noise amplitudes, so the
-        # martingale fluctuation never enters the measurement
-        draw = seeded_increments(seed, replica, params.vnoise.n_modes)
-        c = initial.c
-        acc = 0.0
-        for index, dt_step in enumerate(time_grid(t_end, dt)):
-            frozen = State(u=initial.u, c=c, n=initial.n, t=initial.t)
-            c_mid, _ = oxygen_drift(frozen, initial.n, params, dt_step)
-            modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
-            mean_part = c_mid.values
-            c_new = c_mid.values + oxygen_kick(modes, params,
-                                               draw(index, dt_step))
-            if corrected:
-                corr = oxygen_correction(modes, params, dt_step)
-                mean_part = c_mid.values + corr
-                c_new += corr
-            hs_masked = sum(float(np.sum(m[mask] ** 2)) for m in modes) * vol
-            acc += (_masked_l2sq(mean_part, mask, vol)
-                    + params.gamma ** 2 * dt_step * hs_masked
-                    - _masked_l2sq(c.values, mask, vol))
-            c = ScalarField(g, c_new)
-        return acc / t_end, c
+    def masked_sq(values: np.ndarray) -> np.ndarray:
+        # per-lane sum of squares over the interior cells; np.take keeps each
+        # lane's cells contiguous in row-major order, so every lane sums the
+        # bits its unbatched sum would
+        return np.sum(np.take(values.reshape(2, -1), cells, axis=-1) ** 2,
+                      axis=-1)
 
-    drift_a = np.zeros(len(dts))
-    drift_b = np.zeros(len(dts))
-    final_a = final_b = None
+    # predictable (compensated) drift of the masked |c|^2: per step the mean
+    # over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2 with m the
+    # deterministic part and A_k the noise amplitudes, so the martingale
+    # fluctuation never enters the measurement
+    drift = np.zeros((len(dts), 2))
     for li, d in enumerate(dts):
-        acc_a = acc_b = 0.0
         for r in range(n_replicas):
-            da, fa = drift_one(True, d, r)
-            db, fb = drift_one(False, d, r)
-            acc_a += da
-            acc_b += db
-            if li == len(dts) - 1 and r == 0:
-                final_a, final_b = fa, fb
-        drift_a[li] = acc_a / n_replicas
-        drift_b[li] = acc_b / n_replicas
-    identical = bool(np.array_equal(final_a.values, final_b.values))
+            draw = seeded_increments(seed, r, params.vnoise.n_modes)
+            c = pair.c
+            acc = np.zeros(2)
+            for index, dt_step in enumerate(time_grid(t_end, d)):
+                c_mid, _ = oxygen_drift(replace(pair, c=c), pair.n, params,
+                                        dt_step)
+                modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
+                c_new = c_mid.values + noise_mod.transport_noise_apply(
+                    modes, params.gamma, draw(index, dt_step))
+                corr = dt_step * noise_mod.transport_ito_correction(
+                    [m[0] for m in modes], params.sigma, params.gamma).values
+                c_mid.values[0] += corr   # lane 0's mean part
+                c_new[0] += corr
+                hs_masked = (masked_sq(modes[0]) + masked_sq(modes[1])) * vol
+                acc += (masked_sq(c_mid.values) * vol
+                        + params.gamma ** 2 * dt_step * hs_masked
+                        - masked_sq(c.values) * vol)
+                c = ScalarField(g, c_new)
+            drift[li] += acc / t_end
+            if r == 0:   # replica 0 of the last (finest) level decides
+                identical = bool(np.array_equal(c.values[0], c.values[1]))
+        drift[li] /= n_replicas
     ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
     return StratonovichReport(dt_levels=np.asarray(dts),
-                              drift_corrected=drift_a, drift_naive=drift_b,
-                              gap=drift_b - drift_a, reference_gap=ref,
-                              identical=identical)
+                              drift_corrected=drift[:, 0],
+                              drift_naive=drift[:, 1],
+                              gap=drift[:, 1] - drift[:, 0],
+                              reference_gap=ref, identical=identical)
 
 
-def interior_bump(grid, sigma, scale: float = 1.0,
-                  margin_cells: int | None = None) -> ScalarField:
+def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
     """Smooth nonnegative profile supported strictly inside the q = Id region.
 
     Used by the pure-transport test so the oxygen stays clear of the cutoff
-    ring, where the discrete noise operator tapers; the default margin leaves
-    room for diffusive spreading over the measurement window.
+    ring, where the discrete noise operator tapers; the margin leaves room
+    for diffusive spreading over the measurement window.
     """
-    if margin_cells is None:
-        margin_cells = max(2 * sigma.cutoff_width + 1,
-                           min(grid.nx, grid.ny) // 5)
+    margin_cells = max(2 * sigma.cutoff_width + 1, min(grid.nx, grid.ny) // 5)
 
     def window(coord: np.ndarray, length: float, h: float) -> np.ndarray:
         m = margin_cells * h

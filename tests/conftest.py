@@ -43,7 +43,7 @@ def random_solenoidal(grid, rng, scale=1.0):
 
 def default_params(grid, *, eta=1.0, mu=1.0, delta=1.0, chi=1.0, gamma=0.0,
                    amplitude=0.0, k_modes=4, cutoff=1, phi_values=None,
-                   f=None, **extra):
+                   f=None):
     if phi_values is None:
         phi = zeros_scalar(grid)
     else:
@@ -55,7 +55,7 @@ def default_params(grid, *, eta=1.0, mu=1.0, delta=1.0, chi=1.0, gamma=0.0,
     return make_params(grid, eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
                        phi=phi, f=f or linear_consumption(),
                        vnoise=make_velocity_noise(grid, k_modes, amplitude),
-                       sigma=sigma, **extra)
+                       sigma=sigma)
 
 
 def quiescent_state(grid, n=1.0, c=0.0):

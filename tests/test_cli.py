@@ -332,6 +332,17 @@ def test_experiment_setup_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_stratonovich_zero_t_end_exits_2(tmp_path, capsys):
+    # a study over no time has no drift to measure
+    cfg = _write_cfg(tmp_path, REFERENCE.replace("t_end = 0.02", "t_end = 0"))
+    code = main(["experiment", "stratonovich", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end must be positive, got 0.0")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("which,message", [
     ("twin", "error: step 1: dt=0.001 exceeds the advective bound"),
     ("ensemble", "error: replica 0 (base seed 1234) failed: step 1 failed: "

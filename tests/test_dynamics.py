@@ -5,9 +5,9 @@ from dataclasses import astuple, replace
 
 from stochem import diagnostics, dynamics, noise
 from stochem.cli import build_simulation, parse_config
-from stochem.dynamics import (CflError, SimulationError, State, linear_consumption,
-                              run, saturating_consumption, stable_dt,
-                              stack_states, step)
+from stochem.dynamics import (DT_MAX, CflError, SimulationError, State,
+                              linear_consumption, run, saturating_consumption,
+                              stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
                           scalar_from_function, zeros_vector)
@@ -74,7 +74,7 @@ def test_stable_dt_scaling(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     params = default_params(g)
     st = quiescent_state(g, n=1.0, c=0.0)
-    assert stable_dt(st, params) == params.dt_max
+    assert stable_dt(st, params) == DT_MAX
     st.u.u_x[5, 5] = 1.0
     base = stable_dt(st, params)
     st.u.u_x[5, 5] = 2.0
@@ -83,7 +83,7 @@ def test_stable_dt_scaling(rng):
                   c=random_scalar(g, rng, positive=True, scale=0.1),
                   n=random_scalar(g, rng, positive=True), t=0.0)
     dt = stable_dt(plume, params)
-    assert 0.0 < dt < params.dt_max
+    assert 0.0 < dt < DT_MAX
 
 
 # ------------------------------------------------------------ dense oracle
@@ -253,14 +253,13 @@ def _nan_at_step_three(seed, replica, index, dt, k_modes):
     return replace(inc, dbeta=np.full(2, np.nan)) if index == 2 else inc
 
 
-def test_run_stops_on_non_finite_state():
-    # a NaN increment passes stable_dt (min(dt_max, safety / nan) = dt_max),
+def test_run_stops_on_non_finite_state(monkeypatch):
+    # a NaN increment passes stable_dt (min(DT_MAX, safety / nan) = DT_MAX),
     # so only the per-step finiteness check stops the run, at its step
     params, st = _reference_setup()
-    k = params.vnoise.n_modes
+    monkeypatch.setattr(dynamics, "sample_increments", _nan_at_step_three)
     with pytest.raises(SimulationError, match="field c is not finite") as err:
-        run(st, params, 0.01, 1e-3, seed=4, sample_every=5,
-            increments=lambda i, dt: _nan_at_step_three(4, 0, i, dt, k))
+        run(st, params, 0.01, 1e-3, seed=4, sample_every=5)
     assert err.value.step_index == 3
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochem import dynamics
+from stochem import dynamics, experiments, noise
 from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (EnsembleSpec, ExperimentError, convergence_dt,
                                  ensemble, interior_bump,
@@ -123,6 +123,38 @@ def test_stratonovich_correction_drift_vanishes_linearly():
     assert 0.4 <= r2 <= 0.6
     gap_err = abs(rep.gap[-1] - rep.reference_gap) / rep.reference_gap
     assert gap_err <= 0.10
+
+
+def test_stratonovich_rejects_empty_study():
+    params, frozen = _strat_setup(0.15, nx=16)
+    with pytest.raises(ExperimentError, match="t_end must be positive"):
+        stratonovich_consistency(params, frozen, 4, [1e-3], 0.0)
+    with pytest.raises(ExperimentError, match="at least one replica"):
+        stratonovich_consistency(params, frozen, 4, [1e-3], 0.004,
+                                 n_replicas=0)
+
+
+def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):
+    # the corrected and the naive scheme are the two lanes of one pair, so
+    # each step drifts and evaluates the modes once for both
+    params, frozen = _strat_setup(0.15, nx=16)
+    calls = {"drift": 0, "modes": 0}
+    drift, modes = experiments.oxygen_drift, noise.transport_noise_modes
+
+    def counted_drift(*args):
+        calls["drift"] += 1
+        return drift(*args)
+
+    def counted_modes(*args):
+        calls["modes"] += 1
+        return modes(*args)
+
+    monkeypatch.setattr(experiments, "oxygen_drift", counted_drift)
+    monkeypatch.setattr(noise, "transport_noise_modes", counted_modes)
+    stratonovich_consistency(params, frozen, 4, [4e-3, 2e-3], 0.008,
+                             n_replicas=2)
+    steps = 2 * (2 + 4)   # replicas times the steps of both levels
+    assert calls == {"drift": steps, "modes": steps}
 
 
 # ----------------------------------------------------------------- ensembles
