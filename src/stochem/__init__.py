@@ -22,7 +22,7 @@ from .dynamics import (ConsumptionLaw, SimParams, State, StepReport,
 from .diagnostics import (DiagnosticsRow, DiagnosticsSeries, GateReport,
                           total_mass, compute_kf, check_conditions,
                           entropy_functional, energy_identity_residual)
-from .experiments import (EnsembleSpec, ConvergenceReport, twin_run,
-                          convergence_dt, stratonovich_consistency, ensemble)
+from .experiments import (ConvergenceReport, twin_run, convergence_dt,
+                          stratonovich_consistency, ensemble)
 
 __version__ = "0.1.0"

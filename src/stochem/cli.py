@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRow, DiagnosticsSeries, check_conditions
 from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
                        make_params, run)
-from .experiments import (EnsembleSpec, ExperimentError, convergence_dt,
+from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, interior_bump, stratonovich_consistency,
                           twin_run)
 from .grid import (Grid, ScalarField, VectorField, cell_centers, make_grid,
@@ -420,8 +420,8 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.which == "convergence":
-        dts = [t["dt"] * 2 ** k for k in range(ex["levels"] - 1, -1, -1)]
-        rep = convergence_dt(params, initial, seed, dts, t["t_end"])
+        rep = convergence_dt(params, initial, seed, t["dt"], ex["levels"],
+                             t["t_end"])
         payload = {"dt_levels": list(rep.dt_levels), "errors": list(rep.errors),
                    "slope": rep.slope}
         (outdir / "convergence.json").write_text(json.dumps(payload, indent=2))
@@ -433,8 +433,8 @@ def cmd_experiment(args) -> int:
             cfg[("ic", "c_max")], cfg[("ic", "c_value")]))
         frozen = State(u=zeros_vector(params.grid), c=c0,
                        n=zeros_scalar(params.grid), t=0.0)
-        dts = [t["dt"] * 2 ** k for k in range(ex["levels"] - 1, -1, -1)]
-        rep = stratonovich_consistency(params, frozen, seed, dts, t["t_end"],
+        rep = stratonovich_consistency(params, frozen, seed, t["dt"],
+                                       ex["levels"], t["t_end"],
                                        n_replicas=ex["replicas"])
         payload = {"dt_levels": list(rep.dt_levels),
                    "drift_corrected": list(rep.drift_corrected),
@@ -447,18 +447,16 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.which == "ensemble":
-        spec = EnsembleSpec(n_replicas=ex["replicas"], base_seed=seed,
-                            params=params, initial=initial, t_end=t["t_end"],
-                            dt=t["dt"], sample_every=t["sample_every"])
-        stats = ensemble(spec, threads=threads)
+        stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
+                         t["dt"], sample_every=t["sample_every"],
+                         threads=threads)
         with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
-            cols = spec.columns
-            header = ["t"] + [f"{c}_{s}" for c in cols
+            header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
                               for s in ("mean", "var", "max", "ci95")]
             fh.write(",".join(header) + "\n")
             for i in range(len(stats.times)):
                 cells = [_fmt(stats.times[i])]
-                for c in cols:
+                for c in ENSEMBLE_COLUMNS:
                     cells += [_fmt(stats.mean[c][i]), _fmt(stats.variance[c][i]),
                               _fmt(stats.maximum[c][i]), _fmt(stats.ci95[c][i])]
                 fh.write(",".join(cells) + "\n")
@@ -507,8 +505,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                      "ensemble"))
     common(p)
     p.add_argument("--threads", type=int, default=None,
-                   help="ensemble worker threads, splitting the replicas "
-                        "into chunks (default STOCHEM_THREADS or 1)")
+                   help="ensemble worker threads running the replica "
+                        "chunks, which it never splits (default "
+                        "STOCHEM_THREADS or 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("snapshot-info", help="describe a snapshot file")

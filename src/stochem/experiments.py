@@ -5,20 +5,23 @@
   Y(t) = |du|_L2^2 + |dc|_H1^2 + |dn|_L2^2; with zero perturbation the
   trajectories are bitwise equal, which is the discrete reading of pathwise
   uniqueness.
-* convergence_dt refines the step under one shared Brownian path (coarse
-  increments are exact sums of fine ones) and fits the strong order.
+* convergence_dt refines the step dt * 2**k, k = levels - 1 .. 0, under one
+  shared Brownian path (coarse increments are exact sums of fine ones) and
+  fits the strong order.
 * stratonovich_consistency measures the drift of the interior oxygen energy
   for the corrected scheme against a naive uncorrected one.  The reported
   number is the drift in the semimartingale sense: the martingale part of
   each step (both the dbeta term and the quadratic-variation fluctuation
   around its compensator) is subtracted exactly using the realized
   increments, leaving the predictable defect the correction is supposed to
-  cancel.
-* ensemble runs independent replicas as the lanes of batched runs and
-  aggregates diagnostics columns with Welford statistics.
+  cancel.  Its levels are the same dt * 2**k ladder.
+* ensemble runs independent replicas as the lanes of batched runs, in chunks
+  of at most BATCH_CELLS cells, and aggregates diagnostics columns with
+  Welford statistics.
 
-Every study but the oxygen-only transport test steps through dynamics.march
-on dynamics.time_grid.
+Each study takes scalars (a step, a level count, a replica count) and builds
+its own schedule from them.  Every study but the oxygen-only transport test
+steps through dynamics.march on dynamics.time_grid.
 """
 
 from __future__ import annotations
@@ -126,37 +129,29 @@ def _state_distance(a: State, b: State) -> float:
     return float(np.sqrt(s * g.cell_volume))
 
 
-def convergence_dt(params: SimParams, initial: State, seed: int,
-                   dt_levels: list[float], t_end: float,
+def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
+                   levels: int, t_end: float,
                    replica: int = 0) -> ConvergenceReport:
     """Shared-path step refinement; the fitted log-log slope is the strong order.
 
-    Levels must be nested by halving and t_end a multiple of the finest;
-    increments are drawn once at the finest level and summed for the coarser
-    ones, so every level integrates the same Brownian path.
+    The levels are dt * 2**k for k = levels - 1 down to 0, and t_end must be
+    a multiple of the finest, dt; increments are drawn once at the finest
+    level and summed for the coarser ones, so every level integrates the
+    same Brownian path.
     """
-    if len(dt_levels) < 3:
-        raise ExperimentError(f"need >= 3 nested dt levels, got {len(dt_levels)}")
-    dts = sorted((float(d) for d in dt_levels), reverse=True)
-    dt_fine = dts[-1]
-    ratios = []
-    for d in dts:
-        r = d / dt_fine
-        if abs(r - round(r)) > 1e-9 or round(r) < 1:
-            raise ExperimentError(f"dt level {d} is not an integer multiple "
-                                  f"of the finest {dt_fine}")
-        r = int(round(r))
-        if r & (r - 1):
-            raise ExperimentError(f"dt levels must be nested by halving; "
-                                  f"{d} / {dt_fine} = {r} is not a power of 2")
-        ratios.append(r)
-    n_fine = t_end / dt_fine
+    if levels < 3:
+        raise ExperimentError(f"need >= 3 dt levels, got {levels}")
+    if t_end <= 0.0:
+        raise ExperimentError(f"t_end must be positive, got {t_end}")
+    ratios = [2 ** k for k in range(levels - 1, -1, -1)]
+    dts = [dt * r for r in ratios]
+    n_fine = t_end / dt
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise ExperimentError(f"t_end={t_end} is not a multiple of the finest dt")
     n_fine = int(round(n_fine))
 
     draw = seeded_increments(seed, replica, params.vnoise.n_modes)
-    fine = [draw(s, dt_fine) for s in range(n_fine)]
+    fine = [draw(s, dt) for s in range(n_fine)]
     finals: list[State] = []
     for d, r in zip(dts, ratios):
         def coarse(index: int, _dt: float, r: int = r):
@@ -186,7 +181,7 @@ class StratonovichReport:
 
 
 def stratonovich_consistency(params: SimParams, initial: State, seed: int,
-                             dt_levels: list[float], t_end: float,
+                             dt: float, levels: int, t_end: float,
                              n_replicas: int = 16) -> StratonovichReport:
     """Pure transport test: the corrected and the naive oxygen scheme as the
     two lanes of one pair, driven by one draw per step.
@@ -197,15 +192,16 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     for the pair; lane 0 alone adds the Ito correction from its own modes.
     For each level the predictable drift of the interior |c|^2 is accumulated
     step by step (deterministic change plus the quadratic-variation
-    compensator of the noise kick) and averaged over replicas.
+    compensator of the noise kick) and averaged over replicas.  The levels
+    are dt * 2**k for k = levels - 1 down to 0.
     """
-    if len(dt_levels) < 1:
-        raise ExperimentError("need at least one dt level")
+    if levels < 1:
+        raise ExperimentError(f"need at least one dt level, got {levels}")
     if t_end <= 0.0:
         raise ExperimentError(f"t_end must be positive, got {t_end}")
     if n_replicas < 1:
         raise ExperimentError(f"need at least one replica, got {n_replicas}")
-    dts = sorted((float(d) for d in dt_levels), reverse=True)
+    dts = [dt * 2 ** k for k in range(levels - 1, -1, -1)]
     g = initial.c.grid
     vol = g.cell_volume
     cells = np.flatnonzero(params.sigma.interior_mask)
@@ -282,21 +278,8 @@ def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
 # 32,768 or more; larger chunks also only grow memory on large grids.
 BATCH_CELLS = 16384
 
-DEFAULT_ENSEMBLE_COLUMNS = ("mass_n", "min_n", "max_c", "l2_u", "h1_c",
-                            "entropy", "energy_residual", "clip_count",
-                            "div_residual")
-
-
-@dataclass
-class EnsembleSpec:
-    n_replicas: int
-    base_seed: int
-    params: SimParams
-    initial: State
-    t_end: float
-    dt: float
-    sample_every: int = 1
-    columns: tuple[str, ...] = DEFAULT_ENSEMBLE_COLUMNS
+ENSEMBLE_COLUMNS = ("mass_n", "min_n", "max_c", "l2_u", "h1_c", "entropy",
+                    "energy_residual", "clip_count", "div_residual")
 
 
 @dataclass
@@ -313,43 +296,44 @@ class EnsembleStats:
         return float(np.max(self.maximum[column]))
 
 
-def ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleStats:
+def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
+             t_end: float, dt: float, sample_every: int = 1,
+             threads: int = 1) -> EnsembleStats:
     """Independent replicas, deterministic per-replica streams, Welford folds.
 
     Replicas integrate as the lanes of batched runs, one step per time step
     for a whole chunk of contiguous replicas.  The replicas split evenly into
-    the fewest chunks of at most BATCH_CELLS cells (or one replica), and into
-    at least min(threads, n_replicas) chunks, which then run on up to
-    ``threads`` worker threads.  Every replica's rows are bitwise its
-    unbatched run's, so the statistics do not depend on ``threads``.  Any
-    replica failure aborts the whole aggregation and names the replica that
-    failed first in time.
+    the fewest chunks of at most BATCH_CELLS cells (or one replica), and
+    those chunks run on up to ``threads`` worker threads; ``threads`` never
+    splits a chunk.  Every replica's rows are bitwise its unbatched run's, so
+    the statistics do not depend on the chunks or on ``threads``.  Every
+    chunk runs to its end or its failure; if any replica failed, the error
+    names the first to fail in time (the lowest replica among those failing
+    at the earliest step).
     """
     from .dynamics import run  # local import keeps module load cheap
 
-    if spec.n_replicas < 1:
+    if n_replicas < 1:
         raise ExperimentError("need at least one replica")
     if threads < 1:
         raise ExperimentError(f"need at least one thread, got {threads}")
-    g = spec.params.grid
-    n = spec.n_replicas
-    per_chunk = max(1, BATCH_CELLS // (g.nx * g.ny))
-    count = max(min(threads, n), math.ceil(n / per_chunk))
-    edges = [n * i // count for i in range(count + 1)]
+    g = params.grid
+    n = n_replicas
+    chunk_count = math.ceil(n / max(1, BATCH_CELLS // (g.nx * g.ny)))
+    edges = [n * i // chunk_count for i in range(chunk_count + 1)]
     chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
 
     def failed(rep: int, reason) -> ExperimentError:
         return ExperimentError(
-            f"replica {rep} (base seed {spec.base_seed}) failed: {reason}")
+            f"replica {rep} (base seed {seed}) failed: {reason}")
 
     def one(reps: range):
-        batch = stack_states([spec.initial] * len(reps))
+        batch = stack_states([initial] * len(reps))
         try:
-            return run(batch, spec.params, spec.t_end, spec.dt,
-                       seed=spec.base_seed, sample_every=spec.sample_every,
-                       replica=reps.start)[1]
+            return run(batch, params, t_end, dt, seed=seed,
+                       sample_every=sample_every, replica=reps.start)[1]
         except SimulationError as exc:
-            raise failed(reps[exc.lane or 0], exc.reason) from exc
+            return exc   # weighed against the other chunks' failures below
         except Exception as exc:
             raise failed(reps.start, exc) from exc
 
@@ -360,32 +344,32 @@ def ensemble(spec: EnsembleSpec, threads: int = 1) -> EnsembleStats:
     else:
         # a single worker stays on the calling thread
         chunked = [one(reps) for reps in chunks]
+    failures = [(exc.step_index, reps[exc.lane or 0], exc)
+                for reps, exc in zip(chunks, chunked)
+                if isinstance(exc, SimulationError)]
+    if failures:
+        _, rep, exc = min(failures, key=lambda f: f[:2])
+        raise failed(rep, exc.reason) from exc
     results = [series for chunk in chunked for series in chunk]
 
     n_rows = len(results[0])
-    for rep, series in enumerate(results):
-        if len(series) != n_rows:
-            raise ExperimentError(f"replica {rep} produced {len(series)} rows, "
-                                  f"expected {n_rows}")
-
     times = results[0].column("t")
     steps = results[0].column("step")
     mean, m2, mx = {}, {}, {}
-    for col in spec.columns:
+    for col in ENSEMBLE_COLUMNS:
         mean[col] = np.zeros(n_rows)
         m2[col] = np.zeros(n_rows)
         mx[col] = np.full(n_rows, -np.inf)
-    count = 0
-    for series in results:
-        count += 1
-        for col in spec.columns:
+    for count, series in enumerate(results, 1):
+        for col in ENSEMBLE_COLUMNS:
             x = series.column(col).astype(float)
             delta = x - mean[col]
             mean[col] += delta / count
             m2[col] += delta * (x - mean[col])
             np.maximum(mx[col], x, out=mx[col])
     variance = {col: (m2[col] / (count - 1) if count > 1 else np.zeros(n_rows))
-                for col in spec.columns}
-    ci95 = {col: 1.96 * np.sqrt(variance[col] / count) for col in spec.columns}
+                for col in ENSEMBLE_COLUMNS}
+    ci95 = {col: 1.96 * np.sqrt(variance[col] / count)
+            for col in ENSEMBLE_COLUMNS}
     return EnsembleStats(times=times, steps=steps, n_replicas=count,
                          mean=mean, variance=variance, maximum=mx, ci95=ci95)

@@ -23,8 +23,7 @@ from stochem.diagnostics import (check_conditions, compute_kf,
                                  energy_identity_residual, entropy_functional)
 from stochem.dynamics import State, run
 from stochem.experiments import (convergence_dt, interior_bump,
-                                 stratonovich_consistency, twin_run,
-                                 EnsembleSpec, ensemble)
+                                 stratonovich_consistency, twin_run, ensemble)
 from stochem.grid import (ScalarField, full_scalar, inner_product, make_grid,
                           norm, scalar_from_function, zeros_scalar,
                           zeros_vector)
@@ -118,9 +117,8 @@ def test_criterion_04_stratonovich_correction():
     c0 = interior_bump(g, params.sigma, scale=0.3)
     frozen = State(u=zeros_vector(g), c=c0, n=zeros_scalar(g), t=0.0)
     t_end = 0.024
-    rep = stratonovich_consistency(params, frozen, seed=11,
-                                   dt_levels=[t_end / 8, t_end / 16, t_end / 32],
-                                   t_end=t_end, n_replicas=8)
+    rep = stratonovich_consistency(params, frozen, seed=11, dt=t_end / 32,
+                                   levels=3, t_end=t_end, n_replicas=8)
     r1 = rep.drift_corrected[1] / rep.drift_corrected[0]
     r2 = rep.drift_corrected[2] / rep.drift_corrected[1]
     gap_err = abs(rep.gap[-1] - rep.reference_gap) / rep.reference_gap
@@ -179,11 +177,10 @@ def test_criterion_07_strong_convergence():
     text = REFERENCE_CONFIG.replace("nx = 64", "nx = 32") \
                            .replace("ny = 64", "ny = 32")
     params, initial = build_simulation(parse_config(text))
-    dts = [0.002 * 2 ** k for k in range(3, -1, -1)]
     det_params, det_initial = _energy_setup(32)
-    det = convergence_dt(det_params, det_initial, seed=21, dt_levels=dts,
+    det = convergence_dt(det_params, det_initial, seed=21, dt=0.002, levels=4,
                          t_end=0.128)
-    slopes = [convergence_dt(params, initial, seed=21, dt_levels=dts,
+    slopes = [convergence_dt(params, initial, seed=21, dt=0.002, levels=4,
                              t_end=0.128, replica=r).slope for r in range(8)]
     med = float(np.median(slopes))
     ok = det.slope >= 0.9 and med >= 0.45
@@ -228,9 +225,8 @@ def test_criterion_10_entropy_boundedness():
     text = REFERENCE_CONFIG.replace("nx = 64", "nx = 32") \
                            .replace("ny = 64", "ny = 32")
     params, initial = build_simulation(parse_config(text))
-    spec = EnsembleSpec(n_replicas=16, base_seed=42, params=params,
-                        initial=initial, t_end=0.25, dt=1e-3, sample_every=25)
-    stats = ensemble(spec)
+    stats = ensemble(params, initial, seed=42, n_replicas=16, t_end=0.25,
+                     dt=1e-3, sample_every=25)
     sup_e = stats.sup_over_replicas("entropy")
     e0 = entropy_functional(initial, params, norm(initial.c, "Linf"))
     ok = sup_e <= 50.0 * e0

@@ -401,3 +401,17 @@ def test_import_loads_no_iterative_solver():
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0
+
+
+def test_convergence_zero_t_end_exits_2(tmp_path, capsys):
+    # with no steps every level is the initial state; the study says so
+    # instead of reporting a degenerate refinement
+    text = (REFERENCE.replace("t_end = 0.02", "t_end = 0")
+            .replace("nx = 24", "nx = 16").replace("ny = 24", "ny = 16"))
+    cfg = _write_cfg(tmp_path, text)
+    code = main(["experiment", "convergence", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end must be positive, got 0.0")
+    assert "Traceback" not in err

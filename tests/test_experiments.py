@@ -5,8 +5,8 @@ import pytest
 
 from stochem import dynamics, experiments, noise
 from stochem.dynamics import SimulationError, State, run
-from stochem.experiments import (EnsembleSpec, ExperimentError, convergence_dt,
-                                 ensemble, interior_bump,
+from stochem.experiments import (ENSEMBLE_COLUMNS, ExperimentError,
+                                 convergence_dt, ensemble, interior_bump,
                                  stratonovich_consistency, twin_run)
 from stochem.grid import ScalarField, make_grid, zeros_scalar, zeros_vector
 from stochem.noise import make_transport_sigma
@@ -64,16 +64,14 @@ def test_twin_perturbation_growth_bounded():
 def test_convergence_requires_three_nested_levels():
     params, st = _setup(gamma=0.0, amplitude=0.0)
     with pytest.raises(ExperimentError):
-        convergence_dt(params, st, 0, [1e-3], 0.016)
+        convergence_dt(params, st, 0, 1e-3, 1, 0.016)
     with pytest.raises(ExperimentError):
-        convergence_dt(params, st, 0, [4e-3, 3e-3, 1e-3], 0.012)
-    with pytest.raises(ExperimentError):
-        convergence_dt(params, st, 0, [4e-3, 2e-3, 1e-3], 0.0131)
+        convergence_dt(params, st, 0, 1e-3, 3, 0.0131)
 
 
 def test_convergence_deterministic_first_order():
     params, st = _setup(gamma=0.0, amplitude=0.0)
-    rep = convergence_dt(params, st, 3, [4e-3, 2e-3, 1e-3, 5e-4], 0.064)
+    rep = convergence_dt(params, st, 3, 5e-4, 4, 0.064)
     assert np.all(rep.errors > 0.0)
     assert np.all(np.diff(rep.errors) < 0.0)
     assert rep.slope >= 0.9
@@ -81,15 +79,15 @@ def test_convergence_deterministic_first_order():
 
 def test_convergence_stochastic_order_floor():
     params, st = _setup(gamma=0.08, amplitude=0.03)
-    rep = convergence_dt(params, st, 3, [4e-3, 2e-3, 1e-3, 5e-4], 0.064)
+    rep = convergence_dt(params, st, 3, 5e-4, 4, 0.064)
     assert rep.slope >= 0.45
 
 
 def test_convergence_uses_one_brownian_path():
     # rerunning with the same seed reproduces the report exactly
     params, st = _setup(gamma=0.08, amplitude=0.03)
-    a = convergence_dt(params, st, 3, [2e-3, 1e-3, 5e-4], 0.032)
-    b = convergence_dt(params, st, 3, [2e-3, 1e-3, 5e-4], 0.032)
+    a = convergence_dt(params, st, 3, 5e-4, 3, 0.032)
+    b = convergence_dt(params, st, 3, 5e-4, 3, 0.032)
     assert np.array_equal(a.errors, b.errors)
 
 
@@ -106,7 +104,7 @@ def _strat_setup(gamma, nx=64):
 
 def test_stratonovich_zero_noise_paths_identical():
     params, frozen = _strat_setup(0.0)
-    rep = stratonovich_consistency(params, frozen, 4, [3e-3, 1.5e-3], 0.024,
+    rep = stratonovich_consistency(params, frozen, 4, 1.5e-3, 2, 0.024,
                                    n_replicas=2)
     assert rep.identical
     assert np.array_equal(rep.drift_corrected, rep.drift_naive)
@@ -115,8 +113,8 @@ def test_stratonovich_zero_noise_paths_identical():
 def test_stratonovich_correction_drift_vanishes_linearly():
     params, frozen = _strat_setup(0.15)
     T = 0.024
-    rep = stratonovich_consistency(params, frozen, 11, [T / 8, T / 16, T / 32],
-                                   T, n_replicas=8)
+    rep = stratonovich_consistency(params, frozen, 11, T / 32, 3, T,
+                                   n_replicas=8)
     r1 = rep.drift_corrected[1] / rep.drift_corrected[0]
     r2 = rep.drift_corrected[2] / rep.drift_corrected[1]
     assert 0.4 <= r1 <= 0.6
@@ -128,9 +126,9 @@ def test_stratonovich_correction_drift_vanishes_linearly():
 def test_stratonovich_rejects_empty_study():
     params, frozen = _strat_setup(0.15, nx=16)
     with pytest.raises(ExperimentError, match="t_end must be positive"):
-        stratonovich_consistency(params, frozen, 4, [1e-3], 0.0)
+        stratonovich_consistency(params, frozen, 4, 1e-3, 1, 0.0)
     with pytest.raises(ExperimentError, match="at least one replica"):
-        stratonovich_consistency(params, frozen, 4, [1e-3], 0.004,
+        stratonovich_consistency(params, frozen, 4, 1e-3, 1, 0.004,
                                  n_replicas=0)
 
 
@@ -151,7 +149,7 @@ def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):
 
     monkeypatch.setattr(experiments, "oxygen_drift", counted_drift)
     monkeypatch.setattr(noise, "transport_noise_modes", counted_modes)
-    stratonovich_consistency(params, frozen, 4, [4e-3, 2e-3], 0.008,
+    stratonovich_consistency(params, frozen, 4, 2e-3, 2, 0.008,
                              n_replicas=2)
     steps = 2 * (2 + 4)   # replicas times the steps of both levels
     assert calls == {"drift": steps, "modes": steps}
@@ -159,61 +157,8 @@ def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):
 
 # ----------------------------------------------------------------- ensembles
 
-def test_ensemble_single_replica_equals_series():
-    params, st = _setup()
-    spec = EnsembleSpec(n_replicas=1, base_seed=9, params=params, initial=st,
-                        t_end=0.02, dt=1e-3, sample_every=5)
-    stats = ensemble(spec)
-    _, series = run(st, params, 0.02, 1e-3, seed=9, sample_every=5, replica=0)
-    assert np.array_equal(stats.mean["mass_n"], series.column("mass_n"))
-    assert np.all(stats.variance["mass_n"] == 0.0)
-    assert np.array_equal(stats.maximum["entropy"], series.column("entropy"))
-
-
-def test_ensemble_mass_is_pathwise_conserved():
-    params, st = _setup()
-    spec = EnsembleSpec(n_replicas=4, base_seed=2, params=params, initial=st,
-                        t_end=0.02, dt=1e-3, sample_every=10)
-    stats = ensemble(spec)
-    m0 = stats.mean["mass_n"][0]
-    assert np.max(np.abs(stats.mean["mass_n"] - m0)) <= 1e-12 * m0
-    assert np.max(stats.variance["mass_n"]) <= (1e-12 * m0) ** 2
-
-
-def test_ensemble_threaded_matches_serial():
-    params, st = _setup()
-    spec = EnsembleSpec(n_replicas=4, base_seed=3, params=params, initial=st,
-                        t_end=0.02, dt=1e-3, sample_every=10)
-    serial = ensemble(spec, threads=1)
-    threaded = ensemble(spec, threads=4)
-    for col in spec.columns:
-        assert np.array_equal(serial.mean[col], threaded.mean[col])
-        assert np.array_equal(serial.variance[col], threaded.variance[col])
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_reports_failing_replica(threads):
-    params, st = _setup()
-    st = st.copy()
-    st.u.u_x[5, 5] = 90.0   # every replica violates the advective bound
-    spec = EnsembleSpec(n_replicas=3, base_seed=7, params=params, initial=st,
-                        t_end=0.01, dt=1e-3)
-    with pytest.raises(ExperimentError, match="replica 0") as err:
-        ensemble(spec, threads=threads)
-    assert isinstance(err.value.__cause__, SimulationError)
-
-
-@pytest.mark.parametrize("threads, chunks", [(1, [5]), (2, [3, 2]),
-                                             (3, [2, 2, 1])],
-                         ids=["threads=1", "threads=2", "threads=3"])
-def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
-                                                        chunks):
-    # threads split the 5 replicas into uneven chunks of lanes; the
-    # statistics equal those of one batch of 5 bit for bit
-    params, st = _setup()
-    spec = EnsembleSpec(n_replicas=5, base_seed=6, params=params, initial=st,
-                        t_end=0.012, dt=1e-3, sample_every=4)
-    reference = ensemble(spec, threads=1)
+def _counted_runs(monkeypatch) -> list[int]:
+    """Patch dynamics.run to log the lane count of every batched run."""
     lanes = []
     batched_run = dynamics.run
 
@@ -222,9 +167,73 @@ def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
         return batched_run(initial, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "run", counted)
-    stats = ensemble(spec, threads=threads)
+    return lanes
+
+
+def test_ensemble_single_replica_equals_series():
+    params, st = _setup()
+    stats = ensemble(params, st, 9, 1, 0.02, 1e-3, sample_every=5)
+    _, series = run(st, params, 0.02, 1e-3, seed=9, sample_every=5, replica=0)
+    assert np.array_equal(stats.mean["mass_n"], series.column("mass_n"))
+    assert np.all(stats.variance["mass_n"] == 0.0)
+    assert np.array_equal(stats.maximum["entropy"], series.column("entropy"))
+
+
+def test_ensemble_mass_is_pathwise_conserved():
+    params, st = _setup()
+    stats = ensemble(params, st, 2, 4, 0.02, 1e-3, sample_every=10)
+    m0 = stats.mean["mass_n"][0]
+    assert np.max(np.abs(stats.mean["mass_n"] - m0)) <= 1e-12 * m0
+    assert np.max(stats.variance["mass_n"]) <= (1e-12 * m0) ** 2
+
+
+def test_ensemble_threaded_matches_serial():
+    params, st = _setup()
+    serial = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10,
+                      threads=1)
+    threaded = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10,
+                        threads=4)
+    for col in ENSEMBLE_COLUMNS:
+        assert np.array_equal(serial.mean[col], threaded.mean[col])
+        assert np.array_equal(serial.variance[col], threaded.variance[col])
+
+
+def test_ensemble_threads_never_split_a_chunk(monkeypatch):
+    # 4 replicas at 24^2 fit in one chunk of BATCH_CELLS, so a second
+    # thread finds no second chunk to run
+    params, st = _setup()
+    lanes = _counted_runs(monkeypatch)
+    ensemble(params, st, 3, 4, 0.004, 1e-3, threads=2)
+    assert lanes == [4]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_reports_failing_replica(threads):
+    params, st = _setup()
+    st = st.copy()
+    st.u.u_x[5, 5] = 90.0   # every replica violates the advective bound
+    with pytest.raises(ExperimentError, match="replica 0") as err:
+        ensemble(params, st, 7, 3, 0.01, 1e-3, threads=threads)
+    assert isinstance(err.value.__cause__, SimulationError)
+
+
+@pytest.mark.parametrize("threads, chunks", [(1, [3, 2]), (2, [3, 2]),
+                                             (3, [2, 2, 1])],
+                         ids=["threads=1", "threads=2", "threads=3"])
+def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
+                                                        chunks):
+    # a smaller BATCH_CELLS splits the 5 replicas into uneven chunks of
+    # lanes; the statistics equal those of one batch of 5 bit for bit,
+    # whatever number of threads runs the chunks
+    params, st = _setup()
+    reference = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4)
+    # room for chunks[0] replicas of 24^2 cells in one chunk
+    monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24 * chunks[0])
+    lanes = _counted_runs(monkeypatch)
+    stats = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4,
+                     threads=threads)
     assert sorted(lanes, reverse=True) == chunks
-    for col in spec.columns:
+    for col in ENSEMBLE_COLUMNS:
         for got, want in ((stats.mean, reference.mean),
                           (stats.variance, reference.variance),
                           (stats.maximum, reference.maximum),
@@ -232,33 +241,52 @@ def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
             assert np.array_equal(got[col], want[col])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_maps_failing_lane_to_replica(monkeypatch, threads):
-    # replica 3 is lane 3 of one chunk, or lane 0 of the second of two
+def _nan_dbeta(monkeypatch, fail_at: dict[int, int]) -> None:
+    """Make replica r's increment non-finite from step index fail_at[r]."""
     draw = dynamics.sample_increments
 
-    def nan_for_replica_3(seed, replica, index, dt, k_modes):
+    def poisoned(seed, replica, index, dt, k_modes):
         inc = draw(seed, replica, index, dt, k_modes)
-        return replace(inc, dbeta=inc.dbeta * np.nan) if replica == 3 else inc
+        if index >= fail_at.get(replica, index + 1):
+            return replace(inc, dbeta=inc.dbeta * np.nan)
+        return inc
 
-    monkeypatch.setattr(dynamics, "sample_increments", nan_for_replica_3)
+    monkeypatch.setattr(dynamics, "sample_increments", poisoned)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_maps_failing_lane_to_replica(monkeypatch, threads):
+    # replica 3 is lane 3 of one chunk of 5, or lane 1 of the second of two
+    _nan_dbeta(monkeypatch, {3: 0})
     params, st = _setup()
-    spec = EnsembleSpec(n_replicas=5, base_seed=8, params=params, initial=st,
-                        t_end=0.01, dt=1e-3)
+    for cells in (experiments.BATCH_CELLS, 24 * 24 * 3):
+        monkeypatch.setattr(experiments, "BATCH_CELLS", cells)
+        with pytest.raises(ExperimentError) as err:
+            ensemble(params, st, 8, 5, 0.01, 1e-3, threads=threads)
+        assert str(err.value) == ("replica 3 (base seed 8) failed: step 1 "
+                                  "failed: field c is not finite")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_names_first_failure_in_time_across_chunks(monkeypatch,
+                                                            threads):
+    # replica 1 (first chunk) fails at step 5, replica 4 (second chunk) at
+    # step 1: the second chunk's failure is the first in time
+    monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24 * 2)
+    _nan_dbeta(monkeypatch, {1: 4, 4: 0})
+    params, st = _setup()
     with pytest.raises(ExperimentError) as err:
-        ensemble(spec, threads=threads)
-    assert str(err.value) == ("replica 3 (base seed 8) failed: step 1 failed: "
+        ensemble(params, st, 8, 5, 0.01, 1e-3, threads=threads)
+    assert str(err.value) == ("replica 4 (base seed 8) failed: step 1 failed: "
                               "field c is not finite")
+    assert isinstance(err.value.__cause__, SimulationError)
 
 
 def test_ensemble_mean_energy_residual_is_martingale_small():
     # pathwise the stochastic residual carries a discarded martingale; its
     # ensemble mean must sit within 3 sigma of zero plus the O(dt) bias
     params, st = _setup(gamma=0.1, amplitude=0.0)
-    spec = EnsembleSpec(n_replicas=16, base_seed=5, params=params, initial=st,
-                        t_end=0.1, dt=1e-3, sample_every=100,
-                        columns=("energy_residual",))
-    stats = ensemble(spec)
+    stats = ensemble(params, st, 5, 16, 0.1, 1e-3, sample_every=100)
     mean = stats.mean["energy_residual"][-1]
     sd = np.sqrt(stats.variance["energy_residual"][-1])
     assert sd > 0.0

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from stochem import experiments
 from stochem.cli import main
 
 NOISY = """\
@@ -139,6 +140,19 @@ def test_run_outputs_match_golden_hashes(tmp_path, name, text):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ensemble_stats_match_golden_hash(tmp_path, threads):
+    cfg = tmp_path / "ensemble.ini"
+    cfg.write_text(ENSEMBLE)
+    out = tmp_path / "out"
+    assert main(["experiment", "ensemble", "--config", str(cfg),
+                 "--out", str(out), "--threads", threads]) == 0
+    assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_multi_chunk_ensemble_stats_match_golden_hash(tmp_path, monkeypatch,
+                                                      threads):
+    # one 24^2 replica per chunk: 4 chunks, run serially or on the pool
+    monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24)
     cfg = tmp_path / "ensemble.ini"
     cfg.write_text(ENSEMBLE)
     out = tmp_path / "out"
