@@ -8,14 +8,25 @@ type 1 along the component's own direction (Dirichlet on boundary faces) and
 type 2 across it (reflected ghost, zero tangential velocity at the wall).
 Every transform runs on the last two axes, so a stack of lanes is solved in
 one call, each lane bitwise as if it were solved alone.
+
+The arrays a solve divides by form its plan, built on first use and cached:
+per grid the Poisson divisor (the eigenvalues with the zero mode set to one,
+so no entry is zero), and per (grid, coef) the scalar denominator
+1 + coef*lambda and the two velocity denominators.  A fixed-step run builds
+one plan per coefficient; a landing step adds one more.  Plans are
+read-only, so threads share them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dctn, idctn, dst, idst
 
 from .grid import LANE_REDUCE, Grid, ScalarField, VectorField, per_lane
+
+PLAN_CACHE_SIZE = 32   # plans kept per kind; a study's dt ladder needs a few
 
 
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
@@ -23,6 +34,23 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     lx = (2.0 / grid.dx ** 2) * (1.0 - np.cos(np.pi * np.arange(grid.nx) / grid.nx))
     ly = (2.0 / grid.dy ** 2) * (1.0 - np.cos(np.pi * np.arange(grid.ny) / grid.ny))
     return lx[:, None] + ly[None, :]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _poisson_divisor(grid: Grid) -> np.ndarray:
+    divisor = neumann_eigenvalues(grid)
+    divisor[0, 0] = 1.0   # the zero mode is dropped, not divided
+    return _read_only(divisor)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _scalar_denominator(grid: Grid, coef: float) -> np.ndarray:
+    return _read_only(1.0 + coef * neumann_eigenvalues(grid))
 
 
 def solve_poisson_neumann(grid: Grid, rhs: np.ndarray):
@@ -34,13 +62,12 @@ def solve_poisson_neumann(grid: Grid, rhs: np.ndarray):
     Returns (p_values, info) where info carries the dropped-mean magnitude,
     per lane.
     """
-    lam = neumann_eigenvalues(grid)
     rhat = dctn(rhs, type=2, norm="ortho", axes=LANE_REDUCE)
     dropped = per_lane(np.abs(rhat[..., 0, 0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phat = np.where(lam > 0.0, -rhat / lam, 0.0)
+    phat = np.negative(rhat, out=rhat)
+    phat /= _poisson_divisor(grid)
     phat[..., 0, 0] = 0.0
-    p = idctn(phat, type=2, norm="ortho", axes=LANE_REDUCE)
+    p = idctn(phat, type=2, norm="ortho", axes=LANE_REDUCE, overwrite_x=True)
     return p, {"dropped_mean": dropped}
 
 
@@ -52,10 +79,9 @@ def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarF
     """
     if coef == 0.0:
         return rhs.copy()
-    lam = neumann_eigenvalues(grid)
-    rhat = dctn(rhs.values, type=2, norm="ortho", axes=LANE_REDUCE)
-    chat = rhat / (1.0 + coef * lam)
-    out = idctn(chat, type=2, norm="ortho", axes=LANE_REDUCE)
+    chat = dctn(rhs.values, type=2, norm="ortho", axes=LANE_REDUCE)
+    chat /= _scalar_denominator(grid, coef)
+    out = idctn(chat, type=2, norm="ortho", axes=LANE_REDUCE, overwrite_x=True)
     # the exact solve preserves the zero mode; pin it so the transform
     # round-trip cannot leak mass
     out += (rhs.values.mean(axis=LANE_REDUCE)
@@ -75,6 +101,16 @@ def _wall_offset_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 / h ** 2) * (1.0 - np.cos(np.pi * k / n))
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _velocity_denominators(grid: Grid,
+                           coef: float) -> tuple[np.ndarray, np.ndarray]:
+    lam_x = (_dirichlet_face_eigenvalues(grid.nx, grid.dx)[:, None]
+             + _wall_offset_eigenvalues(grid.ny, grid.dy)[None, :])
+    lam_y = (_wall_offset_eigenvalues(grid.nx, grid.dx)[:, None]
+             + _dirichlet_face_eigenvalues(grid.ny, grid.dy)[None, :])
+    return (_read_only(1.0 + coef * lam_x), _read_only(1.0 + coef * lam_y))
+
+
 def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> VectorField:
     """Solve (I - coef*lap) u = rhs componentwise with no-slip walls.
 
@@ -88,21 +124,18 @@ def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> Vecto
         out_y[..., 1:-1] = rhs.u_y[..., 1:-1]
         return VectorField(grid, out_x, out_y)
 
-    lam_x = (_dirichlet_face_eigenvalues(grid.nx, grid.dx)[:, None]
-             + _wall_offset_eigenvalues(grid.ny, grid.dy)[None, :])
-    bx = rhs.u_x[..., 1:-1, :]
-    bhat = dst(dst(bx, type=1, axis=-2, norm="ortho"), type=2, axis=-1,
-               norm="ortho")
-    bhat /= (1.0 + coef * lam_x)
-    out_x[..., 1:-1, :] = idst(idst(bhat, type=2, axis=-1, norm="ortho"),
-                               type=1, axis=-2, norm="ortho")
+    den_x, den_y = _velocity_denominators(grid, coef)
+    bhat = dst(dst(rhs.u_x[..., 1:-1, :], type=1, axis=-2, norm="ortho"),
+               type=2, axis=-1, norm="ortho", overwrite_x=True)
+    bhat /= den_x
+    out_x[..., 1:-1, :] = idst(idst(bhat, type=2, axis=-1, norm="ortho",
+                                    overwrite_x=True),
+                               type=1, axis=-2, norm="ortho", overwrite_x=True)
 
-    lam_y = (_wall_offset_eigenvalues(grid.nx, grid.dx)[:, None]
-             + _dirichlet_face_eigenvalues(grid.ny, grid.dy)[None, :])
-    by = rhs.u_y[..., 1:-1]
-    bhat = dst(dst(by, type=2, axis=-2, norm="ortho"), type=1, axis=-1,
-               norm="ortho")
-    bhat /= (1.0 + coef * lam_y)
-    out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho"),
-                            type=2, axis=-2, norm="ortho")
+    bhat = dst(dst(rhs.u_y[..., 1:-1], type=2, axis=-2, norm="ortho"),
+               type=1, axis=-1, norm="ortho", overwrite_x=True)
+    bhat /= den_y
+    out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho",
+                                 overwrite_x=True),
+                            type=2, axis=-2, norm="ortho", overwrite_x=True)
     return VectorField(grid, out_x, out_y)

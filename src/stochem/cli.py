@@ -33,8 +33,8 @@ from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, interior_bump, stratonovich_consistency,
                           twin_run)
-from .grid import (Grid, ScalarField, VectorField, cell_centers, make_grid,
-                   norm, zeros_scalar, zeros_vector)
+from .grid import (Grid, GridError, ScalarField, VectorField, cell_centers,
+                   make_grid, norm, zeros_scalar, zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
 from .operators import helmholtz_project
 
@@ -176,6 +176,10 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError("[ic] c_amplitude: must be <= c_base so the "
                           "oxygen stays nonnegative")
     g = cfg.values["grid"]
+    try:
+        make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
+    except GridError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
     w = cfg.values["noise"]["sigma_cutoff_width"]
     if w >= min(g["nx"], g["ny"]) / 4:
         raise ConfigError(f"[noise] sigma_cutoff_width = {w}: must be < "
@@ -297,7 +301,10 @@ def read_snapshot(path: str | Path) -> State:
     expected = 36 + 8 * sum(counts)
     if len(blob) != expected:
         raise SnapshotError(f"{path}: size {len(blob)} != expected {expected}")
-    grid = make_grid(nx, ny, lx, ly)
+    try:
+        grid = make_grid(nx, ny, lx, ly)
+    except GridError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
     off = 36
     arrays = []
     shapes = ((nx, ny), (nx, ny), (nx + 1, ny), (nx, ny + 1))

@@ -28,7 +28,7 @@ name the lowest failing lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,6 +114,15 @@ class SimParams:
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
+    # scalar_face_gradients(phi), computed once here and read-only, since
+    # the potential is constant in time and threads share the parameters
+    phi_grad: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                    compare=False)
+
+    def __post_init__(self):
+        gx, gy = scalar_face_gradients(self.phi)
+        gx.flags.writeable = gy.flags.writeable = False
+        object.__setattr__(self, "phi_grad", (gx, gy))
 
     @property
     def grid(self) -> Grid:
@@ -188,17 +197,19 @@ class StepReport:
     noise_hs_sq: float   # sum_k |sigma_k . grad c|^2 at the pre-noise oxygen
 
 
-def stable_dt(state: State, params: SimParams):
+def stable_dt(state: State, params: SimParams,
+              grad_c: tuple[np.ndarray, np.ndarray]):
     """Advective step bound: safety / max cell Courant rate, capped at DT_MAX;
     one bound per lane of a batched state.
 
-    The per-cell rate adds the fluid speed and the chemotactic drift speed
-    chi |grad c| on each axis; diffusion is implicit and does not constrain.
+    ``grad_c`` is scalar_face_gradients(state.c).  The per-cell rate adds the
+    fluid speed and the chemotactic drift speed chi |grad c| on each axis;
+    diffusion is implicit and does not constrain.
     """
     g = state.u.grid
     ux = np.abs(state.u.u_x)
     uy = np.abs(state.u.u_y)
-    gx, gy = scalar_face_gradients(state.c)
+    gx, gy = grad_c
     speed_x = np.maximum(ux[..., :-1, :], ux[..., 1:, :]) + params.chi * np.maximum(
         np.abs(gx[..., :-1, :]), np.abs(gx[..., 1:, :]))
     speed_y = np.maximum(uy[..., :-1], uy[..., 1:]) + params.chi * np.maximum(
@@ -214,11 +225,13 @@ def stable_dt(state: State, params: SimParams):
 
 
 def density_substep(state: State, params: SimParams,
+                    grad_c: tuple[np.ndarray, np.ndarray],
                     dt: float) -> ScalarField:
-    """Explicit transport and chemotactic drift, implicit diffusion."""
+    """Explicit transport and chemotactic drift along ``grad_c``, the face
+    gradients of state.c, then implicit diffusion."""
     g = state.u.grid
     adv_n = scalar_advect(state.u, state.n, params.scalar_mode)
-    chemo = chemotaxis_div(state.n, state.c, params.chi)
+    chemo = chemotaxis_div(state.n, grad_c, params.chi)
     n_star = ScalarField(g, state.n.values - dt * (adv_n.values + chemo.values))
     return _spectral.solve_scalar_diffusion(g, n_star, dt * params.delta)
 
@@ -263,7 +276,7 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
     """Returns the projected new velocity and its divergence residual."""
     g = state.u.grid
     conv = convect_velocity(state.u, state.u)
-    buoy = buoyancy(n_new, params.phi)
+    buoy = buoyancy(n_new, params.phi_grad)
     forced = VectorField(g,
                          state.u.u_x + dt * (buoy.u_x - conv.u_x),
                          state.u.u_y + dt * (buoy.u_y - conv.u_y))
@@ -279,16 +292,18 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
 def step(state: State, params: SimParams, inc: NoiseIncrement,
          dt: float) -> tuple[State, StepReport]:
     """One Euler-Maruyama step of every lane; raises CflError naming the
-    lowest lane above its advective bound."""
+    lowest lane above its advective bound.  The face gradients of the
+    incoming oxygen are taken once, for the bound and the chemotactic drift."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    bound = stable_dt(state, params)
+    grad_c = scalar_face_gradients(state.c)
+    bound = stable_dt(state, params, grad_c)
     too_long = np.asarray(dt > bound * (1.0 + 1e-12))
     if too_long.any():
         lane = first_failing_lane(too_long)
         limit = bound if lane is None else bound[lane]
         raise CflError(f"dt={dt:g} exceeds the advective bound {limit:g}", lane)
-    n_new = density_substep(state, params, dt)
+    n_new = density_substep(state, params, grad_c, dt)
     c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
     u_new, proj_res = velocity_substep(state, n_new, c_new, params, inc, dt)
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)

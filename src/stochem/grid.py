@@ -19,6 +19,7 @@ of the same field without the lane axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,24 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
         raise GridError(f"grid needs nx, ny >= 4, got nx={nx}, ny={ny}")
     if not (lx > 0.0 and ly > 0.0):
         raise GridError(f"domain lengths must be positive, got lx={lx}, ly={ly}")
-    return Grid(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly),
+    grid = Grid(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly),
                 dx=float(lx) / int(nx), dy=float(ly) / int(ny))
+    for name, length, h in (("lx", grid.lx, grid.dx), ("ly", grid.ly, grid.dy)):
+        if not _stencil_weight_ok(h):
+            raise GridError(f"{name} = {length!r}: the spacing {h!r} puts the "
+                            f"stencil weight 2/h^2 outside the finite "
+                            f"positive floats")
+    return grid
+
+
+def _stencil_weight_ok(h: float) -> bool:
+    """True when 2/h^2, the Laplacian's stencil weight, is a finite positive
+    float (h^2 may underflow to zero or overflow)."""
+    try:
+        weight = 2.0 / h ** 2
+    except (ZeroDivisionError, OverflowError):
+        return False
+    return math.isfinite(weight) and weight > 0.0
 
 
 @dataclass
@@ -177,10 +194,14 @@ def scalar_face_gradients(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Face-normal gradients of a cell scalar; zero on boundary faces (Neumann)."""
     g = f.grid
     v = f.values
-    gx = np.zeros(f.lanes + (g.nx + 1, g.ny))
-    gy = np.zeros(f.lanes + (g.nx, g.ny + 1))
-    gx[..., 1:-1, :] = (v[..., 1:, :] - v[..., :-1, :]) / g.dx
-    gy[..., 1:-1] = (v[..., 1:] - v[..., :-1]) / g.dy
+    gx = np.empty(f.lanes + (g.nx + 1, g.ny))
+    gy = np.empty(f.lanes + (g.nx, g.ny + 1))
+    gx[..., 0, :] = gx[..., -1, :] = 0.0
+    gy[..., 0] = gy[..., -1] = 0.0
+    inner_x = np.subtract(v[..., 1:, :], v[..., :-1, :], out=gx[..., 1:-1, :])
+    inner_x /= g.dx
+    inner_y = np.subtract(v[..., 1:], v[..., :-1], out=gy[..., 1:-1])
+    inner_y /= g.dy
     return gx, gy
 
 

@@ -19,6 +19,7 @@ that axis drives every lane alike.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +278,24 @@ def g_hilbert_schmidt(cfg: VelocityNoiseConfig, u: VectorField) -> float:
     return g_scale(u, cfg) * s
 
 
-_U64 = np.uint64(2 ** 63 - 1 + 2 ** 63)  # 2**64 - 1 without overflow warnings
+_U64 = 0xFFFFFFFFFFFFFFFF
+_draws = threading.local()   # one reusable Philox generator per thread
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
+def _philox_at(key: np.ndarray, counter: np.ndarray) -> np.random.Generator:
+    """This thread's generator, reset to the state of a freshly built
+    Philox(counter=counter, key=key): an exhausted buffer and no spare
+    32-bit half, so the next draw starts at the counter block."""
+    gen = getattr(_draws, "gen", None)
+    if gen is None:
+        gen = _draws.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def sample_increments(seed: int, replica: int, step: int, dt: float,
@@ -286,16 +304,14 @@ def sample_increments(seed: int, replica: int, step: int, dt: float,
 
     Backed by the Philox counter-based generator keyed on (seed, replica)
     with the step index in the counter block; mode index is the position in
-    the drawn vector.  Identical arguments reproduce identical bits.
+    the drawn vector.  Identical arguments reproduce identical bits, on any
+    thread.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(replica & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    counter = np.array([0, 0, 0, np.uint64(step & 0xFFFFFFFFFFFFFFFF)],
-                       dtype=np.uint64)
-    bitgen = np.random.Philox(counter=counter, key=key)
-    z = np.random.Generator(bitgen).standard_normal(k_modes + 2)
+    key = np.array([seed & _U64, replica & _U64], dtype=np.uint64)
+    counter = np.array([0, 0, 0, step & _U64], dtype=np.uint64)
+    z = _philox_at(key, counter).standard_normal(k_modes + 2)
     z *= math.sqrt(dt)
     return NoiseIncrement(dw=z[:k_modes], dbeta=z[k_modes:], dt=float(dt))
 

@@ -52,8 +52,8 @@ def helmholtz_project(v: VectorField) -> VectorField:
     g = v.grid
     rhs = divergence(v)
     p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
-    gp = gradient(ScalarField(g, p))
-    return VectorField(g, v.u_x - gp.u_x, v.u_y - gp.u_y)
+    gpx, gpy = scalar_face_gradients(ScalarField(g, p))
+    return VectorField(g, v.u_x - gpx, v.u_y - gpy)
 
 
 def stokes_apply(u: VectorField) -> VectorField:
@@ -166,16 +166,18 @@ def scalar_advect(u: VectorField, phi: ScalarField,
     return ScalarField(g, d)
 
 
-def chemotaxis_div(n: ScalarField, c: ScalarField, chi: float) -> ScalarField:
+def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
+                   chi: float) -> ScalarField:
     """Flux-form div(chi * n * grad c) with the density upwinded along grad c.
 
-    The drift velocity of the cells is chi * grad c, so each face takes the
-    density from the cell the flux leaves.  Wall fluxes are zero (Neumann c).
+    ``grad_c`` is scalar_face_gradients(c).  The drift velocity of the cells
+    is chi * grad c, so each face takes the density from the cell the flux
+    leaves.  Wall fluxes are zero (Neumann c).
     """
-    g = require_same_grid(n, c)
+    g = n.grid
     if chi < 0.0:
         raise ValueError(f"chemotactic constant must be >= 0, got {chi}")
-    gx, gy = scalar_face_gradients(c)
+    gx, gy = grad_c
     nv = n.values
     fx = np.zeros_like(gx)
     fy = np.zeros_like(gy)
@@ -195,16 +197,18 @@ def consumption(n: ScalarField, c: ScalarField, f) -> ScalarField:
     return ScalarField(g, n.values * f.eval(c.values))
 
 
-def buoyancy(n: ScalarField, phi: ScalarField) -> VectorField:
+def buoyancy(n: ScalarField,
+             grad_phi: tuple[np.ndarray, np.ndarray]) -> VectorField:
     """Forcing n * grad(potential) on faces; density interpolated to faces.
 
-    Wall-normal boundary faces are zero, matching the no-slip target space of
-    the projection.
+    ``grad_phi`` is scalar_face_gradients of the potential, which carries no
+    lanes.  Wall-normal boundary faces are zero, matching the no-slip target
+    space of the projection.
     """
-    g = require_same_grid(n, phi)
-    gpx, gpy = scalar_face_gradients(phi)
+    g = n.grid
+    gpx, gpy = grad_phi
     nv = n.values
-    out = zeros_vector(g, n.lanes)    # the potential carries no lanes
+    out = zeros_vector(g, n.lanes)
     out.u_x[..., 1:-1, :] = (0.5 * (nv[..., :-1, :] + nv[..., 1:, :])
                              * gpx[1:-1, :])
     out.u_y[..., 1:-1] = 0.5 * (nv[..., :-1] + nv[..., 1:]) * gpy[:, 1:-1]

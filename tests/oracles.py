@@ -2,14 +2,16 @@
 
 The conjugate-gradient Neumann-Poisson solve cross-checks the direct cosine
 transform path; ``recover_pressure`` reconstructs the diagnostic pressure of
-a state, which the time stepper never uses.
+a state, which the time stepper never uses; the ``textbook_*`` solves are
+the spectral solves without cached divisors.
 """
 
 import numpy as np
+from scipy.fft import dctn, dst, idctn, idst
 from scipy.sparse.linalg import LinearOperator, cg
 
 from stochem import _spectral
-from stochem.grid import ScalarField, divergence, zeros_vector
+from stochem.grid import LANE_REDUCE, ScalarField, divergence, zeros_vector
 from stochem.operators import buoyancy, convect_velocity, stokes_apply
 
 POISSON_CG_TOL = 1e-12
@@ -75,9 +77,52 @@ def recover_pressure(state, params):
     f = zeros_vector(g)
     conv = convect_velocity(u, u)
     visc = stokes_apply(u)
-    buoy = buoyancy(n, params.phi)
+    buoy = buoyancy(n, params.phi_grad)
     f.u_x = -conv.u_x + params.eta * visc.u_x + buoy.u_x
     f.u_y = -conv.u_y + params.eta * visc.u_y + buoy.u_y
     rhs = divergence(f)
     p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
     return ScalarField(g, p - p.mean())
+
+
+# The spectral solves with no plan: every call builds its eigenvalues, and
+# the Poisson divide masks the zero mode with np.where.  The planned solves
+# divide by the same numbers, so they must match these bit for bit.
+
+def textbook_poisson_neumann(grid, rhs):
+    lam = _spectral.neumann_eigenvalues(grid)
+    rhat = dctn(rhs, type=2, norm="ortho", axes=LANE_REDUCE)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phat = np.where(lam > 0.0, -rhat / lam, 0.0)
+    phat[..., 0, 0] = 0.0
+    return idctn(phat, type=2, norm="ortho", axes=LANE_REDUCE)
+
+
+def textbook_scalar_diffusion(grid, rhs, coef):
+    lam = _spectral.neumann_eigenvalues(grid)
+    rhat = dctn(rhs, type=2, norm="ortho", axes=LANE_REDUCE)
+    out = idctn(rhat / (1.0 + coef * lam), type=2, norm="ortho",
+                axes=LANE_REDUCE)
+    out += (rhs.mean(axis=LANE_REDUCE)
+            - out.mean(axis=LANE_REDUCE))[..., None, None]
+    return out
+
+
+def textbook_velocity_diffusion(grid, u_x, u_y, coef):
+    face, wall = (_spectral._dirichlet_face_eigenvalues,
+                  _spectral._wall_offset_eigenvalues)
+    out_x = np.zeros_like(u_x)
+    out_y = np.zeros_like(u_y)
+    lam_x = (face(grid.nx, grid.dx)[:, None] + wall(grid.ny, grid.dy)[None, :])
+    bhat = dst(dst(u_x[..., 1:-1, :], type=1, axis=-2, norm="ortho"), type=2,
+               axis=-1, norm="ortho")
+    bhat /= (1.0 + coef * lam_x)
+    out_x[..., 1:-1, :] = idst(idst(bhat, type=2, axis=-1, norm="ortho"),
+                               type=1, axis=-2, norm="ortho")
+    lam_y = (wall(grid.nx, grid.dx)[:, None] + face(grid.ny, grid.dy)[None, :])
+    bhat = dst(dst(u_y[..., 1:-1], type=2, axis=-2, norm="ortho"), type=1,
+               axis=-1, norm="ortho")
+    bhat /= (1.0 + coef * lam_y)
+    out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho"),
+                            type=2, axis=-2, norm="ortho")
+    return out_x, out_y

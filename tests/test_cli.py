@@ -415,3 +415,26 @@ def test_convergence_zero_t_end_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: t_end must be positive, got 0.0")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["lx = 1e-300", "ly = 1e-170", "lx = 1e300"])
+def test_extreme_grid_length_exits_2(tmp_path, capsys, line):
+    # the spacing's stencil weight 2/h^2 is zero, overflows or divides by
+    # zero; the config is refused before any solver sees it
+    key = line.split()[0]
+    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n{line}\n")
+    assert main(["check-params", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [grid] {key} = ") and "2/h^2" in err
+    assert "Traceback" not in err
+
+
+def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
+    path = tmp_path / "s.cns"
+    write_snapshot(_random_state(8, 8, rng), path)
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = np.float64(1e-300).tobytes()   # lx
+    path.write_bytes(bytes(blob))
+    assert main(["snapshot-info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "lx = 1e-300" in err and "Traceback" not in err

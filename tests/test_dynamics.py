@@ -3,14 +3,16 @@ import pytest
 
 from dataclasses import astuple, replace
 
-from stochem import diagnostics, dynamics, noise
+from stochem import _spectral, diagnostics, dynamics, noise, operators
+from stochem import grid as grid_mod
 from stochem.cli import build_simulation, parse_config
 from stochem.dynamics import (DT_MAX, CflError, SimulationError, State,
                               linear_consumption, run, saturating_consumption,
                               stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
-                          scalar_from_function, zeros_vector)
+                          scalar_face_gradients, scalar_from_function,
+                          zeros_vector)
 from stochem.noise import make_velocity_noise, sample_increments
 from stochem.operators import AdvectionMode
 
@@ -74,15 +76,17 @@ def test_stable_dt_scaling(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     params = default_params(g)
     st = quiescent_state(g, n=1.0, c=0.0)
-    assert stable_dt(st, params) == DT_MAX
+    grad_c = scalar_face_gradients(st.c)
+    assert stable_dt(st, params, grad_c) == DT_MAX
     st.u.u_x[5, 5] = 1.0
-    base = stable_dt(st, params)
+    base = stable_dt(st, params, grad_c)
     st.u.u_x[5, 5] = 2.0
-    assert stable_dt(st, params) == pytest.approx(base / 2.0, rel=1e-12)
+    assert stable_dt(st, params, grad_c) == pytest.approx(base / 2.0,
+                                                          rel=1e-12)
     plume = State(u=random_solenoidal(g, rng, 0.3),
                   c=random_scalar(g, rng, positive=True, scale=0.1),
                   n=random_scalar(g, rng, positive=True), t=0.0)
-    dt = stable_dt(plume, params)
+    dt = stable_dt(plume, params, scalar_face_gradients(plume.c))
     assert 0.0 < dt < DT_MAX
 
 
@@ -433,3 +437,63 @@ def test_grid_self_convergence_on_smooth_data():
     e_fine = np.sqrt(np.mean((_restrict(results[64]) - results[32]) ** 2))
     order = np.log2(e_coarse / e_fine)
     assert order >= 0.9
+
+
+def test_run_builds_each_spectral_plan_once(monkeypatch):
+    # 10 full steps and a landing step: one Poisson plan for the grid, one
+    # scalar plan per dt * delta and dt * mu and one velocity plan per
+    # dt * eta, for dt and for the landing step; the Poisson and scalar
+    # plans each build the eigenvalues once
+    g = make_grid(12, 12, 1.0, 1.0)
+    params = default_params(g, eta=0.9, mu=1.1, delta=0.7, gamma=0.1,
+                            amplitude=0.02)
+    st = quiescent_state(g, n=1.0, c=0.2)
+    builds = []
+    original = _spectral.neumann_eigenvalues
+
+    def counted(grid):
+        builds.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(_spectral, "neumann_eigenvalues", counted)
+    plans = (_spectral._poisson_divisor, _spectral._scalar_denominator,
+             _spectral._velocity_denominators)
+    for plan in plans:
+        plan.cache_clear()
+    dt, landing = 1e-3, 5e-4
+    final, _ = run(st, params, 10 * dt + landing, dt, seed=1,
+                   sample_every=100)
+    assert final.t == pytest.approx(10 * dt + landing, abs=1e-15)
+    assert builds == [g] * 5
+    scalar = _spectral._scalar_denominator.cache_info()
+    velocity = _spectral._velocity_denominators.cache_info()
+    assert (scalar.misses, scalar.currsize) == (4, 4)
+    assert scalar.hits == 2 * 11 - 4
+    assert (velocity.misses, velocity.currsize) == (2, 2)
+    assert _spectral._poisson_divisor.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("gamma, amplitude, per_step",
+                         [(0.1, 0.02, 4), (0.0, 0.0, 3)])
+def test_run_takes_face_gradients_once_per_field(monkeypatch, gamma,
+                                                 amplitude, per_step):
+    # per step: the incoming oxygen (bound and chemotactic drift), the
+    # drifted oxygen's noise modes when gamma > 0, the pressure in the
+    # projection and |grad c| for the energy tracker; the potential's
+    # gradient is taken once with the parameters
+    params, st = _reference_setup(nx=16, gamma=gamma, amplitude=amplitude)
+    original = grid_mod.scalar_face_gradients
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (grid_mod, dynamics, noise, operators):
+        monkeypatch.setattr(module, "scalar_face_gradients", counted)
+    totals = []
+    for steps in (5, 10):
+        calls.clear()
+        run(st, params, steps * 1e-3, 1e-3, seed=3, sample_every=100)
+        totals.append(len(calls))
+    assert (totals[1] - totals[0]) / 5 == per_step

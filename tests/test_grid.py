@@ -20,6 +20,8 @@ def test_make_grid_spacings():
 
 @pytest.mark.parametrize("nx,ny,lx,ly", [
     (2, 64, 1.0, 1.0), (64, 3, 1.0, 1.0), (8, 8, 0.0, 1.0), (8, 8, 1.0, -2.0),
+    # spacings whose stencil weight 2/h^2 is not a finite positive float
+    (8, 8, 1e-300, 1.0), (8, 8, 1.0, 1e-170), (8, 8, 1e300, 1.0),
 ])
 def test_make_grid_rejects_bad_dimensions(nx, ny, lx, ly):
     with pytest.raises(GridError):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +224,64 @@ def test_increments_variance_and_independence():
     x, y = z[:, :-1].ravel(), z[:, 1:].ravel()
     rho = np.corrcoef(x, y)[0, 1]
     assert abs(rho) <= 0.01
+
+
+def _fresh_increment(seed, replica, step, dt, k_modes):
+    """A draw from a Philox generator built for this one counter tuple."""
+    mask = 2 ** 64 - 1
+    bitgen = np.random.Philox(
+        counter=np.array([0, 0, 0, step & mask], dtype=np.uint64),
+        key=np.array([seed & mask, replica & mask], dtype=np.uint64))
+    z = np.random.Generator(bitgen).standard_normal(k_modes + 2) * np.sqrt(dt)
+    return z[:k_modes], z[k_modes:]
+
+
+def _assert_fresh(seed, replica, step, dt, k_modes):
+    inc = sample_increments(seed, replica, step, dt, k_modes)
+    dw, dbeta = _fresh_increment(seed, replica, step, dt, k_modes)
+    assert np.array_equal(inc.dw, dw) and np.array_equal(inc.dbeta, dbeta)
+
+
+def test_increments_equal_a_freshly_built_philox():
+    # the reused generator is reset, not continued: 16 replicas x 50 steps
+    # drawn step-major, with draw lengths that alternate in parity
+    for step in range(50):
+        for replica in range(16):
+            _assert_fresh(2023, replica, step, 1e-3, 3 + replica % 2)
+    _assert_fresh(-1, 2 ** 64 + 5, 2 ** 64 - 1, 0.5, 4)
+
+
+def test_increments_equal_a_freshly_built_philox_across_threads():
+    # more threads than cores take turns step by step under a short switch
+    # interval, so each thread's generator is reset between its own draws
+    # while the others' are in use
+    n_threads = 4
+    turn = threading.Barrier(n_threads)
+    failures = []
+
+    def draw(first_replica):
+        try:
+            for step in range(50):
+                for replica in range(first_replica, 16, n_threads):
+                    _assert_fresh(7, replica, step, 1e-3, 4)
+                turn.wait(timeout=10)
+        except Exception as exc:   # reported on the main thread
+            failures.append(exc)
+            turn.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(r,))
+                   for r in range(n_threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
 
 
 def test_increment_merge_is_exact_sum():

@@ -4,7 +4,8 @@ import pytest
 from stochem.dynamics import linear_consumption
 from stochem.grid import (ScalarField, VectorField, divergence, full_scalar,
                           gradient, inner_product, make_grid, norm,
-                          scalar_from_function, zeros_vector)
+                          scalar_face_gradients, scalar_from_function,
+                          zeros_vector)
 from stochem.operators import (AdvectionMode, buoyancy, chemotaxis_div,
                                consumption, convect_velocity,
                                divergence_residual, helmholtz_project,
@@ -259,10 +260,11 @@ def test_scalar_advect_skew_neutral_and_upwind_dissipative(rng):
 def test_chemotaxis_trivial_zeros(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     c = random_scalar(g, rng)
-    out = chemotaxis_div(ScalarField(g, np.zeros((16, 16))), c, 1.0)
+    out = chemotaxis_div(ScalarField(g, np.zeros((16, 16))),
+                         scalar_face_gradients(c), 1.0)
     assert norm(out, "Linf") == 0.0
     n = random_scalar(g, rng, positive=True)
-    out = chemotaxis_div(n, full_scalar(g, 2.0), 1.0)
+    out = chemotaxis_div(n, scalar_face_gradients(full_scalar(g, 2.0)), 1.0)
     assert norm(out, "Linf") == 0.0
 
 
@@ -271,7 +273,7 @@ def test_chemotaxis_total_integral_neutral(rng):
     n = random_scalar(g, rng, positive=True)
     c = random_scalar(g, rng)
     chi = 0.9
-    out = chemotaxis_div(n, c, chi)
+    out = chemotaxis_div(n, scalar_face_gradients(c), chi)
     total = abs(inner_product(out, full_scalar(g, 1.0)))
     assert total <= 1e-13 * max(chi * norm(n, "L2") * norm(c, "H1_semi"), 1e-30)
 
@@ -280,7 +282,7 @@ def test_chemotaxis_rejects_negative_chi(rng):
     g = make_grid(8, 8, 1.0, 1.0)
     f = random_scalar(g, rng)
     with pytest.raises(ValueError):
-        chemotaxis_div(f, f, -0.1)
+        chemotaxis_div(f, scalar_face_gradients(f), -0.1)
 
 
 # ---------------------------------------------------------------- couplings
@@ -305,15 +307,16 @@ def test_consumption_sign_preservation(rng):
 def test_buoyancy_basics(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     n = random_scalar(g, rng, positive=True)
-    out = buoyancy(n, full_scalar(g, 7.0))
+    out = buoyancy(n, scalar_face_gradients(full_scalar(g, 7.0)))
     assert norm(out, "Linf") == 0.0
     phi = scalar_from_function(g, lambda x, y: y)
     one = full_scalar(g, 1.0)
-    out = buoyancy(one, phi)
+    grad_phi = scalar_face_gradients(phi)
+    out = buoyancy(one, grad_phi)
     assert np.max(np.abs(out.u_y[:, 1:-1] - 1.0)) < 1e-13
     assert np.max(np.abs(out.u_x)) == 0.0
-    doubled = buoyancy(ScalarField(g, 2.0 * n.values), phi)
-    single = buoyancy(n, phi)
+    doubled = buoyancy(ScalarField(g, 2.0 * n.values), grad_phi)
+    single = buoyancy(n, grad_phi)
     assert np.max(np.abs(doubled.u_y - 2.0 * single.u_y)) < 1e-13
 
 
@@ -321,7 +324,7 @@ def test_buoyancy_norm_bound(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     n = random_scalar(g, rng)
     phi = scalar_from_function(g, lambda x, y: 0.5 * y + 0.25 * x)
-    out = buoyancy(n, phi)
+    out = buoyancy(n, scalar_face_gradients(phi))
     grad_inf = max(np.max(np.abs(gradient(phi).u_x)),
                    np.max(np.abs(gradient(phi).u_y)))
     assert norm(out, "L2") <= grad_inf * norm(n, "L2") * 1.5

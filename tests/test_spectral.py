@@ -1,14 +1,18 @@
 """The fast solvers against dense assemblies of the same linear systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from stochem import _spectral
 from stochem._spectral import (solve_poisson_neumann, solve_scalar_diffusion,
                                solve_velocity_diffusion)
-from stochem.grid import make_grid
+from stochem.grid import ScalarField, VectorField, make_grid
 
 from conftest import random_scalar, random_vector
-from oracles import solve_poisson_cg
+from oracles import (solve_poisson_cg, textbook_poisson_neumann,
+                     textbook_scalar_diffusion, textbook_velocity_diffusion)
 
 
 def dense_neumann_laplacian(grid):
@@ -133,3 +137,57 @@ def test_velocity_diffusion_solver_matches_dense(rng):
     assert np.max(np.abs(sol.u_y[:, 1:-1] - ref_y)) < 1e-12
     assert np.all(sol.u_x[0, :] == 0.0) and np.all(sol.u_x[-1, :] == 0.0)
     assert np.all(sol.u_y[:, 0] == 0.0) and np.all(sol.u_y[:, -1] == 0.0)
+
+
+# ------------------------------------------------------------ cached plans
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_planned_solves_match_textbook_bitwise(rng, lanes):
+    g = make_grid(12, 10, 1.0, 0.7)
+    rhs = rng.standard_normal(lanes + (g.nx, g.ny))
+    p, _ = solve_poisson_neumann(g, rhs)
+    assert np.array_equal(p, textbook_poisson_neumann(g, rhs))
+    for coef in (0.37, 1e-3):
+        out = solve_scalar_diffusion(g, ScalarField(g, rhs), coef)
+        assert np.array_equal(out.values,
+                              textbook_scalar_diffusion(g, rhs, coef))
+        u_x = rng.standard_normal(lanes + (g.nx + 1, g.ny))
+        u_y = rng.standard_normal(lanes + (g.nx, g.ny + 1))
+        out = solve_velocity_diffusion(g, VectorField(g, u_x, u_y), coef)
+        ref_x, ref_y = textbook_velocity_diffusion(g, u_x, u_y, coef)
+        assert np.array_equal(out.u_x, ref_x)
+        assert np.array_equal(out.u_y, ref_y)
+
+
+def test_planned_solves_leave_their_inputs_alone(rng):
+    g = make_grid(8, 8, 1.0, 1.0)
+    rhs = rng.standard_normal((2, g.nx, g.ny))
+    v = random_vector(g, rng)
+    kept = rhs.copy(), v.u_x.copy(), v.u_y.copy()
+    solve_poisson_neumann(g, rhs)
+    solve_scalar_diffusion(g, ScalarField(g, rhs), 0.5)
+    solve_velocity_diffusion(g, v, 0.5)
+    for before, after in zip(kept, (rhs, v.u_x, v.u_y)):
+        assert np.array_equal(before, after)
+
+
+def test_poisson_divide_raises_no_warning(rng):
+    g = make_grid(9, 7, 1.0, 1.0)
+    rhs = rng.standard_normal((g.nx, g.ny))   # with a mean component
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        _, info = solve_poisson_neumann(g, rhs)
+    assert info["dropped_mean"] > 0.0
+
+
+def test_plans_are_read_only():
+    g = make_grid(8, 6, 1.0, 1.0)
+    plans = [_spectral._poisson_divisor(g),
+             _spectral._scalar_denominator(g, 0.1),
+             *_spectral._velocity_denominators(g, 0.1)]
+    for plan in plans:
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0, 0] = 2.0
+    assert _spectral._poisson_divisor(g)[0, 0] == 1.0
+    assert _spectral._scalar_denominator(g, 0.1)[0, 0] == 1.0
