@@ -29,10 +29,15 @@ from .grid import LANE_REDUCE, Grid, ScalarField, VectorField, per_lane
 PLAN_CACHE_SIZE = 32   # plans kept per kind; a study's dt ladder needs a few
 
 
+def _eigenvalues(k: np.ndarray, n: int, h: float) -> np.ndarray:
+    """(2/h^2)(1 - cos(pi k/n)), mode k of minus the 3-point Laplacian."""
+    return (2.0 / h ** 2) * (1.0 - np.cos(np.pi * k / n))
+
+
 def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     """Nonnegative eigenvalues of minus the Neumann Laplacian, shape (nx, ny)."""
-    lx = (2.0 / grid.dx ** 2) * (1.0 - np.cos(np.pi * np.arange(grid.nx) / grid.nx))
-    ly = (2.0 / grid.dy ** 2) * (1.0 - np.cos(np.pi * np.arange(grid.ny) / grid.ny))
+    lx = _eigenvalues(np.arange(grid.nx), grid.nx, grid.dx)
+    ly = _eigenvalues(np.arange(grid.ny), grid.ny, grid.dy)
     return lx[:, None] + ly[None, :]
 
 
@@ -89,25 +94,16 @@ def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarF
     return ScalarField(grid, out)
 
 
-def _dirichlet_face_eigenvalues(n: int, h: float) -> np.ndarray:
-    # DST-I modes sin(pi k i / n), k = 1..n-1, on the n-1 interior faces
-    k = np.arange(1, n)
-    return (2.0 / h ** 2) * (1.0 - np.cos(np.pi * k / n))
-
-
-def _wall_offset_eigenvalues(n: int, h: float) -> np.ndarray:
-    # DST-II modes sin(pi (k+1) (j+1/2) / n); reflected ghost is built in
-    k = np.arange(1, n + 1)
-    return (2.0 / h ** 2) * (1.0 - np.cos(np.pi * k / n))
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _velocity_denominators(grid: Grid,
                            coef: float) -> tuple[np.ndarray, np.ndarray]:
-    lam_x = (_dirichlet_face_eigenvalues(grid.nx, grid.dx)[:, None]
-             + _wall_offset_eigenvalues(grid.ny, grid.dy)[None, :])
-    lam_y = (_wall_offset_eigenvalues(grid.nx, grid.dx)[:, None]
-             + _dirichlet_face_eigenvalues(grid.ny, grid.dy)[None, :])
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    # DST-I modes k = 1..n-1 on the n-1 interior faces along a component's
+    # own axis; DST-II modes k = 1..n, reflected ghost built in, across it
+    lam_x = (_eigenvalues(np.arange(1, nx), nx, dx)[:, None]
+             + _eigenvalues(np.arange(1, ny + 1), ny, dy)[None, :])
+    lam_y = (_eigenvalues(np.arange(1, nx + 1), nx, dx)[:, None]
+             + _eigenvalues(np.arange(1, ny), ny, dy)[None, :])
     return (_read_only(1.0 + coef * lam_x), _read_only(1.0 + coef * lam_y))
 
 

@@ -19,7 +19,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -34,7 +33,8 @@ from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, interior_bump, stratonovich_consistency,
                           twin_run)
 from .grid import (Grid, GridError, ScalarField, VectorField, cell_centers,
-                   make_grid, norm, zeros_scalar, zeros_vector)
+                   make_grid, norm, stream_function_curl, zeros_scalar,
+                   zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
 from .operators import helmholtz_project
 
@@ -184,6 +184,11 @@ def _cross_validate(cfg: RunConfig) -> None:
     if w >= min(g["nx"], g["ny"]) / 4:
         raise ConfigError(f"[noise] sigma_cutoff_width = {w}: must be < "
                           f"min(nx, ny)/4")
+    dt = cfg[("time", "dt")]
+    steps = cfg[("time", "t_end")] / dt
+    if not steps <= sys.maxsize:   # also catches an overflow to inf
+        raise ConfigError(f"[time] dt = {dt}: t_end / dt = {steps:g}, must "
+                          f"be at most {sys.maxsize}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -193,15 +198,8 @@ def load_config(path: str | Path) -> RunConfig:
 def _build_initial_velocity(grid: Grid, recipe: str, amplitude: float) -> VectorField:
     if recipe == "zero" or amplitude == 0.0:
         return zeros_vector(grid)
-    # counter-rotating vortex pair from a node stream function; the discrete
-    # curl is exactly divergence-free and has zero wall-normal faces
-    xn = np.arange(grid.nx + 1) * grid.dx
-    yn = np.arange(grid.ny + 1) * grid.dy
-    psi = np.outer(np.sin(2.0 * np.pi * xn / grid.lx),
-                   np.sin(np.pi * yn / grid.ly))
-    v = VectorField(grid,
-                    (psi[:, 1:] - psi[:, :-1]) / grid.dy,
-                    -(psi[1:, :] - psi[:-1, :]) / grid.dx)
+    # counter-rotating vortex pair: stream-function mode (2, 1)
+    v = stream_function_curl(grid, 2, 1)
     peak = norm(v, "Linf")
     if peak > 0.0:
         v.u_x *= amplitude / peak
@@ -317,27 +315,6 @@ def read_snapshot(path: str | Path) -> State:
                  n=ScalarField(grid, n), t=t)
 
 
-def _thread_count(args) -> int:
-    """--threads, else STOCHEM_THREADS, else 1; a value that is not a
-    positive integer is a ConfigError naming the flag or the variable."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be a positive integer, "
-                              f"got {args.threads}")
-        return args.threads
-    env = os.environ.get("STOCHEM_THREADS", "")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"STOCHEM_THREADS must be a positive integer, "
-                          f"got {env!r}")
-    return threads
-
-
 def _prepare(args):
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -407,7 +384,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    threads = _thread_count(args)
     cfg, params, initial = _prepare(args)
     outdir = Path(args.out or cfg[("output", "directory")])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -455,8 +431,7 @@ def cmd_experiment(args) -> int:
 
     if args.which == "ensemble":
         stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
-                         t["dt"], sample_every=t["sample_every"],
-                         threads=threads)
+                         t["dt"], sample_every=t["sample_every"])
         with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
             header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
                               for s in ("mean", "var", "max", "ci95")]
@@ -511,10 +486,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("twin", "convergence", "stratonovich",
                                      "ensemble"))
     common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="ensemble worker threads running the replica "
-                        "chunks, which it never splits (default "
-                        "STOCHEM_THREADS or 1)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("snapshot-info", help="describe a snapshot file")

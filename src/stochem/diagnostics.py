@@ -328,7 +328,7 @@ def record(state, report, params, tracker: EnergyTracker,
     return rows
 
 
-def energy_identity_residual(series: DiagnosticsSeries, params) -> float:
+def energy_identity_residual(series: DiagnosticsSeries) -> float:
     """Worst normalized defect of the oxygen energy identity along a series."""
     vals = series.column("energy_residual")
     return float(np.max(np.abs(vals))) if len(vals) else 0.0

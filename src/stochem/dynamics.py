@@ -73,10 +73,11 @@ class ConsumptionLaw:
     deriv: callable
     name: str
 
-    def validate(self, c_max: float = 1.0, samples: int = 256) -> None:
+    def validate(self, c_max: float = 1.0) -> None:
+        """Check f(0) = 0, and f > 0, f' > 0 at 255 even points of (0, c_max]."""
         if abs(float(self.eval(0.0))) > 1e-14:
             raise ValueError(f"consumption law {self.name!r} must vanish at 0")
-        c = np.linspace(0.0, c_max, samples)[1:]
+        c = np.linspace(0.0, c_max, 256)[1:]
         if np.any(self.eval(c) <= 0.0) or np.any(self.deriv(c) <= 0.0):
             raise ValueError(f"consumption law {self.name!r} must have "
                              f"f > 0 and f' > 0 on (0, {c_max}]")
@@ -88,11 +89,10 @@ def linear_consumption() -> ConsumptionLaw:
                           name="linear")
 
 
-def saturating_consumption(scale: float = 1.0) -> ConsumptionLaw:
-    """Michaelis-Menten style uptake c / (scale + c)."""
-    s = float(scale)
-    return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float) / (s + np.asarray(c, dtype=float)),
-                          deriv=lambda c: s / (s + np.asarray(c, dtype=float)) ** 2,
+def saturating_consumption() -> ConsumptionLaw:
+    """Michaelis-Menten style uptake c / (1 + c)."""
+    return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float) / (1.0 + np.asarray(c, dtype=float)),
+                          deriv=lambda c: 1.0 / (1.0 + np.asarray(c, dtype=float)) ** 2,
                           name="saturating")
 
 

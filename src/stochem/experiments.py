@@ -16,8 +16,8 @@
   increments, leaving the predictable defect the correction is supposed to
   cancel.  Its levels are the same dt * 2**k ladder.
 * ensemble runs independent replicas as the lanes of batched runs, in chunks
-  of at most BATCH_CELLS cells, and aggregates diagnostics columns with
-  Welford statistics.
+  of at most BATCH_CELLS cells, one worker thread per chunk up to the usable
+  CPUs, and aggregates diagnostics columns with Welford statistics.
 
 Each study takes scalars (a step, a level count, a replica count) and builds
 its own schedule from them.  Every study but the oxygen-only transport test
@@ -27,6 +27,7 @@ steps through dynamics.march on dynamics.time_grid.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -296,17 +297,23 @@ class EnsembleStats:
         return float(np.max(self.maximum[column]))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
-             t_end: float, dt: float, sample_every: int = 1,
-             threads: int = 1) -> EnsembleStats:
+             t_end: float, dt: float, sample_every: int = 1) -> EnsembleStats:
     """Independent replicas, deterministic per-replica streams, Welford folds.
 
     Replicas integrate as the lanes of batched runs, one step per time step
     for a whole chunk of contiguous replicas.  The replicas split evenly into
     the fewest chunks of at most BATCH_CELLS cells (or one replica), and
-    those chunks run on up to ``threads`` worker threads; ``threads`` never
-    splits a chunk.  Every replica's rows are bitwise its unbatched run's, so
-    the statistics do not depend on the chunks or on ``threads``.  Every
+    those chunks run on min(chunks, usable_cpus()) worker threads; a chunk is
+    never split.  Every replica's rows are bitwise its unbatched run's, so
+    the statistics do not depend on the chunks or on the workers.  Every
     chunk runs to its end or its failure; if any replica failed, the error
     names the first to fail in time (the lowest replica among those failing
     at the earliest step).
@@ -315,12 +322,9 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
 
     if n_replicas < 1:
         raise ExperimentError("need at least one replica")
-    if threads < 1:
-        raise ExperimentError(f"need at least one thread, got {threads}")
     g = params.grid
-    n = n_replicas
-    chunk_count = math.ceil(n / max(1, BATCH_CELLS // (g.nx * g.ny)))
-    edges = [n * i // chunk_count for i in range(chunk_count + 1)]
+    chunk_count = math.ceil(n_replicas / max(1, BATCH_CELLS // (g.nx * g.ny)))
+    edges = [n_replicas * i // chunk_count for i in range(chunk_count + 1)]
     chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
 
     def failed(rep: int, reason) -> ExperimentError:
@@ -337,7 +341,7 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
         except Exception as exc:
             raise failed(reps.start, exc) from exc
 
-    workers = min(threads, len(chunks))
+    workers = min(len(chunks), usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunked = list(pool.map(one, chunks))

@@ -217,6 +217,18 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(g, d)
 
 
+def stream_function_curl(grid: Grid, a: int, b: int) -> VectorField:
+    """Discrete curl of the node stream function sin(a pi x/lx) sin(b pi y/ly):
+    exactly divergence-free, with zero wall-normal faces."""
+    xn = np.arange(grid.nx + 1) * grid.dx
+    yn = np.arange(grid.ny + 1) * grid.dy
+    psi = np.outer(np.sin(a * np.pi * xn / grid.lx),
+                   np.sin(b * np.pi * yn / grid.ly))
+    return VectorField(grid,
+                       (psi[:, 1:] - psi[:, :-1]) / grid.dy,
+                       -(psi[1:, :] - psi[:-1, :]) / grid.dx)
+
+
 def _velocity_gradient_sq_sum(v: VectorField):
     """Sum over quadrature points of |grad u|^2 for a no-slip staggered field.
 

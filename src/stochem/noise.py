@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import (LANE_REDUCE, Grid, ScalarField, VectorField, norm,
                    per_lane, require_same_grid, scalar_face_gradients,
-                   zeros_vector)
+                   stream_function_curl, zeros_vector)
 
 
 @dataclass(frozen=True)
@@ -210,24 +210,16 @@ def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
                         multiplicative_gain: float = 0.0) -> VelocityNoiseConfig:
     """Divergence-free trigonometric forcing modes with power-law weights.
 
-    Each mode is the discrete curl of a node stream function
-    sin(a pi x / lx) sin(b pi y / ly), which is exactly divergence-free on
-    the staggered grid and has zero wall-normal faces; modes are normalized
-    to unit L2 norm so the Hilbert-Schmidt sum is amplitude^2 * sum(lambda^2).
+    Each mode is a stream_function_curl, normalized to unit L2 norm so the
+    Hilbert-Schmidt sum is amplitude^2 * sum(lambda^2).
     """
     if n_modes < 1:
         raise ValueError("need at least one velocity noise mode")
     if amplitude < 0.0:
         raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
-    xn = np.arange(grid.nx + 1) * grid.dx
-    yn = np.arange(grid.ny + 1) * grid.dy
     modes = []
     for a, b in _stream_mode_numbers(n_modes):
-        psi = np.outer(np.sin(a * np.pi * xn / grid.lx),
-                       np.sin(b * np.pi * yn / grid.ly))
-        v = VectorField(grid,
-                        (psi[:, 1:] - psi[:, :-1]) / grid.dy,
-                        -(psi[1:, :] - psi[:-1, :]) / grid.dx)
+        v = stream_function_curl(grid, a, b)
         v_norm = norm(v, "L2")
         v.u_x /= v_norm
         v.u_y /= v_norm

@@ -109,8 +109,12 @@ def textbook_scalar_diffusion(grid, rhs, coef):
 
 
 def textbook_velocity_diffusion(grid, u_x, u_y, coef):
-    face, wall = (_spectral._dirichlet_face_eigenvalues,
-                  _spectral._wall_offset_eigenvalues)
+    def face(n, h):   # DST-I modes, k = 1..n-1
+        return _spectral._eigenvalues(np.arange(1, n), n, h)
+
+    def wall(n, h):   # DST-II modes, k = 1..n
+        return _spectral._eigenvalues(np.arange(1, n + 1), n, h)
+
     out_x = np.zeros_like(u_x)
     out_y = np.zeros_like(u_y)
     lam_x = (face(grid.nx, grid.dx)[:, None] + wall(grid.ny, grid.dy)[None, :])

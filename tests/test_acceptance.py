@@ -142,13 +142,13 @@ def test_criterion_05_energy_identity():
     for dt in (4e-4, 2e-4):
         _, series = run(initial, centered, 0.1, dt, seed=3,
                         sample_every=max(1, int(0.01 / dt)))
-        res.append(energy_identity_residual(series, params))
+        res.append(energy_identity_residual(series))
     ratio = res[1] / res[0]
     params128, initial128 = _energy_setup(128)
     _, series = run(initial128,
                     replace(params128, scalar_mode=AdvectionMode.CENTERED_SKEW),
                     0.1, 1e-4, seed=3, sample_every=100)
-    absolute = energy_identity_residual(series, params128)
+    absolute = energy_identity_residual(series)
     ok = (0.4 <= ratio <= 0.6) and absolute <= 1e-3
     _report("criterion 05 energy identity", ok,
             f"dt-halving ratio {ratio:.3f}; residual {absolute:.2e} at 128^2")

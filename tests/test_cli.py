@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +261,7 @@ def test_cmd_experiment_ensemble(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "ens"
     assert main(["experiment", "ensemble", "--config", str(cfg),
-                 "--out", str(out), "--threads", "2"]) == 0
+                 "--out", str(out)]) == 0
     lines = (out / "ensemble_stats.csv").read_text().splitlines()
     assert lines[0].startswith("t,mass_n_mean,mass_n_var,mass_n_max")
     assert len(lines) == 1 + 5
@@ -282,23 +281,6 @@ def test_cmd_experiment_stratonovich(tmp_path, capsys):
     assert payload["reference_gap"] > 0.0
     assert _printed_floats(capsys.readouterr().out) == {
         "finest-level drift gap": payload["gap"][-1]}
-
-
-def test_threads_default_comes_from_environment(monkeypatch):
-    from stochem.cli import _thread_count
-
-    class Args:
-        threads = None
-
-    monkeypatch.setenv("STOCHEM_THREADS", "3")
-    assert _thread_count(Args()) == 3
-    monkeypatch.setenv("STOCHEM_THREADS", "junk")
-    with pytest.raises(ConfigError, match="STOCHEM_THREADS"):
-        _thread_count(Args())
-    monkeypatch.delenv("STOCHEM_THREADS")
-    assert _thread_count(Args()) == 1
-    Args.threads = 5
-    assert _thread_count(Args()) == 5
 
 
 def test_malformed_config_returns_error(tmp_path, capsys):
@@ -356,40 +338,34 @@ def test_experiment_mid_run_failure_exits_3(tmp_path, capsys, which, message):
     assert capsys.readouterr().err.startswith(message)
 
 
-@pytest.mark.parametrize("flag, env, source", [
-    (["--threads", "0"], None, "--threads"),
-    (["--threads", "-3"], None, "--threads"),
-    ([], "abc", "STOCHEM_THREADS"),
-    ([], "0", "STOCHEM_THREADS"),
-], ids=["threads=0", "threads=-3", "env=abc", "env=0"])
-def test_invalid_thread_count_exits_2(tmp_path, capsys, monkeypatch, flag,
-                                      env, source):
-    # rejected before anything runs: no output directory, no thread started
-    if env is None:
-        monkeypatch.delenv("STOCHEM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STOCHEM_THREADS", env)
-
-    def no_start(self):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading.Thread, "start", no_start)
-    cfg = _write_cfg(tmp_path)
-    out = tmp_path / "o"
-    code = main(["experiment", "ensemble", "--config", str(cfg),
-                 "--out", str(out)] + flag)
-    assert code == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {source} must be a positive integer")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "check-params"])
-def test_threads_only_on_experiment(tmp_path, command):
+@pytest.mark.parametrize("command", [["run"], ["check-params"],
+                                     ["experiment", "ensemble"]],
+                         ids=["run", "check-params", "experiment"])
+def test_threads_flag_is_unknown(tmp_path, capsys, command):
+    # the ensemble sizes its own pool; no command takes a thread count
     cfg = _write_cfg(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg), "--threads", "8"])
+        main(command + ["--config", str(cfg), "--threads", "2"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["check-params"], ["run"], ["experiment", "twin"],
+    ["experiment", "convergence"], ["experiment", "stratonovich"],
+    ["experiment", "ensemble"]], ids=lambda c: c[-1])
+@pytest.mark.parametrize("t_end, dt", [("1e300", "1e-300"), ("1e20", "1e-3")])
+def test_step_count_overflow_exits_2(tmp_path, capsys, command, t_end, dt):
+    # t_end / dt overflows to inf, or exceeds any list length; the config is
+    # refused before a schedule is built, and no replica is blamed
+    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
+                               f"[time]\nt_end = {t_end}\ndt = {dt}\n")
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [time] dt = {float(dt)}: t_end / dt = ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_import_loads_no_iterative_solver():

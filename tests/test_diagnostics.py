@@ -188,7 +188,7 @@ def test_energy_residual_static_configuration():
     params = default_params(g)
     st = quiescent_state(g, n=0.0, c=5.0)
     _, series = run(st, params, 0.05, 1e-3, seed=0, sample_every=10)
-    assert energy_identity_residual(series, params) <= 1e-13
+    assert energy_identity_residual(series) <= 1e-13
 
 
 def test_energy_residual_first_order_in_dt():
@@ -204,7 +204,7 @@ def test_energy_residual_first_order_in_dt():
     res = []
     for dt in (2e-3, 1e-3):
         _, series = run(st, centered, 0.1, dt, seed=1)
-        res.append(energy_identity_residual(series, params))
+        res.append(energy_identity_residual(series))
     assert 0.4 <= res[1] / res[0] <= 0.6
 
 
@@ -215,7 +215,7 @@ def test_pure_diffusion_energy_balance():
     c0 = scalar_from_function(g, lambda x, y: 0.2 + 0.1 * np.cos(np.pi * x))
     st = State(u=zeros_vector(g), c=c0, n=zeros_scalar(g), t=0.0)
     _, series = run(st, params, 0.1, 1e-4, seed=0, sample_every=100)
-    assert energy_identity_residual(series, params) <= 1e-3
+    assert energy_identity_residual(series) <= 1e-3
 
 
 def test_record_consistency():

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,10 @@ def _counted_runs(monkeypatch) -> list[int]:
     return lanes
 
 
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+
+
 def test_ensemble_single_replica_equals_series():
     params, st = _setup()
     stats = ensemble(params, st, 9, 1, 0.02, 1e-3, sample_every=5)
@@ -187,12 +192,14 @@ def test_ensemble_mass_is_pathwise_conserved():
     assert np.max(stats.variance["mass_n"]) <= (1e-12 * m0) ** 2
 
 
-def test_ensemble_threaded_matches_serial():
+def test_ensemble_threaded_matches_serial(monkeypatch):
+    # one chunk of 4 on the calling thread against 4 chunks on 4 workers
     params, st = _setup()
-    serial = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10,
-                      threads=1)
-    threaded = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10,
-                        threads=4)
+    _usable_cpus(monkeypatch, 1)
+    serial = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10)
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24)
+    threaded = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10)
     for col in ENSEMBLE_COLUMNS:
         assert np.array_equal(serial.mean[col], threaded.mean[col])
         assert np.array_equal(serial.variance[col], threaded.variance[col])
@@ -200,27 +207,58 @@ def test_ensemble_threaded_matches_serial():
 
 def test_ensemble_threads_never_split_a_chunk(monkeypatch):
     # 4 replicas at 24^2 fit in one chunk of BATCH_CELLS, so a second
-    # thread finds no second chunk to run
+    # CPU finds no second chunk to run
     params, st = _setup()
+    _usable_cpus(monkeypatch, 2)
     lanes = _counted_runs(monkeypatch)
-    ensemble(params, st, 3, 4, 0.004, 1e-3, threads=2)
+    ensemble(params, st, 3, 4, 0.004, 1e-3)
     assert lanes == [4]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_reports_failing_replica(threads):
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
+                                                               cpus, chunks):
+    # 5 replicas at 24^2 in chunks of at most 5, 3 or 1 replicas
+    monkeypatch.setattr(experiments, "BATCH_CELLS",
+                        24 * 24 * {1: 5, 2: 3, 5: 1}[chunks])
+    _usable_cpus(monkeypatch, cpus)
+    sizes = []
+    pool = experiments.ThreadPoolExecutor
+
+    def sized_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    def no_start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", sized_pool)
+    workers = min(chunks, cpus)
+    if workers == 1:   # the chunks run on the calling thread
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+    params, st = _setup()
+    lanes = _counted_runs(monkeypatch)
+    ensemble(params, st, 3, 5, 0.002, 1e-3)
+    assert len(lanes) == chunks
+    assert sizes == ([] if workers == 1 else [workers])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ensemble_reports_failing_replica(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
     params, st = _setup()
     st = st.copy()
     st.u.u_x[5, 5] = 90.0   # every replica violates the advective bound
     with pytest.raises(ExperimentError, match="replica 0") as err:
-        ensemble(params, st, 7, 3, 0.01, 1e-3, threads=threads)
+        ensemble(params, st, 7, 3, 0.01, 1e-3)
     assert isinstance(err.value.__cause__, SimulationError)
 
 
-@pytest.mark.parametrize("threads, chunks", [(1, [3, 2]), (2, [3, 2]),
-                                             (3, [2, 2, 1])],
+@pytest.mark.parametrize("cpus, chunks", [(1, [3, 2]), (2, [3, 2]),
+                                          (3, [2, 2, 1])],
                          ids=["threads=1", "threads=2", "threads=3"])
-def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
+def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, cpus,
                                                         chunks):
     # a smaller BATCH_CELLS splits the 5 replicas into uneven chunks of
     # lanes; the statistics equal those of one batch of 5 bit for bit,
@@ -229,9 +267,9 @@ def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, threads,
     reference = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4)
     # room for chunks[0] replicas of 24^2 cells in one chunk
     monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24 * chunks[0])
+    _usable_cpus(monkeypatch, cpus)
     lanes = _counted_runs(monkeypatch)
-    stats = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4,
-                     threads=threads)
+    stats = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4)
     assert sorted(lanes, reverse=True) == chunks
     for col in ENSEMBLE_COLUMNS:
         for got, want in ((stats.mean, reference.mean),
@@ -254,29 +292,31 @@ def _nan_dbeta(monkeypatch, fail_at: dict[int, int]) -> None:
     monkeypatch.setattr(dynamics, "sample_increments", poisoned)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_maps_failing_lane_to_replica(monkeypatch, threads):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ensemble_maps_failing_lane_to_replica(monkeypatch, cpus):
     # replica 3 is lane 3 of one chunk of 5, or lane 1 of the second of two
     _nan_dbeta(monkeypatch, {3: 0})
+    _usable_cpus(monkeypatch, cpus)
     params, st = _setup()
     for cells in (experiments.BATCH_CELLS, 24 * 24 * 3):
         monkeypatch.setattr(experiments, "BATCH_CELLS", cells)
         with pytest.raises(ExperimentError) as err:
-            ensemble(params, st, 8, 5, 0.01, 1e-3, threads=threads)
+            ensemble(params, st, 8, 5, 0.01, 1e-3)
         assert str(err.value) == ("replica 3 (base seed 8) failed: step 1 "
                                   "failed: field c is not finite")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_ensemble_names_first_failure_in_time_across_chunks(monkeypatch,
-                                                            threads):
+                                                            cpus):
     # replica 1 (first chunk) fails at step 5, replica 4 (second chunk) at
     # step 1: the second chunk's failure is the first in time
     monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24 * 2)
+    _usable_cpus(monkeypatch, cpus)
     _nan_dbeta(monkeypatch, {1: 4, 4: 0})
     params, st = _setup()
     with pytest.raises(ExperimentError) as err:
-        ensemble(params, st, 8, 5, 0.01, 1e-3, threads=threads)
+        ensemble(params, st, 8, 5, 0.01, 1e-3)
     assert str(err.value) == ("replica 4 (base seed 8) failed: step 1 failed: "
                               "field c is not finite")
     assert isinstance(err.value.__cause__, SimulationError)

@@ -138,26 +138,28 @@ def test_run_outputs_match_golden_hashes(tmp_path, name, text):
     assert got == GOLDEN[name]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_ensemble_stats_match_golden_hash(tmp_path, threads):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ensemble_stats_match_golden_hash(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     cfg = tmp_path / "ensemble.ini"
     cfg.write_text(ENSEMBLE)
     out = tmp_path / "out"
     assert main(["experiment", "ensemble", "--config", str(cfg),
-                 "--out", str(out), "--threads", threads]) == 0
+                 "--out", str(out)]) == 0
     assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_multi_chunk_ensemble_stats_match_golden_hash(tmp_path, monkeypatch,
-                                                      threads):
+                                                      cpus):
     # one 24^2 replica per chunk: 4 chunks, run serially or on the pool
     monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     cfg = tmp_path / "ensemble.ini"
     cfg.write_text(ENSEMBLE)
     out = tmp_path / "out"
     assert main(["experiment", "ensemble", "--config", str(cfg),
-                 "--out", str(out), "--threads", threads]) == 0
+                 "--out", str(out)]) == 0
     assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
 
 
