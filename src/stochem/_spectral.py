@@ -115,11 +115,6 @@ def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> Vecto
     """
     out_x = np.zeros_like(rhs.u_x)
     out_y = np.zeros_like(rhs.u_y)
-    if coef == 0.0:
-        out_x[..., 1:-1, :] = rhs.u_x[..., 1:-1, :]
-        out_y[..., 1:-1] = rhs.u_y[..., 1:-1]
-        return VectorField(grid, out_x, out_y)
-
     den_x, den_y = _velocity_denominators(grid, coef)
     bhat = dst(dst(rhs.u_x[..., 1:-1, :], type=1, axis=-2, norm="ortho"),
                type=2, axis=-1, norm="ortho", overwrite_x=True)

@@ -226,12 +226,9 @@ def build_simulation(cfg: RunConfig) -> tuple[SimParams, State]:
                                  nz["mode_decay_exponent"],
                                  nz["multiplicative_gain"])
     sigma = make_transport_sigma(grid, nz["sigma_cutoff_width"])
-    law = CONSUMPTION_LAWS[ph["f_name"]]()
-    law.validate(c_max=max(cfg.values["ic"]["c_max"],
-                           cfg.values["ic"]["c_value"],
-                           cfg.values["ic"]["c_base"], 1.0))
     params = make_params(grid, eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
-                         chi=ph["chi"], gamma=ph["gamma"], phi=phi, f=law,
+                         chi=ph["chi"], gamma=ph["gamma"], phi=phi,
+                         f=CONSUMPTION_LAWS[ph["f_name"]](),
                          vnoise=vnoise, sigma=sigma)
 
     ic = cfg.values["ic"]

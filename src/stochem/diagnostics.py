@@ -79,38 +79,24 @@ def total_mass(n: ScalarField):
     return per_lane(np.sum(n.values, axis=LANE_REDUCE)) * n.grid.cell_volume
 
 
-def _sample_law(f, c0_linf: float, samples: int = 1024):
-    """Min of f' and max of |f| over [0, c0_linf] by dense sampling with one
-    bisection refinement around each extremal sample."""
-    hi = max(float(c0_linf), 0.0)
-    if hi == 0.0:
-        fp = float(f.deriv(0.0))
-        return fp, abs(float(f.eval(0.0)))
-    xs = np.linspace(0.0, hi, samples)
-    der = np.asarray(f.deriv(xs), dtype=float)
-    val = np.abs(np.asarray(f.eval(xs), dtype=float))
+def _law_at(f, c0_linf: float) -> tuple[float, float]:
+    """(min f', max f) on [0, |c0|_inf], which are (f'(c0), f(c0)) for an
+    increasing concave law.  A one-element array squares by multiplication,
+    as the stepper's fields do; an f'(c0) past the float range rounds to 0."""
+    with np.errstate(over="ignore"):
+        c = np.array([c0_linf])
+        return float(f.deriv(c)[0]), float(f.eval(c)[0])
 
-    def refine(around: int, arr_fun) -> np.ndarray:
-        lo_i = max(around - 1, 0)
-        hi_i = min(around + 1, samples - 1)
-        extra = np.array([0.5 * (xs[lo_i] + xs[around]),
-                          0.5 * (xs[around] + xs[hi_i])])
-        return np.asarray(arr_fun(extra), dtype=float)
 
-    min_fp = min(float(der.min()),
-                 float(refine(int(der.argmin()), f.deriv).min()))
-    max_f = max(float(val.max()),
-                float(np.abs(refine(int(val.argmax()), f.eval)).max()))
-    return min_fp, max_f
+def _kf(params, min_fp: float) -> float:
+    return (params.chi ** 2 / (2.0 * params.delta * min_fp) + 1.0 / min_fp
+            if min_fp > 0.0 else math.inf)
 
 
 def compute_kf(params, c0_linf: float) -> float:
-    """Consumption constant chi^2/(2 delta min f') + 1/min f' on [0, |c0|_inf]."""
-    min_fp, _ = _sample_law(params.f, c0_linf)
-    if min_fp <= 0.0:
-        raise ValueError(f"consumption law {params.f.name!r} has nonpositive "
-                         f"derivative on [0, {c0_linf}]; the constant is undefined")
-    return params.chi ** 2 / (2.0 * params.delta * min_fp) + 1.0 / min_fp
+    """Consumption constant chi^2/(2 delta min f') + 1/min f' on [0, |c0|_inf];
+    inf where f'(c0) underflows."""
+    return _kf(params, _law_at(params.f, c0_linf)[0])
 
 
 @dataclass(frozen=True)
@@ -148,30 +134,27 @@ class GateReport:
 
 
 def _cond_335_margin(params, c0_linf: float) -> tuple[float, float]:
-    kf = compute_kf(params, c0_linf)
-    min_fp, max_f = _sample_law(params.f, c0_linf)
-    lhs = 4.0 * kf * max_f ** 2 / min_fp
-    return kf, params.delta - lhs
+    """K_f and delta - 4 K_f max f^2 / min f'; an unbounded K_f or an
+    overflowing product gives -inf."""
+    min_fp, max_f = _law_at(params.f, c0_linf)
+    kf = _kf(params, min_fp)
+    return kf, (params.delta - 4.0 * kf * max_f * max_f / min_fp
+                if min_fp > 0.0 else -math.inf)
 
 
-def admissible_c0_bound(params, upper: float = 1e6) -> float:
+def admissible_c0_bound(params) -> float:
     """Largest initial oxygen sup-norm passing the consumption smallness
-    condition, found by bisection (the left side grows with the bound)."""
-    if _cond_335_margin(params, upper)[1] >= 0.0:
-        return math.inf
-    hi = 1.0
-    while hi < upper and _cond_335_margin(params, hi)[1] >= 0.0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _cond_335_margin(params, mid)[1] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    condition.  Since K_f = (chi^2/(2 delta) + 1)/f'(c0), the condition reads
+    f(c0)/f'(c0) <= s = sqrt(delta / (4 (chi^2/(2 delta) + 1))).  Concavity
+    gives f(c) >= c f'(c), so every c > s fails, and bisection narrows
+    [0, s] until the bracket is two adjacent floats."""
+    s = math.sqrt(params.delta
+                  / (4.0 * (params.chi ** 2 / (2.0 * params.delta) + 1.0)))
+    lo, hi = 0.0, math.nextafter(s, math.inf)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        min_fp, max_f = _law_at(params.f, mid)
+        lo, hi = (mid, hi) if max_f / min_fp <= s else (lo, mid)
+    return lo
 
 
 def check_conditions(params, c0_linf: float) -> GateReport:
@@ -237,7 +220,7 @@ def _entropy(params, kf: float, c0_linf: float, min_n: float, nlogn: float,
     and |u|^2; ``min_n`` guards the x ln x term."""
     if min_n < -1e-13:
         raise ValueError(f"entropy functional needs n >= 0, min n = {min_n:g}")
-    weight = 8.0 * kf * c0_linf ** 2 / (3.0 * params.xi * params.eta)
+    weight = 8.0 * kf * (c0_linf * c0_linf) / (3.0 * params.xi * params.eta)
     return (nlogn + kf * grad_sq + weight * u_sq
             + math.exp(-1.0) * params.grid.area)
 
@@ -253,8 +236,9 @@ def entropy_functional(state, params, c0_linf: float) -> float:
 def _lane_floats(x, lanes: int) -> list:
     """One Python number per lane, from a per-lane reduction or a scalar.
 
-    Per-lane scalar arithmetic runs on these, as in an unbatched run:
-    Python's float ** 2 is not always bitwise numpy's array ** 2."""
+    Per-lane scalar arithmetic runs on these, as in an unbatched run.  It
+    squares by x * x: a Python float's x ** 2 calls pow, which can differ in
+    the last bit and raises OverflowError where x * x gives inf."""
     values = np.asarray(x).tolist()
     return values if isinstance(values, list) else [values] * lanes
 
@@ -267,7 +251,7 @@ class EnergyTracker:
         self.lanes = len(state.lanes)
         self.c0_linf = _lane_floats(norm(state.c, "Linf"), self.lanes)
         self.kf = [compute_kf(params, x) for x in self.c0_linf]
-        self.c0_l2sq = [x ** 2 for x in _lane_floats(norm(state.c, "L2"),
+        self.c0_l2sq = [x * x for x in _lane_floats(norm(state.c, "L2"),
                                                      self.lanes)]
         self.i_grad = self.i_cons = [0.0] * self.lanes
         # |grad c|^2 and (n f(c), c) at the latest state
@@ -276,7 +260,7 @@ class EnergyTracker:
     def _integrands(self, state, params) -> tuple[list, list]:
         grad = _lane_floats(norm(state.c, "H1_semi"), self.lanes)
         cons = inner_product(consumption(state.n, state.c, params.f), state.c)
-        return [x ** 2 for x in grad], _lane_floats(cons, self.lanes)
+        return [x * x for x in grad], _lane_floats(cons, self.lanes)
 
     def update(self, state, params, report) -> None:
         grad_sq, cons = self._integrands(state, params)
@@ -305,7 +289,7 @@ def record(state, report, params, tracker: EnergyTracker,
     measurements reject its state raises LaneError naming the lowest one."""
     def floats(x):
         return _lane_floats(x, tracker.lanes)
-    c_sq = [x ** 2 for x in floats(norm(state.c, "L2"))]
+    c_sq = [x * x for x in floats(norm(state.c, "L2"))]
     columns = zip(
         state.lanes, floats(total_mass(state.n)),
         floats(np.min(state.n.values, axis=LANE_REDUCE)),
@@ -321,7 +305,8 @@ def record(state, report, params, tracker: EnergyTracker,
             rows.append(DiagnosticsRow(
                 step_index, state.t, mass, min_n, max_c, l2_u,
                 math.sqrt(c2 + grad_sq),
-                _entropy(params, kf, c0_linf, min_n, nlogn, grad_sq, l2_u ** 2),
+                _entropy(params, kf, c0_linf, min_n, nlogn, grad_sq,
+                         l2_u * l2_u),
                 residual, clips, div))
         except ValueError as exc:   # a measurement rejected this lane
             raise LaneError(str(exc), lane) from exc

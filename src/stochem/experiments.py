@@ -318,7 +318,9 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
     names the first to fail in time (the lowest replica among those failing
     at the earliest step).
     """
-    from .dynamics import run  # local import keeps module load cheap
+    # looked up at call time, not hoisted: a tracer that wraps
+    # stochem.dynamics.run after import still sees the ensemble's runs
+    from .dynamics import run
 
     if n_replicas < 1:
         raise ExperimentError("need at least one replica")

@@ -161,9 +161,7 @@ def scalar_advect(u: VectorField, phi: ScalarField,
     fy = np.zeros(inner_y.shape[:-2] + (g.nx, g.ny + 1))
     fx[..., 1:-1, :] = inner_x
     fy[..., 1:-1] = inner_y
-    d = ((fx[..., 1:, :] - fx[..., :-1, :]) / g.dx
-         + (fy[..., 1:] - fy[..., :-1]) / g.dy)
-    return ScalarField(g, d)
+    return divergence(VectorField(g, fx, fy))
 
 
 def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
@@ -186,9 +184,7 @@ def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
     fx[..., 1:-1, :] = chi * gxi * np.where(gxi > 0.0, nv[..., :-1, :],
                                             nv[..., 1:, :])
     fy[..., 1:-1] = chi * gyi * np.where(gyi > 0.0, nv[..., :-1], nv[..., 1:])
-    d = ((fx[..., 1:, :] - fx[..., :-1, :]) / g.dx
-         + (fy[..., 1:] - fy[..., :-1]) / g.dy)
-    return ScalarField(g, d)
+    return divergence(VectorField(g, fx, fy))
 
 
 def consumption(n: ScalarField, c: ScalarField, f) -> ScalarField:

@@ -3,7 +3,9 @@
 The conjugate-gradient Neumann-Poisson solve cross-checks the direct cosine
 transform path; ``recover_pressure`` reconstructs the diagnostic pressure of
 a state, which the time stepper never uses; the ``textbook_*`` solves are
-the spectral solves without cached divisors.
+the spectral solves without cached divisors; ``sample_law`` finds a
+consumption law's extremes by sampling, where the gate reads them off the
+law's values at the interval's right end.
 """
 
 import numpy as np
@@ -130,3 +132,29 @@ def textbook_velocity_diffusion(grid, u_x, u_y, coef):
     out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho"),
                             type=2, axis=-2, norm="ortho")
     return out_x, out_y
+
+
+def sample_law(f, c0_linf: float, samples: int = 1024):
+    """Min of f' and max of |f| over [0, c0_linf] by dense sampling with one
+    bisection refinement around each extremal sample; overflows inside the
+    law round silently, as in the gate."""
+    hi = max(float(c0_linf), 0.0)
+    with np.errstate(over="ignore"):
+        if hi == 0.0:
+            return float(f.deriv(0.0)), abs(float(f.eval(0.0)))
+        xs = np.linspace(0.0, hi, samples)
+        der = np.asarray(f.deriv(xs), dtype=float)
+        val = np.abs(np.asarray(f.eval(xs), dtype=float))
+
+        def refine(around: int, arr_fun) -> np.ndarray:
+            lo_i = max(around - 1, 0)
+            hi_i = min(around + 1, samples - 1)
+            extra = np.array([0.5 * (xs[lo_i] + xs[around]),
+                              0.5 * (xs[around] + xs[hi_i])])
+            return np.asarray(arr_fun(extra), dtype=float)
+
+        min_fp = min(float(der.min()),
+                     float(refine(int(der.argmin()), f.deriv).min()))
+        max_f = max(float(val.max()),
+                    float(np.abs(refine(int(val.argmax()), f.eval)).max()))
+    return min_fp, max_f

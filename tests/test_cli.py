@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,42 @@ def test_step_count_overflow_exits_2(tmp_path, capsys, command, t_end, dt):
     assert err.startswith(f"error: [time] dt = {float(dt)}: t_end / dt = ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+INTEGRATES = {0, 2, 3}
+
+
+@pytest.mark.parametrize("command, codes", [
+    (["check-params"], {1}), (["run"], {2}),
+    (["run", "--allow-inadmissible"], INTEGRATES),
+    (["experiment", "twin"], INTEGRATES),
+    (["experiment", "convergence"], INTEGRATES),
+    (["experiment", "stratonovich"], INTEGRATES),
+    (["experiment", "ensemble"], INTEGRATES)],
+    ids=["check-params", "run", "allow-inadmissible", "twin", "convergence",
+         "stratonovich", "ensemble"])
+@pytest.mark.parametrize("law, c_value", [("linear", "1e160"),
+                                          ("saturating", "1e200")])
+def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
+                                             law, c_value):
+    # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the
+    # gate fails the consumption condition at margin -inf, neither raising
+    # nor warning, and a command that integrates anyway ends with a defined
+    # exit code
+    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
+                               f"[physics]\nf_name = {law}\n"
+                               f"[ic]\nc_recipe = uniform\nc_value = {c_value}\n"
+                               f"[time]\nt_end = 0.01\n"
+                               f"[experiment]\nlevels = 3\nreplicas = 2\n")
+    argv = command + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        if codes is INTEGRATES:   # numpy warns on the overflowing fields
+            warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) in codes
+    if codes is not INTEGRATES:
+        printed = capsys.readouterr()
+        assert ("consumption term: FAIL (margin -inf)"
+                in printed.out + printed.err)
 
 
 def test_import_loads_no_iterative_solver():

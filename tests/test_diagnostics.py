@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochem import diagnostics
 from stochem.diagnostics import (DiagnosticsRow, admissible_c0_bound,
                                  check_conditions, compute_kf,
                                  energy_identity_residual, entropy_functional,
                                  estimate_k0, total_mass)
-from stochem.dynamics import (ConsumptionLaw, State, run,
+from stochem.dynamics import (CONSUMPTION_LAWS, State, run,
                               saturating_consumption)
 from stochem.grid import (ScalarField, full_scalar, make_grid, norm,
                           scalar_from_function, zeros_scalar, zeros_vector)
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar
+from oracles import sample_law
 
 
 def test_total_mass_constants():
@@ -41,12 +44,17 @@ def test_kf_linear_law_closed_form(rng):
 
 
 def test_kf_rejects_degenerate_derivative():
+    # f'(c0) = 1/(1 + c0)^2 underflows to 0 at c0 = 1e200: the constant is
+    # unbounded and the gate fails, with no exception and no warning
     g = make_grid(16, 16, 1.0, 1.0)
-    flat = ConsumptionLaw(eval=lambda c: np.asarray(c) ** 2,
-                          deriv=lambda c: 2.0 * np.asarray(c), name="square")
-    params = default_params(g, f=flat)
-    with pytest.raises(ValueError):
-        compute_kf(params, 0.5)   # f' -> 0 at the left end of the interval
+    params = default_params(g, f=saturating_consumption())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compute_kf(params, 1e200) == math.inf
+        rep = check_conditions(params, 1e200)
+    assert rep.kf == math.inf
+    assert rep.cond_335_margin == -math.inf
+    assert not rep.all_ok
 
 
 def test_kf_saturating_law_uses_interval_minimum():
@@ -63,8 +71,8 @@ def test_check_conditions_reference_values():
     params = default_params(g, chi=1.0, delta=1.0, gamma=0.0)
     rep = check_conditions(params, 0.3)
     assert rep.kf == pytest.approx(1.5, rel=1e-12)
-    assert rep.c0_bound == pytest.approx(math.sqrt(2.0) / (2.0 * math.sqrt(3.0)),
-                                         abs=1e-6)
+    bound = 1.0 / math.sqrt(6.0)   # K_f c0^2 <= delta/4 for the linear law
+    assert abs(rep.c0_bound - bound) <= math.ulp(bound)
     assert rep.cond_335_ok
     assert rep.gamma_linear_ok and rep.gamma_power_ok
     assert rep.gamma_linear_margin > 0 and rep.gamma_power_margin > 0
@@ -99,6 +107,37 @@ def test_admissible_bound_monotone_families():
         params = default_params(g, chi=1.0, delta=delta)
         bounds.append(admissible_c0_bound(params))
     assert bounds[0] < bounds[1] < bounds[2]
+
+
+# the margin is delta less a product of rounded factors, and the bound
+# solves f/f' <= s, a rearrangement with roundings of its own: both are about
+# ten roundings from exact, each under half an ulp of a value near delta
+GATE_MARGIN_ULPS = 16
+
+
+@pytest.mark.parametrize("law", sorted(CONSUMPTION_LAWS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(chi=st.floats(0.0, 10.0), delta=st.floats(1e-3, 10.0),
+       c0=st.floats(0.0, 1e300))
+def test_gate_matches_sampled_law_oracle(law, chi, delta, c0):
+    params = default_params(make_grid(8, 8, 1.0, 1.0), chi=chi, delta=delta,
+                            f=CONSUMPTION_LAWS[law]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_conditions(params, c0)
+        bound = rep.c0_bound
+        at_bound = check_conditions(params, bound).cond_335_margin
+        past_bound = check_conditions(
+            params, math.nextafter(bound, math.inf)).cond_335_margin
+    min_fp, max_f = sample_law(params.f, c0)
+    if min_fp > 0.0:
+        assert rep.kf == chi ** 2 / (2.0 * delta * min_fp) + 1.0 / min_fp
+    else:
+        assert rep.kf == math.inf
+    assert diagnostics._law_at(params.f, c0)[1] == max_f
+    tol = GATE_MARGIN_ULPS * math.ulp(delta)
+    assert at_bound >= -tol
+    assert past_bound <= tol
 
 
 def test_estimate_k0_is_exactly_one():

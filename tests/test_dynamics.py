@@ -6,8 +6,7 @@ from dataclasses import astuple, replace
 from stochem import _spectral, diagnostics, dynamics, noise, operators
 from stochem import grid as grid_mod
 from stochem.cli import build_simulation, parse_config
-from stochem.dynamics import (DT_MAX, CflError, SimulationError, State,
-                              linear_consumption, run, saturating_consumption,
+from stochem.dynamics import (DT_MAX, CflError, SimulationError, State, run,
                               stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
@@ -18,18 +17,6 @@ from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal
-
-
-def test_consumption_law_validation():
-    linear_consumption().validate(1.0)
-    saturating_consumption().validate(1.0)
-    bad = linear_consumption()
-    bad = type(bad)(eval=lambda c: c ** 2, deriv=lambda c: 2 * c, name="square")
-    bad.validate(1.0)  # f = c^2 passes pointwise positivity
-    worse = type(bad)(eval=lambda c: c - 0.5, deriv=lambda c: np.ones_like(c),
-                      name="affine")
-    with pytest.raises(ValueError):
-        worse.validate(1.0)
 
 
 def test_quiescent_uniform_state_is_fixed_point():

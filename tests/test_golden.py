@@ -117,7 +117,7 @@ K_f = 1.5
 smallness condition on the consumption term: PASS (margin +0.467008)
 noise intensity, linear branch: PASS (margin +0.031875)
 noise intensity, power branch (p=2): PASS (margin +0.0233114)
-admissible |c0|_inf bound = 0.408248290449
+admissible |c0|_inf bound = 0.408248290464
 measured |sigma|_inf = 1.41421356237
 elliptic constant K0 = 1
 admissible
