@@ -60,9 +60,10 @@ _SCHEMA = {
         "eta": (float, 1.0, "must be > 0 (fluid viscosity)", lambda v: v > 0),
         "mu": (float, 1.0, "must be > 0 (oxygen diffusivity)", lambda v: v > 0),
         "delta": (float, 1.0, "must be > 0 (cell diffusivity)", lambda v: v > 0),
-        "chi": (float, 1.0, "must be >= 0 (chemotactic constant)", lambda v: v >= 0),
-        "gamma": (float, 0.1, "must be >= 0 (transport noise intensity)",
-                  lambda v: v >= 0),
+        "chi": (float, 1.0, "must be >= 0 with a finite square (chemotactic "
+                "constant)", lambda v: v >= 0 and math.isfinite(v * v)),
+        "gamma": (float, 0.1, "must be >= 0 with a finite square (transport "
+                  "noise intensity)", lambda v: v >= 0 and math.isfinite(v * v)),
         "f_name": (str, "linear", "must name a consumption law: "
                    + ", ".join(sorted(CONSUMPTION_LAWS)),
                    lambda v: v in CONSUMPTION_LAWS),
@@ -421,7 +422,8 @@ def cmd_experiment(args) -> int:
                    "drift_naive": list(rep.drift_naive),
                    "gap": list(rep.gap),
                    "reference_gap": rep.reference_gap}
-        (outdir / "stratonovich.json").write_text(json.dumps(payload, indent=2))
+        (outdir / "stratonovich.json").write_text(
+            json.dumps(payload, indent=2, allow_nan=False))
         print(f"finest-level drift gap: {float(rep.gap[-1])!r} "
               f"(reference {rep.reference_gap!r})")
         return 0

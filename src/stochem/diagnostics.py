@@ -225,14 +225,6 @@ def _entropy(params, kf: float, c0_linf: float, min_n: float, nlogn: float,
             + math.exp(-1.0) * params.grid.area)
 
 
-def entropy_functional(state, params, c0_linf: float) -> float:
-    """Nonnegative Lyapunov functional: cell entropy plus weighted energies
-    plus the e^{-1}|O| offset that makes x ln x integrable from below."""
-    return _entropy(params, compute_kf(params, c0_linf), c0_linf,
-                    float(state.n.values.min()), _nlogn(state.n),
-                    norm(state.c, "H1_semi") ** 2, norm(state.u, "L2") ** 2)
-
-
 def _lane_floats(x, lanes: int) -> list:
     """One Python number per lane, from a per-lane reduction or a scalar.
 
@@ -311,9 +303,3 @@ def record(state, report, params, tracker: EnergyTracker,
         except ValueError as exc:   # a measurement rejected this lane
             raise LaneError(str(exc), lane) from exc
     return rows
-
-
-def energy_identity_residual(series: DiagnosticsSeries) -> float:
-    """Worst normalized defect of the oxygen energy identity along a series."""
-    vals = series.column("energy_residual")
-    return float(np.max(np.abs(vals))) if len(vals) else 0.0

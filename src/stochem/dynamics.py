@@ -28,6 +28,7 @@ name the lowest failing lane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,8 @@ def make_params(grid: Grid, *, eta: float, mu: float, delta: float, chi: float,
         raise ValueError("mu must be nonnegative")
     if chi < 0.0 or gamma < 0.0:
         raise ValueError("chi and gamma must be nonnegative")
+    if not (math.isfinite(chi * chi) and math.isfinite(gamma * gamma)):
+        raise ValueError("chi and gamma must have finite squares")
     return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
                      phi=phi, f=f, vnoise=vnoise, sigma=sigma)
 
@@ -209,12 +212,17 @@ def stable_dt(state: State, params: SimParams,
         np.abs(gy[..., :-1]), np.abs(gy[..., 1:]))
     rate = np.max(speed_x / g.dx + speed_y / g.dy, axis=LANE_REDUCE)
     if params.gamma > 0.0:
-        # the explicit discrete Ito correction is a forward-Euler diffusion
-        rate = np.maximum(rate, 0.5 * params.gamma ** 2
-                          * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2))
+        rate = np.maximum(rate, ito_rate(params))
     with np.errstate(divide="ignore"):
         bound = np.fmin(DT_MAX, CFL_SAFETY / rate)
     return per_lane(np.where(rate > 0.0, bound, DT_MAX))
+
+
+def ito_rate(params: SimParams) -> float:
+    """Rate of the explicit discrete Ito correction, a forward-Euler
+    diffusion at gamma^2/2, which stable_dt bounds as it bounds advection."""
+    g = params.grid
+    return 0.5 * params.gamma ** 2 * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
 
 
 def density_substep(state: State, params: SimParams,
@@ -334,6 +342,16 @@ def stacked_increments(seed: int, replicas: list[int], k_modes: int):
     return draw
 
 
+def require_finite(fields) -> None:
+    """Raise LaneError naming the first of the (name, values) fields that
+    holds a non-finite value, and its lowest such lane."""
+    for name, values in fields:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise LaneError(f"field {name} is not finite",
+                            first_failing_lane(~finite.all(axis=LANE_REDUCE)))
+
+
 def march(initial: State, params: SimParams, dts: list[float], increments):
     """The stepping loop: take one step per entry of ``dts`` and yield
     (step number from 1, state, report) after each.
@@ -347,13 +365,8 @@ def march(initial: State, params: SimParams, dts: list[float], increments):
         try:
             state, report = step(state, params, increments(index, dt_step),
                                  dt_step)
-            for name, values in (("n", state.n.values), ("c", state.c.values),
-                                 ("u_x", state.u.u_x), ("u_y", state.u.u_y)):
-                finite = np.isfinite(values)
-                if not finite.all():
-                    raise LaneError(f"field {name} is not finite",
-                                    first_failing_lane(
-                                        ~finite.all(axis=LANE_REDUCE)))
+            require_finite((("n", state.n.values), ("c", state.c.values),
+                            ("u_x", state.u.u_x), ("u_y", state.u.u_y)))
         except Exception as exc:
             raise SimulationError(f"step {index + 1} failed: {exc}",
                                   step_index=index + 1,

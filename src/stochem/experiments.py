@@ -34,14 +34,28 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise as noise_mod
-from .dynamics import (SimParams, SimulationError, State, march, oxygen_drift,
+from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
+                       ito_rate, march, oxygen_drift, require_finite,
                        seeded_increments, stack_states, time_grid)
-from .grid import ScalarField, cell_centers, norm
+from .grid import LaneError, ScalarField, cell_centers, norm
 from .noise import merge_increments
 
 
 class ExperimentError(RuntimeError):
     pass
+
+
+def dt_ladder(dt: float, levels: int, t_end: float) -> list[float]:
+    """The step levels dt * 2**k, k = levels - 1 down to 0, of a study over
+    [0, t_end]; every level, the coarsest too, must take one full step."""
+    if t_end <= 0.0:
+        raise ExperimentError(f"t_end must be positive, got {t_end}")
+    dts = [dt * 2 ** k for k in range(levels - 1, -1, -1)]
+    if dts[0] > t_end:
+        raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
+                              f"t_end = {t_end:g}; use fewer levels or a "
+                              f"smaller dt")
+    return dts
 
 
 @dataclass
@@ -50,12 +64,6 @@ class TwinReport:
     separation: np.ndarray          # Y(t) per sample
     growth_rate: float              # least-squares slope of ln Y(t)
     envelope_rate: float            # smallest G with Y(t) <= Y(0) exp(G t)
-
-    def bounded_by_exponential(self) -> bool:
-        if self.separation[0] == 0.0:
-            return bool(np.all(self.separation == 0.0))
-        caps = self.separation[0] * np.exp(self.envelope_rate * self.times)
-        return bool(np.all(self.separation <= caps * (1.0 + 1e-9) + 1e-300))
 
 
 def _separation(a: State, b: State) -> float:
@@ -142,10 +150,8 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
     """
     if levels < 3:
         raise ExperimentError(f"need >= 3 dt levels, got {levels}")
-    if t_end <= 0.0:
-        raise ExperimentError(f"t_end must be positive, got {t_end}")
+    dts = dt_ladder(dt, levels, t_end)
     ratios = [2 ** k for k in range(levels - 1, -1, -1)]
-    dts = [dt * r for r in ratios]
     n_fine = t_end / dt
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise ExperimentError(f"t_end={t_end} is not a multiple of the finest dt")
@@ -194,15 +200,22 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     For each level the predictable drift of the interior |c|^2 is accumulated
     step by step (deterministic change plus the quadratic-variation
     compensator of the noise kick) and averaged over replicas.  The levels
-    are dt * 2**k for k = levels - 1 down to 0.
+    are dt * 2**k for k = levels - 1 down to 0, and the coarsest must keep
+    the explicit Ito correction within the bound stable_dt enforces.  A
+    non-finite oxygen field fails as in march, naming the level, replica and
+    step; a drift, gap or reference that is not finite raises
+    ExperimentError.
     """
     if levels < 1:
         raise ExperimentError(f"need at least one dt level, got {levels}")
-    if t_end <= 0.0:
-        raise ExperimentError(f"t_end must be positive, got {t_end}")
     if n_replicas < 1:
         raise ExperimentError(f"need at least one replica, got {n_replicas}")
-    dts = [dt * 2 ** k for k in range(levels - 1, -1, -1)]
+    dts = dt_ladder(dt, levels, t_end)
+    rate = ito_rate(params)
+    if dts[0] * rate > CFL_SAFETY * (1.0 + 1e-12):
+        raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
+                              f"the Ito-correction bound "
+                              f"{CFL_SAFETY / rate:g}")
     g = initial.c.grid
     vol = g.cell_volume
     cells = np.flatnonzero(params.sigma.interior_mask)
@@ -235,6 +248,15 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                     [m[0] for m in modes], params.sigma, params.gamma).values
                 c_mid.values[0] += corr   # lane 0's mean part
                 c_new[0] += corr
+                try:
+                    require_finite((("c", c_new),))
+                except LaneError as exc:
+                    failure = SimulationError(
+                        f"step {index + 1} failed: {exc} in the "
+                        f"{('corrected', 'naive')[exc.lane]} scheme",
+                        step_index=index + 1)
+                    raise ExperimentError(f"level dt = {d:g}, replica {r} "
+                                          f"failed: {failure}") from failure
                 hs_masked = (masked_sq(modes[0]) + masked_sq(modes[1])) * vol
                 acc += (masked_sq(c_mid.values) * vol
                         + params.gamma ** 2 * dt_step * hs_masked
@@ -245,10 +267,13 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                 identical = bool(np.array_equal(c.values[0], c.values[1]))
         drift[li] /= n_replicas
     ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
+    gap = drift[:, 1] - drift[:, 0]   # finite only where both drifts are
+    if not (np.isfinite(gap).all() and math.isfinite(ref)):
+        raise ExperimentError(f"the oxygen energy drift is not finite: gap "
+                              f"{gap.tolist()}, reference {ref!r}")
     return StratonovichReport(dt_levels=np.asarray(dts),
                               drift_corrected=drift[:, 0],
-                              drift_naive=drift[:, 1],
-                              gap=drift[:, 1] - drift[:, 0],
+                              drift_naive=drift[:, 1], gap=gap,
                               reference_gap=ref, identical=identical)
 
 

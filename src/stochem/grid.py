@@ -145,10 +145,6 @@ def zeros_scalar(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
 
 
-def full_scalar(grid: Grid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full((grid.nx, grid.ny), float(value)))
-
-
 def zeros_vector(grid: Grid, lanes: tuple[int, ...] = ()) -> VectorField:
     return VectorField(grid, np.zeros(lanes + (grid.nx + 1, grid.ny)),
                        np.zeros(lanes + (grid.nx, grid.ny + 1)))
@@ -159,11 +155,6 @@ def cell_centers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     x = (np.arange(grid.nx) + 0.5) * grid.dx
     y = (np.arange(grid.ny) + 0.5) * grid.dy
     return np.meshgrid(x, y, indexing="ij")
-
-
-def scalar_from_function(grid: Grid, f) -> ScalarField:
-    x, y = cell_centers(grid)
-    return ScalarField(grid, np.asarray(f(x, y), dtype=float))
 
 
 def require_same_grid(a: Field, b: Field) -> Grid:
@@ -205,11 +196,6 @@ def scalar_face_gradients(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def gradient(f: ScalarField) -> VectorField:
-    gx, gy = scalar_face_gradients(f)
-    return VectorField(f.grid, gx, gy)
-
-
 def divergence(v: VectorField) -> ScalarField:
     g = v.grid
     d = ((v.u_x[..., 1:, :] - v.u_x[..., :-1, :]) / g.dx
@@ -229,39 +215,9 @@ def stream_function_curl(grid: Grid, a: int, b: int) -> VectorField:
                        -(psi[1:, :] - psi[:-1, :]) / grid.dx)
 
 
-def _velocity_gradient_sq_sum(v: VectorField):
-    """Sum over quadrature points of |grad u|^2 for a no-slip staggered field.
-
-    Tangential derivatives at walls use the reflected ghost (u_ghost = -u_wall
-    row), equivalent to a one-sided difference against the zero wall value at
-    half spacing.
-    """
-    g = v.grid
-    dx, dy = g.dx, g.dy
-    ux, uy = v.u_x, v.u_y
-    total = 0.0
-    # u_x: d/dx lives on cells, d/dy on nodes
-    dux_dx = (ux[..., 1:, :] - ux[..., :-1, :]) / dx
-    total += np.sum(dux_dx ** 2, axis=LANE_REDUCE)
-    dux_dy = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
-    dux_dy[..., 1:-1] = (ux[..., 1:] - ux[..., :-1]) / dy
-    dux_dy[..., 0] = 2.0 * ux[..., 0] / dy
-    dux_dy[..., -1] = -2.0 * ux[..., -1] / dy
-    total += np.sum(dux_dy ** 2, axis=LANE_REDUCE)
-    # u_y: d/dy on cells, d/dx on nodes
-    duy_dy = (uy[..., 1:] - uy[..., :-1]) / dy
-    total += np.sum(duy_dy ** 2, axis=LANE_REDUCE)
-    duy_dx = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
-    duy_dx[..., 1:-1, :] = (uy[..., 1:, :] - uy[..., :-1, :]) / dx
-    duy_dx[..., 0, :] = 2.0 * uy[..., 0, :] / dx
-    duy_dx[..., -1, :] = -2.0 * uy[..., -1, :] / dx
-    total += np.sum(duy_dx ** 2, axis=LANE_REDUCE)
-    return total
-
-
 def norm(f: Field, kind: str):
-    """Discrete norms: 'L2', 'Linf', and the gradient seminorm 'H1_semi';
-    a float, or one value per lane of a batched field."""
+    """Discrete norms: 'L2', 'Linf', and, for a scalar, the gradient
+    seminorm 'H1_semi'; a float, or one value per lane of a batched field."""
     g = f.grid
     if kind == "L2":
         return per_lane(np.sqrt(inner_product(f, f)))
@@ -270,11 +226,9 @@ def norm(f: Field, kind: str):
             return per_lane(np.max(np.abs(f.values), axis=LANE_REDUCE))
         return per_lane(np.maximum(np.max(np.abs(f.u_x), axis=LANE_REDUCE),
                                    np.max(np.abs(f.u_y), axis=LANE_REDUCE)))
-    if kind == "H1_semi":
-        if isinstance(f, ScalarField):
-            gx, gy = scalar_face_gradients(f)
-            s = (np.sum(gx ** 2, axis=LANE_REDUCE)
-                 + np.sum(gy ** 2, axis=LANE_REDUCE))
-            return per_lane(np.sqrt(s * g.cell_volume))
-        return per_lane(np.sqrt(_velocity_gradient_sq_sum(f) * g.cell_volume))
-    raise GridError(f"unknown norm kind {kind!r}")
+    if kind == "H1_semi" and isinstance(f, ScalarField):
+        gx, gy = scalar_face_gradients(f)
+        s = (np.sum(gx ** 2, axis=LANE_REDUCE)
+             + np.sum(gy ** 2, axis=LANE_REDUCE))
+        return per_lane(np.sqrt(s * g.cell_volume))
+    raise GridError(f"no {kind!r} norm for a {type(f).__name__}")

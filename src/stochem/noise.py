@@ -39,19 +39,6 @@ class TransportSigma:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
-    max_interior_divergence: float
-    boundary_zero_violations: int
-    max_q_deviation: float
-
-    @property
-    def ok(self) -> bool:
-        return (self.max_interior_divergence == 0.0
-                and self.boundary_zero_violations == 0
-                and self.max_q_deviation == 0.0)
-
-
-@dataclass(frozen=True)
 class NoiseIncrement:
     dw: np.ndarray       # (..., K) increments of the cylindrical process
     dbeta: np.ndarray    # (..., 2) increments of the planar motion
@@ -90,46 +77,10 @@ def make_transport_sigma(grid: Grid, cutoff_width: int = 1) -> TransportSigma:
                           cutoff_width=w, interior_mask=dist >= 2 * w)
 
 
-def zero_transport_sigma(grid: Grid) -> TransportSigma:
-    """Disabled transport noise: zero fields, empty identity-covariance region."""
-    return TransportSigma(grid=grid, ramp_x=np.zeros((grid.nx + 1, grid.ny)),
-                          ramp_y=np.zeros((grid.nx, grid.ny + 1)),
-                          cutoff_width=0,
-                          interior_mask=np.zeros((grid.nx, grid.ny), dtype=bool))
-
-
 def combined_sigma_linf(sigma: TransportSigma) -> float:
     """Root-sum-square of the per-field sup norms, as the noise conditions use."""
     return math.sqrt(float(np.max(np.abs(sigma.ramp_x))) ** 2
                      + float(np.max(np.abs(sigma.ramp_y))) ** 2)
-
-
-def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
-    """Measure how well a transport family satisfies its structural contract.
-
-    The covariance is q = diag(<ramp_x>^2, <ramp_y>^2) with cell averages
-    <.>; its off-diagonal vanishes by construction.
-    """
-    grid = sigma.grid
-    w = sigma.cutoff_width
-    mask = sigma.interior_mask
-    # div sigma_1 = d_x ramp_x and div sigma_2 = d_y ramp_y
-    div1 = np.diff(sigma.ramp_x, axis=0) / grid.dx
-    div2 = np.diff(sigma.ramp_y, axis=1) / grid.dy
-    qxx = (0.5 * (sigma.ramp_x[:-1, :] + sigma.ramp_x[1:, :])) ** 2
-    qyy = (0.5 * (sigma.ramp_y[:, :-1] + sigma.ramp_y[:, 1:])) ** 2
-    max_div = q_dev = 0.0
-    if mask.any():
-        max_div = max(float(np.max(np.abs(div1[mask]))),
-                      float(np.max(np.abs(div2[mask]))))
-        q_dev = max(float(np.max(np.abs(qxx[mask] - 1.0))),
-                    float(np.max(np.abs(qyy[mask] - 1.0))))
-    dxf, dyf = _face_distances(grid)
-    violations = (int(np.count_nonzero(sigma.ramp_x[dxf <= w]))
-                  + int(np.count_nonzero(sigma.ramp_y[dyf <= w])))
-    return AssumptionReport(max_interior_divergence=max_div,
-                            boundary_zero_violations=violations,
-                            max_q_deviation=q_dev)
 
 
 def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:
@@ -261,13 +212,6 @@ def g_apply(u: VectorField, c: ScalarField, cfg: VelocityNoiseConfig,
         out.u_x += w * mode.u_x
         out.u_y += w * mode.u_y
     return out
-
-
-def g_hilbert_schmidt(cfg: VelocityNoiseConfig, u: VectorField) -> float:
-    """Hilbert-Schmidt norm of the forcing operator at the given state."""
-    s = math.sqrt(float(sum((lam * norm(m, "L2")) ** 2
-                            for lam, m in zip(cfg.lambdas, cfg.modes))))
-    return g_scale(u, cfg) * s
 
 
 _U64 = 0xFFFFFFFFFFFFFFFF

@@ -23,23 +23,13 @@ from enum import Enum
 import numpy as np
 
 from . import _spectral
-from .grid import (ScalarField, VectorField, divergence, gradient, norm,
+from .grid import (ScalarField, VectorField, divergence, norm,
                    require_same_grid, scalar_face_gradients, zeros_vector)
 
 
 class AdvectionMode(Enum):
     CENTERED_SKEW = "CenteredSkew"
     UPWIND_FLUX = "UpwindFlux"
-
-
-def laplacian_neumann(phi: ScalarField) -> ScalarField:
-    """Flux-form five-point Laplacian with zero boundary flux.
-
-    Returns lap(phi); the positive diffusion operator of the abstract setting
-    is minus this.  The boundary fluxes being identically zero makes the
-    integral of the result vanish by telescoping.
-    """
-    return divergence(gradient(phi))
 
 
 def helmholtz_project(v: VectorField) -> VectorField:
@@ -54,41 +44,6 @@ def helmholtz_project(v: VectorField) -> VectorField:
     p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
     gpx, gpy = scalar_face_gradients(ScalarField(g, p))
     return VectorField(g, v.u_x - gpx, v.u_y - gpy)
-
-
-def stokes_apply(u: VectorField) -> VectorField:
-    """Componentwise five-point Laplacian of a no-slip staggered field.
-
-    Wall-normal boundary faces of the output are zero (those values are
-    boundary data, not unknowns); tangential walls use the reflected ghost
-    u_ghost = -u_first so the interpolated wall velocity vanishes.
-    """
-    g = u.grid
-    dx2, dy2 = g.dx ** 2, g.dy ** 2
-    out = zeros_vector(g, u.lanes)
-
-    ux = u.u_x
-    lap_x = np.zeros_like(ux)
-    lap_x[..., 1:-1, :] = (ux[..., 2:, :] - 2.0 * ux[..., 1:-1, :]
-                           + ux[..., :-2, :]) / dx2
-    pad = np.empty(u.lanes + (g.nx + 1, g.ny + 2))
-    pad[..., 1:-1] = ux
-    pad[..., 0] = -ux[..., 0]
-    pad[..., -1] = -ux[..., -1]
-    lap_x += (pad[..., 2:] - 2.0 * pad[..., 1:-1] + pad[..., :-2]) / dy2
-    out.u_x[..., 1:-1, :] = lap_x[..., 1:-1, :]
-
-    uy = u.u_y
-    lap_y = np.zeros_like(uy)
-    lap_y[..., 1:-1] = (uy[..., 2:] - 2.0 * uy[..., 1:-1] + uy[..., :-2]) / dy2
-    pad = np.empty(u.lanes + (g.nx + 2, g.ny + 1))
-    pad[..., 1:-1, :] = uy
-    pad[..., 0, :] = -uy[..., 0, :]
-    pad[..., -1, :] = -uy[..., -1, :]
-    lap_y += (pad[..., 2:, :] - 2.0 * pad[..., 1:-1, :]
-              + pad[..., :-2, :]) / dx2
-    out.u_y[..., 1:-1] = lap_y[..., 1:-1]
-    return out
 
 
 def _face_value(left: np.ndarray, right: np.ndarray, carrier: np.ndarray,

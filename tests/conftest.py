@@ -12,9 +12,10 @@ def pytest_terminal_summary(terminalreporter):
 
 from stochem.dynamics import State, linear_consumption, make_params
 from stochem.grid import ScalarField, VectorField, zeros_scalar, zeros_vector
-from stochem.noise import (make_transport_sigma, make_velocity_noise,
-                           zero_transport_sigma)
+from stochem.noise import make_transport_sigma, make_velocity_noise
 from stochem.operators import helmholtz_project
+
+from oracles import zero_transport_sigma
 
 
 @pytest.fixture

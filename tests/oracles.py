@@ -1,4 +1,4 @@
-"""Independent reference solvers the package itself does not need.
+"""Independent reference solvers and measurements the package does not need.
 
 The conjugate-gradient Neumann-Poisson solve cross-checks the direct cosine
 transform path; ``recover_pressure`` reconstructs the diagnostic pressure of
@@ -6,15 +6,30 @@ a state, which the time stepper never uses; the ``textbook_*`` solves are
 the spectral solves without cached divisors; ``sample_law`` finds a
 consumption law's extremes by sampling, where the gate reads them off the
 law's values at the interval's right end.
+
+The rest are oracles and fixtures that no CLI command runs: field
+constructors, the full face gradient, the five-point Laplacians (the
+velocity one is the stencil ``solve_velocity_diffusion`` inverts), the
+velocity gradient seminorm, the transport-field contract check, the forcing's
+Hilbert-Schmidt norm, the entropy functional of one state and the worst
+energy-identity defect of a series.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dctn, dst, idctn, idst
 from scipy.sparse.linalg import LinearOperator, cg
 
 from stochem import _spectral
-from stochem.grid import LANE_REDUCE, ScalarField, divergence, zeros_vector
-from stochem.operators import buoyancy, convect_velocity, stokes_apply
+from stochem.diagnostics import DiagnosticsSeries, _entropy, _nlogn, compute_kf
+from stochem.grid import (LANE_REDUCE, ScalarField, VectorField, cell_centers,
+                          divergence, norm, per_lane, scalar_face_gradients,
+                          zeros_vector)
+from stochem.noise import (TransportSigma, VelocityNoiseConfig,
+                           _face_distances, g_scale)
+from stochem.operators import buoyancy, convect_velocity
 
 POISSON_CG_TOL = 1e-12
 POISSON_CG_MAXITER_PER_CELL = 10
@@ -158,3 +173,176 @@ def sample_law(f, c0_linf: float, samples: int = 1024):
         max_f = max(float(val.max()),
                     float(np.abs(refine(int(val.argmax()), f.eval)).max()))
     return min_fp, max_f
+
+
+def full_scalar(grid, value: float) -> ScalarField:
+    return ScalarField(grid, np.full((grid.nx, grid.ny), float(value)))
+
+
+def scalar_from_function(grid, f) -> ScalarField:
+    x, y = cell_centers(grid)
+    return ScalarField(grid, np.asarray(f(x, y), dtype=float))
+
+
+def gradient(f: ScalarField) -> VectorField:
+    gx, gy = scalar_face_gradients(f)
+    return VectorField(f.grid, gx, gy)
+
+
+def laplacian_neumann(phi: ScalarField) -> ScalarField:
+    """Flux-form five-point Laplacian with zero boundary flux.
+
+    Returns lap(phi); the positive diffusion operator of the abstract setting
+    is minus this.  The boundary fluxes being identically zero makes the
+    integral of the result vanish by telescoping.
+    """
+    return divergence(gradient(phi))
+
+
+def stokes_apply(u: VectorField) -> VectorField:
+    """Componentwise five-point Laplacian of a no-slip staggered field.
+
+    Wall-normal boundary faces of the output are zero (those values are
+    boundary data, not unknowns); tangential walls use the reflected ghost
+    u_ghost = -u_first so the interpolated wall velocity vanishes.
+    """
+    g = u.grid
+    dx2, dy2 = g.dx ** 2, g.dy ** 2
+    out = zeros_vector(g, u.lanes)
+
+    ux = u.u_x
+    lap_x = np.zeros_like(ux)
+    lap_x[..., 1:-1, :] = (ux[..., 2:, :] - 2.0 * ux[..., 1:-1, :]
+                           + ux[..., :-2, :]) / dx2
+    pad = np.empty(u.lanes + (g.nx + 1, g.ny + 2))
+    pad[..., 1:-1] = ux
+    pad[..., 0] = -ux[..., 0]
+    pad[..., -1] = -ux[..., -1]
+    lap_x += (pad[..., 2:] - 2.0 * pad[..., 1:-1] + pad[..., :-2]) / dy2
+    out.u_x[..., 1:-1, :] = lap_x[..., 1:-1, :]
+
+    uy = u.u_y
+    lap_y = np.zeros_like(uy)
+    lap_y[..., 1:-1] = (uy[..., 2:] - 2.0 * uy[..., 1:-1] + uy[..., :-2]) / dy2
+    pad = np.empty(u.lanes + (g.nx + 2, g.ny + 1))
+    pad[..., 1:-1, :] = uy
+    pad[..., 0, :] = -uy[..., 0, :]
+    pad[..., -1, :] = -uy[..., -1, :]
+    lap_y += (pad[..., 2:, :] - 2.0 * pad[..., 1:-1, :]
+              + pad[..., :-2, :]) / dx2
+    out.u_y[..., 1:-1] = lap_y[..., 1:-1]
+    return out
+
+
+def _velocity_gradient_sq_sum(v: VectorField):
+    """Sum over quadrature points of |grad u|^2 for a no-slip staggered field.
+
+    Tangential derivatives at walls use the reflected ghost (u_ghost = -u_wall
+    row), equivalent to a one-sided difference against the zero wall value at
+    half spacing.
+    """
+    g = v.grid
+    dx, dy = g.dx, g.dy
+    ux, uy = v.u_x, v.u_y
+    total = 0.0
+    # u_x: d/dx lives on cells, d/dy on nodes
+    dux_dx = (ux[..., 1:, :] - ux[..., :-1, :]) / dx
+    total += np.sum(dux_dx ** 2, axis=LANE_REDUCE)
+    dux_dy = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
+    dux_dy[..., 1:-1] = (ux[..., 1:] - ux[..., :-1]) / dy
+    dux_dy[..., 0] = 2.0 * ux[..., 0] / dy
+    dux_dy[..., -1] = -2.0 * ux[..., -1] / dy
+    total += np.sum(dux_dy ** 2, axis=LANE_REDUCE)
+    # u_y: d/dy on cells, d/dx on nodes
+    duy_dy = (uy[..., 1:] - uy[..., :-1]) / dy
+    total += np.sum(duy_dy ** 2, axis=LANE_REDUCE)
+    duy_dx = np.empty(v.lanes + (g.nx + 1, g.ny + 1))
+    duy_dx[..., 1:-1, :] = (uy[..., 1:, :] - uy[..., :-1, :]) / dx
+    duy_dx[..., 0, :] = 2.0 * uy[..., 0, :] / dx
+    duy_dx[..., -1, :] = -2.0 * uy[..., -1, :] / dx
+    total += np.sum(duy_dx ** 2, axis=LANE_REDUCE)
+    return total
+
+
+def velocity_h1_semi(v: VectorField):
+    """Gradient seminorm of a no-slip staggered field, per lane."""
+    return per_lane(np.sqrt(_velocity_gradient_sq_sum(v) * v.grid.cell_volume))
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    max_interior_divergence: float
+    boundary_zero_violations: int
+    max_q_deviation: float
+
+    @property
+    def ok(self) -> bool:
+        return (self.max_interior_divergence == 0.0
+                and self.boundary_zero_violations == 0
+                and self.max_q_deviation == 0.0)
+
+
+def zero_transport_sigma(grid) -> TransportSigma:
+    """Disabled transport noise: zero fields, empty identity-covariance region."""
+    return TransportSigma(grid=grid, ramp_x=np.zeros((grid.nx + 1, grid.ny)),
+                          ramp_y=np.zeros((grid.nx, grid.ny + 1)),
+                          cutoff_width=0,
+                          interior_mask=np.zeros((grid.nx, grid.ny), dtype=bool))
+
+
+def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
+    """Measure how well a transport family satisfies its structural contract.
+
+    The covariance is q = diag(<ramp_x>^2, <ramp_y>^2) with cell averages
+    <.>; its off-diagonal vanishes by construction.
+    """
+    grid = sigma.grid
+    w = sigma.cutoff_width
+    mask = sigma.interior_mask
+    # div sigma_1 = d_x ramp_x and div sigma_2 = d_y ramp_y
+    div1 = np.diff(sigma.ramp_x, axis=0) / grid.dx
+    div2 = np.diff(sigma.ramp_y, axis=1) / grid.dy
+    qxx = (0.5 * (sigma.ramp_x[:-1, :] + sigma.ramp_x[1:, :])) ** 2
+    qyy = (0.5 * (sigma.ramp_y[:, :-1] + sigma.ramp_y[:, 1:])) ** 2
+    max_div = q_dev = 0.0
+    if mask.any():
+        max_div = max(float(np.max(np.abs(div1[mask]))),
+                      float(np.max(np.abs(div2[mask]))))
+        q_dev = max(float(np.max(np.abs(qxx[mask] - 1.0))),
+                    float(np.max(np.abs(qyy[mask] - 1.0))))
+    dxf, dyf = _face_distances(grid)
+    violations = (int(np.count_nonzero(sigma.ramp_x[dxf <= w]))
+                  + int(np.count_nonzero(sigma.ramp_y[dyf <= w])))
+    return AssumptionReport(max_interior_divergence=max_div,
+                            boundary_zero_violations=violations,
+                            max_q_deviation=q_dev)
+
+
+def g_hilbert_schmidt(cfg: VelocityNoiseConfig, u: VectorField) -> float:
+    """Hilbert-Schmidt norm of the forcing operator at the given state."""
+    s = math.sqrt(float(sum((lam * norm(m, "L2")) ** 2
+                            for lam, m in zip(cfg.lambdas, cfg.modes))))
+    return g_scale(u, cfg) * s
+
+
+def entropy_functional(state, params, c0_linf: float) -> float:
+    """Nonnegative Lyapunov functional: cell entropy plus weighted energies
+    plus the e^{-1}|O| offset that makes x ln x integrable from below."""
+    return _entropy(params, compute_kf(params, c0_linf), c0_linf,
+                    float(state.n.values.min()), _nlogn(state.n),
+                    norm(state.c, "H1_semi") ** 2, norm(state.u, "L2") ** 2)
+
+
+def energy_identity_residual(series: DiagnosticsSeries) -> float:
+    """Worst normalized defect of the oxygen energy identity along a series."""
+    vals = series.column("energy_residual")
+    return float(np.max(np.abs(vals))) if len(vals) else 0.0
+
+
+def bounded_by_exponential(report) -> bool:
+    """True when a TwinReport's separation stays under Y(0) exp(G t), G its
+    envelope rate."""
+    if report.separation[0] == 0.0:
+        return bool(np.all(report.separation == 0.0))
+    caps = report.separation[0] * np.exp(report.envelope_rate * report.times)
+    return bool(np.all(report.separation <= caps * (1.0 + 1e-9) + 1e-300))

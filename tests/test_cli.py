@@ -370,6 +370,7 @@ def test_step_count_overflow_exits_2(tmp_path, capsys, command, t_end, dt):
 
 
 INTEGRATES = {0, 2, 3}
+FAILS = {2, 3}
 
 
 @pytest.mark.parametrize("command, codes", [
@@ -377,7 +378,7 @@ INTEGRATES = {0, 2, 3}
     (["run", "--allow-inadmissible"], INTEGRATES),
     (["experiment", "twin"], INTEGRATES),
     (["experiment", "convergence"], INTEGRATES),
-    (["experiment", "stratonovich"], INTEGRATES),
+    (["experiment", "stratonovich"], FAILS),
     (["experiment", "ensemble"], INTEGRATES)],
     ids=["check-params", "run", "allow-inadmissible", "twin", "convergence",
          "stratonovich", "ensemble"])
@@ -388,21 +389,110 @@ def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
     # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the
     # gate fails the consumption condition at margin -inf, neither raising
     # nor warning, and a command that integrates anyway ends with a defined
-    # exit code
+    # exit code; the Stratonovich study, whose drift overflows, never
+    # reports success
     cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
                                f"[physics]\nf_name = {law}\n"
                                f"[ic]\nc_recipe = uniform\nc_value = {c_value}\n"
                                f"[time]\nt_end = 0.01\n"
                                f"[experiment]\nlevels = 3\nreplicas = 2\n")
     argv = command + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    gated = command in (["check-params"], ["run"])
     with warnings.catch_warnings():
-        if codes is INTEGRATES:   # numpy warns on the overflowing fields
+        if not gated:   # numpy warns on the overflowing fields
             warnings.simplefilter("ignore", RuntimeWarning)
         assert main(argv) in codes
-    if codes is not INTEGRATES:
-        printed = capsys.readouterr()
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.err
+    if gated:
         assert ("consumption term: FAIL (margin -inf)"
                 in printed.out + printed.err)
+    assert not (tmp_path / "o" / "stratonovich.json").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    (["check-params"], 1), (["run"], 2),
+    (["run", "--allow-inadmissible"], 3), (["experiment", "twin"], 3),
+    (["experiment", "convergence"], 3), (["experiment", "stratonovich"], 2),
+    (["experiment", "ensemble"], 3)],
+    ids=["check-params", "run", "allow-inadmissible", "twin", "convergence",
+         "stratonovich", "ensemble"])
+def test_huge_gamma_exits_without_traceback(tmp_path, capsys, command, code):
+    # gamma^2 is finite, but the explicit Ito correction allows no step: the
+    # gate fails both noise branches, every integrating command stops at its
+    # first step, and the Stratonovich study refuses its coarsest level
+    # instead of writing a NaN drift
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                               "[physics]\ngamma = 1e100\n"
+                               "[time]\nt_end = 0.01\n"
+                               "[experiment]\nlevels = 3\nreplicas = 2\n")
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == code
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.err
+    if code == 3:
+        assert printed.err.startswith("error: ")
+        assert "exceeds the advective bound" in printed.err
+    if command[-1] == "stratonovich":
+        assert printed.err.startswith("error: the coarsest level dt = 0.004 "
+                                      "exceeds the Ito-correction bound ")
+        assert not (out / "stratonovich.json").exists()
+
+
+def test_stratonovich_non_finite_oxygen_exits_3(tmp_path, capsys):
+    # the bump at the largest float overflows in its first drift step; the
+    # study stops as a run does and names the level, replica and step
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                               "[ic]\nc_recipe = uniform\nc_value = 1.7e308\n"
+                               "[time]\nt_end = 0.01\n"
+                               "[experiment]\nlevels = 3\nreplicas = 2\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["experiment", "stratonovich", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: level dt = 0.004, replica 0 failed: step 1 "
+                          "failed: field c is not finite")
+    assert not (out / "stratonovich.json").exists()
+
+
+_COMMANDS = [["check-params"], ["run"], ["experiment", "twin"],
+             ["experiment", "convergence"], ["experiment", "stratonovich"],
+             ["experiment", "ensemble"]]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[-1])
+@pytest.mark.parametrize("key", ["chi", "gamma"])
+def test_overflowing_square_exits_2(tmp_path, capsys, command, key):
+    # the gate and the stepper square chi and gamma; a square past the float
+    # range is refused with the config, before any of them runs
+    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
+                               f"[physics]\n{key} = 1e200\n")
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [physics] {key} = 1e+200: must be >= 0 "
+                          f"with a finite square")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["convergence", "stratonovich"])
+def test_ladder_longer_than_t_end_exits_2(tmp_path, capsys, which):
+    # the 0.004 level cannot take one step in t_end = 0.002, so two levels
+    # would both take the same single landing step
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                               "[time]\nt_end = 0.002\ndt = 1e-3\n"
+                               "[experiment]\nlevels = 3\nreplicas = 2\n")
+    code = main(["experiment", which, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the coarsest level dt = 0.004 exceeds "
+                          "t_end = 0.002")
+    assert "Traceback" not in err
 
 
 def test_import_loads_no_iterative_solver():

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from stochem import diagnostics
 from stochem.diagnostics import (DiagnosticsRow, admissible_c0_bound,
-                                 check_conditions, compute_kf,
-                                 energy_identity_residual, entropy_functional,
-                                 estimate_k0, total_mass)
+                                 check_conditions, compute_kf, estimate_k0,
+                                 total_mass)
 from stochem.dynamics import (CONSUMPTION_LAWS, State, run,
                               saturating_consumption)
-from stochem.grid import (ScalarField, full_scalar, make_grid, norm,
-                          scalar_from_function, zeros_scalar, zeros_vector)
+from stochem.grid import (ScalarField, make_grid, norm, zeros_scalar,
+                          zeros_vector)
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar
-from oracles import sample_law
+from oracles import (energy_identity_residual, entropy_functional, full_scalar,
+                     sample_law, scalar_from_function)
 
 
 def test_total_mass_constants():

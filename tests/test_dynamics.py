@@ -10,13 +10,13 @@ from stochem.dynamics import (DT_MAX, CflError, SimulationError, State, run,
                               stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
-                          scalar_face_gradients, scalar_from_function,
-                          zeros_vector)
+                          scalar_face_gradients, zeros_vector)
 from stochem.noise import make_velocity_noise, sample_increments
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal
+from oracles import scalar_from_function
 
 
 def test_quiescent_uniform_state_is_fixed_point():
@@ -57,6 +57,14 @@ def test_step_rejects_cfl_violation(rng):
     st.u.u_x[5, 5] = 50.0
     with pytest.raises(CflError):
         step(st, params, sample_increments(0, 0, 0, 0.05, 4), 0.05)
+
+
+@pytest.mark.parametrize("key", ["chi", "gamma"])
+def test_make_params_rejects_overflowing_square(key):
+    # the gate and the stepper square both coefficients
+    g = make_grid(8, 8, 1.0, 1.0)
+    with pytest.raises(ValueError, match="finite squares"):
+        default_params(g, **{key: 1e200})
 
 
 def test_stable_dt_scaling(rng):

@@ -9,10 +9,12 @@ from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (ENSEMBLE_COLUMNS, ExperimentError,
                                  convergence_dt, ensemble, interior_bump,
                                  stratonovich_consistency, twin_run)
-from stochem.grid import ScalarField, make_grid, zeros_scalar, zeros_vector
+from stochem.grid import (ScalarField, make_grid, scalar_face_gradients,
+                          zeros_scalar, zeros_vector)
 from stochem.noise import make_transport_sigma
 
 from conftest import default_params, random_solenoidal
+from oracles import bounded_by_exponential
 
 
 def _setup(nx=24, gamma=0.08, amplitude=0.02, seed=5):
@@ -57,7 +59,7 @@ def test_twin_perturbation_growth_bounded():
     assert rep.separation[0] > 0.0
     assert np.all(rep.separation > 0.0)
     assert np.isfinite(rep.growth_rate)
-    assert rep.bounded_by_exponential()
+    assert bounded_by_exponential(rep)
 
 
 # ----------------------------------------------------------------- dt study
@@ -131,6 +133,27 @@ def test_stratonovich_rejects_empty_study():
     with pytest.raises(ExperimentError, match="at least one replica"):
         stratonovich_consistency(params, frozen, 4, 1e-3, 1, 0.004,
                                  n_replicas=0)
+
+
+def test_dt_ladder_needs_one_coarse_step():
+    assert experiments.dt_ladder(1e-3, 3, 0.004) == [0.004, 0.002, 0.001]
+    with pytest.raises(ExperimentError, match="coarsest level dt = 0.004 "
+                                              "exceeds t_end = 0.002"):
+        experiments.dt_ladder(1e-3, 3, 0.002)
+    with pytest.raises(ExperimentError, match="coarsest level"):
+        convergence_dt(*_setup(gamma=0.0, amplitude=0.0), 0, 1e-3, 3, 0.002)
+
+
+def test_stratonovich_refuses_level_above_ito_bound():
+    # the study steps outside march, so it checks the bound that stable_dt
+    # puts on the explicit Ito correction itself
+    params, frozen = _strat_setup(0.15, nx=16)
+    bound = dynamics.stable_dt(frozen, params,
+                               scalar_face_gradients(frozen.c))
+    assert bound == dynamics.CFL_SAFETY / dynamics.ito_rate(params) < 0.1
+    with pytest.raises(ExperimentError, match="Ito-correction bound"):
+        stratonovich_consistency(params, frozen, 4, 0.51 * bound, 2, 0.5,
+                                 n_replicas=1)
 
 
 def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):

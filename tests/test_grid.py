@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochem.grid import (GridError, ScalarField, divergence, gradient,
-                          inner_product, make_grid, norm, scalar_from_function,
-                          full_scalar, zeros_vector)
+from stochem.grid import (GridError, ScalarField, divergence, inner_product,
+                          make_grid, norm, zeros_vector)
 
 from conftest import random_scalar, random_vector
+from oracles import (full_scalar, gradient, scalar_from_function,
+                     velocity_h1_semi)
 
 
 def test_make_grid_spacings():
@@ -97,7 +98,9 @@ def test_vector_inner_product_and_norms(rng):
     v = random_vector(g, rng)
     assert norm(v, "L2") ** 2 == pytest.approx(inner_product(v, v), rel=1e-13)
     assert norm(zeros_vector(g), "L2") == 0.0
-    assert norm(zeros_vector(g), "H1_semi") == 0.0
+    assert velocity_h1_semi(zeros_vector(g)) == 0.0
+    with pytest.raises(GridError):   # a scalar seminorm only
+        norm(v, "H1_semi")
 
 
 def test_gradient_divergence_adjointness(rng):

@@ -5,12 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochem.grid import (ScalarField, VectorField, divergence, full_scalar,
-                          inner_product, make_grid, norm, scalar_face_gradients,
-                          scalar_from_function, zeros_vector)
-from stochem.noise import (NoiseIncrement, check_sigma_assumptions,
-                           combined_sigma_linf,
-                           g_apply, g_hilbert_schmidt,
+from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
+                          make_grid, norm, scalar_face_gradients, zeros_vector)
+from stochem.noise import (NoiseIncrement, combined_sigma_linf, g_apply,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
                            transport_hs_sq, transport_ito_correction,
@@ -18,6 +15,8 @@ from stochem.noise import (NoiseIncrement, check_sigma_assumptions,
 from stochem.operators import divergence_residual
 
 from conftest import random_scalar
+from oracles import (check_sigma_assumptions, full_scalar, g_hilbert_schmidt,
+                     scalar_from_function)
 
 
 # --------------------------------------------------------------- sigma

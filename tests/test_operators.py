@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from stochem.dynamics import linear_consumption
-from stochem.grid import (ScalarField, VectorField, divergence, full_scalar,
-                          gradient, inner_product, make_grid, norm,
-                          scalar_face_gradients, scalar_from_function,
-                          zeros_vector)
+from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
+                          make_grid, norm, scalar_face_gradients, zeros_vector)
 from stochem.operators import (AdvectionMode, buoyancy, chemotaxis_div,
                                consumption, convect_velocity,
                                divergence_residual, helmholtz_project,
-                               laplacian_neumann, scalar_advect,
-                               stokes_apply)
+                               scalar_advect)
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal, random_vector
-from oracles import recover_pressure
+from oracles import (full_scalar, gradient, laplacian_neumann, recover_pressure,
+                     scalar_from_function, stokes_apply)
 
 
 # ---------------------------------------------------------------- laplacian
