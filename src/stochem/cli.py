@@ -185,6 +185,10 @@ def _cross_validate(cfg: RunConfig) -> None:
     if w >= min(g["nx"], g["ny"]) / 4:
         raise ConfigError(f"[noise] sigma_cutoff_width = {w}: must be < "
                           f"min(nx, ny)/4")
+    k, resolved = cfg.values["noise"]["k_modes"], (g["nx"] - 1) * (g["ny"] - 1)
+    if k > resolved:
+        raise ConfigError(f"[noise] k_modes = {k}: must be <= (nx - 1)(ny - 1)"
+                          f" = {resolved}, the stream modes the grid resolves")
     dt = cfg[("time", "dt")]
     steps = cfg[("time", "t_end")] / dt
     if not steps <= sys.maxsize:   # also catches an overflow to inf
@@ -405,7 +409,8 @@ def cmd_experiment(args) -> int:
                              t["t_end"])
         payload = {"dt_levels": list(rep.dt_levels), "errors": list(rep.errors),
                    "slope": rep.slope}
-        (outdir / "convergence.json").write_text(json.dumps(payload, indent=2))
+        (outdir / "convergence.json").write_text(
+            json.dumps(payload, indent=2, allow_nan=False))
         print(f"fitted strong-order slope: {rep.slope:.4f}")
         return 0
 

@@ -74,20 +74,17 @@ class ConsumptionLaw:
     the minimum of f' is f'(c0) and the maximum of f is f(c0)."""
     eval: callable
     deriv: callable
-    name: str
 
 
 def linear_consumption() -> ConsumptionLaw:
     return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float),
-                          deriv=lambda c: np.ones_like(np.asarray(c, dtype=float)),
-                          name="linear")
+                          deriv=lambda c: np.ones_like(np.asarray(c, dtype=float)))
 
 
 def saturating_consumption() -> ConsumptionLaw:
     """Michaelis-Menten style uptake c / (1 + c)."""
     return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float) / (1.0 + np.asarray(c, dtype=float)),
-                          deriv=lambda c: 1.0 / (1.0 + np.asarray(c, dtype=float)) ** 2,
-                          name="saturating")
+                          deriv=lambda c: 1.0 / (1.0 + np.asarray(c, dtype=float)) ** 2)
 
 
 CONSUMPTION_LAWS = {
@@ -271,8 +268,8 @@ def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
     return c_new, clip_count, hs_sq
 
 
-def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
-                     params: SimParams, inc: NoiseIncrement,
+def velocity_substep(state: State, n_new: ScalarField, params: SimParams,
+                     inc: NoiseIncrement,
                      dt: float) -> tuple[VectorField, float]:
     """Returns the projected new velocity and its divergence residual."""
     g = state.u.grid
@@ -282,7 +279,7 @@ def velocity_substep(state: State, n_new: ScalarField, c_new: ScalarField,
                          state.u.u_x + dt * (buoy.u_x - conv.u_x),
                          state.u.u_y + dt * (buoy.u_y - conv.u_y))
     if params.vnoise.amplitude > 0.0:
-        gw = g_apply(state.u, c_new, params.vnoise, inc)
+        gw = g_apply(state.u, params.vnoise, inc)
         forced.u_x += gw.u_x
         forced.u_y += gw.u_y
     u_mid = _spectral.solve_velocity_diffusion(g, forced, dt * params.eta)
@@ -306,7 +303,7 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
         raise CflError(f"dt={dt:g} exceeds the advective bound {limit:g}", lane)
     n_new = density_substep(state, params, grad_c, dt)
     c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
-    u_new, proj_res = velocity_substep(state, n_new, c_new, params, inc, dt)
+    u_new, proj_res = velocity_substep(state, n_new, params, inc, dt)
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)
     report = StepReport(dt=dt, clip_count=clip_count,
                         projection_residual=proj_res, noise_hs_sq=hs_sq)
@@ -337,8 +334,7 @@ def stacked_increments(seed: int, replicas: list[int], k_modes: int):
         incs = [sample_increments(seed, r, index, dt, k_modes)
                 for r in replicas]
         return NoiseIncrement(dw=np.stack([inc.dw for inc in incs]),
-                              dbeta=np.stack([inc.dbeta for inc in incs]),
-                              dt=incs[0].dt)
+                              dbeta=np.stack([inc.dbeta for inc in incs]))
     return draw
 
 

@@ -63,7 +63,6 @@ class TwinReport:
     times: np.ndarray
     separation: np.ndarray          # Y(t) per sample
     growth_rate: float              # least-squares slope of ln Y(t)
-    envelope_rate: float            # smallest G with Y(t) <= Y(0) exp(G t)
 
 
 def _separation(a: State, b: State) -> float:
@@ -96,31 +95,29 @@ def twin_run(params: SimParams, initial: State, seed: int,
              sample_every: int = 1) -> TwinReport:
     """Two lanes of one batched march, one Brownian path, perturbed scalars;
     Y(t) per sample.  The increments carry no lane axis, so each step's draw
-    drives both lanes."""
+    drives both lanes.  A Y(t) that is not finite raises ExperimentError."""
     dts = time_grid(t_end - initial.t, dt)
     draw = seeded_increments(seed, 0, params.vnoise.n_modes)
     other = perturbed_copy(initial, perturbation_amplitude)
     times = [0.0]
-    ys = [_separation(initial, other)]
-    for index, pair, _ in march(stack_states([initial, other]), params, dts,
-                                draw):
-        if index % sample_every == 0:
-            times.append(pair.t - initial.t)
-            ys.append(_separation(pair.lane(0), pair.lane(1)))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        ys = [_separation(initial, other)]
+        for index, pair, _ in march(stack_states([initial, other]), params,
+                                    dts, draw):
+            if index % sample_every == 0:
+                times.append(pair.t - initial.t)
+                ys.append(_separation(pair.lane(0), pair.lane(1)))
     times = np.asarray(times)
     ys = np.asarray(ys)
+    if not np.isfinite(ys).all():
+        t_bad = times[~np.isfinite(ys)][0]
+        raise ExperimentError(f"the separation is not finite at t = {t_bad:g}")
     pos = ys > 0.0
     if np.count_nonzero(pos) >= 2:
         slope = float(np.polyfit(times[pos], np.log(ys[pos]), 1)[0])
     else:
         slope = 0.0
-    later = pos & (times > 0.0)
-    if ys[0] > 0.0 and later.any():
-        envelope = float(np.max(np.log(ys[later] / ys[0]) / times[later]))
-    else:
-        envelope = 0.0
-    return TwinReport(times=times, separation=ys, growth_rate=slope,
-                      envelope_rate=envelope)
+    return TwinReport(times=times, separation=ys, growth_rate=slope)
 
 
 @dataclass
@@ -146,7 +143,7 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
     The levels are dt * 2**k for k = levels - 1 down to 0, and t_end must be
     a multiple of the finest, dt; increments are drawn once at the finest
     level and summed for the coarser ones, so every level integrates the
-    same Brownian path.
+    same Brownian path.  An error that is not finite raises ExperimentError.
     """
     if levels < 3:
         raise ExperimentError(f"need >= 3 dt levels, got {levels}")
@@ -160,15 +157,20 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
     draw = seeded_increments(seed, replica, params.vnoise.n_modes)
     fine = [draw(s, dt) for s in range(n_fine)]
     finals: list[State] = []
-    for d, r in zip(dts, ratios):
-        def coarse(index: int, _dt: float, r: int = r):
-            return merge_increments(fine[index * r:(index + 1) * r])
-        state = initial
-        for _, state, _ in march(initial, params, time_grid(t_end, d), coarse):
-            pass
-        finals.append(state)
-    reference = finals[-1]
-    errors = np.array([_state_distance(s, reference) for s in finals[:-1]])
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for d, r in zip(dts, ratios):
+            def coarse(index: int, _dt: float, r: int = r):
+                return merge_increments(fine[index * r:(index + 1) * r])
+            state = initial
+            for _, state, _ in march(initial, params, time_grid(t_end, d),
+                                     coarse):
+                pass
+            finals.append(state)
+        errors = np.array([_state_distance(s, finals[-1])
+                           for s in finals[:-1]])
+    if not np.isfinite(errors).all():
+        raise ExperimentError(f"the refinement errors are not finite: "
+                              f"{errors.tolist()}")
     if np.any(errors <= 0.0):
         raise ExperimentError("degenerate refinement: a coarse level matches "
                               "the finest exactly")
@@ -311,7 +313,6 @@ ENSEMBLE_COLUMNS = ("mass_n", "min_n", "max_c", "l2_u", "h1_c", "entropy",
 @dataclass
 class EnsembleStats:
     times: np.ndarray
-    steps: np.ndarray
     n_replicas: int
     mean: dict[str, np.ndarray]
     variance: dict[str, np.ndarray]
@@ -385,7 +386,6 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
 
     n_rows = len(results[0])
     times = results[0].column("t")
-    steps = results[0].column("step")
     mean, m2, mx = {}, {}, {}
     for col in ENSEMBLE_COLUMNS:
         mean[col] = np.zeros(n_rows)
@@ -402,5 +402,5 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
                 for col in ENSEMBLE_COLUMNS}
     ci95 = {col: 1.96 * np.sqrt(variance[col] / count)
             for col in ENSEMBLE_COLUMNS}
-    return EnsembleStats(times=times, steps=steps, n_replicas=count,
+    return EnsembleStats(times=times, n_replicas=count,
                          mean=mean, variance=variance, maximum=mx, ci95=ci95)

@@ -42,7 +42,6 @@ class TransportSigma:
 class NoiseIncrement:
     dw: np.ndarray       # (..., K) increments of the cylindrical process
     dbeta: np.ndarray    # (..., 2) increments of the planar motion
-    dt: float
 
 
 def _face_distances(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +146,14 @@ class VelocityNoiseConfig:
     multiplicative_gain: float
     modes: tuple[VectorField, ...]   # unit-L2, discretely divergence-free
     lambdas: np.ndarray
-    l_g: float
 
 
-def _stream_mode_numbers(count: int) -> list[tuple[int, int]]:
-    pairs = [(a, b) for a in range(1, count + 2) for b in range(1, count + 2)]
+def _stream_mode_numbers(count: int, nx: int, ny: int) -> list:
+    """The ``count`` lowest (a, b) by a^2 + b^2, then (a, b), that the grid
+    resolves: 1 <= a < nx, 1 <= b < ny (none has a or b > count).  At a = nx
+    or b = ny the curl is round-off; above, it aliases a lower mode."""
+    pairs = [(a, b) for a in range(1, min(count, nx - 1) + 1)
+             for b in range(1, min(count, ny - 1) + 1)]
     pairs.sort(key=lambda ab: (ab[0] ** 2 + ab[1] ** 2, ab))
     return pairs[:count]
 
@@ -164,24 +166,24 @@ def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
     Each mode is a stream_function_curl, normalized to unit L2 norm so the
     Hilbert-Schmidt sum is amplitude^2 * sum(lambda^2).
     """
-    if n_modes < 1:
-        raise ValueError("need at least one velocity noise mode")
+    resolved = (grid.nx - 1) * (grid.ny - 1)
+    if not 1 <= n_modes <= resolved:
+        raise ValueError(f"need 1 to (nx - 1)(ny - 1) = {resolved} velocity "
+                         f"noise modes, got {n_modes}")
     if amplitude < 0.0:
         raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
     modes = []
-    for a, b in _stream_mode_numbers(n_modes):
+    for a, b in _stream_mode_numbers(n_modes, grid.nx, grid.ny):
         v = stream_function_curl(grid, a, b)
         v_norm = norm(v, "L2")
         v.u_x /= v_norm
         v.u_y /= v_norm
         modes.append(v)
     lambdas = (1.0 + np.arange(n_modes)) ** (-float(mode_decay))
-    hs_unit = math.sqrt(float(np.sum(lambdas ** 2)))
-    gain = float(multiplicative_gain)
     return VelocityNoiseConfig(
-        n_modes=n_modes, amplitude=float(amplitude), multiplicative_gain=gain,
-        modes=tuple(modes), lambdas=lambdas,
-        l_g=float(amplitude) * (1.0 + abs(gain)) * hs_unit)
+        n_modes=n_modes, amplitude=float(amplitude),
+        multiplicative_gain=float(multiplicative_gain), modes=tuple(modes),
+        lambdas=lambdas)
 
 
 # math.tanh applied per lane: numpy's vectorised tanh can differ from it in
@@ -197,17 +199,12 @@ def g_scale(u: VectorField, cfg: VelocityNoiseConfig):
     return per_lane(np.asarray(scale, dtype=float))
 
 
-def g_apply(u: VectorField, c: ScalarField, cfg: VelocityNoiseConfig,
+def g_apply(u: VectorField, cfg: VelocityNoiseConfig,
             inc: NoiseIncrement) -> VectorField:
     """One increment of the velocity forcing, scale * sum_k lambda_k psi_k dW_k."""
-    g = u.grid
-    out = zeros_vector(g, u.lanes)
-    if cfg.amplitude == 0.0:
-        return out
-    k = min(cfg.n_modes, inc.dw.shape[-1])
-    weights = (np.asarray(g_scale(u, cfg))[..., None] * cfg.lambdas[:k]
-               * inc.dw[..., :k])
-    for i, mode in enumerate(cfg.modes[:k]):
+    out = zeros_vector(u.grid, u.lanes)
+    weights = np.asarray(g_scale(u, cfg))[..., None] * cfg.lambdas * inc.dw
+    for i, mode in enumerate(cfg.modes):
         w = weights[..., i, None, None]   # per-lane scalars over the faces
         out.u_x += w * mode.u_x
         out.u_y += w * mode.u_y
@@ -249,7 +246,7 @@ def sample_increments(seed: int, replica: int, step: int, dt: float,
     counter = np.array([0, 0, 0, step & _U64], dtype=np.uint64)
     z = _philox_at(key, counter).standard_normal(k_modes + 2)
     z *= math.sqrt(dt)
-    return NoiseIncrement(dw=z[:k_modes], dbeta=z[k_modes:], dt=float(dt))
+    return NoiseIncrement(dw=z[:k_modes], dbeta=z[k_modes:])
 
 
 def merge_increments(parts: list[NoiseIncrement]) -> NoiseIncrement:
@@ -258,4 +255,4 @@ def merge_increments(parts: list[NoiseIncrement]) -> NoiseIncrement:
         raise ValueError("cannot merge an empty increment list")
     dw = np.sum([p.dw for p in parts], axis=0)
     dbeta = np.sum([p.dbeta for p in parts], axis=0)
-    return NoiseIncrement(dw=dw, dbeta=dbeta, dt=float(sum(p.dt for p in parts)))
+    return NoiseIncrement(dw=dw, dbeta=dbeta)

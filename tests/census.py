@@ -1,22 +1,29 @@
-"""Census of the package code that the command line runs.
+"""Census of the package code and data that the command line uses.
 
 Runs every CLI command in-process on an 8x8 config, with a profile hook on
-this thread and on any worker thread, and prints every function defined
-under ``src/stochem`` that none of the commands executed, one per line as
-``module.qualified.name``.  Lambdas and comprehensions are not counted.
-The commands are ``check-params``; ``run`` with snapshots and the
-saturating law; the four experiments; ``snapshot-info``; and one failing
-config each for exit codes 2 and 3.
+this thread and on any worker thread and a read hook on every package
+dataclass.  It prints every function defined under ``src/stochem`` that
+none of the commands executed, one per line as ``module.qualified.name``,
+then every dataclass field that no package code read, as
+``module.Class.field``.  Lambdas and comprehensions are not counted, nor
+are reads from the generated ``__init__``, ``__eq__``, ``__repr__`` and
+``__hash__``, from ``__post_init__`` or from ``dataclasses.replace``.  The
+commands are ``check-params``; ``run`` with snapshots and the saturating
+law; the four experiments; ``snapshot-info``; and one failing config each
+for exit codes 2 and 3.
 
     PYTHONPATH=src python tests/census.py
 
-A function only tests call belongs in ``tests/oracles.py``; what is left
-should be code that handles an error none of the commands provokes.
+A function or a field only tests use belongs in ``tests/oracles.py``; what
+is left should be code that handles an error none of the commands
+provokes, or data that a test or the benchmark reads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import importlib
 import inspect
 import io
 import os
@@ -64,6 +71,9 @@ COMMANDS = [
      CONFIG + "[ic]\nu_amplitude = 80\n", 3),
 ]
 
+# methods whose reads of a field do not make it used
+NOT_READS = {"__init__", "__post_init__", "__eq__", "__repr__", "__hash__"}
+
 
 def package_functions() -> dict:
     """(file, first line, name) -> dotted name, for every function and
@@ -86,9 +96,51 @@ def package_functions() -> dict:
     return found
 
 
-def run_commands(scratch: Path) -> set:
-    """Run COMMANDS and return the code objects that were called."""
-    called = set()
+def package_fields() -> dict:
+    """(class, field name) -> dotted name, for every field of every
+    dataclass defined in the package's modules."""
+    found = {}
+    for source in sorted(Path(stochem.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"stochem.{source.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                for f in dataclasses.fields(cls):
+                    found[(cls, f.name)] = (f"{source.stem}.{cls.__qualname__}"
+                                            f".{f.name}")
+    return found
+
+
+@contextlib.contextmanager
+def field_reads(fields, reads: set):
+    """Add (class, field name, reading code object) to ``reads`` for every
+    read of a field in ``fields`` while the context is open."""
+    saved = []
+    for cls in {cls for cls, _ in fields}:
+        names = {name for owner, name in fields if owner is cls}
+
+        def hook(self, name, cls=cls, names=names,
+                 original=cls.__getattribute__):
+            if name in names:
+                reads.add((cls, name, sys._getframe(1).f_code))
+            return original(self, name)
+
+        saved.append((cls, vars(cls).get("__getattribute__")))
+        cls.__getattribute__ = hook
+    try:
+        yield
+    finally:
+        for cls, own in saved:
+            if own is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = own
+
+
+def run_commands(scratch: Path, fields) -> tuple[set, set]:
+    """Run COMMANDS; return the code objects that were called and the
+    (class, field name, reading code object) of every field read."""
+    called, reads = set(), set()
 
     def profile(frame, event, _arg):
         if event == "call":
@@ -106,7 +158,7 @@ def run_commands(scratch: Path) -> set:
             argv = line.format(cfg=cfg, out=out).split()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()), \
-                    warnings.catch_warnings():
+                    warnings.catch_warnings(), field_reads(fields, reads):
                 warnings.simplefilter("ignore")
                 code = main(argv)
             if code != expected:
@@ -115,21 +167,31 @@ def run_commands(scratch: Path) -> set:
     finally:
         sys.setprofile(previous[0])
         threading.setprofile(previous[1])
-    return called
+    return called, reads
 
 
-def unexecuted() -> list[str]:
-    """Dotted names of the package functions no command executed."""
+def census() -> tuple[list[str], list[str]]:
+    """Dotted names of the package functions no command executed and of
+    the dataclass fields no package code read."""
+    fields = package_fields()
     with tempfile.TemporaryDirectory() as scratch:
-        called = run_commands(Path(scratch))
+        called, reads = run_commands(Path(scratch), fields)
     ran = {(os.path.realpath(code.co_filename), code.co_firstlineno,
             code.co_name) for code in called}
-    return sorted(name for key, name in package_functions().items()
-                  if key not in ran)
+    package = os.path.dirname(os.path.realpath(stochem.__file__))
+    read = {(cls, name) for cls, name, code in reads
+            if code.co_name not in NOT_READS
+            and os.path.dirname(os.path.realpath(code.co_filename)) == package}
+    return (sorted(name for key, name in package_functions().items()
+                   if key not in ran),
+            sorted(name for key, name in fields.items() if key not in read))
 
 
 if __name__ == "__main__":
-    names = unexecuted()
-    print(f"{len(names)} package functions no CLI command executed:")
-    for name in names:
+    functions, fields = census()
+    print(f"{len(functions)} package functions no CLI command executed:")
+    for name in functions:
+        print(f"  {name}")
+    print(f"{len(fields)} dataclass fields no package code read:")
+    for name in fields:
         print(f"  {name}")

@@ -11,8 +11,9 @@ The rest are oracles and fixtures that no CLI command runs: field
 constructors, the full face gradient, the five-point Laplacians (the
 velocity one is the stencil ``solve_velocity_diffusion`` inverts), the
 velocity gradient seminorm, the transport-field contract check, the forcing's
-Hilbert-Schmidt norm, the entropy functional of one state and the worst
-energy-identity defect of a series.
+Hilbert-Schmidt norm and growth constant, the entropy functional of one
+state, the worst energy-identity defect of a series and the exponential
+envelope of a twin run's separation.
 """
 
 import math
@@ -325,6 +326,13 @@ def g_hilbert_schmidt(cfg: VelocityNoiseConfig, u: VectorField) -> float:
     return g_scale(u, cfg) * s
 
 
+def velocity_growth_constant(cfg: VelocityNoiseConfig) -> float:
+    """L_g of the forcing's growth condition, amplitude (1 + |gain|)
+    sqrt(sum lambda^2): bounds its Hilbert-Schmidt norm at every state."""
+    hs_unit = math.sqrt(float(np.sum(cfg.lambdas ** 2)))
+    return cfg.amplitude * (1.0 + abs(cfg.multiplicative_gain)) * hs_unit
+
+
 def entropy_functional(state, params, c0_linf: float) -> float:
     """Nonnegative Lyapunov functional: cell entropy plus weighted energies
     plus the e^{-1}|O| offset that makes x ln x integrable from below."""
@@ -339,10 +347,19 @@ def energy_identity_residual(series: DiagnosticsSeries) -> float:
     return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
+def envelope_rate(report) -> float:
+    """Smallest G with Y(t) <= Y(0) exp(G t) over a TwinReport's samples."""
+    times, ys = report.times, report.separation
+    later = (ys > 0.0) & (times > 0.0)
+    if ys[0] > 0.0 and later.any():
+        return float(np.max(np.log(ys[later] / ys[0]) / times[later]))
+    return 0.0
+
+
 def bounded_by_exponential(report) -> bool:
     """True when a TwinReport's separation stays under Y(0) exp(G t), G its
     envelope rate."""
     if report.separation[0] == 0.0:
         return bool(np.all(report.separation == 0.0))
-    caps = report.separation[0] * np.exp(report.envelope_rate * report.times)
+    caps = report.separation[0] * np.exp(envelope_rate(report) * report.times)
     return bool(np.all(report.separation <= caps * (1.0 + 1e-9) + 1e-300))

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochem import experiments
 from stochem.cli import (_SCHEMA, ConfigError, SnapshotError,
                          build_simulation, main, parse_config, read_snapshot,
                          write_snapshot)
-from stochem.dynamics import State
+from stochem.dynamics import State, run, stack_states
+from stochem.experiments import perturbed_copy
 from stochem.grid import ScalarField, VectorField, make_grid
 
 
@@ -410,6 +412,46 @@ def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
     assert not (tmp_path / "o" / "stratonovich.json").exists()
 
 
+@pytest.mark.parametrize("which, message", [
+    ("convergence", "the refinement errors are not finite: [inf, inf]"),
+    ("twin", "the separation is not finite at t = 0")])
+def test_overflowing_study_distance_exits_2(tmp_path, capsys, which,
+                                            message):
+    # the fields stay finite, but the sums of squared differences between
+    # two of them overflow: the study refuses the result instead of
+    # reporting inf or nan, warns of nothing and writes no file
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                               "[physics]\nchi = 0\n"
+                               "[ic]\nc_recipe = uniform\nc_value = 1e160\n"
+                               "[time]\nt_end = 0.01\n"
+                               "[experiment]\nlevels = 3\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["experiment", which, "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["check-params"], ["run"],
+                                     ["experiment", "ensemble"]],
+                         ids=lambda c: c[-1])
+def test_unresolved_velocity_modes_exit_2(tmp_path, capsys, command):
+    # an 8x8 grid resolves the 7 x 7 stream modes 1 <= a, b <= 7; a 50th
+    # mode would be round-off scaled up to unit norm, or an alias
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                               "[noise]\nk_modes = 50\n")
+    out = tmp_path / "o"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [noise] k_modes = 50: must be <= (nx - 1)(ny - 1) = 49, the "
+        "stream modes the grid resolves\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, code", [
     (["check-params"], 1), (["run"], 2),
     (["run", "--allow-inadmissible"], 3), (["experiment", "twin"], 3),
@@ -541,3 +583,60 @@ def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
     assert main(["snapshot-info", str(path)]) == 2
     err = capsys.readouterr().err
     assert "lx = 1e-300" in err and "Traceback" not in err
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nx=st.integers(5, 12), ny=st.integers(5, 12),
+       gamma=st.floats(0.0, 0.1), amplitude=st.floats(1e-3, 0.1),
+       gain=st.floats(0.0, 1.0), k_modes=st.integers(1, 8),
+       law=st.sampled_from(["linear", "saturating"]),
+       steps=st.integers(1, 5), landing=st.booleans(),
+       sample_every=st.integers(1, 3), lanes=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 31), replica=st.integers(0, 100),
+       per_chunk=st.integers(1, 3))
+def test_lanes_and_workers_leave_results_bitwise(
+        tmp_path_factory, nx, ny, gamma, amplitude, gain, k_modes, law, steps,
+        landing, sample_every, lanes, seed, replica, per_chunk):
+    # noisy configs (the CLI needs 5 cells a side for the transport cutoff
+    # ring): every lane of a batched run is its own unbatched run, and an
+    # ensemble writes the same bytes in one chunk, in several chunks on the
+    # calling thread, and in several chunks on two workers
+    t_end = (steps - 0.5 * landing) * 1e-3
+    text = (f"[grid]\nnx = {nx}\nny = {ny}\n"
+            f"[physics]\ngamma = {gamma!r}\nf_name = {law}\n"
+            f"[noise]\nk_modes = {k_modes}\namplitude = {amplitude!r}\n"
+            f"multiplicative_gain = {gain!r}\n"
+            f"[time]\nt_end = {t_end!r}\ndt = 1e-3\n"
+            f"sample_every = {sample_every}\nseed = {seed}\n"
+            f"[experiment]\nreplicas = {lanes}\n")
+    params, initial = build_simulation(parse_config(text))
+    states = [perturbed_copy(initial, 1e-3 * i) for i in range(lanes)]
+    final, series = run(stack_states(states), params, t_end, 1e-3, seed=seed,
+                        sample_every=sample_every, replica=replica)
+    for i, state in enumerate(states):
+        alone_final, alone = run(state, params, t_end, 1e-3, seed=seed,
+                                 sample_every=sample_every,
+                                 replica=replica + i)
+        assert series[i].rows == alone.rows
+        for got, want in ((final.n.values[i], alone_final.n.values),
+                          (final.c.values[i], alone_final.c.values),
+                          (final.u.u_x[i], alone_final.u.u_x),
+                          (final.u.u_y[i], alone_final.u.u_y)):
+            assert got.tobytes() == want.tobytes()
+
+    tmp = tmp_path_factory.mktemp("lanes")
+    cfg = _write_cfg(tmp, text)
+    per_chunk = min(per_chunk, lanes - 1)   # so at least two chunks
+
+    def ensemble_csv(cpus, batch_cells):
+        out = tmp / f"out-{cpus}-{batch_cells}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "usable_cpus", lambda: cpus)
+            mp.setattr(experiments, "BATCH_CELLS", batch_cells)
+            assert main(["experiment", "ensemble", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        return (out / "ensemble_stats.csv").read_bytes()
+
+    whole = ensemble_csv(1, experiments.BATCH_CELLS)
+    assert ensemble_csv(1, nx * ny * per_chunk) == whole
+    assert ensemble_csv(2, nx * ny * per_chunk) == whole

@@ -7,7 +7,8 @@ import pytest
 
 from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
                           make_grid, norm, scalar_face_gradients, zeros_vector)
-from stochem.noise import (NoiseIncrement, combined_sigma_linf, g_apply,
+from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
+                           combined_sigma_linf, g_apply,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
                            transport_hs_sq, transport_ito_correction,
@@ -16,7 +17,7 @@ from stochem.operators import divergence_residual
 
 from conftest import random_scalar
 from oracles import (check_sigma_assumptions, full_scalar, g_hilbert_schmidt,
-                     scalar_from_function)
+                     scalar_from_function, velocity_growth_constant)
 
 
 # --------------------------------------------------------------- sigma
@@ -95,11 +96,11 @@ def test_transport_noise_zero_cases(rng):
     g = make_grid(32, 32, 1.0, 1.0)
     sig = make_transport_sigma(g, 1)
     c = random_scalar(g, rng)
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.zeros(2), dt=0.01)
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.zeros(2))
     out = transport_noise_apply(transport_noise_modes(c, sig), 1.0, inc)
     assert np.max(np.abs(out)) == 0.0
     # constant oxygen: the default scheme annihilates it everywhere
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([0.3, -0.2]), dt=0.01)
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([0.3, -0.2]))
     modes = transport_noise_modes(full_scalar(g, 4.0), sig)
     out = transport_noise_apply(modes, 1.0, inc)
     assert np.max(np.abs(out)) == 0.0
@@ -110,7 +111,7 @@ def test_transport_noise_linear_oxygen(rng):
     sig = make_transport_sigma(g, 1)
     c = scalar_from_function(g, lambda x, y: x)
     h = 0.125
-    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([h, 0.0]), dt=0.01)
+    inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([h, 0.0]))
     out = transport_noise_apply(transport_noise_modes(c, sig), 1.0, inc)
     assert np.max(np.abs(out[sig.interior_mask] - h)) < 1e-13
 
@@ -149,7 +150,7 @@ def test_g_apply_zero_amplitude(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     cfg = make_velocity_noise(g, 3, 0.0)
     inc = sample_increments(1, 0, 0, 0.01, 3)
-    out = g_apply(zeros_vector(g), full_scalar(g, 0.0), cfg, inc)
+    out = g_apply(zeros_vector(g), cfg, inc)
     assert norm(out, "Linf") == 0.0
 
 
@@ -157,13 +158,33 @@ def test_g_apply_linear_in_increments(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     cfg = make_velocity_noise(g, 3, 0.4, multiplicative_gain=0.7)
     u = zeros_vector(g)
-    c = full_scalar(g, 0.1)
     inc = sample_increments(1, 0, 5, 0.01, 3)
-    double = NoiseIncrement(dw=2.0 * inc.dw, dbeta=inc.dbeta, dt=inc.dt)
-    one = g_apply(u, c, cfg, inc)
-    two = g_apply(u, c, cfg, double)
+    double = NoiseIncrement(dw=2.0 * inc.dw, dbeta=inc.dbeta)
+    one = g_apply(u, cfg, inc)
+    two = g_apply(u, cfg, double)
     assert np.max(np.abs(two.u_x - 2.0 * one.u_x)) < 1e-14
     assert np.max(np.abs(two.u_y - 2.0 * one.u_y)) < 1e-14
+
+
+def test_velocity_modes_are_the_lowest_resolved():
+    # an 8x8 grid resolves 1 <= a, b <= 7; all 49 of them are unit modes
+    g = make_grid(8, 8, 1.0, 1.0)
+    cfg = make_velocity_noise(g, 49, 0.1)
+    assert sorted(_stream_mode_numbers(49, 8, 8)) == [
+        (a, b) for a in range(1, 8) for b in range(1, 8)]
+    for mode in cfg.modes:
+        assert norm(mode, "L2") == pytest.approx(1.0, rel=1e-12)
+        assert divergence_residual(mode) < 1e-12
+    with pytest.raises(ValueError, match=r"\(ny - 1\) = 49 .*, got 50"):
+        make_velocity_noise(g, 50, 0.1)
+    # where the old first k modes were all resolved, they are the k lowest
+    for k in range(1, 40):
+        pairs = sorted(((a, b) for a in range(1, k + 2)
+                        for b in range(1, k + 2)),
+                       key=lambda ab: (ab[0] ** 2 + ab[1] ** 2, ab))[:k]
+        if max(max(ab) for ab in pairs) <= 7:
+            assert _stream_mode_numbers(k, 8, 8) == pairs
+        assert _stream_mode_numbers(k, 64, 64) == pairs
 
 
 def test_g_modes_divergence_free_and_hs_norm(rng):
@@ -178,7 +199,7 @@ def test_g_modes_divergence_free_and_hs_norm(rng):
     hs = g_hilbert_schmidt(cfg, zeros_vector(g))
     assert hs == pytest.approx(0.3 * direct, rel=1e-12)
     assert hs == pytest.approx(0.3 * np.sqrt(np.sum(cfg.lambdas ** 2)), rel=1e-12)
-    assert cfg.l_g >= hs
+    assert velocity_growth_constant(cfg) >= hs
 
 
 def test_g_apply_growth_bound(rng):
@@ -188,8 +209,9 @@ def test_g_apply_growth_bound(rng):
     u.u_x[5, 5] = 3.0
     c = full_scalar(g, 0.2)
     hs = g_hilbert_schmidt(cfg, u)
-    bound = cfg.l_g * (1.0 + np.sqrt(norm(u, "L2") ** 2 + norm(c, "L2") ** 2
-                                     + norm(c, "H1_semi") ** 2))
+    size = np.sqrt(norm(u, "L2") ** 2 + norm(c, "L2") ** 2
+                   + norm(c, "H1_semi") ** 2)
+    bound = velocity_growth_constant(cfg) * (1.0 + size)
     assert hs <= bound
 
 
@@ -286,7 +308,6 @@ def test_increments_equal_a_freshly_built_philox_across_threads():
 def test_increment_merge_is_exact_sum():
     parts = [sample_increments(9, 1, s, 0.005, 3) for s in range(4)]
     merged = merge_increments(parts)
-    assert merged.dt == pytest.approx(0.02)
     assert np.array_equal(merged.dw, sum(p.dw for p in parts))
     assert np.array_equal(merged.dbeta, sum(p.dbeta for p in parts))
 
