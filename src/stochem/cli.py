@@ -21,14 +21,13 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRow, DiagnosticsSeries, check_conditions
+from .diagnostics import DiagnosticsRow, check_conditions
 from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
-                       make_params, run)
+                       run)
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, interior_bump, stratonovich_consistency,
                           twin_run)
@@ -126,17 +125,9 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict  # {section: {key: parsed value}}
-
-    def __getitem__(self, section_key: tuple[str, str]):
-        section, key = section_key
-        return self.values[section][key]
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate an INI document against the full schema."""
+def parse_config(text: str) -> dict[str, dict]:
+    """Parse and validate an INI document against the full schema; returns
+    {section: {key: parsed value}}."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     cp.optionxform = str
@@ -164,39 +155,38 @@ def parse_config(text: str) -> RunConfig:
             if not pred(val):
                 raise ConfigError(f"[{section}] {key} = {val}: {constraint}")
             values[section][key] = val
-    cfg = RunConfig(values)
-    _cross_validate(cfg)
-    return cfg
+    _cross_validate(values)
+    return values
 
 
-def _cross_validate(cfg: RunConfig) -> None:
-    ic = cfg.values["ic"]
+def _cross_validate(cfg: dict[str, dict]) -> None:
+    ic = cfg["ic"]
     if ic["c_recipe"] == "linear_gradient" and ic["c_max"] < ic["c_min"]:
         raise ConfigError("[ic] c_max: must be >= c_min for linear_gradient")
     if ic["c_recipe"] == "cosine_mode" and ic["c_amplitude"] > ic["c_base"]:
         raise ConfigError("[ic] c_amplitude: must be <= c_base so the "
                           "oxygen stays nonnegative")
-    g = cfg.values["grid"]
+    g = cfg["grid"]
     try:
         make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
     except GridError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
-    w = cfg.values["noise"]["sigma_cutoff_width"]
+    w = cfg["noise"]["sigma_cutoff_width"]
     if w >= min(g["nx"], g["ny"]) / 4:
         raise ConfigError(f"[noise] sigma_cutoff_width = {w}: must be < "
                           f"min(nx, ny)/4")
-    k, resolved = cfg.values["noise"]["k_modes"], (g["nx"] - 1) * (g["ny"] - 1)
+    k, resolved = cfg["noise"]["k_modes"], (g["nx"] - 1) * (g["ny"] - 1)
     if k > resolved:
         raise ConfigError(f"[noise] k_modes = {k}: must be <= (nx - 1)(ny - 1)"
                           f" = {resolved}, the stream modes the grid resolves")
-    dt = cfg[("time", "dt")]
-    steps = cfg[("time", "t_end")] / dt
+    dt = cfg["time"]["dt"]
+    steps = cfg["time"]["t_end"] / dt
     if not steps <= sys.maxsize:   # also catches an overflow to inf
         raise ConfigError(f"[time] dt = {dt}: t_end / dt = {steps:g}, must "
                           f"be at most {sys.maxsize}")
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path) -> dict[str, dict]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
@@ -212,11 +202,11 @@ def _build_initial_velocity(grid: Grid, recipe: str, amplitude: float) -> Vector
     return helmholtz_project(v)
 
 
-def build_simulation(cfg: RunConfig) -> tuple[SimParams, State]:
+def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
     """Resolve a validated config into coefficients and an initial state."""
-    g = cfg.values["grid"]
+    g = cfg["grid"]
     grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
-    ph = cfg.values["physics"]
+    ph = cfg["physics"]
 
     x, y = cell_centers(grid)
     if ph["phi_kind"] == "linear_y":
@@ -226,17 +216,17 @@ def build_simulation(cfg: RunConfig) -> tuple[SimParams, State]:
     else:
         phi = zeros_scalar(grid)
 
-    nz = cfg.values["noise"]
+    nz = cfg["noise"]
     vnoise = make_velocity_noise(grid, nz["k_modes"], nz["amplitude"],
                                  nz["mode_decay_exponent"],
                                  nz["multiplicative_gain"])
     sigma = make_transport_sigma(grid, nz["sigma_cutoff_width"])
-    params = make_params(grid, eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
-                         chi=ph["chi"], gamma=ph["gamma"], phi=phi,
-                         f=CONSUMPTION_LAWS[ph["f_name"]](),
-                         vnoise=vnoise, sigma=sigma)
+    params = SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
+                       chi=ph["chi"], gamma=ph["gamma"], phi=phi,
+                       f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
+                       sigma=sigma)
 
-    ic = cfg.values["ic"]
+    ic = cfg["ic"]
     if ic["n_recipe"] == "uniform":
         n0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["n_value"]))
     else:
@@ -267,10 +257,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_diagnostics_csv(series: DiagnosticsSeries, path: str | Path) -> None:
+def write_diagnostics_csv(rows: list[DiagnosticsRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(DiagnosticsRow.COLUMNS) + "\n")
-        for row in series:
+        for row in rows:
             fh.write(",".join(_fmt(getattr(row, c))
                               for c in DiagnosticsRow.COLUMNS) + "\n")
 
@@ -320,7 +310,7 @@ def read_snapshot(path: str | Path) -> State:
 def _prepare(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.values["time"]["seed"] = args.seed
+        cfg["time"]["seed"] = args.seed
     params, initial = build_simulation(cfg)
     return cfg, params, initial
 
@@ -344,11 +334,11 @@ def cmd_run(args) -> int:
             print(line, file=sys.stderr)
         return 2
 
-    outdir = Path(args.out or cfg[("output", "directory")])
+    outdir = Path(args.out or cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    t = cfg.values["time"]
-    formats = [p.strip() for p in cfg[("output", "formats")].split(",") if p.strip()]
-    snap_every = cfg[("output", "snapshot_every")]
+    t = cfg["time"]
+    formats = [p.strip() for p in cfg["output"]["formats"].split(",") if p.strip()]
+    snap_every = cfg["output"]["snapshot_every"]
     sample_count = [0]
 
     def on_sample(state, rows):
@@ -357,15 +347,14 @@ def cmd_run(args) -> int:
             write_snapshot(state, outdir / f"snapshot_{rows[0].step:08d}.cns")
         sample_count[0] += 1
 
-    final, series = run(initial, params, t["t_end"], t["dt"], seed=t["seed"],
-                        sample_every=t["sample_every"], on_sample=on_sample)
+    final, rows = run(initial, params, t["t_end"], t["dt"], seed=t["seed"],
+                      sample_every=t["sample_every"], on_sample=on_sample)
 
     if "csv" in formats:
-        write_diagnostics_csv(series, outdir / "diagnostics.csv")
+        write_diagnostics_csv(rows, outdir / "diagnostics.csv")
     if "snapshot" in formats:
         write_snapshot(final, outdir / "final.cns")
 
-    rows = series.rows
     first, last = rows[0], rows[-1]
     print(",".join(DiagnosticsRow.COLUMNS))
     print(",".join(_fmt(getattr(last, c)) for c in DiagnosticsRow.COLUMNS))
@@ -387,10 +376,10 @@ def cmd_run(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg, params, initial = _prepare(args)
-    outdir = Path(args.out or cfg[("output", "directory")])
+    outdir = Path(args.out or cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
-    t = cfg.values["time"]
-    ex = cfg.values["experiment"]
+    t = cfg["time"]
+    ex = cfg["experiment"]
     seed = t["seed"]
 
     if args.which == "twin":
@@ -416,7 +405,7 @@ def cmd_experiment(args) -> int:
 
     if args.which == "stratonovich":
         c0 = interior_bump(params.grid, params.sigma, scale=max(
-            cfg[("ic", "c_max")], cfg[("ic", "c_value")]))
+            cfg["ic"]["c_max"], cfg["ic"]["c_value"]))
         frozen = State(u=zeros_vector(params.grid), c=c0,
                        n=zeros_scalar(params.grid), t=0.0)
         rep = stratonovich_consistency(params, frozen, seed, t["dt"],
@@ -433,24 +422,22 @@ def cmd_experiment(args) -> int:
               f"(reference {rep.reference_gap!r})")
         return 0
 
-    if args.which == "ensemble":
-        stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
-                         t["dt"], sample_every=t["sample_every"])
-        with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
-            header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
-                              for s in ("mean", "var", "max", "ci95")]
-            fh.write(",".join(header) + "\n")
-            for i in range(len(stats.times)):
-                cells = [_fmt(stats.times[i])]
-                for c in ENSEMBLE_COLUMNS:
-                    cells += [_fmt(stats.mean[c][i]), _fmt(stats.variance[c][i]),
-                              _fmt(stats.maximum[c][i]), _fmt(stats.ci95[c][i])]
-                fh.write(",".join(cells) + "\n")
-        print(f"replicas: {stats.n_replicas}; "
-              f"sup entropy across replicas: {stats.sup_over_replicas('entropy')!r}")
-        return 0
-
-    raise SystemExit(f"unknown experiment {args.which!r}")
+    # argparse's choices leave only the ensemble here
+    stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
+                     t["dt"], sample_every=t["sample_every"])
+    with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
+        header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
+                          for s in ("mean", "var", "max", "ci95")]
+        fh.write(",".join(header) + "\n")
+        for i in range(len(stats.times)):
+            cells = [_fmt(stats.times[i])]
+            for c in ENSEMBLE_COLUMNS:
+                cells += [_fmt(stats.mean[c][i]), _fmt(stats.variance[c][i]),
+                          _fmt(stats.maximum[c][i]), _fmt(stats.ci95[c][i])]
+            fh.write(",".join(cells) + "\n")
+    print(f"replicas: {stats.n_replicas}; "
+          f"sup entropy across replicas: {stats.sup_over_replicas('entropy')!r}")
+    return 0
 
 
 def cmd_snapshot_info(args) -> int:

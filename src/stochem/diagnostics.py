@@ -53,25 +53,11 @@ class DiagnosticsRow:
                 raise ValueError(f"diagnostics column {name} is not finite: {v}")
 
 
-class DiagnosticsSeries:
-    """Append-only sequence of rows with column extraction."""
-
-    def __init__(self):
-        self.rows: list[DiagnosticsRow] = []
-
-    def append(self, row: DiagnosticsRow) -> None:
-        self.rows.append(row)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in DiagnosticsRow.COLUMNS:
-            raise KeyError(f"unknown diagnostics column {name!r}")
-        return np.array([getattr(r, name) for r in self.rows])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+def column(rows: list[DiagnosticsRow], name: str) -> np.ndarray:
+    """One column of a run's rows as an array."""
+    if name not in DiagnosticsRow.COLUMNS:
+        raise KeyError(f"unknown diagnostics column {name!r}")
+    return np.array([getattr(r, name) for r in rows])
 
 
 def total_mass(n: ScalarField):
@@ -243,15 +229,20 @@ class EnergyTracker:
         self.lanes = len(state.lanes)
         self.c0_linf = _lane_floats(norm(state.c, "Linf"), self.lanes)
         self.kf = [compute_kf(params, x) for x in self.c0_linf]
-        self.c0_l2sq = [x * x for x in _lane_floats(norm(state.c, "L2"),
-                                                     self.lanes)]
+        # an oxygen too large to square gives inf or nan here and in the
+        # integrands, silently: the next row's finite check rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0_l2 = norm(state.c, "L2")
+        self.c0_l2sq = [x * x for x in _lane_floats(c0_l2, self.lanes)]
         self.i_grad = self.i_cons = [0.0] * self.lanes
         # |grad c|^2 and (n f(c), c) at the latest state
         self.grad_sq, self.cons = self._integrands(state, params)
 
     def _integrands(self, state, params) -> tuple[list, list]:
-        grad = _lane_floats(norm(state.c, "H1_semi"), self.lanes)
-        cons = inner_product(consumption(state.n, state.c, params.f), state.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = _lane_floats(norm(state.c, "H1_semi"), self.lanes)
+            cons = inner_product(consumption(state.n, state.c, params.f),
+                                 state.c)
         return [x * x for x in grad], _lane_floats(cons, self.lanes)
 
     def update(self, state, params, report) -> None:
@@ -281,15 +272,18 @@ def record(state, report, params, tracker: EnergyTracker,
     measurements reject its state raises LaneError naming the lowest one."""
     def floats(x):
         return _lane_floats(x, tracker.lanes)
-    c_sq = [x * x for x in floats(norm(state.c, "L2"))]
-    columns = zip(
-        state.lanes, floats(total_mass(state.n)),
-        floats(np.min(state.n.values, axis=LANE_REDUCE)),
-        floats(np.max(state.c.values, axis=LANE_REDUCE)),
-        floats(norm(state.u, "L2")), c_sq, tracker.grad_sq,
-        floats(_nlogn(state.n)), tracker.kf, tracker.c0_linf,
-        tracker.residual(c_sq, params), floats(report.clip_count),
-        floats(report.projection_residual))
+    # a reduction that overflows is silent here: the rows' finite check
+    # below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = [x * x for x in floats(norm(state.c, "L2"))]
+        columns = zip(
+            state.lanes, floats(total_mass(state.n)),
+            floats(np.min(state.n.values, axis=LANE_REDUCE)),
+            floats(np.max(state.c.values, axis=LANE_REDUCE)),
+            floats(norm(state.u, "L2")), c_sq, tracker.grad_sq,
+            floats(_nlogn(state.n)), tracker.kf, tracker.c0_linf,
+            tracker.residual(c_sq, params), floats(report.clip_count),
+            floats(report.projection_residual))
     rows = []
     for lane, mass, min_n, max_c, l2_u, c2, grad_sq, nlogn, kf, c0_linf, \
             residual, clips, div in columns:

@@ -76,20 +76,15 @@ class ConsumptionLaw:
     deriv: callable
 
 
-def linear_consumption() -> ConsumptionLaw:
-    return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float),
-                          deriv=lambda c: np.ones_like(np.asarray(c, dtype=float)))
-
-
-def saturating_consumption() -> ConsumptionLaw:
-    """Michaelis-Menten style uptake c / (1 + c)."""
-    return ConsumptionLaw(eval=lambda c: np.asarray(c, dtype=float) / (1.0 + np.asarray(c, dtype=float)),
-                          deriv=lambda c: 1.0 / (1.0 + np.asarray(c, dtype=float)) ** 2)
-
-
 CONSUMPTION_LAWS = {
-    "linear": linear_consumption,
-    "saturating": saturating_consumption,
+    "linear": ConsumptionLaw(
+        eval=lambda c: np.asarray(c, dtype=float),
+        deriv=lambda c: np.ones_like(np.asarray(c, dtype=float))),
+    # Michaelis-Menten style uptake c / (1 + c)
+    "saturating": ConsumptionLaw(
+        eval=lambda c: (np.asarray(c, dtype=float)
+                        / (1.0 + np.asarray(c, dtype=float))),
+        deriv=lambda c: 1.0 / (1.0 + np.asarray(c, dtype=float)) ** 2),
 }
 
 
@@ -111,6 +106,16 @@ class SimParams:
                                                     compare=False)
 
     def __post_init__(self):
+        """Validate the coefficients, however the parameters are built."""
+        if self.eta <= 0.0 or self.delta <= 0.0:
+            raise ValueError("eta and delta must be strictly positive")
+        if self.mu < 0.0:
+            raise ValueError("mu must be nonnegative")
+        if self.chi < 0.0 or self.gamma < 0.0:
+            raise ValueError("chi and gamma must be nonnegative")
+        if not (math.isfinite(self.chi * self.chi)
+                and math.isfinite(self.gamma * self.gamma)):
+            raise ValueError("chi and gamma must have finite squares")
         gx, gy = scalar_face_gradients(self.phi)
         gx.flags.writeable = gy.flags.writeable = False
         object.__setattr__(self, "phi_grad", (gx, gy))
@@ -124,22 +129,6 @@ class SimParams:
         """Effective oxygen diffusivity mu + gamma^2/2 of the Stratonovich
         form; it feeds the admissibility gate and the entropy weight only."""
         return self.mu + 0.5 * self.gamma ** 2
-
-
-def make_params(grid: Grid, *, eta: float, mu: float, delta: float, chi: float,
-                gamma: float, phi: ScalarField, f: ConsumptionLaw,
-                vnoise: VelocityNoiseConfig, sigma: TransportSigma) -> SimParams:
-    """Validate the coefficients."""
-    if eta <= 0.0 or delta <= 0.0:
-        raise ValueError("eta and delta must be strictly positive")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    if chi < 0.0 or gamma < 0.0:
-        raise ValueError("chi and gamma must be nonnegative")
-    if not (math.isfinite(chi * chi) and math.isfinite(gamma * gamma)):
-        raise ValueError("chi and gamma must have finite squares")
-    return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
-                     phi=phi, f=f, vnoise=vnoise, sigma=sigma)
 
 
 @dataclass
@@ -374,17 +363,17 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
         sample_every: int = 1, *, replica: int = 0, on_sample=None):
     """March from initial.t to t_end with fixed dt plus one landing step.
 
-    Returns (final_state, DiagnosticsSeries).  The noise path is a pure
-    function of (seed, replica, step index), so reruns reproduce bitwise.
-    A batched ``initial`` (see stack_states) integrates all its lanes with
-    one step per time step: lane i follows replica ``replica + i``, and the
-    series is a list with one DiagnosticsSeries per lane, each bitwise the
-    series of that replica run alone.  One energy tracker and one
-    diagnostics.record per sample observe all lanes at once.  ``on_sample``
-    is called with (state, rows) at every recorded sample, the rows holding
-    one DiagnosticsRow per lane.  A failing step, or a sampled state that
-    diagnostics rejects, raises SimulationError naming the step and, when
-    batched, the lane.
+    Returns (final_state, rows), one DiagnosticsRow per sample.  The noise
+    path is a pure function of (seed, replica, step index), so reruns
+    reproduce bitwise.  A batched ``initial`` (see stack_states) integrates
+    all its lanes with one step per time step: lane i follows replica
+    ``replica + i``, and the rows are a list with one list of rows per lane,
+    each bitwise the rows of that replica run alone.  One energy tracker and
+    one diagnostics.record per sample observe all lanes at once.
+    ``on_sample`` is called with (state, rows) at every recorded sample, the
+    rows holding one DiagnosticsRow per lane.  A failing step, or a sampled
+    state that diagnostics rejects, raises SimulationError naming the step
+    and, when batched, the lane.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
@@ -399,7 +388,7 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
                                      k_modes) if batched
                   else seeded_increments(seed, replica, k_modes))
     tracker = diagnostics.EnergyTracker(state, params)
-    series = [diagnostics.DiagnosticsSeries() for _ in lanes]
+    series = [[] for _ in lanes]
 
     def sample(state: State, report: StepReport, index: int) -> None:
         try:
@@ -408,8 +397,8 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
         except LaneError as exc:   # a measurement rejected a lane's state
             raise SimulationError(f"sample at step {index} failed: {exc}",
                                   step_index=index, lane=exc.lane) from exc
-        for lane_series, row in zip(series, rows):
-            lane_series.append(row)
+        for lane_rows, row in zip(series, rows):
+            lane_rows.append(row)
         if on_sample is not None:
             on_sample(state, rows)
 

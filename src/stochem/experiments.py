@@ -26,6 +26,7 @@ steps through dynamics.march on dynamics.time_grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise as noise_mod
+from .diagnostics import column
 from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
                        ito_rate, march, oxygen_drift, require_finite,
                        seeded_increments, stack_states, time_grid)
@@ -235,8 +237,9 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     # deterministic part and A_k the noise amplitudes, so the martingale
     # fluctuation never enters the measurement
     drift = np.zeros((len(dts), 2))
-    for li, d in enumerate(dts):
-        for r in range(n_replicas):
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for (li, d), r in itertools.product(enumerate(dts),
+                                            range(n_replicas)):
             draw = seeded_increments(seed, r, params.vnoise.n_modes)
             c = pair.c
             acc = np.zeros(2)
@@ -267,8 +270,8 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
             drift[li] += acc / t_end
             if r == 0:   # replica 0 of the last (finest) level decides
                 identical = bool(np.array_equal(c.values[0], c.values[1]))
-        drift[li] /= n_replicas
-    ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
+        drift /= n_replicas
+        ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
     gap = drift[:, 1] - drift[:, 0]   # finite only where both drifts are
     if not (np.isfinite(gap).all() and math.isfinite(ref)):
         raise ExperimentError(f"the oxygen energy drift is not finite: gap "
@@ -382,18 +385,18 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
     if failures:
         _, rep, exc = min(failures, key=lambda f: f[:2])
         raise failed(rep, exc.reason) from exc
-    results = [series for chunk in chunked for series in chunk]
+    results = [rows for chunk in chunked for rows in chunk]
 
     n_rows = len(results[0])
-    times = results[0].column("t")
+    times = column(results[0], "t")
     mean, m2, mx = {}, {}, {}
     for col in ENSEMBLE_COLUMNS:
         mean[col] = np.zeros(n_rows)
         m2[col] = np.zeros(n_rows)
         mx[col] = np.full(n_rows, -np.inf)
-    for count, series in enumerate(results, 1):
+    for count, rows in enumerate(results, 1):
         for col in ENSEMBLE_COLUMNS:
-            x = series.column(col).astype(float)
+            x = column(rows, col).astype(float)
             delta = x - mean[col]
             mean[col] += delta / count
             m2[col] += delta * (x - mean[col])

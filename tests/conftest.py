@@ -10,7 +10,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from stochem.dynamics import State, linear_consumption, make_params
+from stochem.dynamics import CONSUMPTION_LAWS, SimParams, State
 from stochem.grid import ScalarField, VectorField, zeros_scalar, zeros_vector
 from stochem.noise import make_transport_sigma, make_velocity_noise
 from stochem.operators import helmholtz_project
@@ -53,10 +53,10 @@ def default_params(grid, *, eta=1.0, mu=1.0, delta=1.0, chi=1.0, gamma=0.0,
         sigma = zero_transport_sigma(grid)
     else:
         sigma = make_transport_sigma(grid, cutoff)
-    return make_params(grid, eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
-                       phi=phi, f=f or linear_consumption(),
-                       vnoise=make_velocity_noise(grid, k_modes, amplitude),
-                       sigma=sigma)
+    return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
+                     phi=phi, f=f or CONSUMPTION_LAWS["linear"],
+                     vnoise=make_velocity_noise(grid, k_modes, amplitude),
+                     sigma=sigma)
 
 
 def quiescent_state(grid, n=1.0, c=0.0):

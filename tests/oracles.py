@@ -24,7 +24,8 @@ from scipy.fft import dctn, dst, idctn, idst
 from scipy.sparse.linalg import LinearOperator, cg
 
 from stochem import _spectral
-from stochem.diagnostics import DiagnosticsSeries, _entropy, _nlogn, compute_kf
+from stochem.diagnostics import (DiagnosticsRow, _entropy, _nlogn, column,
+                                 compute_kf)
 from stochem.grid import (LANE_REDUCE, ScalarField, VectorField, cell_centers,
                           divergence, norm, per_lane, scalar_face_gradients,
                           zeros_vector)
@@ -341,9 +342,10 @@ def entropy_functional(state, params, c0_linf: float) -> float:
                     norm(state.c, "H1_semi") ** 2, norm(state.u, "L2") ** 2)
 
 
-def energy_identity_residual(series: DiagnosticsSeries) -> float:
-    """Worst normalized defect of the oxygen energy identity along a series."""
-    vals = series.column("energy_residual")
+def energy_identity_residual(series: list[DiagnosticsRow]) -> float:
+    """Worst normalized defect of the oxygen energy identity over the rows
+    of a run."""
+    vals = column(series, "energy_residual")
     return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from stochem.cli import build_simulation, parse_config
-from stochem.diagnostics import check_conditions, compute_kf
+from stochem.diagnostics import check_conditions, column, compute_kf
 from stochem.dynamics import State, run
 from stochem.experiments import (convergence_dt, interior_bump,
                                  stratonovich_consistency, twin_run, ensemble)
@@ -86,7 +86,7 @@ def reference_run():
 
 def test_criterion_01_mass_conservation(reference_run):
     _, _, _, series, wall = reference_run
-    mass = series.column("mass_n")
+    mass = column(series, "mass_n")
     drift = float(np.max(np.abs(mass - mass[0])) / mass[0])
     _report("criterion 01 mass conservation",
             drift <= 1e-12 and wall < 60.0,
@@ -95,7 +95,7 @@ def test_criterion_01_mass_conservation(reference_run):
 
 def test_criterion_02_maximum_principle(reference_run):
     _, _, _, series, _ = reference_run
-    max_c = series.column("max_c")
+    max_c = column(series, "max_c")
     bound = max_c[0] * (1.0 + 1e-10)
     _report("criterion 02 maximum principle",
             float(max_c.max()) <= bound,
@@ -104,8 +104,8 @@ def test_criterion_02_maximum_principle(reference_run):
 
 def test_criterion_03_positivity(reference_run):
     _, _, _, series, _ = reference_run
-    min_n = float(series.column("min_n").min())
-    clips = int(series.column("clip_count").sum())
+    min_n = float(column(series, "min_n").min())
+    clips = int(column(series, "clip_count").sum())
     _report("criterion 03 positivity",
             min_n >= 0.0 and clips == 0,
             f"min n {min_n:.3e}, clip count {clips}")

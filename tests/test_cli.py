@@ -24,9 +24,9 @@ MINIMAL = "[grid]\nnx = 16\nny = 16\n"
 
 def test_minimal_document_fills_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg[("grid", "nx")] == 16
-    assert cfg[("physics", "eta")] == 1.0
-    assert cfg[("time", "sample_every")] == 10
+    assert cfg["grid"]["nx"] == 16
+    assert cfg["physics"]["eta"] == 1.0
+    assert cfg["time"]["sample_every"] == 10
     params, state = build_simulation(cfg)
     assert params.grid.nx == 16
     assert float(state.n.values.min()) > 0.0
@@ -72,7 +72,7 @@ def test_xi_resolution_from_config():
 
 def test_comments_and_inline_comments():
     cfg = parse_config("# top comment\n[grid]\nnx = 32  # inline\n")
-    assert cfg[("grid", "nx")] == 32
+    assert cfg["grid"]["nx"] == 32
 
 
 # ----------------------------------------------------------------- snapshots
@@ -391,8 +391,8 @@ def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
     # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the
     # gate fails the consumption condition at margin -inf, neither raising
     # nor warning, and a command that integrates anyway ends with a defined
-    # exit code; the Stratonovich study, whose drift overflows, never
-    # reports success
+    # exit code and no numpy warning; the Stratonovich study, whose drift
+    # overflows, never reports success
     cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
                                f"[physics]\nf_name = {law}\n"
                                f"[ic]\nc_recipe = uniform\nc_value = {c_value}\n"
@@ -400,10 +400,10 @@ def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
                                f"[experiment]\nlevels = 3\nreplicas = 2\n")
     argv = command + ["--config", str(cfg), "--out", str(tmp_path / "o")]
     gated = command in (["check-params"], ["run"])
-    with warnings.catch_warnings():
-        if not gated:   # numpy warns on the overflowing fields
-            warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv) in codes
+    assert [str(w.message) for w in caught] == []
     printed = capsys.readouterr()
     assert "Traceback" not in printed.err
     if gated:
@@ -434,6 +434,41 @@ def test_overflowing_study_distance_exits_2(tmp_path, capsys, which,
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this stochem."""
+    import stochem
+    src = str(Path(stochem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("command, replicas, code", [
+    (["run", "--allow-inadmissible"], 2, 3),
+    (["experiment", "ensemble"], 2, 3),
+    (["experiment", "ensemble"], 257, 3),
+    (["experiment", "stratonovich"], 2, 2)],
+    ids=["allow-inadmissible", "ensemble", "ensemble-two-chunks",
+         "stratonovich"])
+def test_overflow_prints_only_the_error(tmp_path, command, replicas, code):
+    # the fields are finite but their squares overflow: the reductions whose
+    # results are checked right after stay silent, so stderr holds the
+    # error line alone; 257 replicas at 8x8 make two chunks, which run on
+    # worker threads when two CPUs are usable
+    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
+                               f"[physics]\nchi = 0\n"
+                               f"[ic]\nc_recipe = uniform\nc_value = 1e160\n"
+                               f"[time]\nt_end = 0.01\n"
+                               f"[experiment]\nlevels = 3\n"
+                               f"replicas = {replicas}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "stochem.cli", *command, "--config", str(cfg),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True,
+        env={**_child_env(), "PYTHONWARNINGS": "default"})
+    assert done.returncode == code
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 @pytest.mark.parametrize("command", [["check-params"], ["run"],
@@ -538,13 +573,9 @@ def test_ladder_longer_than_t_end_exits_2(tmp_path, capsys, which):
 
 
 def test_import_loads_no_iterative_solver():
-    import stochem
-    src = str(Path(stochem.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, stochem.cli; "
             "sys.exit('scipy.sparse.linalg' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": path})
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env())
     assert done.returncode == 0
 
 
@@ -617,7 +648,7 @@ def test_lanes_and_workers_leave_results_bitwise(
         alone_final, alone = run(state, params, t_end, 1e-3, seed=seed,
                                  sample_every=sample_every,
                                  replica=replica + i)
-        assert series[i].rows == alone.rows
+        assert series[i] == alone
         for got, want in ((final.n.values[i], alone_final.n.values),
                           (final.c.values[i], alone_final.c.values),
                           (final.u.u_x[i], alone_final.u.u_x),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from stochem import diagnostics
 from stochem.diagnostics import (DiagnosticsRow, admissible_c0_bound,
-                                 check_conditions, compute_kf, estimate_k0,
-                                 total_mass)
-from stochem.dynamics import (CONSUMPTION_LAWS, State, run,
-                              saturating_consumption)
+                                 check_conditions, column, compute_kf,
+                                 estimate_k0, total_mass)
+from stochem.dynamics import CONSUMPTION_LAWS, State, run
 from stochem.grid import (ScalarField, make_grid, norm, zeros_scalar,
                           zeros_vector)
 from stochem.operators import AdvectionMode
@@ -47,7 +46,7 @@ def test_kf_rejects_degenerate_derivative():
     # f'(c0) = 1/(1 + c0)^2 underflows to 0 at c0 = 1e200: the constant is
     # unbounded and the gate fails, with no exception and no warning
     g = make_grid(16, 16, 1.0, 1.0)
-    params = default_params(g, f=saturating_consumption())
+    params = default_params(g, f=CONSUMPTION_LAWS["saturating"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert compute_kf(params, 1e200) == math.inf
@@ -59,7 +58,8 @@ def test_kf_rejects_degenerate_derivative():
 
 def test_kf_saturating_law_uses_interval_minimum():
     g = make_grid(16, 16, 1.0, 1.0)
-    params = default_params(g, chi=1.0, delta=1.0, f=saturating_consumption())
+    params = default_params(g, chi=1.0, delta=1.0,
+                            f=CONSUMPTION_LAWS["saturating"])
     c0 = 0.4
     min_fp = 1.0 / (1.0 + c0) ** 2      # f' decreasing: minimum at c0
     expected = 1.0 / (2.0 * min_fp) + 1.0 / min_fp
@@ -121,7 +121,7 @@ GATE_MARGIN_ULPS = 16
        c0=st.floats(0.0, 1e300))
 def test_gate_matches_sampled_law_oracle(law, chi, delta, c0):
     params = default_params(make_grid(8, 8, 1.0, 1.0), chi=chi, delta=delta,
-                            f=CONSUMPTION_LAWS[law]())
+                            f=CONSUMPTION_LAWS[law])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_conditions(params, c0)
@@ -263,14 +263,14 @@ def test_record_consistency():
     st = quiescent_state(g, n=1.5, c=0.0)
     _, series = run(st, params, 0.01, 1e-3, seed=0, sample_every=1)
     assert len(series) == 11
-    row = series.rows[0]
+    row = series[0]
     assert row.mass_n == pytest.approx(1.5, rel=1e-13)
     assert row.min_n == pytest.approx(1.5, rel=1e-13)
     assert row.energy_residual == 0.0
     ent = entropy_functional(st, params, 0.0)
     assert row.entropy == pytest.approx(ent, rel=1e-12)
     with pytest.raises(KeyError):
-        series.column("nonexistent")
+        column(series, "nonexistent")
 
 
 def test_row_rejects_non_finite():

@@ -6,6 +6,7 @@ from dataclasses import astuple, replace
 from stochem import _spectral, diagnostics, dynamics, noise, operators
 from stochem import grid as grid_mod
 from stochem.cli import build_simulation, parse_config
+from stochem.diagnostics import column
 from stochem.dynamics import (DT_MAX, CflError, SimulationError, State, run,
                               stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
@@ -59,12 +60,19 @@ def test_step_rejects_cfl_violation(rng):
         step(st, params, sample_increments(0, 0, 0, 0.05, 4), 0.05)
 
 
-@pytest.mark.parametrize("key", ["chi", "gamma"])
-def test_make_params_rejects_overflowing_square(key):
-    # the gate and the stepper square both coefficients
+@pytest.mark.parametrize("key, value, message", [
+    ("chi", 1e200, "finite squares"), ("gamma", 1e200, "finite squares"),
+    ("eta", 0.0, "strictly positive"), ("delta", 0.0, "strictly positive"),
+    ("mu", -1.0, "nonnegative"), ("chi", -1.0, "nonnegative")],
+    ids=["chi", "gamma", "eta", "delta", "mu", "chi-negative"])
+def test_make_params_rejects_overflowing_square(key, value, message):
+    # the gate and the stepper square chi and gamma; SimParams checks its
+    # coefficients however it is built, dataclasses.replace included
     g = make_grid(8, 8, 1.0, 1.0)
-    with pytest.raises(ValueError, match="finite squares"):
-        default_params(g, **{key: 1e200})
+    with pytest.raises(ValueError, match=message):
+        default_params(g, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        replace(default_params(g), **{key: value})
 
 
 def test_stable_dt_scaling(rng):
@@ -226,17 +234,17 @@ def test_run_lands_exactly_on_t_end():
     params, st = _reference_setup()
     final, series = run(st, params, 0.0105, 1e-3, seed=2)
     assert final.t == pytest.approx(0.0105, abs=1e-15)
-    assert series.rows[-1].step == 11   # ten full steps plus the landing step
+    assert series[-1].step == 11   # ten full steps plus the landing step
 
 
 def test_run_positivity_and_max_principle():
     params, st = _reference_setup()
     final, series = run(st, params, 0.1, 1e-3, seed=9, sample_every=10)
-    assert series.column("min_n").min() >= 0.0
-    assert series.column("clip_count").sum() == 0
-    c0max = series.column("max_c")[0]
-    assert series.column("max_c").max() <= c0max * (1.0 + 1e-10)
-    assert series.column("div_residual").max() < 1e-10
+    assert column(series, "min_n").min() >= 0.0
+    assert column(series, "clip_count").sum() == 0
+    c0max = column(series, "max_c")[0]
+    assert column(series, "max_c").max() <= c0max * (1.0 + 1e-10)
+    assert column(series, "div_residual").max() < 1e-10
 
 
 def test_run_propagates_failures_with_step_index():
@@ -323,7 +331,7 @@ def test_batched_run_matches_unbatched_runs_bitwise():
         assert np.array_equal(final.c.values[i], alone_final.c.values)
         assert np.array_equal(final.u.u_x[i], alone_final.u.u_x)
         assert np.array_equal(final.u.u_y[i], alone_final.u.u_y)
-    assert lanes[0].rows[-1].entropy != lanes[1].rows[-1].entropy
+    assert lanes[0][-1].entropy != lanes[1][-1].entropy
 
 
 def test_batched_run_names_the_failing_lane():

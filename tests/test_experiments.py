@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stochem import dynamics, experiments, noise
+from stochem.diagnostics import column
 from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (ENSEMBLE_COLUMNS, ExperimentError,
                                  convergence_dt, ensemble, interior_bump,
@@ -202,9 +203,9 @@ def test_ensemble_single_replica_equals_series():
     params, st = _setup()
     stats = ensemble(params, st, 9, 1, 0.02, 1e-3, sample_every=5)
     _, series = run(st, params, 0.02, 1e-3, seed=9, sample_every=5, replica=0)
-    assert np.array_equal(stats.mean["mass_n"], series.column("mass_n"))
+    assert np.array_equal(stats.mean["mass_n"], column(series, "mass_n"))
     assert np.all(stats.variance["mass_n"] == 0.0)
-    assert np.array_equal(stats.maximum["entropy"], series.column("entropy"))
+    assert np.array_equal(stats.maximum["entropy"], column(series, "entropy"))
 
 
 def test_ensemble_mass_is_pathwise_conserved():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochem.dynamics import linear_consumption
+from stochem.dynamics import CONSUMPTION_LAWS
 from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
                           make_grid, norm, scalar_face_gradients, zeros_vector)
 from stochem.operators import (AdvectionMode, buoyancy, chemotaxis_div,
@@ -287,7 +287,7 @@ def test_chemotaxis_rejects_negative_chi(rng):
 
 def test_consumption_values():
     g = make_grid(8, 8, 1.0, 1.0)
-    f = linear_consumption()
+    f = CONSUMPTION_LAWS["linear"]
     out = consumption(full_scalar(g, 2.0), full_scalar(g, 3.0), f)
     assert np.all(out.values == 6.0)
     out = consumption(full_scalar(g, 2.0), full_scalar(g, 0.0), f)
@@ -298,7 +298,7 @@ def test_consumption_sign_preservation(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     n = random_scalar(g, rng, positive=True)
     c = random_scalar(g, rng, positive=True)
-    out = consumption(n, c, linear_consumption())
+    out = consumption(n, c, CONSUMPTION_LAWS["linear"])
     assert np.all(out.values >= 0.0)
 
 
