@@ -14,7 +14,9 @@ per grid the Poisson divisor (the eigenvalues with the zero mode set to one,
 so no entry is zero), and per (grid, coef) the scalar denominator
 1 + coef*lambda and the two velocity denominators.  A fixed-step run builds
 one plan per coefficient; a landing step adds one more.  Plans are
-read-only, so threads share them.
+read-only, so threads share them.  A solve never writes into its right-hand
+side: a transform overwrites only an array that an earlier transform of the
+same solve allocated.
 """
 
 from __future__ import annotations
@@ -113,20 +115,21 @@ def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> Vecto
     Wall-normal boundary faces stay exactly zero; the tangential ghost
     reflection of the stencil is what the DST-II direction encodes.
     """
-    out_x = np.zeros_like(rhs.u_x)
-    out_y = np.zeros_like(rhs.u_y)
     den_x, den_y = _velocity_denominators(grid, coef)
-    bhat = dst(dst(rhs.u_x[..., 1:-1, :], type=1, axis=-2, norm="ortho"),
-               type=2, axis=-1, norm="ortho", overwrite_x=True)
-    bhat /= den_x
-    out_x[..., 1:-1, :] = idst(idst(bhat, type=2, axis=-1, norm="ortho",
-                                    overwrite_x=True),
-                               type=1, axis=-2, norm="ortho", overwrite_x=True)
-
-    bhat = dst(dst(rhs.u_y[..., 1:-1], type=2, axis=-2, norm="ortho"),
-               type=1, axis=-1, norm="ortho", overwrite_x=True)
-    bhat /= den_y
-    out_y[..., 1:-1] = idst(idst(bhat, type=1, axis=-1, norm="ortho",
-                                 overwrite_x=True),
-                            type=2, axis=-2, norm="ortho", overwrite_x=True)
+    out_x = np.zeros_like(rhs.u_x)
+    out_x[..., 1:-1, :] = _sine_solve(rhs.u_x[..., 1:-1, :], den_x, 1, 2)
+    out_y = np.zeros_like(rhs.u_y)
+    out_y[..., 1:-1] = _sine_solve(rhs.u_y[..., 1:-1], den_y, 2, 1)
     return VectorField(grid, out_x, out_y)
+
+
+def _sine_solve(interior: np.ndarray, den: np.ndarray, type_x: int,
+                type_y: int) -> np.ndarray:
+    """Divide the sine transform (type_x along x, then type_y along y) of a
+    component's interior faces by den and transform back, in the array the
+    first transform allocated."""
+    bhat = dst(dst(interior, type=type_x, axis=-2, norm="ortho"),
+               type=type_y, axis=-1, norm="ortho", overwrite_x=True)
+    bhat /= den
+    return idst(idst(bhat, type=type_y, axis=-1, norm="ortho", overwrite_x=True),
+                type=type_x, axis=-2, norm="ortho", overwrite_x=True)

@@ -90,7 +90,9 @@ _SCHEMA = {
         "n_value": (float, 1.0, "must be >= 0", lambda v: v >= 0),
         "n_base": (float, 0.05, "must be >= 0", lambda v: v >= 0),
         "n_amplitude": (float, 1.0, "must be >= 0", lambda v: v >= 0),
-        "n_sigma": (float, 0.12, "must be > 0", lambda v: v > 0),
+        "n_sigma": (float, 0.12, "must be > 0 with 2 n_sigma^2 a finite "
+                    "positive float", lambda v: v > 0 and 0.0 < 2.0 * v * v
+                    < math.inf),
         "n_center_x": (float, 0.5, "relative position in [0, 1]",
                        lambda v: 0.0 <= v <= 1.0),
         "n_center_y": (float, 0.5, "relative position in [0, 1]",
@@ -227,23 +229,30 @@ def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
                        sigma=sigma)
 
     ic = cfg["ic"]
-    if ic["n_recipe"] == "uniform":
-        n0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["n_value"]))
-    else:
-        cx, cy = ic["n_center_x"] * grid.lx, ic["n_center_y"] * grid.ly
-        s2 = 2.0 * ic["n_sigma"] ** 2
-        n0 = ScalarField(grid, ic["n_base"] + ic["n_amplitude"]
-                         * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / s2))
-    if ic["c_recipe"] == "uniform":
-        c0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["c_value"]))
-    elif ic["c_recipe"] == "linear_gradient":
-        c0 = ScalarField(grid, ic["c_min"]
-                         + (ic["c_max"] - ic["c_min"]) * y / grid.ly)
-    else:
-        c0 = ScalarField(grid, ic["c_base"] + ic["c_amplitude"]
-                         * np.cos(ic["c_mode_kx"] * np.pi * x / grid.lx)
-                         * np.cos(ic["c_mode_ky"] * np.pi * y / grid.ly))
-    u0 = _build_initial_velocity(grid, ic["u_recipe"], ic["u_amplitude"])
+    # a recipe that overflows is silent here: the finite check below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ic["n_recipe"] == "uniform":
+            n0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["n_value"]))
+        else:
+            cx, cy = ic["n_center_x"] * grid.lx, ic["n_center_y"] * grid.ly
+            s2 = 2.0 * ic["n_sigma"] ** 2
+            n0 = ScalarField(grid, ic["n_base"] + ic["n_amplitude"]
+                             * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / s2))
+        if ic["c_recipe"] == "uniform":
+            c0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["c_value"]))
+        elif ic["c_recipe"] == "linear_gradient":
+            c0 = ScalarField(grid, ic["c_min"]
+                             + (ic["c_max"] - ic["c_min"]) * y / grid.ly)
+        else:
+            c0 = ScalarField(grid, ic["c_base"] + ic["c_amplitude"]
+                             * np.cos(ic["c_mode_kx"] * np.pi * x / grid.lx)
+                             * np.cos(ic["c_mode_ky"] * np.pi * y / grid.ly))
+        u0 = _build_initial_velocity(grid, ic["u_recipe"], ic["u_amplitude"])
+    for name, values in (("n", n0.values), ("c", c0.values), ("u", u0.u_x),
+                         ("u", u0.u_y)):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"[ic] {name} recipe produced a non-finite "
+                              f"value")
     if float(n0.values.min()) < 0.0:
         raise ConfigError("[ic] n recipe produced negative density")
     if float(c0.values.min()) < 0.0:

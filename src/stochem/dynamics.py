@@ -24,6 +24,14 @@ A state may carry one leading lane axis (see stack_states): every lane is an
 independent trajectory, one step advances them all, and each lane's numbers
 are bitwise those of the same trajectory stepped alone.  Per-lane checks
 name the lowest failing lane.
+
+Ownership: a function may write into arrays it allocated, or that a callee
+allocated and returned to it, never into its arguments.  Nothing on the
+step path writes into the state it is given, so run steps from the
+caller's initial state without copying it, and each substep hands its
+intermediates straight on so that they are freed once consumed: a step
+holds about 8 field-sized arrays beyond its input, the 4 it returns
+included.
 """
 
 from __future__ import annotations
@@ -189,19 +197,33 @@ def stable_dt(state: State, params: SimParams,
     diffusion is implicit and does not constrain.
     """
     g = state.u.grid
-    ux = np.abs(state.u.u_x)
-    uy = np.abs(state.u.u_y)
-    gx, gy = grad_c
-    speed_x = np.maximum(ux[..., :-1, :], ux[..., 1:, :]) + params.chi * np.maximum(
-        np.abs(gx[..., :-1, :]), np.abs(gx[..., 1:, :]))
-    speed_y = np.maximum(uy[..., :-1], uy[..., 1:]) + params.chi * np.maximum(
-        np.abs(gy[..., :-1]), np.abs(gy[..., 1:]))
-    rate = np.max(speed_x / g.dx + speed_y / g.dy, axis=LANE_REDUCE)
+    rate_x = _cell_speed(state.u.u_x, grad_c[0], params.chi, -2)
+    rate_x /= g.dx
+    rate_y = _cell_speed(state.u.u_y, grad_c[1], params.chi, -1)
+    rate_y /= g.dy
+    rate_x += rate_y
+    rate = np.max(rate_x, axis=LANE_REDUCE)
     if params.gamma > 0.0:
         rate = np.maximum(rate, ito_rate(params))
     with np.errstate(divide="ignore"):
         bound = np.fmin(DT_MAX, CFL_SAFETY / rate)
     return per_lane(np.where(rate > 0.0, bound, DT_MAX))
+
+
+def _cell_speed(u_face: np.ndarray, grad_face: np.ndarray, chi: float,
+                axis: int) -> np.ndarray:
+    """Per cell, the larger |u| of its two faces along ``axis`` plus chi
+    times the larger |grad c| of the same faces."""
+    def larger_end(a):
+        if axis == -2:
+            return np.maximum(a[..., :-1, :], a[..., 1:, :])
+        return np.maximum(a[..., :-1], a[..., 1:])
+    magnitude = np.abs(u_face)
+    speed = larger_end(magnitude)
+    drift = larger_end(np.abs(grad_face, out=magnitude))
+    drift *= chi
+    speed += drift
+    return speed
 
 
 def ito_rate(params: SimParams) -> float:
@@ -217,10 +239,12 @@ def density_substep(state: State, params: SimParams,
     """Explicit transport and chemotactic drift along ``grad_c``, the face
     gradients of state.c, then implicit diffusion."""
     g = state.u.grid
-    adv_n = scalar_advect(state.u, state.n, params.scalar_mode)
-    chemo = chemotaxis_div(state.n, grad_c, params.chi)
-    n_star = ScalarField(g, state.n.values - dt * (adv_n.values + chemo.values))
-    return _spectral.solve_scalar_diffusion(g, n_star, dt * params.delta)
+    n_star = scalar_advect(state.u, state.n, params.scalar_mode).values
+    n_star += chemotaxis_div(state.n, grad_c, params.chi).values
+    n_star *= dt
+    np.subtract(state.n.values, n_star, out=n_star)
+    return _spectral.solve_scalar_diffusion(g, ScalarField(g, n_star),
+                                            dt * params.delta)
 
 
 def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
@@ -228,13 +252,16 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
     """Transport, limited consumption and implicit diffusion at mu; returns
     the diffused oxygen and the number of cells where the limiter acted."""
     g = state.u.grid
-    adv_c = scalar_advect(state.u, state.c, params.scalar_mode)
-    c_adv = state.c.values - dt * adv_c.values
-    uptake = dt * n_new.values * params.f.eval(state.c.values)
-    available = np.maximum(c_adv, 0.0)
+    c_star = scalar_advect(state.u, state.c, params.scalar_mode).values
+    c_star *= dt
+    np.subtract(state.c.values, c_star, out=c_star)   # the advected oxygen
+    uptake = dt * n_new.values
+    uptake *= params.f.eval(state.c.values)
+    available = np.maximum(c_star, 0.0)
     clip_count = per_lane((uptake > available).sum(axis=LANE_REDUCE))
-    c_star = ScalarField(g, c_adv - np.minimum(uptake, available))
-    return _spectral.solve_scalar_diffusion(g, c_star, dt * params.mu), clip_count
+    c_star -= np.minimum(uptake, available, out=uptake)
+    return (_spectral.solve_scalar_diffusion(g, ScalarField(g, c_star),
+                                             dt * params.mu), clip_count)
 
 
 def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
@@ -244,45 +271,62 @@ def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
     oxygen, the limiter count and transport_hs_sq at the drifted oxygen.
 
     The noise modes of the drifted oxygen are evaluated once and shared by
-    the kick, the correction and the Hilbert-Schmidt norm."""
-    c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
+    the kick, the correction and the Hilbert-Schmidt norm; the kick and the
+    correction are added in the drifted oxygen's array."""
+    c_new, clip_count = oxygen_drift(state, n_new, params, dt)
     if params.gamma <= 0.0:
-        return c_mid, clip_count, 0.0
-    modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
-    hs_sq = noise_mod.transport_hs_sq(modes, c_mid.grid)
-    c_new = ScalarField(c_mid.grid, c_mid.values
-                        + transport_noise_apply(modes, params.gamma, inc))
-    c_new.values += dt * noise_mod.transport_ito_correction(
-        modes, params.sigma, params.gamma).values
+        return c_new, clip_count, 0.0
+    modes = noise_mod.transport_noise_modes(c_new, params.sigma)
+    hs_sq = noise_mod.transport_hs_sq(modes, c_new.grid)
+    c_new.values += transport_noise_apply(modes, params.gamma, inc)
+    correction = noise_mod.transport_ito_correction(modes, params.sigma,
+                                                    params.gamma).values
+    correction *= dt
+    c_new.values += correction
     return c_new, clip_count, hs_sq
 
 
 def velocity_substep(state: State, n_new: ScalarField, params: SimParams,
                      inc: NoiseIncrement,
                      dt: float) -> tuple[VectorField, float]:
-    """Returns the projected new velocity and its divergence residual."""
+    """Returns the projected new velocity and its divergence residual; each
+    intermediate field is passed straight on, so it is freed once used."""
     g = state.u.grid
-    conv = convect_velocity(state.u, state.u)
-    buoy = buoyancy(n_new, params.phi_grad)
-    forced = VectorField(g,
-                         state.u.u_x + dt * (buoy.u_x - conv.u_x),
-                         state.u.u_y + dt * (buoy.u_y - conv.u_y))
-    if params.vnoise.amplitude > 0.0:
-        gw = g_apply(state.u, params.vnoise, inc)
-        forced.u_x += gw.u_x
-        forced.u_y += gw.u_y
-    u_mid = _spectral.solve_velocity_diffusion(g, forced, dt * params.eta)
-    u_new = helmholtz_project(u_mid)
+    u_new = helmholtz_project(_spectral.solve_velocity_diffusion(
+        g, _forced_velocity(state, n_new, params, inc, dt), dt * params.eta))
     return u_new, divergence_residual(u_new)
 
 
-def step(state: State, params: SimParams, inc: NoiseIncrement,
-         dt: float) -> tuple[State, StepReport]:
-    """One Euler-Maruyama step of every lane; raises CflError naming the
-    lowest lane above its advective bound.  The face gradients of the
-    incoming oxygen are taken once, for the bound and the chemotactic drift."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def _forced_velocity(state: State, n_new: ScalarField, params: SimParams,
+                     inc: NoiseIncrement, dt: float) -> VectorField:
+    """The explicit part of the velocity update: _drifted_velocity plus the
+    stochastic forcing."""
+    forced = _drifted_velocity(state, n_new, params, dt)
+    if params.vnoise.amplitude > 0.0:
+        kick = g_apply(state.u, params.vnoise, inc)
+        forced.u_x += kick.u_x
+        forced.u_y += kick.u_y
+    return forced
+
+
+def _drifted_velocity(state: State, n_new: ScalarField, params: SimParams,
+                      dt: float) -> VectorField:
+    """u + dt (buoyancy - convection), built in convect_velocity's result."""
+    drifted = convect_velocity(state.u, state.u)
+    buoy = buoyancy(n_new, params.phi_grad)
+    for d, b, u in ((drifted.u_x, buoy.u_x, state.u.u_x),
+                    (drifted.u_y, buoy.u_y, state.u.u_y)):
+        np.subtract(b, d, out=d)
+        d *= dt
+        d += u
+    return drifted
+
+
+def _checked_gradients(state: State, params: SimParams,
+                       dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The face gradients of state.c, once dt is checked against the
+    advective bound they give; raises CflError naming the lowest lane above
+    its bound."""
     grad_c = scalar_face_gradients(state.c)
     bound = stable_dt(state, params, grad_c)
     too_long = np.asarray(dt > bound * (1.0 + 1e-12))
@@ -290,7 +334,19 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
         lane = first_failing_lane(too_long)
         limit = bound if lane is None else bound[lane]
         raise CflError(f"dt={dt:g} exceeds the advective bound {limit:g}", lane)
-    n_new = density_substep(state, params, grad_c, dt)
+    return grad_c
+
+
+def step(state: State, params: SimParams, inc: NoiseIncrement,
+         dt: float) -> tuple[State, StepReport]:
+    """One Euler-Maruyama step of every lane; raises CflError naming the
+    lowest lane above its advective bound.  The face gradients of the
+    incoming oxygen are taken once, for the bound and the chemotactic drift,
+    and freed after the density substep."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_new = density_substep(state, params, _checked_gradients(state, params, dt),
+                            dt)
     c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
     u_new, proj_res = velocity_substep(state, n_new, params, inc, dt)
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)
@@ -373,14 +429,15 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     ``on_sample`` is called with (state, rows) at every recorded sample, the
     rows holding one DiagnosticsRow per lane.  A failing step, or a sampled
     state that diagnostics rejects, raises SimulationError naming the step
-    and, when batched, the lane.
+    and, when batched, the lane.  ``initial`` is neither written into nor
+    copied: with no step to take, the returned state is ``initial`` itself.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
     dts = time_grid(t_end - initial.t, dt)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    state = initial.copy()
+    state = initial
     lanes = state.lanes
     batched = lanes != [None]
     k_modes = params.vnoise.n_modes

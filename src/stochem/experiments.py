@@ -287,9 +287,15 @@ def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
 
     Used by the pure-transport test so the oxygen stays clear of the cutoff
     ring, where the discrete noise operator tapers; the margin leaves room
-    for diffusive spreading over the measurement window.
+    for diffusive spreading over the measurement window.  A grid with no
+    cell past that margin on both sides raises ExperimentError.
     """
     margin_cells = max(2 * sigma.cutoff_width + 1, min(grid.nx, grid.ny) // 5)
+    if min(grid.nx, grid.ny) <= 2 * margin_cells:
+        raise ExperimentError(
+            f"the {grid.nx}x{grid.ny} grid leaves no interior window for the "
+            f"oxygen bump at cutoff width {sigma.cutoff_width}: min(nx, ny) "
+            f"must exceed {2 * margin_cells}")
 
     def window(coord: np.ndarray, length: float, h: float) -> np.ndarray:
         m = margin_cells * h
@@ -394,16 +400,23 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
         mean[col] = np.zeros(n_rows)
         m2[col] = np.zeros(n_rows)
         mx[col] = np.full(n_rows, -np.inf)
-    for count, rows in enumerate(results, 1):
-        for col in ENSEMBLE_COLUMNS:
-            x = column(rows, col).astype(float)
-            delta = x - mean[col]
-            mean[col] += delta / count
-            m2[col] += delta * (x - mean[col])
-            np.maximum(mx[col], x, out=mx[col])
-    variance = {col: (m2[col] / (count - 1) if count > 1 else np.zeros(n_rows))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for count, rows in enumerate(results, 1):
+            for col in ENSEMBLE_COLUMNS:
+                x = column(rows, col).astype(float)
+                delta = x - mean[col]
+                mean[col] += delta / count
+                m2[col] += delta * (x - mean[col])
+                np.maximum(mx[col], x, out=mx[col])
+        variance = {col: (m2[col] / (count - 1) if count > 1
+                          else np.zeros(n_rows)) for col in ENSEMBLE_COLUMNS}
+        ci95 = {col: 1.96 * np.sqrt(variance[col] / count)
                 for col in ENSEMBLE_COLUMNS}
-    ci95 = {col: 1.96 * np.sqrt(variance[col] / count)
-            for col in ENSEMBLE_COLUMNS}
+    for name, stat in (("mean", mean), ("variance", variance),
+                       ("maximum", mx), ("ci95", ci95)):
+        for col in ENSEMBLE_COLUMNS:
+            if not np.isfinite(stat[col]).all():
+                raise ExperimentError(f"the ensemble {name} of {col} is not "
+                                      f"finite")
     return EnsembleStats(times=times, n_replicas=count,
                          mean=mean, variance=variance, maximum=mx, ci95=ci95)

@@ -91,10 +91,37 @@ def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndar
     """
     require_same_grid(c, sigma)
     gx, gy = scalar_face_gradients(c)
-    px = sigma.ramp_x * gx
-    py = sigma.ramp_y * gy
-    return [0.5 * (px[..., :-1, :] + px[..., 1:, :]),
-            0.5 * (py[..., :-1] + py[..., 1:])]
+    gx *= sigma.ramp_x
+    gy *= sigma.ramp_y
+    return [_cell_mean(gx, -2), _cell_mean(gy, -1)]
+
+
+def _along(a: np.ndarray, axis: int, index: slice) -> np.ndarray:
+    """The view a[..., index, :] for axis -2, a[..., index] for axis -1."""
+    return a[..., index, :] if axis == -2 else a[..., index]
+
+
+def _cell_mean(face: np.ndarray, axis: int) -> np.ndarray:
+    """0.5 (left + right) of a face field along ``axis``, in a new array."""
+    mean = np.add(_along(face, axis, slice(None, -1)),
+                  _along(face, axis, slice(1, None)))
+    mean *= 0.5
+    return mean
+
+
+def _apply_mode(m: np.ndarray, ramp: np.ndarray, axis: int,
+                h: float) -> np.ndarray:
+    """L_k applied to the cell field ``m`` with the arithmetic of
+    transport_noise_modes: the difference along ``axis`` over h on the
+    interior faces, zero on the walls, weighted by the face ramp and averaged
+    to the cells."""
+    face = np.zeros(m.shape[:-2] + ramp.shape)
+    inner = np.subtract(_along(m, axis, slice(1, None)),
+                        _along(m, axis, slice(None, -1)),
+                        out=_along(face, axis, slice(1, -1)))
+    inner /= h
+    face *= ramp
+    return _cell_mean(face, axis)
 
 
 def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
@@ -108,28 +135,22 @@ def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
     q = Id region); a generic (gamma^2/2) lap(c) would differ from this by an
     O(dx^2) stencil mismatch that leaves a fixed-grid bias in the energy
     drift.  L_1 only differences along x and L_2 only along y, so each is
-    applied with its own one-axis stencil, the same arithmetic as
-    transport_noise_modes.
+    applied with its own one-axis stencil.
     """
     g = sigma.grid
-    m1, m2 = modes
-    gx = np.zeros(m1.shape[:-2] + (g.nx + 1, g.ny))
-    gx[..., 1:-1, :] = (m1[..., 1:, :] - m1[..., :-1, :]) / g.dx
-    px = sigma.ramp_x * gx
-    gy = np.zeros(m2.shape[:-2] + (g.nx, g.ny + 1))
-    gy[..., 1:-1] = (m2[..., 1:] - m2[..., :-1]) / g.dy
-    py = sigma.ramp_y * gy
-    acc = 0.5 * (px[..., :-1, :] + px[..., 1:, :])
-    acc = acc + 0.5 * (py[..., :-1] + py[..., 1:])
-    return ScalarField(g, (0.5 * gamma ** 2) * acc)
+    acc = _apply_mode(modes[0], sigma.ramp_x, -2, g.dx)
+    acc += _apply_mode(modes[1], sigma.ramp_y, -1, g.dy)
+    acc *= 0.5 * gamma ** 2
+    return ScalarField(g, acc)
 
 
 def transport_noise_apply(modes: list[np.ndarray], gamma: float,
                           inc: NoiseIncrement) -> np.ndarray:
     """One increment of the oxygen transport noise, gamma sum_k L_k c dbeta_k."""
-    db1 = inc.dbeta[..., 0, None, None]   # per-lane scalars over the cells
-    db2 = inc.dbeta[..., 1, None, None]
-    return gamma * (modes[0] * db1 + modes[1] * db2)
+    kick = modes[0] * inc.dbeta[..., 0, None, None]   # per-lane scalars
+    kick += modes[1] * inc.dbeta[..., 1, None, None]
+    kick *= gamma
+    return kick
 
 
 def transport_hs_sq(modes: list[np.ndarray], grid: Grid):

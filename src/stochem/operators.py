@@ -14,6 +14,12 @@ energy-pairing identities hold by telescoping rather than by approximation:
   without clipping;
 * the projection subtracts the gradient of a Neumann-Poisson solve, making
   the post-projection divergence exactly the solver residual.
+
+Ownership: a function may write into arrays it allocated, never into its
+arguments.  Each operator builds its result in arrays of its own, updates
+them in place and lets every intermediate go once it is consumed, with the
+same floating-point operations, on the same operands, as the plain
+expressions (at most a sum or product commuted).
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from enum import Enum
 import numpy as np
 
 from . import _spectral
-from .grid import (ScalarField, VectorField, divergence, norm,
-                   require_same_grid, scalar_face_gradients, zeros_vector)
+from .grid import (Grid, ScalarField, VectorField, divergence, flux_divergence,
+                   norm, require_same_grid, scalar_face_gradients,
+                   zeros_vector)
 
 
 class AdvectionMode(Enum):
@@ -35,66 +42,75 @@ class AdvectionMode(Enum):
 def helmholtz_project(v: VectorField) -> VectorField:
     """Project a face field onto the discretely divergence-free subspace.
 
-    Solves the Neumann-Poisson problem lap(p) = div(v) and subtracts grad(p).
-    Wall-normal face values are untouched (the gradient vanishes there), so
-    inputs with no-slip walls keep them.
+    Solves the Neumann-Poisson problem lap(p) = div(v) and subtracts grad(p),
+    in the gradient's arrays.  Wall-normal face values are untouched (the
+    gradient vanishes there), so inputs with no-slip walls keep them.
     """
     g = v.grid
-    rhs = divergence(v)
-    p, _info = _spectral.solve_poisson_neumann(g, rhs.values)
+    p, _info = _spectral.solve_poisson_neumann(g, divergence(v).values)
     gpx, gpy = scalar_face_gradients(ScalarField(g, p))
-    return VectorField(g, v.u_x - gpx, v.u_y - gpy)
+    return VectorField(g, np.subtract(v.u_x, gpx, out=gpx),
+                       np.subtract(v.u_y, gpy, out=gpy))
+
+
+def _mean(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
+    """0.5 * (left + right), in ``out`` when given, else in a new array."""
+    s = np.add(left, right, out=out)
+    s *= 0.5
+    return s
 
 
 def _face_value(left: np.ndarray, right: np.ndarray, carrier: np.ndarray,
                 mode: AdvectionMode) -> np.ndarray:
     if mode is AdvectionMode.CENTERED_SKEW:
-        return 0.5 * (left + right)
+        return _mean(left, right)
     return np.where(carrier > 0.0, left, right)
 
 
 def convect_velocity(u: VectorField, v: VectorField) -> VectorField:
-    """Discrete (u . grad) v on the staggered layout.
+    """Discrete (u . grad) v on the staggered layout; u and v carry the same
+    lanes.
 
     The exact average of the advective and divergence forms,
     1/2[(u.grad)v + div(u x v)], with centered face values; its pairing
     against v is identically zero for any u with vanishing wall-normal faces.
     """
     g = require_same_grid(u, v)
-    dx, dy = g.dx, g.dy
-
-    # --- x component: dual cells around interior vertical faces ---
-    # advecting u at cell centers
-    ubar = 0.5 * (u.u_x[..., :-1, :] + u.u_x[..., 1:, :])
-    vctr = 0.5 * (v.u_x[..., :-1, :] + v.u_x[..., 1:, :])
-    fx = ubar * vctr                                        # x-flux at cell centers
-    lanes = fx.shape[:-2]                                   # lanes of u and v
-    out = zeros_vector(g, lanes)
-    # advecting v interpolated to interior nodes (i=1..nx-1, j=0..ny)
-    vtil = 0.5 * (u.u_y[..., :-1, :] + u.u_y[..., 1:, :])
-    vnode = np.zeros(lanes + (g.nx - 1, g.ny + 1))
-    vnode[..., 1:-1] = 0.5 * (v.u_x[..., 1:-1, :-1] + v.u_x[..., 1:-1, 1:])
-    fy = vtil * vnode                                       # y-flux at nodes
-    div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
-                + (fy[..., 1:] - fy[..., :-1]) / dy)
-    divd = ((ubar[..., 1:, :] - ubar[..., :-1, :]) / dx
-            + (vtil[..., 1:] - vtil[..., :-1]) / dy)
-    out.u_x[..., 1:-1, :] = div_flux - 0.5 * v.u_x[..., 1:-1, :] * divd
-
-    # --- y component, mirrored ---
-    vbar = 0.5 * (u.u_y[..., :-1] + u.u_y[..., 1:])
-    vctr = 0.5 * (v.u_y[..., :-1] + v.u_y[..., 1:])
-    fy = vbar * vctr
-    util = 0.5 * (u.u_x[..., :-1] + u.u_x[..., 1:])
-    vnode = np.zeros(lanes + (g.nx + 1, g.ny - 1))
-    vnode[..., 1:-1, :] = 0.5 * (v.u_y[..., :-1, 1:-1] + v.u_y[..., 1:, 1:-1])
-    fx = util * vnode
-    div_flux = ((fx[..., 1:, :] - fx[..., :-1, :]) / dx
-                + (fy[..., 1:] - fy[..., :-1]) / dy)
-    divd = ((util[..., 1:, :] - util[..., :-1, :]) / dx
-            + (vbar[..., 1:] - vbar[..., :-1]) / dy)
-    out.u_y[..., 1:-1] = div_flux - 0.5 * v.u_y[..., 1:-1] * divd
+    inner_x = _convect_x(u, v, g)
+    inner_y = _convect_y(u, v, g)
+    out = zeros_vector(g, inner_x.shape[:-2])
+    out.u_x[..., 1:-1, :] = inner_x
+    out.u_y[..., 1:-1] = inner_y
     return out
+
+
+def _convect_x(u: VectorField, v: VectorField, grid: Grid) -> np.ndarray:
+    """convect_velocity's x component on the interior vertical faces, from
+    dual cells around them: div_flux - 0.5 v div(advecting velocity)."""
+    ubar = _mean(u.u_x[..., :-1, :], u.u_x[..., 1:, :])   # u at cell centers
+    vtil = _mean(u.u_y[..., :-1, :], u.u_y[..., 1:, :])   # v at interior nodes
+    half_v_divd = flux_divergence(ubar, vtil, grid)
+    half_v_divd *= np.multiply(v.u_x[..., 1:-1, :], 0.5)
+    ubar *= _mean(v.u_x[..., :-1, :], v.u_x[..., 1:, :])  # x-flux at centers
+    # y-flux at nodes: vtil times v there, which is zero on the wall nodes
+    vtil[..., 1:-1] *= _mean(v.u_x[..., 1:-1, :-1], v.u_x[..., 1:-1, 1:])
+    vtil[..., [0, -1]] *= 0.0
+    div_flux = flux_divergence(ubar, vtil, grid)
+    return np.subtract(div_flux, half_v_divd, out=div_flux)
+
+
+def _convect_y(u: VectorField, v: VectorField, grid: Grid) -> np.ndarray:
+    """convect_velocity's y component on the interior horizontal faces,
+    mirroring _convect_x."""
+    vbar = _mean(u.u_y[..., :-1], u.u_y[..., 1:])         # v at cell centers
+    util = _mean(u.u_x[..., :-1], u.u_x[..., 1:])         # u at interior nodes
+    half_v_divd = flux_divergence(util, vbar, grid)
+    half_v_divd *= np.multiply(v.u_y[..., 1:-1], 0.5)
+    vbar *= _mean(v.u_y[..., :-1], v.u_y[..., 1:])        # y-flux at centers
+    util[..., 1:-1, :] *= _mean(v.u_y[..., :-1, 1:-1], v.u_y[..., 1:, 1:-1])
+    util[..., [0, -1], :] *= 0.0                          # x-flux at nodes
+    div_flux = flux_divergence(util, vbar, grid)
+    return np.subtract(div_flux, half_v_divd, out=div_flux)
 
 
 def scalar_advect(u: VectorField, phi: ScalarField,
@@ -108,15 +124,16 @@ def scalar_advect(u: VectorField, phi: ScalarField,
     """
     g = require_same_grid(u, phi)
     p = phi.values
+    lanes = np.broadcast_shapes(u.lanes, phi.lanes)
     ux = u.u_x[..., 1:-1, :]
     uy = u.u_y[..., 1:-1]
-    inner_x = ux * _face_value(p[..., :-1, :], p[..., 1:, :], ux, mode)
-    inner_y = uy * _face_value(p[..., :-1], p[..., 1:], uy, mode)
-    fx = np.zeros(inner_x.shape[:-2] + (g.nx + 1, g.ny))
-    fy = np.zeros(inner_y.shape[:-2] + (g.nx, g.ny + 1))
-    fx[..., 1:-1, :] = inner_x
-    fy[..., 1:-1] = inner_y
-    return divergence(VectorField(g, fx, fy))
+    fx = np.zeros(lanes + (g.nx + 1, g.ny))
+    fy = np.zeros(lanes + (g.nx, g.ny + 1))
+    np.multiply(ux, _face_value(p[..., :-1, :], p[..., 1:, :], ux, mode),
+                out=fx[..., 1:-1, :])
+    np.multiply(uy, _face_value(p[..., :-1], p[..., 1:], uy, mode),
+                out=fy[..., 1:-1])
+    return ScalarField(g, flux_divergence(fx, fy, g))
 
 
 def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
@@ -136,10 +153,11 @@ def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
     fy = np.zeros_like(gy)
     gxi = gx[..., 1:-1, :]
     gyi = gy[..., 1:-1]
-    fx[..., 1:-1, :] = chi * gxi * np.where(gxi > 0.0, nv[..., :-1, :],
-                                            nv[..., 1:, :])
-    fy[..., 1:-1] = chi * gyi * np.where(gyi > 0.0, nv[..., :-1], nv[..., 1:])
-    return divergence(VectorField(g, fx, fy))
+    np.multiply(chi, gxi, out=fx[..., 1:-1, :])
+    fx[..., 1:-1, :] *= np.where(gxi > 0.0, nv[..., :-1, :], nv[..., 1:, :])
+    np.multiply(chi, gyi, out=fy[..., 1:-1])
+    fy[..., 1:-1] *= np.where(gyi > 0.0, nv[..., :-1], nv[..., 1:])
+    return ScalarField(g, flux_divergence(fx, fy, g))
 
 
 def consumption(n: ScalarField, c: ScalarField, f) -> ScalarField:
@@ -160,9 +178,10 @@ def buoyancy(n: ScalarField,
     gpx, gpy = grad_phi
     nv = n.values
     out = zeros_vector(g, n.lanes)
-    out.u_x[..., 1:-1, :] = (0.5 * (nv[..., :-1, :] + nv[..., 1:, :])
-                             * gpx[1:-1, :])
-    out.u_y[..., 1:-1] = 0.5 * (nv[..., :-1] + nv[..., 1:]) * gpy[:, 1:-1]
+    _mean(nv[..., :-1, :], nv[..., 1:, :], out=out.u_x[..., 1:-1, :])
+    out.u_x[..., 1:-1, :] *= gpx[1:-1, :]
+    _mean(nv[..., :-1], nv[..., 1:], out=out.u_y[..., 1:-1])
+    out.u_y[..., 1:-1] *= gpy[:, 1:-1]
     return out
 
 

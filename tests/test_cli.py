@@ -471,6 +471,49 @@ def test_overflow_prints_only_the_error(tmp_path, command, replicas, code):
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
+_STRATONOVICH_SMALL = ("[grid]\nnx = {n}\nny = {n}\n"
+                       "[noise]\nsigma_cutoff_width = {w}\n"
+                       "[time]\nt_end = 0.004\n"
+                       "[experiment]\nlevels = 3\nreplicas = 2\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    (["check-params"], "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e160\n"),
+    (["check-params"], "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e-200\n"),
+    (["check-params"], "[grid]\nnx = 5\nny = 5\n"
+                       "[ic]\nn_base = 1e308\nn_amplitude = 1e308\n"),
+    (["experiment", "stratonovich"], _STRATONOVICH_SMALL.format(n=6, w=1)),
+    (["experiment", "stratonovich"], _STRATONOVICH_SMALL.format(n=10, w=2)),
+    (["experiment", "ensemble"], "[grid]\nnx = 6\nny = 10\n"
+                                 "[physics]\ndelta = 1e-300\n"
+                                 "[time]\nt_end = 0.01\n"
+                                 "[experiment]\nreplicas = 2\n")],
+    ids=["n_sigma-square-overflows", "n_sigma-square-underflows",
+         "n-recipe-overflows", "stratonovich-6x6-width-1",
+         "stratonovich-10x10-width-2", "ensemble-variance-overflows"])
+def test_degenerate_setup_exits_2_with_one_error_line(tmp_path, command,
+                                                      text):
+    # an initial field, a study window or an ensemble statistic that the
+    # input leaves empty or non-finite is refused, without a numpy warning
+    cfg = _write_cfg(tmp_path, text)
+    done = subprocess.run(
+        [sys.executable, "-m", "stochem.cli", *command, "--config", str(cfg),
+         "--out", str(tmp_path / "o")], capture_output=True, text=True,
+        env={**_child_env(), "PYTHONWARNINGS": "default"})
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+def test_stratonovich_runs_on_the_smallest_window(tmp_path, capsys):
+    # 7 cells leave one cell past the 3-cell margin on each side at width 1
+    cfg = _write_cfg(tmp_path, _STRATONOVICH_SMALL.format(n=7, w=1))
+    assert main(["experiment", "stratonovich", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert _printed_floats(capsys.readouterr().out)[
+        "finest-level drift gap"] > 0.0
+
+
 @pytest.mark.parametrize("command", [["check-params"], ["run"],
                                      ["experiment", "ensemble"]],
                          ids=lambda c: c[-1])

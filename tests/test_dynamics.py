@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -500,3 +502,64 @@ def test_run_takes_face_gradients_once_per_field(monkeypatch, gamma,
         run(st, params, steps * 1e-3, 1e-3, seed=3, sample_every=100)
         totals.append(len(calls))
     assert (totals[1] - totals[0]) / 5 == per_step
+
+
+def _noisy_setup(nx: int, lanes: int | None, dt: float):
+    """The README physics at nx^2 with both noises on, stacked into
+    ``lanes`` lanes when given, and the step-0 increment for them."""
+    params, st = build_simulation(parse_config(
+        f"[grid]\nnx = {nx}\nny = {nx}\n[physics]\ngamma = 0.1\n"
+        f"[noise]\namplitude = 0.02\n[ic]\nu_amplitude = 0.2\n"))
+    k = params.vnoise.n_modes
+    if lanes is None:
+        return params, st, sample_increments(1, 0, 0, dt, k)
+    draw = dynamics.stacked_increments(1, list(range(lanes)), k)
+    return params, stack_states([st] * lanes), draw(0, dt)
+
+
+def _freeze(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _state_arrays(st):
+    return st.u.u_x, st.u.u_y, st.c.values, st.n.values
+
+
+@pytest.mark.parametrize("nx, lanes", [(64, None), (32, 4)])
+def test_step_path_never_writes_into_its_inputs(nx, lanes):
+    # every array a step, the tracker, a sample or a run is given is
+    # read-only here: an in-place update of an argument raises ValueError
+    dt = 5e-4
+    params, st, inc = _noisy_setup(nx, lanes, dt)
+    _freeze(*_state_arrays(st), params.phi.values, params.sigma.ramp_x,
+            params.sigma.ramp_y, params.sigma.interior_mask,
+            params.vnoise.lambdas, inc.dw, inc.dbeta,
+            *(a for m in params.vnoise.modes for a in (m.u_x, m.u_y)))
+    new, report = step(st, params, inc, dt)
+    tracker = diagnostics.EnergyTracker(st, params)
+    _freeze(*_state_arrays(new))
+    tracker.update(new, params, report)
+    diagnostics.record(new, report, params, tracker, step_index=1)
+    final, _ = run(st, params, 5 * dt, dt, seed=1)
+    assert final.t == pytest.approx(5 * dt)
+
+
+@pytest.mark.parametrize("nx, lanes", [(128, None), (32, 16)])
+def test_step_holds_at_most_ten_fields(nx, lanes):
+    # numpy registers its buffers with tracemalloc: one step's peak above
+    # the incoming state, the 4 arrays it returns included, in units of one
+    # face field (nx + 1) ny doubles per lane
+    dt = 5e-4
+    params, st, inc = _noisy_setup(nx, lanes, dt)
+    step(st, params, inc, dt)   # build the spectral plans first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        new, _ = step(st, params, inc, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - before) / ((nx + 1) * nx * 8 * (lanes or 1))
+    assert fields <= 10.0, f"a step peaked at {fields:.2f} fields"
+    assert new.t == st.t + dt
