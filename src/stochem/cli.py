@@ -120,7 +120,9 @@ _SCHEMA = {
                                   for p in v.split(",") if p.strip())),
     },
     "experiment": {
-        "perturbation": (float, 1e-6, "must be >= 0", lambda v: v >= 0),
+        "perturbation": (float, 1e-6, "must be in [0, 1), so that the "
+                         "perturbed scalars keep their sign",
+                         lambda v: 0.0 <= v < 1.0),
         "levels": (int, 4, "must be >= 3", lambda v: v >= 3),
         "replicas": (int, 8, "must be >= 1", lambda v: v >= 1),
     },

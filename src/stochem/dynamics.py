@@ -6,11 +6,12 @@ that order, so each later equation sees the freshest coupling fields:
 1. density_substep: explicit upwind advection and chemotactic drift, implicit
    diffusion (mass is conserved to round-off: both explicit pieces are
    wall-tight flux forms and the implicit solve preserves the mean);
-2. oxygen_substep: explicit advection, explicit consumption limited to the
-   oxygen actually available in the cell (the limiter is counted, never
-   silent), implicit diffusion at mu, then the explicit transport-noise
-   increment and its exact discrete Ito correction, both built from one
-   evaluation of the noise modes sigma_k . grad c of the drifted oxygen;
+2. oxygen_substep: oxygen_drift's explicit advection, explicit consumption
+   limited to the oxygen actually available in the cell (the limiter is
+   counted, never silent) and implicit diffusion at mu, then oxygen_noise's
+   explicit transport-noise increment and exact discrete Ito correction,
+   both built from one evaluation of the noise modes sigma_k . grad c of
+   the drifted oxygen;
 3. velocity_substep: explicit convection, buoyancy and stochastic forcing,
    implicit viscosity, then projection onto the discretely divergence-free
    subspace.
@@ -18,7 +19,9 @@ that order, so each later equation sees the freshest coupling fields:
 Diffusion is implicit and unconditionally stable, so the admissible step is
 advection-limited only; steps above the advective bound are rejected rather
 than silently subdivided.  march, on the steps of time_grid, is the one
-stepping loop of runs and experiments.
+stepping loop of runs and experiments, but for the Stratonovich study: it
+freezes u and n and steps the oxygen alone, with oxygen_drift and
+oxygen_noise, the correction off on its naive lane.
 
 A state may carry one leading lane axis (see stack_states): every lane is an
 independent trajectory, one step advances them all, and each lane's numbers
@@ -184,7 +187,7 @@ class StepReport:
     dt: float
     clip_count: int
     projection_residual: float
-    noise_hs_sq: float   # sum_k |sigma_k . grad c|^2 at the pre-noise oxygen
+    noise_hs_sq: float   # transport_hs_sq of the pre-noise oxygen's modes
 
 
 def stable_dt(state: State, params: SimParams,
@@ -264,26 +267,36 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
                                              dt * params.mu), clip_count)
 
 
+def oxygen_noise(c_mid: ScalarField, params: SimParams, inc: NoiseIncrement,
+                 dt_correction: float | np.ndarray
+                 ) -> tuple[ScalarField, list[np.ndarray], np.ndarray]:
+    """The transport-noise increment of the drifted oxygen ``c_mid`` and its
+    Ito correction taken over ``dt_correction``, a scalar or one step per
+    lane (0 leaves a lane uncorrected); returns the new oxygen, the modes
+    and the correction.
+
+    The modes of c_mid are evaluated once and shared by the kick and the
+    correction; the new oxygen is built in the kick's array."""
+    modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
+    c_new = transport_noise_apply(modes, params.gamma, inc)
+    c_new += c_mid.values
+    correction = noise_mod.transport_ito_correction(modes, params.sigma,
+                                                    params.gamma).values
+    correction *= np.asarray(dt_correction)[..., None, None]
+    c_new += correction
+    return ScalarField(c_mid.grid, c_new), modes, correction
+
+
 def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
                    inc: NoiseIncrement,
                    dt: float) -> tuple[ScalarField, int, float]:
-    """Drift, then the noise increment and its correction; returns the new
-    oxygen, the limiter count and transport_hs_sq at the drifted oxygen.
-
-    The noise modes of the drifted oxygen are evaluated once and shared by
-    the kick, the correction and the Hilbert-Schmidt norm; the kick and the
-    correction are added in the drifted oxygen's array."""
-    c_new, clip_count = oxygen_drift(state, n_new, params, dt)
+    """Drift, then oxygen_noise with the correction on; returns the new
+    oxygen, the limiter count and transport_hs_sq at the drifted oxygen."""
+    c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
     if params.gamma <= 0.0:
-        return c_new, clip_count, 0.0
-    modes = noise_mod.transport_noise_modes(c_new, params.sigma)
-    hs_sq = noise_mod.transport_hs_sq(modes, c_new.grid)
-    c_new.values += transport_noise_apply(modes, params.gamma, inc)
-    correction = noise_mod.transport_ito_correction(modes, params.sigma,
-                                                    params.gamma).values
-    correction *= dt
-    c_new.values += correction
-    return c_new, clip_count, hs_sq
+        return c_mid, clip_count, 0.0
+    c_new, modes, _ = oxygen_noise(c_mid, params, inc, dt)
+    return c_new, clip_count, noise_mod.transport_hs_sq(modes, params.sigma)
 
 
 def velocity_substep(state: State, n_new: ScalarField, params: SimParams,

@@ -21,7 +21,8 @@
 
 Each study takes scalars (a step, a level count, a replica count) and builds
 its own schedule from them.  Every study but the oxygen-only transport test
-steps through dynamics.march on dynamics.time_grid.
+steps through dynamics.march on dynamics.time_grid; that one steps the
+oxygen alone with the stepper's own dynamics.oxygen_drift and oxygen_noise.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ import numpy as np
 from . import noise as noise_mod
 from .diagnostics import column
 from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
-                       ito_rate, march, oxygen_drift, require_finite,
-                       seeded_increments, stack_states, time_grid)
+                       ito_rate, march, oxygen_drift, oxygen_noise,
+                       require_finite, seeded_increments, stack_states,
+                       time_grid)
 from .grid import LaneError, ScalarField, cell_centers, norm
 from .noise import merge_increments
 
@@ -97,12 +99,16 @@ def twin_run(params: SimParams, initial: State, seed: int,
              sample_every: int = 1) -> TwinReport:
     """Two lanes of one batched march, one Brownian path, perturbed scalars;
     Y(t) per sample.  The increments carry no lane axis, so each step's draw
-    drives both lanes.  A Y(t) that is not finite raises ExperimentError."""
+    drives both lanes.  A perturbed copy or a Y(t) that is not finite raises
+    ExperimentError."""
     dts = time_grid(t_end - initial.t, dt)
     draw = seeded_increments(seed, 0, params.vnoise.n_modes)
-    other = perturbed_copy(initial, perturbation_amplitude)
     times = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        other = perturbed_copy(initial, perturbation_amplitude)
+        if not all(np.isfinite(f.values).all() for f in (other.n, other.c)):
+            raise ExperimentError(f"the perturbed copy at amplitude "
+                                  f"{perturbation_amplitude:g} is not finite")
         ys = [_separation(initial, other)]
         for index, pair, _ in march(stack_states([initial, other]), params,
                                     dts, draw):
@@ -199,8 +205,9 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
 
     Velocity and density stay frozen at their initial values (zero in the CLI
     study), so the oxygen evolves by implicit diffusion plus the explicit
-    transport increment.  Each step makes one drift and one modes evaluation
-    for the pair; lane 0 alone adds the Ito correction from its own modes.
+    transport increment.  Each step is one call of the stepper's own
+    oxygen_drift and oxygen_noise for the pair; lane 1 takes the Ito
+    correction over a zero step, so it adds the kick alone.
     For each level the predictable drift of the interior |c|^2 is accumulated
     step by step (deterministic change plus the quadratic-variation
     compensator of the noise kick) and averaged over replicas.  The levels
@@ -220,21 +227,13 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
         raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
                               f"the Ito-correction bound "
                               f"{CFL_SAFETY / rate:g}")
-    g = initial.c.grid
-    vol = g.cell_volume
-    cells = np.flatnonzero(params.sigma.interior_mask)
+    sigma = params.sigma
+    hs_sq = noise_mod.transport_hs_sq
     pair = stack_states([initial, initial])
 
-    def masked_sq(values: np.ndarray) -> np.ndarray:
-        # per-lane sum of squares over the interior cells; np.take keeps each
-        # lane's cells contiguous in row-major order, so every lane sums the
-        # bits its unbatched sum would
-        return np.sum(np.take(values.reshape(2, -1), cells, axis=-1) ** 2,
-                      axis=-1)
-
-    # predictable (compensated) drift of the masked |c|^2: per step the mean
-    # over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2 with m the
-    # deterministic part and A_k the noise amplitudes, so the martingale
+    # predictable (compensated) drift of the interior |c|^2: per step the
+    # mean over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2 with m
+    # the deterministic part and A_k the noise amplitudes, so the martingale
     # fluctuation never enters the measurement
     drift = np.zeros((len(dts), 2))
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
@@ -246,15 +245,11 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
             for index, dt_step in enumerate(time_grid(t_end, d)):
                 c_mid, _ = oxygen_drift(replace(pair, c=c), pair.n, params,
                                         dt_step)
-                modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
-                c_new = c_mid.values + noise_mod.transport_noise_apply(
-                    modes, params.gamma, draw(index, dt_step))
-                corr = dt_step * noise_mod.transport_ito_correction(
-                    [m[0] for m in modes], params.sigma, params.gamma).values
-                c_mid.values[0] += corr   # lane 0's mean part
-                c_new[0] += corr
+                c_new, modes, correction = oxygen_noise(
+                    c_mid, params, draw(index, dt_step),
+                    np.array([dt_step, 0.0]))   # corrected, naive
                 try:
-                    require_finite((("c", c_new),))
+                    require_finite((("c", c_new.values),))
                 except LaneError as exc:
                     failure = SimulationError(
                         f"step {index + 1} failed: {exc} in the "
@@ -262,11 +257,11 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                         step_index=index + 1)
                     raise ExperimentError(f"level dt = {d:g}, replica {r} "
                                           f"failed: {failure}") from failure
-                hs_masked = (masked_sq(modes[0]) + masked_sq(modes[1])) * vol
-                acc += (masked_sq(c_mid.values) * vol
-                        + params.gamma ** 2 * dt_step * hs_masked
-                        - masked_sq(c.values) * vol)
-                c = ScalarField(g, c_new)
+                mean = c_mid.values + correction
+                acc += (hs_sq([mean], sigma)
+                        + params.gamma ** 2 * dt_step * hs_sq(modes, sigma)
+                        - hs_sq([c.values], sigma))
+                c = c_new
             drift[li] += acc / t_end
             if r == 0:   # replica 0 of the last (finest) level decides
                 identical = bool(np.array_equal(c.values[0], c.values[1]))

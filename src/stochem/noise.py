@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (LANE_REDUCE, Grid, ScalarField, VectorField, norm,
-                   per_lane, require_same_grid, scalar_face_gradients,
+from .grid import (Grid, ScalarField, VectorField, norm, per_lane,
+                   require_same_grid, scalar_face_gradients,
                    stream_function_curl, zeros_vector)
 
 
@@ -153,11 +153,17 @@ def transport_noise_apply(modes: list[np.ndarray], gamma: float,
     return kick
 
 
-def transport_hs_sq(modes: list[np.ndarray], grid: Grid):
-    """Sum over k of the squared L2 norm of the modes L_k c (unit intensity),
-    per lane."""
-    hs = sum(np.sum(m ** 2, axis=LANE_REDUCE) for m in modes)
-    return per_lane(hs) * grid.cell_volume
+def transport_hs_sq(modes: list[np.ndarray], sigma: TransportSigma):
+    """Sum over k of the squared L2 norm of the cell fields ``modes`` (the
+    L_k c at unit intensity) over sigma's interior cells, per lane.
+
+    np.take keeps each lane's cells contiguous in row-major order, so every
+    lane sums the bits its unbatched sum would; m[..., mask] would
+    interleave the lanes."""
+    cells = np.flatnonzero(sigma.interior_mask)
+    hs = sum(np.sum(np.take(m.reshape(m.shape[:-2] + (-1,)), cells,
+                            axis=-1) ** 2, axis=-1) for m in modes)
+    return per_lane(hs) * sigma.grid.cell_volume
 
 
 @dataclass(frozen=True)

@@ -487,14 +487,22 @@ _STRATONOVICH_SMALL = ("[grid]\nnx = {n}\nny = {n}\n"
     (["experiment", "ensemble"], "[grid]\nnx = 6\nny = 10\n"
                                  "[physics]\ndelta = 1e-300\n"
                                  "[time]\nt_end = 0.01\n"
-                                 "[experiment]\nreplicas = 2\n")],
+                                 "[experiment]\nreplicas = 2\n"),
+    (["experiment", "twin"], "[grid]\nnx = 8\nny = 8\n[physics]\nchi = 0\n"
+                             "[ic]\nu_recipe = zero\n"
+                             "[experiment]\nperturbation = 1.5\n"),
+    (["experiment", "twin"], "[grid]\nnx = 8\nny = 8\n"
+                             "[ic]\nn_recipe = uniform\nn_value = 1.7e308\n"
+                             "[experiment]\nperturbation = 0.5\n")],
     ids=["n_sigma-square-overflows", "n_sigma-square-underflows",
          "n-recipe-overflows", "stratonovich-6x6-width-1",
-         "stratonovich-10x10-width-2", "ensemble-variance-overflows"])
+         "stratonovich-10x10-width-2", "ensemble-variance-overflows",
+         "twin-perturbation-flips-sign", "twin-perturbed-copy-overflows"])
 def test_degenerate_setup_exits_2_with_one_error_line(tmp_path, command,
                                                       text):
-    # an initial field, a study window or an ensemble statistic that the
-    # input leaves empty or non-finite is refused, without a numpy warning
+    # an initial field, a study window, a twin's perturbed copy or an
+    # ensemble statistic that the input leaves empty, non-finite or of the
+    # wrong sign is refused, without a numpy warning
     cfg = _write_cfg(tmp_path, text)
     done = subprocess.run(
         [sys.executable, "-m", "stochem.cli", *command, "--config", str(cfg),

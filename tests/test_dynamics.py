@@ -526,6 +526,33 @@ def _state_arrays(st):
     return st.u.u_x, st.u.u_y, st.c.values, st.n.values
 
 
+def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
+    # a pair with the correction over dt on lane 0 and over 0 on lane 1:
+    # lane 0 is oxygen_substep's oxygen, lane 1 the drifted oxygen plus the
+    # kick, and every output lane is bitwise its unbatched call's; the
+    # drifted oxygen it is given is read-only
+    dt = 5e-4
+    params, st, inc = _noisy_setup(32, None, dt)
+    states = [st, perturbed_copy(st, 0.1)]
+    drifted = [dynamics.oxygen_drift(s, s.n, params, dt)[0] for s in states]
+    pair = ScalarField(params.grid, np.stack([c.values for c in drifted]))
+    _freeze(pair.values, *(c.values for c in drifted))
+    c_pair, modes, correction = dynamics.oxygen_noise(pair, params, inc,
+                                                      np.array([dt, 0.0]))
+    corrected, _, _ = dynamics.oxygen_substep(st, st.n, params, inc, dt)
+    assert c_pair.values[0].tobytes() == corrected.values.tobytes()
+    kick = noise.transport_noise_apply(
+        noise.transport_noise_modes(drifted[1], params.sigma), params.gamma,
+        inc)
+    assert c_pair.values[1].tobytes() == (drifted[1].values + kick).tobytes()
+    for lane, (c_mid, dt_lane) in enumerate(zip(drifted, (dt, 0.0))):
+        alone = dynamics.oxygen_noise(c_mid, params, inc, dt_lane)
+        assert c_pair.values[lane].tobytes() == alone[0].values.tobytes()
+        for m, m_alone in zip(modes, alone[1]):
+            assert m[lane].tobytes() == m_alone.tobytes()
+        assert correction[lane].tobytes() == alone[2].tobytes()
+
+
 @pytest.mark.parametrize("nx, lanes", [(64, None), (32, 4)])
 def test_step_path_never_writes_into_its_inputs(nx, lanes):
     # every array a step, the tracker, a sample or a run is given is

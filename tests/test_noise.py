@@ -128,6 +128,7 @@ def test_transport_noise_hilbert_schmidt_identity(rng):
     gy = (np.roll(c.values, -1, 1) - np.roll(c.values, 1, 1)) / (2 * g.dy)
     ref = float(np.sum(gx[mask] ** 2 + gy[mask] ** 2)) * g.cell_volume
     assert hs == pytest.approx(ref, rel=1e-10)
+    assert transport_hs_sq(modes, sig) == hs
 
 
 def test_transport_discrete_correction_cancels_quadratic_variation(rng):
@@ -140,7 +141,7 @@ def test_transport_discrete_correction_cancels_quadratic_variation(rng):
     modes = transport_noise_modes(c, sig)
     corr = transport_ito_correction(modes, sig, 1.0)  # (1/2) sum L_k^2 c
     drain = 2.0 * inner_product(corr, c)
-    growth = transport_hs_sq(modes, g)
+    growth = transport_hs_sq(modes, sig)
     assert drain + growth == pytest.approx(0.0, abs=1e-11 * max(growth, 1.0))
 
 
