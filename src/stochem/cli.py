@@ -183,6 +183,12 @@ def _cross_validate(cfg: dict[str, dict]) -> None:
     if k > resolved:
         raise ConfigError(f"[noise] k_modes = {k}: must be <= (nx - 1)(ny - 1)"
                           f" = {resolved}, the stream modes the grid resolves")
+    decay = cfg["noise"]["mode_decay_exponent"]
+    try:   # the largest mode weight, k^-decay, must be a float
+        float(k) ** -decay
+    except OverflowError:
+        raise ConfigError(f"[noise] mode_decay_exponent = {decay}: the mode "
+                          f"weight k_modes^-exponent overflows") from None
     dt = cfg["time"]["dt"]
     steps = cfg["time"]["t_end"] / dt
     if not steps <= sys.maxsize:   # also catches an overflow to inf
@@ -225,10 +231,14 @@ def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
                                  nz["mode_decay_exponent"],
                                  nz["multiplicative_gain"])
     sigma = make_transport_sigma(grid, nz["sigma_cutoff_width"])
-    params = SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
-                       chi=ph["chi"], gamma=ph["gamma"], phi=phi,
-                       f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
-                       sigma=sigma)
+    try:
+        params = SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
+                           chi=ph["chi"], gamma=ph["gamma"], phi=phi,
+                           f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
+                           sigma=sigma)
+    except ValueError as exc:   # the schema checks every other coefficient
+        raise ConfigError(f"[physics] phi_scale = {ph['phi_scale']!r}: "
+                          f"{exc}") from exc
 
     ic = cfg["ic"]
     # a recipe that overflows is silent here: the finite check below rejects it

@@ -206,7 +206,10 @@ def _entropy(params, kf: float, c0_linf: float, min_n: float, nlogn: float,
     and |u|^2; ``min_n`` guards the x ln x term."""
     if min_n < -1e-13:
         raise ValueError(f"entropy functional needs n >= 0, min n = {min_n:g}")
-    weight = 8.0 * kf * (c0_linf * c0_linf) / (3.0 * params.xi * params.eta)
+    try:
+        weight = 8.0 * kf * (c0_linf * c0_linf) / (3.0 * params.xi * params.eta)
+    except ZeroDivisionError:   # 3 xi eta underflows: the row check rejects
+        weight = math.inf
     return (nlogn + kf * grad_sq + weight * u_sq
             + math.exp(-1.0) * params.grid.area)
 

@@ -39,6 +39,7 @@ included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
 from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, VectorField,
-                   per_lane, scalar_face_gradients)
+                   neighbours, per_lane, scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
 from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
@@ -127,7 +128,10 @@ class SimParams:
         if not (math.isfinite(self.chi * self.chi)
                 and math.isfinite(self.gamma * self.gamma)):
             raise ValueError("chi and gamma must have finite squares")
-        gx, gy = scalar_face_gradients(self.phi)
+        with np.errstate(over="ignore"):   # checked below
+            gx, gy = scalar_face_gradients(self.phi)
+        if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
+            raise ValueError("the gradient of the potential is not finite")
         gx.flags.writeable = gy.flags.writeable = False
         object.__setattr__(self, "phi_grad", (gx, gy))
 
@@ -217,13 +221,9 @@ def _cell_speed(u_face: np.ndarray, grad_face: np.ndarray, chi: float,
                 axis: int) -> np.ndarray:
     """Per cell, the larger |u| of its two faces along ``axis`` plus chi
     times the larger |grad c| of the same faces."""
-    def larger_end(a):
-        if axis == -2:
-            return np.maximum(a[..., :-1, :], a[..., 1:, :])
-        return np.maximum(a[..., :-1], a[..., 1:])
     magnitude = np.abs(u_face)
-    speed = larger_end(magnitude)
-    drift = larger_end(np.abs(grad_face, out=magnitude))
+    speed = np.maximum(*neighbours(magnitude, axis))
+    drift = np.maximum(*neighbours(np.abs(grad_face, out=magnitude), axis))
     drift *= chi
     speed += drift
     return speed
@@ -368,7 +368,23 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
     return new_state, report
 
 
-def time_grid(span: float, dt: float) -> list[float]:
+@dataclass(frozen=True)
+class TimeGrid:
+    """The step sizes of time_grid, held in memory independent of their
+    number: ``n_full`` steps of ``dt``, then the ``landing`` steps."""
+    dt: float
+    n_full: int
+    landing: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return self.n_full + len(self.landing)
+
+    def __iter__(self):
+        return itertools.chain(itertools.repeat(self.dt, self.n_full),
+                               self.landing)
+
+
+def time_grid(span: float, dt: float) -> TimeGrid:
     """Step sizes covering ``span``: fixed dt, plus one landing step when the
     remainder is at least 1e-12 dt."""
     if dt <= 0.0:
@@ -377,7 +393,8 @@ def time_grid(span: float, dt: float) -> list[float]:
         raise ValueError(f"time span {span} is negative")
     n_full = int(np.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
-    return [dt] * n_full + ([remainder] if remainder >= 1e-12 * dt else [])
+    return TimeGrid(dt, n_full,
+                    (remainder,) if remainder >= 1e-12 * dt else ())
 
 
 def seeded_increments(seed: int, replica: int, k_modes: int):
@@ -406,7 +423,7 @@ def require_finite(fields) -> None:
                             first_failing_lane(~finite.all(axis=LANE_REDUCE)))
 
 
-def march(initial: State, params: SimParams, dts: list[float], increments):
+def march(initial: State, params: SimParams, dts: TimeGrid, increments):
     """The stepping loop: take one step per entry of ``dts`` and yield
     (step number from 1, state, report) after each.
 
@@ -417,8 +434,12 @@ def march(initial: State, params: SimParams, dts: list[float], increments):
     state = initial
     for index, dt_step in enumerate(dts):
         try:
-            state, report = step(state, params, increments(index, dt_step),
-                                 dt_step)
+            # an overflow is silent here: a field it leaves non-finite is
+            # rejected below (the noise scale reads an infinite |u| as
+            # tanh(inf) = 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                state, report = step(state, params,
+                                     increments(index, dt_step), dt_step)
             require_finite((("n", state.n.values), ("c", state.c.values),
                             ("u_x", state.u.u_x), ("u_y", state.u.u_y)))
         except Exception as exc:

@@ -54,12 +54,15 @@ def dt_ladder(dt: float, levels: int, t_end: float) -> list[float]:
     [0, t_end]; every level, the coarsest too, must take one full step."""
     if t_end <= 0.0:
         raise ExperimentError(f"t_end must be positive, got {t_end}")
-    dts = [dt * 2 ** k for k in range(levels - 1, -1, -1)]
-    if dts[0] > t_end:
-        raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
+    try:   # checked before the ladder is built: levels may be huge
+        coarsest = math.ldexp(dt, levels - 1)
+    except OverflowError:
+        coarsest = math.inf
+    if coarsest > t_end:
+        raise ExperimentError(f"the coarsest level dt = {coarsest:g} exceeds "
                               f"t_end = {t_end:g}; use fewer levels or a "
                               f"smaller dt")
-    return dts
+    return [dt * 2 ** k for k in range(levels - 1, -1, -1)]
 
 
 @dataclass
@@ -98,9 +101,9 @@ def twin_run(params: SimParams, initial: State, seed: int,
              perturbation_amplitude: float, t_end: float, dt: float,
              sample_every: int = 1) -> TwinReport:
     """Two lanes of one batched march, one Brownian path, perturbed scalars;
-    Y(t) per sample.  The increments carry no lane axis, so each step's draw
-    drives both lanes.  A perturbed copy or a Y(t) that is not finite raises
-    ExperimentError."""
+    Y(t) per sample, and at the last step as in run.  The increments carry
+    no lane axis, so each step's draw drives both lanes.  A perturbed copy
+    or a Y(t) that is not finite raises ExperimentError."""
     dts = time_grid(t_end - initial.t, dt)
     draw = seeded_increments(seed, 0, params.vnoise.n_modes)
     times = [0.0]
@@ -112,7 +115,7 @@ def twin_run(params: SimParams, initial: State, seed: int,
         ys = [_separation(initial, other)]
         for index, pair, _ in march(stack_states([initial, other]), params,
                                     dts, draw):
-            if index % sample_every == 0:
+            if index % sample_every == 0 or index == len(dts):
                 times.append(pair.t - initial.t)
                 ys.append(_separation(pair.lane(0), pair.lane(1)))
     times = np.asarray(times)

@@ -15,6 +15,10 @@ Field arrays may carry one leading lane axis, one lane per independent
 trajectory of a batched run.  Every operator indexes from the end and
 reduces per lane over ``LANE_REDUCE``, so a lane's numbers are bitwise those
 of the same field without the lane axis.
+
+A stencil is written once for both directions: ``along(axis, s)`` indexes
+one spatial axis (-2 for x, -1 for y), and ``neighbours``, ``pair_mean`` and
+``pair_difference`` act on the neighbour pairs along it.
 """
 
 from __future__ import annotations
@@ -181,18 +185,44 @@ def inner_product(a: Field, b: Field):
     raise GridError("inner_product needs two fields of the same kind")
 
 
+INNER = slice(1, -1)     # the interior faces along an axis
+
+
+def along(axis: int, s) -> tuple:
+    """The index that applies ``s`` to one spatial axis of a field array:
+    a[along(-2, s)] is a[..., s, :] (x), a[along(-1, s)] is a[..., s] (y)."""
+    return (..., s, slice(None)) if axis == -2 else (..., s)
+
+
+def neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views (a[i], a[i + 1]) of every neighbour pair along ``axis``."""
+    if axis == -2:
+        return a[..., :-1, :], a[..., 1:, :]
+    return a[..., :-1], a[..., 1:]
+
+
+def pair_mean(a: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """0.5 * (a[i] + a[i + 1]) along ``axis``, in ``out`` or a new array."""
+    s = np.add(*neighbours(a, axis), out=out)
+    s *= 0.5
+    return s
+
+
+def pair_difference(a: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """a[i + 1] - a[i] along ``axis``, in ``out`` or a new array."""
+    lo, hi = neighbours(a, axis)
+    return np.subtract(hi, lo, out=out)
+
+
 def scalar_face_gradients(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Face-normal gradients of a cell scalar; zero on boundary faces (Neumann)."""
     g = f.grid
-    v = f.values
     gx = np.empty(f.lanes + (g.nx + 1, g.ny))
     gy = np.empty(f.lanes + (g.nx, g.ny + 1))
-    gx[..., 0, :] = gx[..., -1, :] = 0.0
-    gy[..., 0] = gy[..., -1] = 0.0
-    inner_x = np.subtract(v[..., 1:, :], v[..., :-1, :], out=gx[..., 1:-1, :])
-    inner_x /= g.dx
-    inner_y = np.subtract(v[..., 1:], v[..., :-1], out=gy[..., 1:-1])
-    inner_y /= g.dy
+    for axis, face, h in ((-2, gx, g.dx), (-1, gy, g.dy)):
+        face[along(axis, 0)] = face[along(axis, -1)] = 0.0
+        inner = pair_difference(f.values, axis, out=face[along(axis, INNER)])
+        inner /= h
     return gx, gy
 
 
@@ -203,9 +233,9 @@ def divergence(v: VectorField) -> ScalarField:
 def flux_divergence(fx: np.ndarray, fy: np.ndarray, grid: Grid) -> np.ndarray:
     """(fx[i+1] - fx[i]) / dx + (fy[j+1] - fy[j]) / dy on the last two axes:
     the discrete divergence of a face flux, built in one new array."""
-    d = np.subtract(fx[..., 1:, :], fx[..., :-1, :])
+    d = pair_difference(fx, -2)
     d /= grid.dx
-    dy_part = np.subtract(fy[..., 1:], fy[..., :-1])
+    dy_part = pair_difference(fy, -1)
     dy_part /= grid.dy
     d += dy_part
     return d

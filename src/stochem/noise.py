@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, VectorField, norm, per_lane,
-                   require_same_grid, scalar_face_gradients,
-                   stream_function_curl, zeros_vector)
+from .grid import (INNER, Grid, ScalarField, VectorField, along, norm,
+                   pair_difference, pair_mean, per_lane, require_same_grid,
+                   scalar_face_gradients, stream_function_curl, zeros_vector)
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,7 @@ def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndar
     gx, gy = scalar_face_gradients(c)
     gx *= sigma.ramp_x
     gy *= sigma.ramp_y
-    return [_cell_mean(gx, -2), _cell_mean(gy, -1)]
-
-
-def _along(a: np.ndarray, axis: int, index: slice) -> np.ndarray:
-    """The view a[..., index, :] for axis -2, a[..., index] for axis -1."""
-    return a[..., index, :] if axis == -2 else a[..., index]
-
-
-def _cell_mean(face: np.ndarray, axis: int) -> np.ndarray:
-    """0.5 (left + right) of a face field along ``axis``, in a new array."""
-    mean = np.add(_along(face, axis, slice(None, -1)),
-                  _along(face, axis, slice(1, None)))
-    mean *= 0.5
-    return mean
+    return [pair_mean(gx, -2), pair_mean(gy, -1)]
 
 
 def _apply_mode(m: np.ndarray, ramp: np.ndarray, axis: int,
@@ -116,12 +103,10 @@ def _apply_mode(m: np.ndarray, ramp: np.ndarray, axis: int,
     interior faces, zero on the walls, weighted by the face ramp and averaged
     to the cells."""
     face = np.zeros(m.shape[:-2] + ramp.shape)
-    inner = np.subtract(_along(m, axis, slice(1, None)),
-                        _along(m, axis, slice(None, -1)),
-                        out=_along(face, axis, slice(1, -1)))
+    inner = pair_difference(m, axis, out=face[along(axis, INNER)])
     inner /= h
     face *= ramp
-    return _cell_mean(face, axis)
+    return pair_mean(face, axis)
 
 
 def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,

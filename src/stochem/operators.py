@@ -9,11 +9,15 @@ energy-pairing identities hold by telescoping rather than by approximation:
   advective and divergence forms, which kills the kinetic-energy pairing
   (B(u,v), v) to round-off whenever the advecting field has zero wall-normal
   faces;
-* the chemotaxis flux upwinds the cell density by the sign of the face
-  gradient of the attractant, which is what keeps the density nonnegative
-  without clipping;
+* the chemotaxis flux upwinds the cell density by the sign of the drift
+  chi grad c, with scalar advection's donor-cell face flux, which is what
+  keeps the density nonnegative without clipping;
 * the projection subtracts the gradient of a Neumann-Poisson solve, making
   the post-projection divergence exactly the solver residual.
+
+Each stencil is written once for both directions with grid's neighbour-pair
+helpers: one face-flux routine for advection and chemotaxis, and one
+convection half called once per velocity component.
 
 Ownership: a function may write into arrays it allocated, never into its
 arguments.  Each operator builds its result in arrays of its own, updates
@@ -29,9 +33,9 @@ from enum import Enum
 import numpy as np
 
 from . import _spectral
-from .grid import (Grid, ScalarField, VectorField, divergence, flux_divergence,
-                   norm, require_same_grid, scalar_face_gradients,
-                   zeros_vector)
+from .grid import (INNER, Grid, ScalarField, VectorField, along, divergence,
+                   flux_divergence, neighbours, norm, pair_mean,
+                   require_same_grid, scalar_face_gradients, zeros_vector)
 
 
 class AdvectionMode(Enum):
@@ -53,18 +57,24 @@ def helmholtz_project(v: VectorField) -> VectorField:
                        np.subtract(v.u_y, gpy, out=gpy))
 
 
-def _mean(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-    """0.5 * (left + right), in ``out`` when given, else in a new array."""
-    s = np.add(left, right, out=out)
-    s *= 0.5
-    return s
-
-
-def _face_value(left: np.ndarray, right: np.ndarray, carrier: np.ndarray,
+def _face_value(p: np.ndarray, axis: int, carrier: np.ndarray,
                 mode: AdvectionMode) -> np.ndarray:
+    """``p`` on the interior faces along ``axis``: the centred mean, or the
+    donor cell that the carrier leaves."""
     if mode is AdvectionMode.CENTERED_SKEW:
-        return _mean(left, right)
-    return np.where(carrier > 0.0, left, right)
+        return pair_mean(p, axis)
+    return np.where(carrier > 0.0, *neighbours(p, axis))
+
+
+def _face_flux_div(p: np.ndarray, carriers, flux: VectorField,
+                   mode: AdvectionMode) -> ScalarField:
+    """div of the face flux carrier * face value of ``p``, built in the
+    interior faces of ``flux``, whose walls stay zero; an (x, y) carrier may
+    be the interior of the flux itself."""
+    for axis, carrier, face in zip((-2, -1), carriers, (flux.u_x, flux.u_y)):
+        np.multiply(carrier, _face_value(p, axis, carrier, mode),
+                    out=face[along(axis, INNER)])
+    return divergence(flux)
 
 
 def convect_velocity(u: VectorField, v: VectorField) -> VectorField:
@@ -76,40 +86,32 @@ def convect_velocity(u: VectorField, v: VectorField) -> VectorField:
     against v is identically zero for any u with vanishing wall-normal faces.
     """
     g = require_same_grid(u, v)
-    inner_x = _convect_x(u, v, g)
-    inner_y = _convect_y(u, v, g)
+    inner_x = _convect(u.u_x, u.u_y, v.u_x, -2, g)
+    inner_y = _convect(u.u_y, u.u_x, v.u_y, -1, g)
     out = zeros_vector(g, inner_x.shape[:-2])
     out.u_x[..., 1:-1, :] = inner_x
     out.u_y[..., 1:-1] = inner_y
     return out
 
 
-def _convect_x(u: VectorField, v: VectorField, grid: Grid) -> np.ndarray:
-    """convect_velocity's x component on the interior vertical faces, from
-    dual cells around them: div_flux - 0.5 v div(advecting velocity)."""
-    ubar = _mean(u.u_x[..., :-1, :], u.u_x[..., 1:, :])   # u at cell centers
-    vtil = _mean(u.u_y[..., :-1, :], u.u_y[..., 1:, :])   # v at interior nodes
-    half_v_divd = flux_divergence(ubar, vtil, grid)
-    half_v_divd *= np.multiply(v.u_x[..., 1:-1, :], 0.5)
-    ubar *= _mean(v.u_x[..., :-1, :], v.u_x[..., 1:, :])  # x-flux at centers
-    # y-flux at nodes: vtil times v there, which is zero on the wall nodes
-    vtil[..., 1:-1] *= _mean(v.u_x[..., 1:-1, :-1], v.u_x[..., 1:-1, 1:])
-    vtil[..., [0, -1]] *= 0.0
-    div_flux = flux_divergence(ubar, vtil, grid)
-    return np.subtract(div_flux, half_v_divd, out=div_flux)
-
-
-def _convect_y(u: VectorField, v: VectorField, grid: Grid) -> np.ndarray:
-    """convect_velocity's y component on the interior horizontal faces,
-    mirroring _convect_x."""
-    vbar = _mean(u.u_y[..., :-1], u.u_y[..., 1:])         # v at cell centers
-    util = _mean(u.u_x[..., :-1], u.u_x[..., 1:])         # u at interior nodes
-    half_v_divd = flux_divergence(util, vbar, grid)
-    half_v_divd *= np.multiply(v.u_y[..., 1:-1], 0.5)
-    vbar *= _mean(v.u_y[..., :-1], v.u_y[..., 1:])        # y-flux at centers
-    util[..., 1:-1, :] *= _mean(v.u_y[..., :-1, 1:-1], v.u_y[..., 1:, 1:-1])
-    util[..., [0, -1], :] *= 0.0                          # x-flux at nodes
-    div_flux = flux_divergence(util, vbar, grid)
+def _convect(own: np.ndarray, other: np.ndarray, v_own: np.ndarray,
+             axis: int, grid: Grid) -> np.ndarray:
+    """convect_velocity's component normal to ``axis`` on its interior faces,
+    from dual cells around them: div_flux - 0.5 v_own div(advecting velocity),
+    ``own`` and ``other`` the advecting components normal and tangential."""
+    cross = -3 - axis
+    own_bar = pair_mean(own, axis)        # advecting velocity at cell centers
+    other_til = pair_mean(other, axis)    # and at the interior nodes
+    xy = (own_bar, other_til) if axis == -2 else (other_til, own_bar)
+    half_v_divd = flux_divergence(*xy, grid)
+    half_v_divd *= np.multiply(v_own[along(axis, INNER)], 0.5)
+    own_bar *= pair_mean(v_own, axis)     # the normal flux at cell centers
+    # the tangential flux at nodes: other_til times v_own there, which is
+    # zero on the wall nodes
+    other_til[along(cross, INNER)] *= pair_mean(v_own[along(axis, INNER)],
+                                                cross)
+    other_til[along(cross, [0, -1])] *= 0.0
+    div_flux = flux_divergence(*xy, grid)   # the fluxes, updated in place
     return np.subtract(div_flux, half_v_divd, out=div_flux)
 
 
@@ -123,17 +125,9 @@ def scalar_advect(u: VectorField, phi: ScalarField,
     donor-cell face values make the induced update monotone instead.
     """
     g = require_same_grid(u, phi)
-    p = phi.values
-    lanes = np.broadcast_shapes(u.lanes, phi.lanes)
-    ux = u.u_x[..., 1:-1, :]
-    uy = u.u_y[..., 1:-1]
-    fx = np.zeros(lanes + (g.nx + 1, g.ny))
-    fy = np.zeros(lanes + (g.nx, g.ny + 1))
-    np.multiply(ux, _face_value(p[..., :-1, :], p[..., 1:, :], ux, mode),
-                out=fx[..., 1:-1, :])
-    np.multiply(uy, _face_value(p[..., :-1], p[..., 1:], uy, mode),
-                out=fy[..., 1:-1])
-    return ScalarField(g, flux_divergence(fx, fy, g))
+    flux = zeros_vector(g, np.broadcast_shapes(u.lanes, phi.lanes))
+    carriers = (u.u_x[..., 1:-1, :], u.u_y[..., 1:-1])
+    return _face_flux_div(phi.values, carriers, flux, mode)
 
 
 def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
@@ -142,22 +136,18 @@ def chemotaxis_div(n: ScalarField, grad_c: tuple[np.ndarray, np.ndarray],
 
     ``grad_c`` is scalar_face_gradients(c).  The drift velocity of the cells
     is chi * grad c, so each face takes the density from the cell the flux
-    leaves.  Wall fluxes are zero (Neumann c).
+    leaves, with scalar_advect's donor-cell face flux.  Wall fluxes are zero
+    (Neumann c).
     """
-    g = n.grid
     if chi < 0.0:
         raise ValueError(f"chemotactic constant must be >= 0, got {chi}")
-    gx, gy = grad_c
-    nv = n.values
-    fx = np.zeros_like(gx)
-    fy = np.zeros_like(gy)
-    gxi = gx[..., 1:-1, :]
-    gyi = gy[..., 1:-1]
-    np.multiply(chi, gxi, out=fx[..., 1:-1, :])
-    fx[..., 1:-1, :] *= np.where(gxi > 0.0, nv[..., :-1, :], nv[..., 1:, :])
-    np.multiply(chi, gyi, out=fy[..., 1:-1])
-    fy[..., 1:-1] *= np.where(gyi > 0.0, nv[..., :-1], nv[..., 1:])
-    return ScalarField(g, flux_divergence(fx, fy, g))
+    flux = zeros_vector(n.grid, grad_c[0].shape[:-2])
+    # the drift velocity chi * grad c, written into the flux's interior
+    carriers = [np.multiply(chi, grad[along(axis, INNER)],
+                            out=face[along(axis, INNER)])
+                for axis, grad, face in zip((-2, -1), grad_c,
+                                            (flux.u_x, flux.u_y))]
+    return _face_flux_div(n.values, carriers, flux, AdvectionMode.UPWIND_FLUX)
 
 
 def consumption(n: ScalarField, c: ScalarField, f) -> ScalarField:
@@ -174,14 +164,10 @@ def buoyancy(n: ScalarField,
     lanes.  Wall-normal boundary faces are zero, matching the no-slip target
     space of the projection.
     """
-    g = n.grid
-    gpx, gpy = grad_phi
-    nv = n.values
-    out = zeros_vector(g, n.lanes)
-    _mean(nv[..., :-1, :], nv[..., 1:, :], out=out.u_x[..., 1:-1, :])
-    out.u_x[..., 1:-1, :] *= gpx[1:-1, :]
-    _mean(nv[..., :-1], nv[..., 1:], out=out.u_y[..., 1:-1])
-    out.u_y[..., 1:-1] *= gpy[:, 1:-1]
+    out = zeros_vector(n.grid, n.lanes)
+    for axis, face, grad in zip((-2, -1), (out.u_x, out.u_y), grad_phi):
+        inner = pair_mean(n.values, axis, out=face[along(axis, INNER)])
+        inner *= grad[along(axis, INNER)]
     return out
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -14,9 +18,10 @@ from stochem import experiments
 from stochem.cli import (_SCHEMA, ConfigError, SnapshotError,
                          build_simulation, main, parse_config, read_snapshot,
                          write_snapshot)
-from stochem.dynamics import State, run, stack_states
+from stochem.dynamics import CONSUMPTION_LAWS, State, run, stack_states
 from stochem.experiments import perturbed_copy
-from stochem.grid import ScalarField, VectorField, make_grid
+from stochem.grid import (Grid, ScalarField, VectorField, make_grid,
+                          zeros_scalar, zeros_vector)
 
 
 MINIMAL = "[grid]\nnx = 16\nny = 16\n"
@@ -471,6 +476,32 @@ def test_overflow_prints_only_the_error(tmp_path, command, replicas, code):
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
+@pytest.mark.parametrize("command", [["run", "--allow-inadmissible"],
+                                     ["experiment", "ensemble"]],
+                         ids=lambda c: c[-1])
+@pytest.mark.parametrize("text, column", [
+    # the L2 norm of u overflows: the noise scale reads it as tanh(inf) = 1
+    ("[grid]\nnx = 6\nny = 8\nlx = 1e154\n", "l2_u"),
+    # 3 xi eta underflows to zero under the entropy weight
+    ("[grid]\nnx = 7\nny = 7\n[physics]\neta = 5e-324\nmu = 5e-324\n",
+     "entropy"),
+    # the buoyancy n grad(phi) overflows inside the first step
+    ("[grid]\nnx = 6\nny = 6\n[physics]\nphi_scale = 1e300\n"
+     "[ic]\nn_base = 1e300\n", "field u_x")],
+    ids=["velocity-norm", "entropy-weight", "buoyancy"])
+def test_non_finite_measurement_exits_3_with_one_error_line(
+        tmp_path, capsys, command, text, column):
+    # batched or not, the step and the sample stay silent and the check
+    # that follows names what is not finite
+    cfg = _write_cfg(tmp_path, text + "[time]\nt_end = 0.01\n"
+                                      "[experiment]\nreplicas = 2\n")
+    assert main([*command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{column} is not finite" in lines[0]
+
+
 _STRATONOVICH_SMALL = ("[grid]\nnx = {n}\nny = {n}\n"
                        "[noise]\nsigma_cutoff_width = {w}\n"
                        "[time]\nt_end = 0.004\n"
@@ -493,11 +524,20 @@ _STRATONOVICH_SMALL = ("[grid]\nnx = {n}\nny = {n}\n"
                              "[experiment]\nperturbation = 1.5\n"),
     (["experiment", "twin"], "[grid]\nnx = 8\nny = 8\n"
                              "[ic]\nn_recipe = uniform\nn_value = 1.7e308\n"
-                             "[experiment]\nperturbation = 0.5\n")],
+                             "[experiment]\nperturbation = 0.5\n"),
+    (["check-params"], "[grid]\nnx = 5\nny = 5\n"
+                       "[physics]\nphi_scale = 1.7976931348623157e308\n"),
+    (["run"], "[grid]\nnx = 8\nny = 8\n"
+              "[noise]\nmode_decay_exponent = -1e300\n"),
+    (["experiment", "convergence"], "[grid]\nnx = 6\nny = 8\n"
+                                    "[time]\nt_end = 0.0025\n"
+                                    "[experiment]\nlevels = 1000000\n")],
     ids=["n_sigma-square-overflows", "n_sigma-square-underflows",
          "n-recipe-overflows", "stratonovich-6x6-width-1",
          "stratonovich-10x10-width-2", "ensemble-variance-overflows",
-         "twin-perturbation-flips-sign", "twin-perturbed-copy-overflows"])
+         "twin-perturbation-flips-sign", "twin-perturbed-copy-overflows",
+         "potential-gradient-overflows", "mode-weight-overflows",
+         "ladder-exponent-overflows"])
 def test_degenerate_setup_exits_2_with_one_error_line(tmp_path, command,
                                                       text):
     # an initial field, a study window, a twin's perturbed copy or an
@@ -667,7 +707,7 @@ def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
     assert "lx = 1e-300" in err and "Traceback" not in err
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(nx=st.integers(5, 12), ny=st.integers(5, 12),
        gamma=st.floats(0.0, 0.1), amplitude=st.floats(1e-3, 0.1),
        gain=st.floats(0.0, 1.0), k_modes=st.integers(1, 8),
@@ -722,3 +762,138 @@ def test_lanes_and_workers_leave_results_bitwise(
     whole = ensemble_csv(1, experiments.BATCH_CELLS)
     assert ensemble_csv(1, nx * ny * per_chunk) == whole
     assert ensemble_csv(2, nx * ny * per_chunk) == whole
+
+
+# ------------------------------------------------------- the CLI contract
+
+# values that probe each key type's edges: zero, negatives, tiny, huge and
+# non-finite floats; zero, negative and beyond-64-bit integers
+_EXTREME = {
+    float: ["0", "-0.0", "-1", "5e-324", "1e-300", "1e-12", "0.5", "1", "3",
+            "1e12", "1e160", "1e300", "1.7976931348623157e308", "-1e300",
+            "nan", "inf"],
+    int: ["0", "-1", "1", "2", "7", "1000000", str(2 ** 64), str(-2 ** 63)],
+}
+# the keys that set a command's work take only values that keep the grid
+# at 4^2-8^2, the schedule at most 4 steps and an ensemble small, or that
+# the config rejects
+_SIZED = {("grid", "nx"): ["4", "3", "0", "-1"],
+          ("grid", "ny"): ["4", "3", "0", "-1"],
+          ("time", "t_end"): ["0", "-1", "1e-12", "1e300"],
+          ("time", "dt"): ["0", "-1", "5e-324", "1e300"],
+          ("experiment", "replicas"): ["0", "-1"]}
+_STRINGS = {"f_name": sorted(CONSUMPTION_LAWS),
+            "phi_kind": ["linear_y", "linear_x", "zero"],
+            "n_recipe": ["uniform", "gaussian_blob"],
+            "c_recipe": ["uniform", "linear_gradient", "cosine_mode"],
+            "u_recipe": ["zero", "taylor_vortex_pair"],
+            "formats": ["csv", "snapshot", "csv,snapshot", ""]}
+
+
+def _extreme_values(section, key):
+    typ, default = _SCHEMA[section][key][:2]
+    if (section, key) in _SIZED:
+        return st.sampled_from(_SIZED[section, key])
+    if typ is str:
+        return st.sampled_from(_STRINGS.get(key, [default]) + ["bogus"])
+    return st.sampled_from(_EXTREME[typ])
+
+
+@st.composite
+def _cli_configs(draw):
+    """A config text from cli._SCHEMA: a 5^2-8^2 grid, at most 4 steps, up
+    to three keys at extreme values and sometimes an unknown key or
+    section."""
+    dt = draw(st.sampled_from([1e-3, 2.5e-4, 0.05]))
+    cfg = {"grid": {"nx": draw(st.sampled_from("8765")),
+                    "ny": draw(st.sampled_from("8765"))},
+           "time": {"dt": repr(dt), "t_end": repr(
+               dt * draw(st.sampled_from([4, 2.5, 2, 1, 0.5, 0])))},
+           "experiment": {"replicas": draw(st.sampled_from("123")),
+                          "levels": draw(st.sampled_from("34"))}}
+    keys = st.sampled_from([(section, key) for section in _SCHEMA
+                            for key in _SCHEMA[section]])
+    for section, key in draw(st.lists(keys, max_size=3, unique=True)):
+        cfg.setdefault(section, {})[key] = draw(_extreme_values(section, key))
+    unknown = draw(st.sampled_from([None] * 6 + [("grid", "nz"),
+                                                 ("extra", "foo")]))
+    if unknown is not None:
+        cfg.setdefault(unknown[0], {})[unknown[1]] = "1"
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                              for key, value in body.items())
+                   for section, body in cfg.items())
+
+
+_CONTRACT_COMMANDS = [["check-params"], ["run"],
+                      ["run", "--allow-inadmissible"],
+                      ["experiment", "twin"], ["experiment", "convergence"],
+                      ["experiment", "stratonovich"],
+                      ["experiment", "ensemble"], ["snapshot-info"]]
+
+
+def _finite_outputs(outdir: Path) -> None:
+    """Every number in the CSV and JSON outputs of ``outdir`` is finite."""
+    for path in outdir.glob("*.csv"):
+        rows = path.read_text().splitlines()[1:]
+        cells = [float(cell) for row in rows for cell in row.split(",")]
+        assert cells and all(math.isfinite(x) for x in cells), path.name
+    for path in outdir.glob("*.json"):
+        def finite(x):
+            if isinstance(x, dict):
+                return all(finite(v) for v in x.values())
+            if isinstance(x, list):
+                return all(finite(v) for v in x)
+            return math.isfinite(x)
+        assert finite(json.loads(path.read_text())), path.name
+
+
+@pytest.mark.parametrize("command", _CONTRACT_COMMANDS,
+                         ids=lambda c: "-".join(c).lstrip("-"))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=_cli_configs(), cut=st.floats(0.0, 1.0, exclude_max=True),
+       lx=st.sampled_from(["1", "5e-324", "1e300"]))
+def test_cli_contract_on_extreme_configs(command, text, cut, lx):
+    # every command ends with a defined exit code and at most one kind of
+    # message on stderr: an "error:" line, "GATE FAILURE:" lines or the
+    # run's refusal; no traceback, no numpy warning, and a successful
+    # command writes only finite numbers
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == ["snapshot-info"]:
+            # a snapshot cut short anywhere, header included
+            g = Grid(nx=5, ny=4, lx=float(lx), ly=1.0, dx=float(lx) / 5,
+                     dy=0.25)
+            write_snapshot(State(u=zeros_vector(g), c=zeros_scalar(g),
+                                 n=zeros_scalar(g), t=0.0), tmp / "s.cns")
+            blob = (tmp / "s.cns").read_bytes()
+            (tmp / "s.cns").write_bytes(blob[:int(cut * len(blob))])
+            argv = ["snapshot-info", str(tmp / "s.cns")]
+        else:
+            (tmp / "c.ini").write_text(text)
+            argv = [*command, "--config", str(tmp / "c.ini"),
+                    "--out", str(tmp / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except BaseException as exc:   # a traceback, or argparse's exit
+                pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
+        context = f"{argv}:\n{text}\nstderr: {err.getvalue()}"
+        assert code in (0, 1, 2, 3), context
+        assert not caught, f"{[str(w.message) for w in caught]} {context}"
+        lines = err.getvalue().splitlines()
+        if lines and lines[0].startswith("error: "):
+            assert len(lines) == 1 and code in (2, 3), context
+        elif lines and lines[0].startswith("GATE FAILURE: "):
+            assert code == 1, context
+            assert all(x.startswith("GATE FAILURE: ") for x in lines), context
+        elif lines:
+            assert lines[0].startswith("refusing to run: ") and code == 2, \
+                context
+        if code == 0:
+            assert not lines, context
+            if (tmp / "out").exists():
+                _finite_outputs(tmp / "out")

@@ -239,6 +239,31 @@ def test_run_lands_exactly_on_t_end():
     assert series[-1].step == 11   # ten full steps plus the landing step
 
 
+def test_time_grid_memory_does_not_grow_with_the_step_count():
+    # bit for bit the listed step sizes, n_full steps of dt plus a landing
+    # step of a remainder of at least 1e-12 dt, in constant memory
+    for span, dt in ((0.0105, 1e-3), (0.01, 1e-3), (0.0, 1e-3),
+                     (1e-12, 1e-3), (0.3, 0.1), (1.0, 1.0 / 3.0)):
+        n_full = int(np.floor(span / dt + 1e-9))
+        remainder = span - n_full * dt
+        listed = [dt] * n_full + ([remainder] if remainder >= 1e-12 * dt
+                                  else [])
+        steps = dynamics.time_grid(span, dt)
+        assert list(steps) == listed and len(steps) == len(listed)
+    # 4e9 steps, a schedule the config accepts: as a list it needs 32 GB
+    tracemalloc.start()
+    try:
+        steps = dynamics.time_grid(0.004, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048
+    assert len(steps) == 4_000_000_000
+    assert next(iter(steps)) == 1e-12
+    assert (steps.dt, steps.n_full, steps.landing) == (1e-12, 4_000_000_000,
+                                                       ())
+
+
 def test_run_positivity_and_max_principle():
     params, st = _reference_setup()
     final, series = run(st, params, 0.1, 1e-3, seed=9, sample_every=10)

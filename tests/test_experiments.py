@@ -63,6 +63,16 @@ def test_twin_perturbation_growth_bounded():
     assert bounded_by_exponential(rep)
 
 
+def test_twin_samples_the_last_step_as_run_does():
+    # 10 steps at sample_every 3: run records steps 0, 3, 6, 9 and 10, and
+    # Y(t) ends at t_end too
+    params, st = _setup(nx=16)
+    rep = twin_run(params, st, 11, 1e-6, 0.01, 1e-3, sample_every=3)
+    _, rows = run(st, params, 0.01, 1e-3, seed=11, sample_every=3)
+    assert rep.times.tolist() == [row.t for row in rows]
+    assert len(rep.separation) == 5
+
+
 # ----------------------------------------------------------------- dt study
 
 def test_convergence_requires_three_nested_levels():
