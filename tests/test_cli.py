@@ -879,7 +879,7 @@ def test_cli_contract_on_extreme_configs(command, text, cut, lx):
             warnings.simplefilter("always")
             try:
                 code = main(argv)
-            except BaseException as exc:   # a traceback, or argparse's exit
+            except (Exception, SystemExit) as exc:   # or argparse's exit
                 pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
         context = f"{argv}:\n{text}\nstderr: {err.getvalue()}"
         assert code in (0, 1, 2, 3), context
