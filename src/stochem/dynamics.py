@@ -371,7 +371,8 @@ def step(state: State, params: SimParams, inc: NoiseIncrement,
 @dataclass(frozen=True)
 class TimeGrid:
     """The step sizes of time_grid, held in memory independent of their
-    number: ``n_full`` steps of ``dt``, then the ``landing`` steps."""
+    number: ``n_full`` steps of ``dt``, then the ``landing`` steps; and the
+    one rule by which a study samples them."""
     dt: float
     n_full: int
     landing: tuple[float, ...]
@@ -382,6 +383,10 @@ class TimeGrid:
     def __iter__(self):
         return itertools.chain(itertools.repeat(self.dt, self.n_full),
                                self.landing)
+
+    def is_sample(self, index: int, sample_every: int) -> bool:
+        """Sampled steps (from 1): every sample_every-th, and the last."""
+        return index % sample_every == 0 or index == len(self)
 
 
 def time_grid(span: float, dt: float) -> TimeGrid:
@@ -497,6 +502,6 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
                              noise_hs_sq=0.0), 0)
     for index, state, report in march(state, params, dts, increments):
         tracker.update(state, params, report)
-        if index % sample_every == 0 or index == len(dts):
+        if dts.is_sample(index, sample_every):
             sample(state, report, index)
     return state, (series if batched else series[0])

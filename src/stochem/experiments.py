@@ -115,7 +115,7 @@ def twin_run(params: SimParams, initial: State, seed: int,
         ys = [_separation(initial, other)]
         for index, pair, _ in march(stack_states([initial, other]), params,
                                     dts, draw):
-            if index % sample_every == 0 or index == len(dts):
+            if dts.is_sample(index, sample_every):
                 times.append(pair.t - initial.t)
                 ys.append(_separation(pair.lane(0), pair.lane(1)))
     times = np.asarray(times)
@@ -151,29 +151,30 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
                    replica: int = 0) -> ConvergenceReport:
     """Shared-path step refinement; the fitted log-log slope is the strong order.
 
-    The levels are dt * 2**k for k = levels - 1 down to 0, and t_end must be
-    a multiple of the finest, dt; increments are drawn once at the finest
-    level and summed for the coarser ones, so every level integrates the
-    same Brownian path.  An error that is not finite raises ExperimentError.
+    The levels are dt * 2**k for k = levels - 1 down to 0.  Increments are
+    drawn once at the finest level and summed for the coarser ones, so every
+    level integrates the same Brownian path.  So t_end must be a whole number
+    n of finest steps, time_grid(t_end, dt) with no landing step, and every
+    level spans n dt.  An error that is not finite raises ExperimentError.
     """
     if levels < 3:
         raise ExperimentError(f"need >= 3 dt levels, got {levels}")
     dts = dt_ladder(dt, levels, t_end)
     ratios = [2 ** k for k in range(levels - 1, -1, -1)]
-    n_fine = t_end / dt
-    if abs(n_fine - round(n_fine)) > 1e-9:
+    finest = time_grid(t_end, dt)
+    if finest.landing:
         raise ExperimentError(f"t_end={t_end} is not a multiple of the finest dt")
-    n_fine = int(round(n_fine))
 
     draw = seeded_increments(seed, replica, params.vnoise.n_modes)
-    fine = [draw(s, dt) for s in range(n_fine)]
+    fine = [draw(s, dt) for s in range(finest.n_full)]
+    span = finest.n_full * dt
     finals: list[State] = []
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         for d, r in zip(dts, ratios):
             def coarse(index: int, _dt: float, r: int = r):
                 return merge_increments(fine[index * r:(index + 1) * r])
             state = initial
-            for _, state, _ in march(initial, params, time_grid(t_end, d),
+            for _, state, _ in march(initial, params, time_grid(span, d),
                                      coarse):
                 pass
             finals.append(state)

@@ -31,11 +31,14 @@ from .grid import (INNER, Grid, ScalarField, VectorField, along, norm,
 
 @dataclass(frozen=True)
 class TransportSigma:
+    """The two transport fields, zero within ``cutoff_width`` w faces of
+    the walls, and ``interior``, the block of cells at least 2w from every
+    wall, where q(x,x) = Id holds exactly."""
     grid: Grid
     ramp_x: np.ndarray   # sigma_1 = (ramp_x, 0), on the vertical faces
     ramp_y: np.ndarray   # sigma_2 = (0, ramp_y), on the horizontal faces
     cutoff_width: int
-    interior_mask: np.ndarray  # cells where q(x,x) = Id holds exactly
+    interior: tuple[slice, slice]   # [2w, nx - 2w) x [2w, ny - 2w)
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,12 @@ def make_transport_sigma(grid: Grid, cutoff_width: int = 1) -> TransportSigma:
         raise ValueError(f"cutoff_width {w} too wide for a "
                          f"{grid.nx}x{grid.ny} grid (must be < min/4)")
     dxf, dyf = _face_distances(grid)
-    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
-    dist = np.minimum(np.minimum(ii, grid.nx - 1 - ii),
-                      np.minimum(jj, grid.ny - 1 - jj))
     return TransportSigma(grid=grid,
                           ramp_x=np.clip((dxf - w) / w, 0.0, 1.0),
                           ramp_y=np.clip((dyf - w) / w, 0.0, 1.0),
-                          cutoff_width=w, interior_mask=dist >= 2 * w)
+                          cutoff_width=w,
+                          interior=(slice(2 * w, grid.nx - 2 * w),
+                                    slice(2 * w, grid.ny - 2 * w)))
 
 
 def combined_sigma_linf(sigma: TransportSigma) -> float:
@@ -140,14 +142,12 @@ def transport_noise_apply(modes: list[np.ndarray], gamma: float,
 
 def transport_hs_sq(modes: list[np.ndarray], sigma: TransportSigma):
     """Sum over k of the squared L2 norm of the cell fields ``modes`` (the
-    L_k c at unit intensity) over sigma's interior cells, per lane.
+    L_k c at unit intensity) over sigma's interior block, per lane.
 
-    np.take keeps each lane's cells contiguous in row-major order, so every
-    lane sums the bits its unbatched sum would; m[..., mask] would
-    interleave the lanes."""
-    cells = np.flatnonzero(sigma.interior_mask)
-    hs = sum(np.sum(np.take(m.reshape(m.shape[:-2] + (-1,)), cells,
-                            axis=-1) ** 2, axis=-1) for m in modes)
+    The squared block is contiguous, one lane after another, so every lane
+    sums the bits its unbatched sum would."""
+    hs = sum(np.sum(m[(..., *sigma.interior)] ** 2, axis=(-2, -1))
+             for m in modes)
     return per_lane(hs) * sigma.grid.cell_volume
 
 

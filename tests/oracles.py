@@ -289,7 +289,26 @@ def zero_transport_sigma(grid) -> TransportSigma:
     return TransportSigma(grid=grid, ramp_x=np.zeros((grid.nx + 1, grid.ny)),
                           ramp_y=np.zeros((grid.nx, grid.ny + 1)),
                           cutoff_width=0,
-                          interior_mask=np.zeros((grid.nx, grid.ny), dtype=bool))
+                          interior=(slice(0, 0), slice(0, 0)))
+
+
+def cells_clear_of_walls(grid, width: int) -> np.ndarray:
+    """Full-grid mask of the cells (i, j) with
+    min(i, nx - 1 - i, j, ny - 1 - j) >= width."""
+    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
+    dist = np.minimum(np.minimum(ii, grid.nx - 1 - ii),
+                      np.minimum(jj, grid.ny - 1 - jj))
+    return dist >= width
+
+
+def masked_hs_sq(modes, mask: np.ndarray, cell_volume: float):
+    """transport_hs_sq over the cells of a full-grid bool mask, gathered
+    with np.take: the indices of np.flatnonzero keep each lane's cells
+    contiguous in row-major order (m[..., mask] would interleave lanes)."""
+    cells = np.flatnonzero(mask)
+    hs = sum(np.sum(np.take(m.reshape(m.shape[:-2] + (-1,)), cells,
+                            axis=-1) ** 2, axis=-1) for m in modes)
+    return per_lane(hs) * cell_volume
 
 
 def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
@@ -300,18 +319,18 @@ def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
     """
     grid = sigma.grid
     w = sigma.cutoff_width
-    mask = sigma.interior_mask
+    block = sigma.interior
     # div sigma_1 = d_x ramp_x and div sigma_2 = d_y ramp_y
     div1 = np.diff(sigma.ramp_x, axis=0) / grid.dx
     div2 = np.diff(sigma.ramp_y, axis=1) / grid.dy
     qxx = (0.5 * (sigma.ramp_x[:-1, :] + sigma.ramp_x[1:, :])) ** 2
     qyy = (0.5 * (sigma.ramp_y[:, :-1] + sigma.ramp_y[:, 1:])) ** 2
     max_div = q_dev = 0.0
-    if mask.any():
-        max_div = max(float(np.max(np.abs(div1[mask]))),
-                      float(np.max(np.abs(div2[mask]))))
-        q_dev = max(float(np.max(np.abs(qxx[mask] - 1.0))),
-                    float(np.max(np.abs(qyy[mask] - 1.0))))
+    if qxx[block].size:
+        max_div = max(float(np.max(np.abs(div1[block]))),
+                      float(np.max(np.abs(div2[block]))))
+        q_dev = max(float(np.max(np.abs(qxx[block] - 1.0))),
+                    float(np.max(np.abs(qyy[block] - 1.0))))
     dxf, dyf = _face_distances(grid)
     violations = (int(np.count_nonzero(sigma.ramp_x[dxf <= w]))
                   + int(np.count_nonzero(sigma.ramp_y[dyf <= w])))

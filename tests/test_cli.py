@@ -322,6 +322,32 @@ def test_experiment_setup_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_convergence_t_end_is_judged_as_run_judges_its_landing_step(
+        tmp_path, capsys):
+    # 5e-13 past ten finest steps, run's schedule takes a landing step that
+    # no finest increment covers: the study refuses it.  5e-13 short of them
+    # it takes none, and the study is the one over exactly ten steps
+    def study(t_end):
+        cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
+                                   f"[time]\nt_end = {t_end}\ndt = 1e-3\n"
+                                   "[experiment]\nlevels = 3\n")
+        out = tmp_path / t_end
+        code = main(["experiment", "convergence", "--config", str(cfg),
+                     "--out", str(out)])
+        return code, out / "convergence.json"
+
+    code, _ = study("0.0100000000005")
+    assert code == 2
+    assert capsys.readouterr().err == ("error: t_end=0.0100000000005 is not "
+                                       "a multiple of the finest dt\n")
+    code, short = study("0.0099999999995")
+    assert code == 0
+    code, exact = study("0.01")
+    assert code == 0
+    assert short.read_bytes() == exact.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_stratonovich_zero_t_end_exits_2(tmp_path, capsys):
     # a study over no time has no drift to measure
     cfg = _write_cfg(tmp_path, REFERENCE.replace("t_end = 0.02", "t_end = 0"))

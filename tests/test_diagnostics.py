@@ -73,13 +73,11 @@ def test_check_conditions_reference_values():
     assert rep.kf == pytest.approx(1.5, rel=1e-12)
     bound = 1.0 / math.sqrt(6.0)   # K_f c0^2 <= delta/4 for the linear law
     assert abs(rep.c0_bound - bound) <= math.ulp(bound)
-    assert rep.cond_335_ok
-    assert rep.gamma_linear_ok and rep.gamma_power_ok
+    assert rep.cond_335_margin >= 0
     assert rep.gamma_linear_margin > 0 and rep.gamma_power_margin > 0
     assert rep.all_ok
 
     rep_bad = check_conditions(params, 0.5)
-    assert not rep_bad.cond_335_ok
     assert rep_bad.cond_335_margin == pytest.approx(-0.5, abs=1e-12)
     assert not rep_bad.all_ok
 
@@ -97,7 +95,8 @@ def test_check_conditions_gamma_branches():
     # strong noise violates both branches
     loud = default_params(g, gamma=1.0)
     rep = check_conditions(loud, 0.3)
-    assert not (rep.gamma_linear_ok or rep.gamma_power_ok)
+    assert rep.gamma_linear_margin < 0 and rep.gamma_power_margin < 0
+    assert not rep.all_ok
 
 
 def test_admissible_bound_monotone_families():

@@ -585,8 +585,7 @@ def test_step_path_never_writes_into_its_inputs(nx, lanes):
     dt = 5e-4
     params, st, inc = _noisy_setup(nx, lanes, dt)
     _freeze(*_state_arrays(st), params.phi.values, params.sigma.ramp_x,
-            params.sigma.ramp_y, params.sigma.interior_mask,
-            params.vnoise.lambdas, inc.dw, inc.dbeta,
+            params.sigma.ramp_y, params.vnoise.lambdas, inc.dw, inc.dbeta,
             *(a for m in params.vnoise.modes for a in (m.u_x, m.u_y)))
     new, report = step(st, params, inc, dt)
     tracker = diagnostics.EnergyTracker(st, params)

@@ -16,8 +16,10 @@ from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
 from stochem.operators import divergence_residual
 
 from conftest import random_scalar
-from oracles import (check_sigma_assumptions, full_scalar, g_hilbert_schmidt,
-                     scalar_from_function, velocity_growth_constant)
+from oracles import (cells_clear_of_walls, check_sigma_assumptions,
+                     full_scalar, g_hilbert_schmidt, masked_hs_sq,
+                     scalar_from_function, velocity_growth_constant,
+                     zero_transport_sigma)
 
 
 # --------------------------------------------------------------- sigma
@@ -32,9 +34,7 @@ def test_canonical_sigma_satisfies_assumptions():
     assert sig.ramp_x.max() == sig.ramp_y.max() == 1.0
     assert rep.ok
     # q = Id exactly at every cell at least two cells from the boundary
-    ii, jj = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
-    dist = np.minimum(np.minimum(ii, 63 - ii), np.minimum(jj, 63 - jj))
-    assert np.array_equal(sig.interior_mask, dist >= 2)
+    assert sig.interior == (slice(2, 62), slice(2, 62))
     assert combined_sigma_linf(sig) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
@@ -51,7 +51,7 @@ def test_sigma_divergence_free_everywhere_it_matters():
         sig = make_transport_sigma(g, w)
         for s in _full_fields(sig):
             d = divergence(s).values
-            assert np.max(np.abs(d[sig.interior_mask])) == 0.0
+            assert np.max(np.abs(d[sig.interior])) == 0.0
 
 
 def test_modes_match_full_vector_field_stencil(rng):
@@ -113,7 +113,7 @@ def test_transport_noise_linear_oxygen(rng):
     h = 0.125
     inc = NoiseIncrement(dw=np.zeros(1), dbeta=np.array([h, 0.0]))
     out = transport_noise_apply(transport_noise_modes(c, sig), 1.0, inc)
-    assert np.max(np.abs(out[sig.interior_mask] - h)) < 1e-13
+    assert np.max(np.abs(out[sig.interior] - h)) < 1e-13
 
 
 def test_transport_noise_hilbert_schmidt_identity(rng):
@@ -122,13 +122,39 @@ def test_transport_noise_hilbert_schmidt_identity(rng):
     sig = make_transport_sigma(g, 1)
     c = random_scalar(g, rng)
     modes = transport_noise_modes(c, sig)
-    mask = sig.interior_mask
-    hs = sum(float(np.sum(m[mask] ** 2)) for m in modes) * g.cell_volume
+    block = sig.interior
+    hs = sum(float(np.sum(m[block] ** 2)) for m in modes) * g.cell_volume
     gx = (np.roll(c.values, -1, 0) - np.roll(c.values, 1, 0)) / (2 * g.dx)
     gy = (np.roll(c.values, -1, 1) - np.roll(c.values, 1, 1)) / (2 * g.dy)
-    ref = float(np.sum(gx[mask] ** 2 + gy[mask] ** 2)) * g.cell_volume
+    ref = float(np.sum(gx[block] ** 2 + gy[block] ** 2)) * g.cell_volume
     assert hs == pytest.approx(ref, rel=1e-10)
     assert transport_hs_sq(modes, sig) == hs
+
+
+def _blocks_and_masks(g):
+    """(sigma, the cells its block must hold) at cutoffs 1 and 2, and for
+    disabled noise."""
+    for w in (1, 2):
+        yield make_transport_sigma(g, w), cells_clear_of_walls(g, 2 * w)
+    yield zero_transport_sigma(g), np.zeros((g.nx, g.ny), dtype=bool)
+
+
+@pytest.mark.parametrize("lanes", [(), (3,), (16,)])
+def test_hs_sq_block_sum_is_the_masked_gather(rng, lanes):
+    # the block is exactly the cells at least 2w from every wall, and its
+    # sum is bitwise the sum of those cells gathered in row-major order
+    for nx, ny in [(9, 9), (9, 64), (13, 10), (17, 31), (32, 24), (64, 64)]:
+        g = make_grid(nx, ny, 1.3, 0.7)
+        for sig, mask in _blocks_and_masks(g):
+            block = np.zeros((nx, ny), dtype=bool)
+            block[sig.interior] = True
+            assert np.array_equal(block, mask)
+            modes = [rng.standard_normal(lanes + (nx, ny)) for _ in range(2)]
+            hs = transport_hs_sq(modes, sig)
+            ref = masked_hs_sq(modes, mask, g.cell_volume)
+            assert np.asarray(hs).tobytes() == np.asarray(ref).tobytes()
+            if not lanes:
+                assert type(hs) is float and type(ref) is float
 
 
 def test_transport_discrete_correction_cancels_quadratic_variation(rng):
