@@ -14,17 +14,24 @@ with the martingale part discarded: the expected quadratic-variation growth
 of the transport noise cancels against its discrete Ito correction, leaving
 the 2 mu gradient drain.  At gamma = 0 this is the exact deterministic
 balance and the defect measures pure discretization error.
+
+Per-lane quantities take the package's one form (grid.per_lane): a
+reduction over LANE_REDUCE with one entry per lane, a number for an
+unbatched state.  The energy tracker holds them so, and record stacks a
+sample's columns into one (column, lane) block that one check reads,
+naming the lowest lane it rejects.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, inner_product,
-                   norm, per_lane)
+from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField,
+                   first_failing_lane, inner_product, norm, per_lane)
 from .noise import combined_sigma_linf
 from .operators import consumption
 
@@ -45,12 +52,6 @@ class DiagnosticsRow:
 
     COLUMNS = ("step", "t", "mass_n", "min_n", "max_c", "l2_u", "h1_c",
                "entropy", "energy_residual", "clip_count", "div_residual")
-
-    def __post_init__(self):
-        for name in self.COLUMNS:
-            v = getattr(self, name)
-            if not math.isfinite(float(v)):
-                raise ValueError(f"diagnostics column {name} is not finite: {v}")
 
 
 def column(rows: list[DiagnosticsRow], name: str) -> np.ndarray:
@@ -193,103 +194,91 @@ def _nlogn(n: ScalarField):
     return per_lane(s) * n.grid.cell_volume
 
 
-def _entropy(params, kf: float, c0_linf: float, min_n: float, nlogn: float,
-             grad_sq: float, u_sq: float) -> float:
-    """One lane's entropy functional from its integrals: nlogn, |grad c|^2
-    and |u|^2; ``min_n`` guards the x ln x term."""
-    if min_n < -1e-13:
-        raise ValueError(f"entropy functional needs n >= 0, min n = {min_n:g}")
-    try:
-        weight = 8.0 * kf * (c0_linf * c0_linf) / (3.0 * params.xi * params.eta)
-    except ZeroDivisionError:   # 3 xi eta underflows: the row check rejects
-        weight = math.inf
+def _entropy(params, kf, c0_linf, nlogn, grad_sq, u_sq):
+    """The entropy functional per lane from its integrals: nlogn, |grad c|^2
+    and |u|^2."""
+    denom = 3.0 * params.xi * params.eta
+    # a 3 xi eta that underflows gives an infinite weight: record rejects it
+    weight = 8.0 * kf * np.square(c0_linf) / denom if denom else math.inf
     return (nlogn + kf * grad_sq + weight * u_sq
             + math.exp(-1.0) * params.grid.area)
 
 
-def _lane_floats(x, lanes: int) -> list:
-    """One Python number per lane, from a per-lane reduction or a scalar.
-
-    Per-lane scalar arithmetic runs on these, as in an unbatched run.  It
-    squares by x * x: a Python float's x ** 2 calls pow, which can differ in
-    the last bit and raises OverflowError where x * x gives inf."""
-    values = np.asarray(x).tolist()
-    return values if isinstance(values, list) else [values] * lanes
-
-
 class EnergyTracker:
-    """Per-run accumulator for the oxygen energy identity; each entry holds
-    one Python float per lane of the state it starts from."""
+    """Per-run accumulator for the oxygen energy identity; each entry is a
+    per-lane value of the state it starts from, as per_lane gives it."""
 
     def __init__(self, state, params):
-        self.lanes = len(state.lanes)
-        self.c0_linf = _lane_floats(norm(state.c, "Linf"), self.lanes)
-        self.kf = [compute_kf(params, x) for x in self.c0_linf]
+        self.c0_linf = norm(state.c, "Linf")
+        self.kf = per_lane(np.vectorize(functools.partial(compute_kf, params),
+                                        otypes=[float])(self.c0_linf))
+        self.i_grad = self.i_cons = 0.0   # on every lane
         # an oxygen too large to square gives inf or nan here and in the
-        # integrands, silently: the next row's finite check rejects it
+        # integrands, silently: the next record rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            c0_l2 = norm(state.c, "L2")
-        self.c0_l2sq = [x * x for x in _lane_floats(c0_l2, self.lanes)]
-        self.i_grad = self.i_cons = [0.0] * self.lanes
-        # |grad c|^2 and (n f(c), c) at the latest state
-        self.grad_sq, self.cons = self._integrands(state, params)
+            self.c0_l2sq = np.square(norm(state.c, "L2"))
+            # |grad c|^2 and (n f(c), c) at the latest state
+            self.grad_sq, self.cons = self._integrands(state, params)
 
-    def _integrands(self, state, params) -> tuple[list, list]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = _lane_floats(norm(state.c, "H1_semi"), self.lanes)
-            cons = inner_product(consumption(state.n, state.c, params.f),
-                                 state.c)
-        return [x * x for x in grad], _lane_floats(cons, self.lanes)
+    @staticmethod
+    def _integrands(state, params):
+        """|grad c|^2 and (n f(c), c) per lane; callers silence overflow."""
+        return (np.square(norm(state.c, "H1_semi")),
+                inner_product(consumption(state.n, state.c, params.f),
+                              state.c))
 
     def update(self, state, params, report) -> None:
-        grad_sq, cons = self._integrands(state, params)
         half = 0.5 * report.dt
-        self.i_grad = [i + half * (a + b) for i, a, b
-                       in zip(self.i_grad, self.grad_sq, grad_sq)]
-        self.i_cons = [i + half * (a + b) for i, a, b
-                       in zip(self.i_cons, self.cons, cons)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_sq, cons = self._integrands(state, params)
+            self.i_grad = self.i_grad + half * (self.grad_sq + grad_sq)
+            self.i_cons = self.i_cons + half * (self.cons + cons)
         self.grad_sq, self.cons = grad_sq, cons
 
-    def residual(self, c_sq: list, params) -> list:
+    def residual(self, c_sq, params):
         """Normalized defect per lane, given each lane's |c|^2 now."""
         # noise growth and its discrete correction cancel in expectation,
         # leaving the (2 xi - gamma^2) = 2 mu gradient drain of the identity
         drain = 2.0 * params.xi - params.gamma ** 2
-        return [(sq + drain * i_grad + 2.0 * i_cons - c0) / max(c0, 1e-300)
-                for sq, i_grad, i_cons, c0
-                in zip(c_sq, self.i_grad, self.i_cons, self.c0_l2sq)]
+        return ((c_sq + drain * self.i_grad + 2.0 * self.i_cons - self.c0_l2sq)
+                / np.maximum(self.c0_l2sq, 1e-300))
 
 
 def record(state, report, params, tracker: EnergyTracker,
            step_index: int) -> list[DiagnosticsRow]:
     """Assemble one sampling instant's measurements: one row per lane (a
     one-element list for an unbatched state), each field reduced once for
-    all lanes and |grad c|^2 taken from the tracker.  A lane whose
-    measurements reject its state raises LaneError naming the lowest one."""
-    def floats(x):
-        return _lane_floats(x, tracker.lanes)
-    # a reduction that overflows is silent here: the rows' finite check
-    # below rejects it
+    all lanes and |grad c|^2 taken from the tracker.  One check over every
+    lane rejects a negative density, then a non-finite column, and raises
+    LaneError naming the lowest lane it rejects."""
+    # an overflow is silent here: the check below rejects what it leaves
     with np.errstate(over="ignore", invalid="ignore"):
-        c_sq = [x * x for x in floats(norm(state.c, "L2"))]
-        columns = zip(
-            state.lanes, floats(total_mass(state.n)),
-            floats(np.min(state.n.values, axis=LANE_REDUCE)),
-            floats(np.max(state.c.values, axis=LANE_REDUCE)),
-            floats(norm(state.u, "L2")), c_sq, tracker.grad_sq,
-            floats(_nlogn(state.n)), tracker.kf, tracker.c0_linf,
-            tracker.residual(c_sq, params), floats(report.clip_count),
-            floats(report.projection_residual))
-    rows = []
-    for lane, mass, min_n, max_c, l2_u, c2, grad_sq, nlogn, kf, c0_linf, \
-            residual, clips, div in columns:
-        try:   # DiagnosticsRow.COLUMNS order
-            rows.append(DiagnosticsRow(
-                step_index, state.t, mass, min_n, max_c, l2_u,
-                math.sqrt(c2 + grad_sq),
-                _entropy(params, kf, c0_linf, min_n, nlogn, grad_sq,
-                         l2_u * l2_u),
-                residual, clips, div))
-        except ValueError as exc:   # a measurement rejected this lane
-            raise LaneError(str(exc), lane) from exc
-    return rows
+        c_sq = np.square(norm(state.c, "L2"))
+        l2_u = norm(state.u, "L2")
+        # (column, lane): the ten DiagnosticsRow.COLUMNS from t on
+        block = np.empty((10, len(state.lanes)))
+        for i, value in enumerate((
+                state.t, total_mass(state.n),
+                np.min(state.n.values, axis=LANE_REDUCE),
+                np.max(state.c.values, axis=LANE_REDUCE), l2_u,
+                np.sqrt(c_sq + tracker.grad_sq),
+                _entropy(params, tracker.kf, tracker.c0_linf,
+                         _nlogn(state.n), tracker.grad_sq, np.square(l2_u)),
+                tracker.residual(c_sq, params), report.clip_count,
+                report.projection_residual)):
+            block[i] = value
+    refused = block[2] < -1e-13   # min_n: the x ln x term needs n >= 0
+    failing = refused | ~np.isfinite(block).all(axis=0)
+    if failing.any():
+        lane = first_failing_lane(failing.reshape(state.n.lanes))
+        values = block[:, lane or 0].tolist()
+        if refused[lane or 0]:
+            message = f"entropy functional needs n >= 0, min n = {values[2]:g}"
+        else:
+            name, value = next((name, v) for name, v
+                               in zip(DiagnosticsRow.COLUMNS[1:], values)
+                               if not math.isfinite(v))
+            message = f"diagnostics column {name} is not finite: {value}"
+        raise LaneError(message, lane)
+    return [DiagnosticsRow(step_index, *v[:8], int(v[8]), v[9])   # int clip_count
+            for v in block.T.tolist()]

@@ -47,7 +47,8 @@ import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
 from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, VectorField,
-                   neighbours, per_lane, scalar_face_gradients)
+                   first_failing_lane, neighbours, per_lane,
+                   scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
 from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
@@ -72,11 +73,6 @@ class SimulationError(RuntimeError):
         self.reason = message
         self.step_index = step_index
         self.lane = lane
-
-
-def first_failing_lane(bad) -> int | None:
-    """None for the flag of an unbatched check, else the lowest flagged lane."""
-    return None if np.ndim(bad) == 0 else int(np.flatnonzero(bad)[0])
 
 
 @dataclass(frozen=True)

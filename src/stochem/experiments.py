@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise as noise_mod
-from .diagnostics import column
+from .diagnostics import DiagnosticsRow, column
 from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
                        ito_rate, march, oxygen_drift, oxygen_noise,
                        require_finite, seeded_increments, stack_states,
@@ -198,7 +198,6 @@ class StratonovichReport:
     drift_naive: np.ndarray
     gap: np.ndarray                 # naive minus corrected, per level
     reference_gap: float            # gamma^2 |grad c0|_L2^2
-    identical: bool                 # corrected and naive states bitwise equal
 
 
 def stratonovich_consistency(params: SimParams, initial: State, seed: int,
@@ -267,8 +266,6 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                         - hs_sq([c.values], sigma))
                 c = c_new
             drift[li] += acc / t_end
-            if r == 0:   # replica 0 of the last (finest) level decides
-                identical = bool(np.array_equal(c.values[0], c.values[1]))
         drift /= n_replicas
         ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
     gap = drift[:, 1] - drift[:, 0]   # finite only where both drifts are
@@ -278,7 +275,7 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     return StratonovichReport(dt_levels=np.asarray(dts),
                               drift_corrected=drift[:, 0],
                               drift_naive=drift[:, 1], gap=gap,
-                              reference_gap=ref, identical=identical)
+                              reference_gap=ref)
 
 
 def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
@@ -314,8 +311,7 @@ def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
 # 32,768 or more; larger chunks also only grow memory on large grids.
 BATCH_CELLS = 16384
 
-ENSEMBLE_COLUMNS = ("mass_n", "min_n", "max_c", "l2_u", "h1_c", "entropy",
-                    "energy_residual", "clip_count", "div_residual")
+ENSEMBLE_COLUMNS = DiagnosticsRow.COLUMNS[2:]
 
 
 @dataclass
@@ -392,30 +388,27 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
         raise failed(rep, exc.reason) from exc
     results = [rows for chunk in chunked for rows in chunk]
 
-    n_rows = len(results[0])
     times = column(results[0], "t")
-    mean, m2, mx = {}, {}, {}
-    for col in ENSEMBLE_COLUMNS:
-        mean[col] = np.zeros(n_rows)
-        m2[col] = np.zeros(n_rows)
-        mx[col] = np.full(n_rows, -np.inf)
+    # (replica, column, sample): one Welford fold over the replicas
+    block = np.array([[column(rows, col) for col in ENSEMBLE_COLUMNS]
+                      for rows in results], dtype=float)
+    mean = np.zeros(block.shape[1:])
+    m2 = np.zeros(block.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        for count, rows in enumerate(results, 1):
-            for col in ENSEMBLE_COLUMNS:
-                x = column(rows, col).astype(float)
-                delta = x - mean[col]
-                mean[col] += delta / count
-                m2[col] += delta * (x - mean[col])
-                np.maximum(mx[col], x, out=mx[col])
-        variance = {col: (m2[col] / (count - 1) if count > 1
-                          else np.zeros(n_rows)) for col in ENSEMBLE_COLUMNS}
-        ci95 = {col: 1.96 * np.sqrt(variance[col] / count)
-                for col in ENSEMBLE_COLUMNS}
-    for name, stat in (("mean", mean), ("variance", variance),
-                       ("maximum", mx), ("ci95", ci95)):
-        for col in ENSEMBLE_COLUMNS:
-            if not np.isfinite(stat[col]).all():
-                raise ExperimentError(f"the ensemble {name} of {col} is not "
-                                      f"finite")
+        for count, x in enumerate(block, 1):
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+        variance = m2 / (count - 1) if count > 1 else np.zeros_like(m2)
+        ci95 = 1.96 * np.sqrt(variance / count)
+    stats = {"mean": mean, "variance": variance, "maximum": block.max(axis=0),
+             "ci95": ci95}
+    for name, stat in stats.items():
+        bad = ~np.isfinite(stat).all(axis=1)
+        if bad.any():
+            raise ExperimentError(f"the ensemble {name} of "
+                                  f"{ENSEMBLE_COLUMNS[np.argmax(bad)]} is not "
+                                  f"finite")
     return EnsembleStats(times=times, n_replicas=count,
-                         mean=mean, variance=variance, maximum=mx, ci95=ci95)
+                         **{name: dict(zip(ENSEMBLE_COLUMNS, stat))
+                            for name, stat in stats.items()})

@@ -50,6 +50,11 @@ def per_lane(x):
     return x.item() if x.ndim == 0 else x
 
 
+def first_failing_lane(bad) -> int | None:
+    """None for the flag of an unbatched check, else the lowest flagged lane."""
+    return None if np.ndim(bad) == 0 else int(np.flatnonzero(bad)[0])
+
+
 @dataclass(frozen=True)
 class Grid:
     nx: int

@@ -356,9 +356,12 @@ def velocity_growth_constant(cfg: VelocityNoiseConfig) -> float:
 def entropy_functional(state, params, c0_linf: float) -> float:
     """Nonnegative Lyapunov functional: cell entropy plus weighted energies
     plus the e^{-1}|O| offset that makes x ln x integrable from below."""
-    return _entropy(params, compute_kf(params, c0_linf), c0_linf,
-                    float(state.n.values.min()), _nlogn(state.n),
-                    norm(state.c, "H1_semi") ** 2, norm(state.u, "L2") ** 2)
+    min_n = float(state.n.values.min())
+    if min_n < -1e-13:
+        raise ValueError(f"entropy functional needs n >= 0, min n = {min_n:g}")
+    return float(_entropy(params, compute_kf(params, c0_linf), c0_linf,
+                          _nlogn(state.n), norm(state.c, "H1_semi") ** 2,
+                          norm(state.u, "L2") ** 2))
 
 
 def energy_identity_residual(series: list[DiagnosticsRow]) -> float:

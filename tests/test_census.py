@@ -22,9 +22,6 @@ OUTSIDE_READERS = {
     "dynamics.StepReport.noise_hs_sq": "bench/tracer.py fails a noise "
                                        "workload whose transport_hs_sq span "
                                        "sees no calls; it goes with that span",
-    "experiments.StratonovichReport.identical":
-        "test_stratonovich_zero_noise_paths_identical checks that the two "
-        "schemes agree bitwise without noise",
 }
 
 

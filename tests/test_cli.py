@@ -18,7 +18,8 @@ from stochem import experiments
 from stochem.cli import (_SCHEMA, ConfigError, SnapshotError,
                          build_simulation, main, parse_config, read_snapshot,
                          write_snapshot)
-from stochem.dynamics import CONSUMPTION_LAWS, State, run, stack_states
+from stochem.dynamics import (CONSUMPTION_LAWS, State, run, stack_states,
+                              time_grid)
 from stochem.experiments import perturbed_copy
 from stochem.grid import (Grid, ScalarField, VectorField, make_grid,
                           zeros_scalar, zeros_vector)
@@ -400,6 +401,16 @@ def test_step_count_overflow_exits_2(tmp_path, capsys, command, t_end, dt):
     assert err.startswith(f"error: [time] dt = {float(dt)}: t_end / dt = ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_long_schedule_is_accepted():
+    # the schema refuses a schedule only past sys.maxsize steps, and the CLI
+    # has no wall-time bound: 4e9 steps at 16^2 pass the config and build
+    cfg = parse_config("[grid]\nnx = 16\nny = 16\n"
+                       "[time]\nt_end = 0.004\ndt = 1e-12\n")
+    params, initial = build_simulation(cfg)
+    assert params.grid.nx == 16 and initial.t == 0.0
+    assert len(time_grid(cfg["time"]["t_end"], cfg["time"]["dt"])) == 4e9
 
 
 INTEGRATES = {0, 2, 3}

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochem import diagnostics
-from stochem.diagnostics import (DiagnosticsRow, admissible_c0_bound,
-                                 check_conditions, column, compute_kf,
-                                 estimate_k0, total_mass)
-from stochem.dynamics import CONSUMPTION_LAWS, State, run
-from stochem.grid import (ScalarField, make_grid, norm, zeros_scalar,
+from stochem.diagnostics import (admissible_c0_bound, check_conditions, column,
+                                 compute_kf, estimate_k0, total_mass)
+from stochem.dynamics import (CONSUMPTION_LAWS, State, StepReport, run,
+                              stack_states)
+from stochem.grid import (LaneError, ScalarField, make_grid, norm, zeros_scalar,
                           zeros_vector)
 from stochem.operators import AdvectionMode
 
@@ -272,8 +272,30 @@ def test_record_consistency():
         column(series, "nonexistent")
 
 
-def test_row_rejects_non_finite():
-    with pytest.raises(ValueError):
-        DiagnosticsRow(step=0, t=0.0, mass_n=float("nan"), min_n=0.0,
-                       max_c=0.0, l2_u=0.0, h1_c=0.0, entropy=0.0,
-                       energy_residual=0.0, clip_count=0, div_residual=0.0)
+def test_record_rejects_the_lowest_failing_lane():
+    # one check over every lane names the lowest lane it rejects, and within
+    # a lane a negative density comes before the first non-finite column
+    g = make_grid(16, 16, 1.0, 1.0)
+    params = default_params(g)
+    clean = stack_states([quiescent_state(g, n=1.0, c=0.1)] * 4)
+    tracker = diagnostics.EnergyTracker(clean, params)
+    report = StepReport(dt=0.0, clip_count=0, projection_residual=0.0,
+                        noise_hs_sq=0.0)
+    bad = clean.copy()
+    bad.n.values[2, 3, 3] = -0.5
+    bad.c.values[3, 5, 5] = np.nan
+    with pytest.raises(LaneError) as exc:
+        diagnostics.record(bad, report, params, tracker, step_index=1)
+    assert exc.value.lane == 2
+    assert str(exc.value) == "entropy functional needs n >= 0, min n = -0.5"
+    bad.n.values[2, 3, 3] = 1.0
+    with pytest.raises(LaneError) as exc:
+        diagnostics.record(bad, report, params, tracker, step_index=1)
+    assert exc.value.lane == 3
+    assert str(exc.value) == "diagnostics column max_c is not finite: nan"
+    # unbatched, the same check names no lane
+    alone = diagnostics.EnergyTracker(clean.lane(0), params)
+    with pytest.raises(LaneError) as exc:
+        diagnostics.record(bad.lane(3), report, params, alone, step_index=1)
+    assert exc.value.lane is None
+    assert str(exc.value) == "diagnostics column max_c is not finite: nan"

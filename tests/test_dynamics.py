@@ -555,7 +555,8 @@ def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
     # a pair with the correction over dt on lane 0 and over 0 on lane 1:
     # lane 0 is oxygen_substep's oxygen, lane 1 the drifted oxygen plus the
     # kick, and every output lane is bitwise its unbatched call's; the
-    # drifted oxygen it is given is read-only
+    # drifted oxygen it is given is read-only.  At gamma = 0 the two lanes
+    # of one oxygen are bitwise equal.
     dt = 5e-4
     params, st, inc = _noisy_setup(32, None, dt)
     states = [st, perturbed_copy(st, 0.1)]
@@ -576,6 +577,10 @@ def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
         for m, m_alone in zip(modes, alone[1]):
             assert m[lane].tobytes() == m_alone.tobytes()
         assert correction[lane].tobytes() == alone[2].tobytes()
+    same = ScalarField(params.grid, np.stack([drifted[0].values] * 2))
+    quiet = replace(params, gamma=0.0)
+    c_same, _, _ = dynamics.oxygen_noise(same, quiet, inc, np.array([dt, 0.0]))
+    assert c_same.values[0].tobytes() == c_same.values[1].tobytes()
 
 
 @pytest.mark.parametrize("nx, lanes", [(64, None), (32, 4)])
