@@ -76,8 +76,13 @@ def _law_at(f, c0_linf: float) -> tuple[float, float]:
 
 
 def _kf(params, min_fp: float) -> float:
-    return (params.chi ** 2 / (2.0 * params.delta * min_fp) + 1.0 / min_fp
-            if min_fp > 0.0 else math.inf)
+    if not min_fp > 0.0:
+        return math.inf
+    denom = 2.0 * params.delta * min_fp
+    # a product that underflows to 0 is divided out one factor at a time
+    chem = (params.chi ** 2 / denom if denom
+            else params.chi ** 2 / (2.0 * params.delta) / min_fp)
+    return chem + 1.0 / min_fp
 
 
 def compute_kf(params, c0_linf: float) -> float:
@@ -210,12 +215,14 @@ class EnergyTracker:
 
     def __init__(self, state, params):
         self.c0_linf = norm(state.c, "Linf")
-        self.kf = per_lane(np.vectorize(functools.partial(compute_kf, params),
-                                        otypes=[float])(self.c0_linf))
         self.i_grad = self.i_cons = 0.0   # on every lane
-        # an oxygen too large to square gives inf or nan here and in the
-        # integrands, silently: the next record rejects it
+        # an oxygen too large to square, or a K_f term past the float range,
+        # gives inf or nan here and in the integrands, silently: the next
+        # record rejects it
         with np.errstate(over="ignore", invalid="ignore"):
+            self.kf = per_lane(np.vectorize(
+                functools.partial(compute_kf, params),
+                otypes=[float])(self.c0_linf))
             self.c0_l2sq = np.square(norm(state.c, "L2"))
             # |grad c|^2 and (n f(c), c) at the latest state
             self.grad_sq, self.cons = self._integrands(state, params)

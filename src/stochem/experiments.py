@@ -151,28 +151,28 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
                    replica: int = 0) -> ConvergenceReport:
     """Shared-path step refinement; the fitted log-log slope is the strong order.
 
-    The levels are dt * 2**k for k = levels - 1 down to 0.  Increments are
-    drawn once at the finest level and summed for the coarser ones, so every
-    level integrates the same Brownian path.  So t_end must be a whole number
+    The levels are dt * 2**k for k = levels - 1 down to 0.  A level's
+    increment is the sum of the 2**k finest draws it spans, each drawn when
+    the step needs it, so every level integrates the same Brownian path and
+    memory does not grow with the step count.  So t_end must be a whole number
     n of finest steps, time_grid(t_end, dt) with no landing step, and every
     level spans n dt.  An error that is not finite raises ExperimentError.
     """
     if levels < 3:
         raise ExperimentError(f"need >= 3 dt levels, got {levels}")
     dts = dt_ladder(dt, levels, t_end)
-    ratios = [2 ** k for k in range(levels - 1, -1, -1)]
     finest = time_grid(t_end, dt)
     if finest.landing:
         raise ExperimentError(f"t_end={t_end} is not a multiple of the finest dt")
 
     draw = seeded_increments(seed, replica, params.vnoise.n_modes)
-    fine = [draw(s, dt) for s in range(finest.n_full)]
     span = finest.n_full * dt
     finals: list[State] = []
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        for d, r in zip(dts, ratios):
-            def coarse(index: int, _dt: float, r: int = r):
-                return merge_increments(fine[index * r:(index + 1) * r])
+        for d in dts:
+            def coarse(index: int, _dt: float, r: int = int(d / dt)):
+                return merge_increments([draw(s, dt) for s
+                                         in range(index * r, (index + 1) * r)])
             state = initial
             for _, state, _ in march(initial, params, time_grid(span, d),
                                      coarse):

@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run, and none
+# replays examples saved by an earlier run
+settings.register_profile("reproducible", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("reproducible")
 
 ACCEPTANCE_LINES = []
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -125,7 +126,7 @@ def test_snapshot_truncation_and_magic(tmp_path, rng):
         read_snapshot(tmp_path / "bad.cns")
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 31), nx=st.integers(4, 12), ny=st.integers(4, 12))
 def test_snapshot_roundtrip_property(tmp_path_factory, seed, nx, ny):
     rng = np.random.default_rng(seed)
@@ -292,37 +293,6 @@ def test_cmd_experiment_stratonovich(tmp_path, capsys):
         "finest-level drift gap": payload["gap"][-1]}
 
 
-def test_malformed_config_returns_error(tmp_path, capsys):
-    p = tmp_path / "bad.ini"
-    p.write_text("[physics]\ndelta = -3\n")
-    assert main(["check-params", "--config", str(p)]) == 2
-    assert "delta" in capsys.readouterr().err
-
-
-def test_cmd_run_mid_run_failure_exits_3(tmp_path, capsys):
-    # the admissibility gate says nothing about the step size: a fast initial
-    # velocity makes the first step exceed the advective bound
-    cfg = _write_cfg(tmp_path, MINIMAL + "[ic]\nu_amplitude = 80\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--allow-inadmissible"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: step 1: dt=0.001 exceeds the advective bound")
-    assert "Traceback" not in err
-
-
-def test_experiment_setup_error_exits_2(tmp_path, capsys):
-    # t_end is not a multiple of the finest dt level
-    text = REFERENCE.replace("t_end = 0.02", "t_end = 0.0105")
-    cfg = _write_cfg(tmp_path, text)
-    code = main(["experiment", "convergence", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: t_end=0.0105 is not a multiple")
-    assert "Traceback" not in err
-
-
 def test_convergence_t_end_is_judged_as_run_judges_its_landing_step(
         tmp_path, capsys):
     # 5e-13 past ten finest steps, run's schedule takes a landing step that
@@ -349,30 +319,6 @@ def test_convergence_t_end_is_judged_as_run_judges_its_landing_step(
     assert capsys.readouterr().err == ""
 
 
-def test_stratonovich_zero_t_end_exits_2(tmp_path, capsys):
-    # a study over no time has no drift to measure
-    cfg = _write_cfg(tmp_path, REFERENCE.replace("t_end = 0.02", "t_end = 0"))
-    code = main(["experiment", "stratonovich", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: t_end must be positive, got 0.0")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("which,message", [
-    ("twin", "error: step 1: dt=0.001 exceeds the advective bound"),
-    ("ensemble", "error: replica 0 (base seed 1234) failed: step 1 failed: "
-                 "dt=0.001 exceeds the advective bound"),
-])
-def test_experiment_mid_run_failure_exits_3(tmp_path, capsys, which, message):
-    cfg = _write_cfg(tmp_path, MINIMAL + "[ic]\nu_amplitude = 80\n")
-    code = main(["experiment", which, "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert capsys.readouterr().err.startswith(message)
-
-
 @pytest.mark.parametrize("command", [["run"], ["check-params"],
                                      ["experiment", "ensemble"]],
                          ids=["run", "check-params", "experiment"])
@@ -385,24 +331,6 @@ def test_threads_flag_is_unknown(tmp_path, capsys, command):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["check-params"], ["run"], ["experiment", "twin"],
-    ["experiment", "convergence"], ["experiment", "stratonovich"],
-    ["experiment", "ensemble"]], ids=lambda c: c[-1])
-@pytest.mark.parametrize("t_end, dt", [("1e300", "1e-300"), ("1e20", "1e-3")])
-def test_step_count_overflow_exits_2(tmp_path, capsys, command, t_end, dt):
-    # t_end / dt overflows to inf, or exceeds any list length; the config is
-    # refused before a schedule is built, and no replica is blamed
-    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
-                               f"[time]\nt_end = {t_end}\ndt = {dt}\n")
-    out = tmp_path / "o"
-    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: [time] dt = {float(dt)}: t_end / dt = ")
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 def test_long_schedule_is_accepted():
     # the schema refuses a schedule only past sys.maxsize steps, and the CLI
     # has no wall-time bound: 4e9 steps at 16^2 pass the config and build
@@ -413,71 +341,6 @@ def test_long_schedule_is_accepted():
     assert len(time_grid(cfg["time"]["t_end"], cfg["time"]["dt"])) == 4e9
 
 
-INTEGRATES = {0, 2, 3}
-FAILS = {2, 3}
-
-
-@pytest.mark.parametrize("command, codes", [
-    (["check-params"], {1}), (["run"], {2}),
-    (["run", "--allow-inadmissible"], INTEGRATES),
-    (["experiment", "twin"], INTEGRATES),
-    (["experiment", "convergence"], INTEGRATES),
-    (["experiment", "stratonovich"], FAILS),
-    (["experiment", "ensemble"], INTEGRATES)],
-    ids=["check-params", "run", "allow-inadmissible", "twin", "convergence",
-         "stratonovich", "ensemble"])
-@pytest.mark.parametrize("law, c_value", [("linear", "1e160"),
-                                          ("saturating", "1e200")])
-def test_huge_oxygen_exits_without_traceback(tmp_path, capsys, command, codes,
-                                             law, c_value):
-    # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the
-    # gate fails the consumption condition at margin -inf, neither raising
-    # nor warning, and a command that integrates anyway ends with a defined
-    # exit code and no numpy warning; the Stratonovich study, whose drift
-    # overflows, never reports success
-    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
-                               f"[physics]\nf_name = {law}\n"
-                               f"[ic]\nc_recipe = uniform\nc_value = {c_value}\n"
-                               f"[time]\nt_end = 0.01\n"
-                               f"[experiment]\nlevels = 3\nreplicas = 2\n")
-    argv = command + ["--config", str(cfg), "--out", str(tmp_path / "o")]
-    gated = command in (["check-params"], ["run"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(argv) in codes
-    assert [str(w.message) for w in caught] == []
-    printed = capsys.readouterr()
-    assert "Traceback" not in printed.err
-    if gated:
-        assert ("consumption term: FAIL (margin -inf)"
-                in printed.out + printed.err)
-    assert not (tmp_path / "o" / "stratonovich.json").exists()
-
-
-@pytest.mark.parametrize("which, message", [
-    ("convergence", "the refinement errors are not finite: [inf, inf]"),
-    ("twin", "the separation is not finite at t = 0")])
-def test_overflowing_study_distance_exits_2(tmp_path, capsys, which,
-                                            message):
-    # the fields stay finite, but the sums of squared differences between
-    # two of them overflow: the study refuses the result instead of
-    # reporting inf or nan, warns of nothing and writes no file
-    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
-                               "[physics]\nchi = 0\n"
-                               "[ic]\nc_recipe = uniform\nc_value = 1e160\n"
-                               "[time]\nt_end = 0.01\n"
-                               "[experiment]\nlevels = 3\n")
-    out = tmp_path / "o"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["experiment", which, "--config", str(cfg),
-                     "--out", str(out)])
-    assert code == 2
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
-
-
 def _child_env() -> dict:
     """The environment of a child interpreter that imports this stochem."""
     import stochem
@@ -486,108 +349,10 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-@pytest.mark.parametrize("command, replicas, code", [
-    (["run", "--allow-inadmissible"], 2, 3),
-    (["experiment", "ensemble"], 2, 3),
-    (["experiment", "ensemble"], 257, 3),
-    (["experiment", "stratonovich"], 2, 2)],
-    ids=["allow-inadmissible", "ensemble", "ensemble-two-chunks",
-         "stratonovich"])
-def test_overflow_prints_only_the_error(tmp_path, command, replicas, code):
-    # the fields are finite but their squares overflow: the reductions whose
-    # results are checked right after stay silent, so stderr holds the
-    # error line alone; 257 replicas at 8x8 make two chunks, which run on
-    # worker threads when two CPUs are usable
-    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
-                               f"[physics]\nchi = 0\n"
-                               f"[ic]\nc_recipe = uniform\nc_value = 1e160\n"
-                               f"[time]\nt_end = 0.01\n"
-                               f"[experiment]\nlevels = 3\n"
-                               f"replicas = {replicas}\n")
-    done = subprocess.run(
-        [sys.executable, "-m", "stochem.cli", *command, "--config", str(cfg),
-         "--out", str(tmp_path / "o")], capture_output=True, text=True,
-        env={**_child_env(), "PYTHONWARNINGS": "default"})
-    assert done.returncode == code
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
-
-
-@pytest.mark.parametrize("command", [["run", "--allow-inadmissible"],
-                                     ["experiment", "ensemble"]],
-                         ids=lambda c: c[-1])
-@pytest.mark.parametrize("text, column", [
-    # the L2 norm of u overflows: the noise scale reads it as tanh(inf) = 1
-    ("[grid]\nnx = 6\nny = 8\nlx = 1e154\n", "l2_u"),
-    # 3 xi eta underflows to zero under the entropy weight
-    ("[grid]\nnx = 7\nny = 7\n[physics]\neta = 5e-324\nmu = 5e-324\n",
-     "entropy"),
-    # the buoyancy n grad(phi) overflows inside the first step
-    ("[grid]\nnx = 6\nny = 6\n[physics]\nphi_scale = 1e300\n"
-     "[ic]\nn_base = 1e300\n", "field u_x")],
-    ids=["velocity-norm", "entropy-weight", "buoyancy"])
-def test_non_finite_measurement_exits_3_with_one_error_line(
-        tmp_path, capsys, command, text, column):
-    # batched or not, the step and the sample stay silent and the check
-    # that follows names what is not finite
-    cfg = _write_cfg(tmp_path, text + "[time]\nt_end = 0.01\n"
-                                      "[experiment]\nreplicas = 2\n")
-    assert main([*command, "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"{column} is not finite" in lines[0]
-
-
 _STRATONOVICH_SMALL = ("[grid]\nnx = {n}\nny = {n}\n"
                        "[noise]\nsigma_cutoff_width = {w}\n"
                        "[time]\nt_end = 0.004\n"
                        "[experiment]\nlevels = 3\nreplicas = 2\n")
-
-
-@pytest.mark.parametrize("command, text", [
-    (["check-params"], "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e160\n"),
-    (["check-params"], "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e-200\n"),
-    (["check-params"], "[grid]\nnx = 5\nny = 5\n"
-                       "[ic]\nn_base = 1e308\nn_amplitude = 1e308\n"),
-    (["experiment", "stratonovich"], _STRATONOVICH_SMALL.format(n=6, w=1)),
-    (["experiment", "stratonovich"], _STRATONOVICH_SMALL.format(n=10, w=2)),
-    (["experiment", "ensemble"], "[grid]\nnx = 6\nny = 10\n"
-                                 "[physics]\ndelta = 1e-300\n"
-                                 "[time]\nt_end = 0.01\n"
-                                 "[experiment]\nreplicas = 2\n"),
-    (["experiment", "twin"], "[grid]\nnx = 8\nny = 8\n[physics]\nchi = 0\n"
-                             "[ic]\nu_recipe = zero\n"
-                             "[experiment]\nperturbation = 1.5\n"),
-    (["experiment", "twin"], "[grid]\nnx = 8\nny = 8\n"
-                             "[ic]\nn_recipe = uniform\nn_value = 1.7e308\n"
-                             "[experiment]\nperturbation = 0.5\n"),
-    (["check-params"], "[grid]\nnx = 5\nny = 5\n"
-                       "[physics]\nphi_scale = 1.7976931348623157e308\n"),
-    (["run"], "[grid]\nnx = 8\nny = 8\n"
-              "[noise]\nmode_decay_exponent = -1e300\n"),
-    (["experiment", "convergence"], "[grid]\nnx = 6\nny = 8\n"
-                                    "[time]\nt_end = 0.0025\n"
-                                    "[experiment]\nlevels = 1000000\n")],
-    ids=["n_sigma-square-overflows", "n_sigma-square-underflows",
-         "n-recipe-overflows", "stratonovich-6x6-width-1",
-         "stratonovich-10x10-width-2", "ensemble-variance-overflows",
-         "twin-perturbation-flips-sign", "twin-perturbed-copy-overflows",
-         "potential-gradient-overflows", "mode-weight-overflows",
-         "ladder-exponent-overflows"])
-def test_degenerate_setup_exits_2_with_one_error_line(tmp_path, command,
-                                                      text):
-    # an initial field, a study window, a twin's perturbed copy or an
-    # ensemble statistic that the input leaves empty, non-finite or of the
-    # wrong sign is refused, without a numpy warning
-    cfg = _write_cfg(tmp_path, text)
-    done = subprocess.run(
-        [sys.executable, "-m", "stochem.cli", *command, "--config", str(cfg),
-         "--out", str(tmp_path / "o")], capture_output=True, text=True,
-        env={**_child_env(), "PYTHONWARNINGS": "default"})
-    assert done.returncode == 2
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 def test_stratonovich_runs_on_the_smallest_window(tmp_path, capsys):
@@ -599,138 +364,11 @@ def test_stratonovich_runs_on_the_smallest_window(tmp_path, capsys):
         "finest-level drift gap"] > 0.0
 
 
-@pytest.mark.parametrize("command", [["check-params"], ["run"],
-                                     ["experiment", "ensemble"]],
-                         ids=lambda c: c[-1])
-def test_unresolved_velocity_modes_exit_2(tmp_path, capsys, command):
-    # an 8x8 grid resolves the 7 x 7 stream modes 1 <= a, b <= 7; a 50th
-    # mode would be round-off scaled up to unit norm, or an alias
-    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
-                               "[noise]\nk_modes = 50\n")
-    out = tmp_path / "o"
-    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: [noise] k_modes = 50: must be <= (nx - 1)(ny - 1) = 49, the "
-        "stream modes the grid resolves\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, code", [
-    (["check-params"], 1), (["run"], 2),
-    (["run", "--allow-inadmissible"], 3), (["experiment", "twin"], 3),
-    (["experiment", "convergence"], 3), (["experiment", "stratonovich"], 2),
-    (["experiment", "ensemble"], 3)],
-    ids=["check-params", "run", "allow-inadmissible", "twin", "convergence",
-         "stratonovich", "ensemble"])
-def test_huge_gamma_exits_without_traceback(tmp_path, capsys, command, code):
-    # gamma^2 is finite, but the explicit Ito correction allows no step: the
-    # gate fails both noise branches, every integrating command stops at its
-    # first step, and the Stratonovich study refuses its coarsest level
-    # instead of writing a NaN drift
-    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
-                               "[physics]\ngamma = 1e100\n"
-                               "[time]\nt_end = 0.01\n"
-                               "[experiment]\nlevels = 3\nreplicas = 2\n")
-    out = tmp_path / "o"
-    assert main(command + ["--config", str(cfg), "--out", str(out)]) == code
-    printed = capsys.readouterr()
-    assert "Traceback" not in printed.err
-    if code == 3:
-        assert printed.err.startswith("error: ")
-        assert "exceeds the advective bound" in printed.err
-    if command[-1] == "stratonovich":
-        assert printed.err.startswith("error: the coarsest level dt = 0.004 "
-                                      "exceeds the Ito-correction bound ")
-        assert not (out / "stratonovich.json").exists()
-
-
-def test_stratonovich_non_finite_oxygen_exits_3(tmp_path, capsys):
-    # the bump at the largest float overflows in its first drift step; the
-    # study stops as a run does and names the level, replica and step
-    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
-                               "[ic]\nc_recipe = uniform\nc_value = 1.7e308\n"
-                               "[time]\nt_end = 0.01\n"
-                               "[experiment]\nlevels = 3\nreplicas = 2\n")
-    out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["experiment", "stratonovich", "--config", str(cfg),
-                     "--out", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: level dt = 0.004, replica 0 failed: step 1 "
-                          "failed: field c is not finite")
-    assert not (out / "stratonovich.json").exists()
-
-
-_COMMANDS = [["check-params"], ["run"], ["experiment", "twin"],
-             ["experiment", "convergence"], ["experiment", "stratonovich"],
-             ["experiment", "ensemble"]]
-
-
-@pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[-1])
-@pytest.mark.parametrize("key", ["chi", "gamma"])
-def test_overflowing_square_exits_2(tmp_path, capsys, command, key):
-    # the gate and the stepper square chi and gamma; a square past the float
-    # range is refused with the config, before any of them runs
-    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n"
-                               f"[physics]\n{key} = 1e200\n")
-    out = tmp_path / "o"
-    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: [physics] {key} = 1e+200: must be >= 0 "
-                          f"with a finite square")
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("which", ["convergence", "stratonovich"])
-def test_ladder_longer_than_t_end_exits_2(tmp_path, capsys, which):
-    # the 0.004 level cannot take one step in t_end = 0.002, so two levels
-    # would both take the same single landing step
-    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n"
-                               "[time]\nt_end = 0.002\ndt = 1e-3\n"
-                               "[experiment]\nlevels = 3\nreplicas = 2\n")
-    code = main(["experiment", which, "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the coarsest level dt = 0.004 exceeds "
-                          "t_end = 0.002")
-    assert "Traceback" not in err
-
-
 def test_import_loads_no_iterative_solver():
     code = ("import sys, stochem.cli; "
             "sys.exit('scipy.sparse.linalg' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=_child_env())
     assert done.returncode == 0
-
-
-def test_convergence_zero_t_end_exits_2(tmp_path, capsys):
-    # with no steps every level is the initial state; the study says so
-    # instead of reporting a degenerate refinement
-    text = (REFERENCE.replace("t_end = 0.02", "t_end = 0")
-            .replace("nx = 24", "nx = 16").replace("ny = 24", "ny = 16"))
-    cfg = _write_cfg(tmp_path, text)
-    code = main(["experiment", "convergence", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: t_end must be positive, got 0.0")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("line", ["lx = 1e-300", "ly = 1e-170", "lx = 1e300"])
-def test_extreme_grid_length_exits_2(tmp_path, capsys, line):
-    # the spacing's stencil weight 2/h^2 is zero, overflows or divides by
-    # zero; the config is refused before any solver sees it
-    key = line.split()[0]
-    cfg = _write_cfg(tmp_path, f"[grid]\nnx = 8\nny = 8\n{line}\n")
-    assert main(["check-params", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: [grid] {key} = ") and "2/h^2" in err
-    assert "Traceback" not in err
 
 
 def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
@@ -744,7 +382,7 @@ def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
     assert "lx = 1e-300" in err and "Traceback" not in err
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(nx=st.integers(5, 12), ny=st.integers(5, 12),
        gamma=st.floats(0.0, 0.1), amplitude=st.floats(1e-3, 0.1),
        gain=st.floats(0.0, 1.0), k_modes=st.integers(1, 8),
@@ -861,11 +499,10 @@ def _cli_configs(draw):
                    for section, body in cfg.items())
 
 
-_CONTRACT_COMMANDS = [["check-params"], ["run"],
-                      ["run", "--allow-inadmissible"],
-                      ["experiment", "twin"], ["experiment", "convergence"],
-                      ["experiment", "stratonovich"],
-                      ["experiment", "ensemble"], ["snapshot-info"]]
+_ALL = ("check-params", "run", "run --allow-inadmissible", "experiment twin",
+        "experiment convergence", "experiment stratonovich",
+        "experiment ensemble")
+_CONTRACT_COMMANDS = [c.split() for c in _ALL] + [["snapshot-info"]]
 
 
 def _finite_outputs(outdir: Path) -> None:
@@ -884,53 +521,283 @@ def _finite_outputs(outdir: Path) -> None:
         assert finite(json.loads(path.read_text())), path.name
 
 
+# a config refused before its command starts
+_REFUSED = ("error: [", "error: unknown ", "error: malformed ",
+            "refusing to run: ")
+
+
+def _contract(tmp: Path, argv: list[str],
+              text: str = "") -> tuple[int, str, str]:
+    """Run main(argv) in process, with its output directory at tmp / "out",
+    assert the contract every command keeps on every input and return the
+    exit code, stdout and stderr.
+
+    The contract: no exception, no argparse exit and no warning (each is
+    recorded, none ignored); an exit code of 0 to 3; nothing on stderr at
+    exit 0, only "GATE FAILURE:" lines at exit 1, and one "error:" line at
+    exit 2 or 3 unless the run refuses the gate.  A refused config makes no
+    output directory, a failed command leaves no file in it but the run's
+    snapshots, and a successful one writes only finite numbers."""
+    outdir = tmp / "out"
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:   # or argparse's exit
+            pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
+    stderr = err.getvalue()
+    context = f"{argv}:\n{text}\nstderr: {stderr}"
+    assert code in (0, 1, 2, 3), context
+    assert not caught, f"{[str(w.message) for w in caught]} {context}"
+    lines = stderr.splitlines()
+    if code == 0:
+        assert not lines, context
+    elif code == 1:   # the run's invariant gate; check-params prints none
+        assert all(x.startswith("GATE FAILURE: ") for x in lines), context
+    elif not (code == 2 and stderr.startswith("refusing to run: ")):
+        assert len(lines) == 1 and lines[0].startswith("error: "), context
+    if stderr.startswith(_REFUSED):
+        assert not outdir.exists(), context
+    if code in (2, 3) and outdir.exists():
+        assert all(p.suffix == ".cns" for p in outdir.iterdir()), context
+    if code == 0 and outdir.exists():
+        _finite_outputs(outdir)
+    return code, out.getvalue(), stderr
+
+
+def _config_argv(tmp: Path, command: list[str], text: str) -> list[str]:
+    (tmp / "c.ini").write_text(text)
+    return [*command, "--config", str(tmp / "c.ini"),
+            "--out", str(tmp / "out")]
+
+
+def _row(name, command, text, code, err=None, out=None):
+    """One pinned input: the command, the config text, the exit code (or the
+    set of codes allowed) and the stderr and stdout, in which "..." stands
+    for any text; None pins nothing beyond the contract."""
+    return pytest.param(command.split(), text, code, err, out,
+                        id=f"{name}-{command.split()[-1].lstrip('-')}")
+
+
+_NOT_FORCED = [c for c in _ALL if c != "run --allow-inadmissible"]
+_FAST_U = MINIMAL + "[ic]\nu_amplitude = 80\n"
+_SQUARES_OVERFLOW = ("[grid]\nnx = 8\nny = 8\n[physics]\nchi = 0\n"
+                     "[ic]\nc_recipe = uniform\nc_value = 1e160\n"
+                     "[time]\nt_end = 0.01\n[experiment]\nlevels = 3\n")
+_SMALL = "[time]\nt_end = 0.01\n[experiment]\nlevels = 3\nreplicas = 2\n"
+_DELTA = ("[grid]\nnx = 8\nny = 8\n[physics]\ndelta = {}\n"
+          "[time]\nt_end = 0.004\n")
+_FAIL_INF = "...consumption term: FAIL (margin -inf)..."
+_ADVECTIVE = "error: ...exceeds the advective bound..."
+
+_ROWS = [
+    # the config refuses a value, a square or a schedule past the float or
+    # list range, or a mode the grid cannot resolve, before any solver runs
+    _row("negative-delta", "check-params", "[physics]\ndelta = -3\n", 2,
+         "...delta..."),
+    *(_row(f"grid-{line.replace(' = ', '-')}", "check-params",
+           f"[grid]\nnx = 8\nny = 8\n{line}\n", 2,
+           f"error: [grid] {line.split()[0]} = ...2/h^2...")
+      for line in ("lx = 1e-300", "ly = 1e-170", "lx = 1e300")),
+    *(_row(f"step-count-{t_end}-{dt}", command,
+           f"[grid]\nnx = 8\nny = 8\n[time]\nt_end = {t_end}\ndt = {dt}\n", 2,
+           f"error: [time] dt = {float(dt)}: t_end / dt = ...")
+      for t_end, dt in (("1e300", "1e-300"), ("1e20", "1e-3"))
+      for command in _NOT_FORCED),
+    *(_row(f"{key}-square", command,
+           f"[grid]\nnx = 8\nny = 8\n[physics]\n{key} = 1e200\n", 2,
+           f"error: [physics] {key} = 1e+200: must be >= 0 with a finite "
+           f"square...")
+      for key in ("chi", "gamma") for command in _NOT_FORCED),
+    *(_row("k-modes-50", command, "[grid]\nnx = 8\nny = 8\n"
+           "[noise]\nk_modes = 50\n", 2,
+           "error: [noise] k_modes = 50: must be <= (nx - 1)(ny - 1) = 49, "
+           "the stream modes the grid resolves\n")
+      for command in ("check-params", "run", "experiment ensemble")),
+    # an initial field, a perturbed copy, a potential gradient or a mode
+    # weight past the float range, or a ladder, window or schedule the study
+    # cannot take
+    _row("n-sigma-square-overflows", "check-params",
+         "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e160\n", 2,
+         "error: [ic] n_sigma = 1e+160: must be > 0 with 2 n_sigma^2 a finite "
+         "positive float\n"),
+    _row("n-sigma-square-underflows", "check-params",
+         "[grid]\nnx = 5\nny = 5\n[ic]\nn_sigma = 1e-200\n", 2,
+         "error: [ic] n_sigma = 1e-200: must be > 0 with 2 n_sigma^2 a finite "
+         "positive float\n"),
+    _row("n-recipe-overflows", "check-params", "[grid]\nnx = 5\nny = 5\n"
+         "[ic]\nn_base = 1e308\nn_amplitude = 1e308\n", 2,
+         "error: [ic] n recipe produced a non-finite value\n"),
+    _row("potential-gradient-overflows", "check-params",
+         "[grid]\nnx = 5\nny = 5\n"
+         "[physics]\nphi_scale = 1.7976931348623157e308\n", 2,
+         "error: [physics] phi_scale = 1.7976931348623157e+308: the gradient "
+         "of the potential is not finite\n"),
+    _row("mode-weight-overflows", "run", "[grid]\nnx = 8\nny = 8\n"
+         "[noise]\nmode_decay_exponent = -1e300\n", 2,
+         "error: [noise] mode_decay_exponent = -1e+300: the mode weight "
+         "k_modes^-exponent overflows\n"),
+    _row("twin-perturbation-flips-sign", "experiment twin",
+         "[grid]\nnx = 8\nny = 8\n[physics]\nchi = 0\n[ic]\nu_recipe = zero\n"
+         "[experiment]\nperturbation = 1.5\n", 2,
+         "error: [experiment] perturbation = 1.5: must be in [0, 1), so that "
+         "the perturbed scalars keep their sign\n"),
+    _row("twin-perturbed-copy-overflows", "experiment twin",
+         "[grid]\nnx = 8\nny = 8\n"
+         "[ic]\nn_recipe = uniform\nn_value = 1.7e308\n"
+         "[experiment]\nperturbation = 0.5\n", 2,
+         "error: the perturbed copy at amplitude 0.5 is not finite\n"),
+    *(_row(f"stratonovich-{n}x{n}-width-{w}", "experiment stratonovich",
+           _STRATONOVICH_SMALL.format(n=n, w=w), 2,
+           f"error: the {n}x{n} grid leaves no interior window for the oxygen "
+           f"bump at cutoff width {w}: min(nx, ny) must exceed {n}\n")
+      for n, w in ((6, 1), (10, 2))),
+    _row("ladder-exponent-overflows", "experiment convergence",
+         "[grid]\nnx = 6\nny = 8\n[time]\nt_end = 0.0025\n"
+         "[experiment]\nlevels = 1000000\n", 2,
+         "error: the coarsest level dt = inf exceeds t_end = 0.0025..."),
+    *(_row("ladder-longer-than-t-end", command, "[grid]\nnx = 8\nny = 8\n"
+           "[time]\nt_end = 0.002\ndt = 1e-3\n"
+           "[experiment]\nlevels = 3\nreplicas = 2\n", 2,
+           "error: the coarsest level dt = 0.004 exceeds t_end = 0.002...")
+      for command in ("experiment convergence", "experiment stratonovich")),
+    _row("not-a-multiple-of-dt", "experiment convergence",
+         REFERENCE.replace("t_end = 0.02", "t_end = 0.0105"), 2,
+         "error: t_end=0.0105 is not a multiple..."),
+    _row("zero-t-end", "experiment stratonovich",
+         REFERENCE.replace("t_end = 0.02", "t_end = 0"), 2,
+         "error: t_end must be positive, got 0.0..."),
+    _row("zero-t-end", "experiment convergence",
+         REFERENCE.replace("t_end = 0.02", "t_end = 0")
+         .replace("nx = 24", "nx = 16").replace("ny = 24", "ny = 16"), 2,
+         "error: t_end must be positive, got 0.0..."),
+    # the admissibility gate says nothing about the step size: a fast
+    # initial velocity makes the first step exceed the advective bound
+    _row("fast-velocity", "run --allow-inadmissible", _FAST_U, 3,
+         "error: step 1: dt=0.001 exceeds the advective bound..."),
+    _row("fast-velocity", "experiment twin", _FAST_U, 3,
+         "error: step 1: dt=0.001 exceeds the advective bound..."),
+    _row("fast-velocity", "experiment ensemble", _FAST_U, 3,
+         "error: replica 0 (base seed 1234) failed: step 1 failed: "
+         "dt=0.001 exceeds the advective bound..."),
+    # gamma^2 is finite, but the explicit Ito correction allows no step: the
+    # gate fails both noise branches, every integrating command stops at its
+    # first step, and the Stratonovich study refuses its coarsest level
+    *(_row("huge-gamma", command, "[grid]\nnx = 8\nny = 8\n"
+           "[physics]\ngamma = 1e100\n" + _SMALL, code, err)
+      for command, code, err in (
+          ("check-params", 1, ""), ("run", 2, "refusing to run: ..."),
+          ("run --allow-inadmissible", 3, _ADVECTIVE),
+          ("experiment twin", 3, _ADVECTIVE),
+          ("experiment convergence", 3, _ADVECTIVE),
+          ("experiment stratonovich", 2, "error: the coarsest level dt = "
+           "0.004 exceeds the Ito-correction bound ..."),
+          ("experiment ensemble", 3, _ADVECTIVE))),
+    # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the
+    # gate fails the consumption condition at margin -inf, and a command
+    # that integrates anyway ends with a defined exit code; the Stratonovich
+    # study, whose drift overflows, never reports success
+    *(_row(f"huge-oxygen-{law}", command,
+           f"[grid]\nnx = 8\nny = 8\n[physics]\nf_name = {law}\n"
+           f"[ic]\nc_recipe = uniform\nc_value = {c_value}\n" + _SMALL,
+           codes, _FAIL_INF if command == "run" else None,
+           _FAIL_INF if command == "check-params" else None)
+      for law, c_value in (("linear", "1e160"), ("saturating", "1e200"))
+      for command, codes in zip(_ALL, ({1}, {2}, {0, 2, 3}, {0, 2, 3},
+                                       {0, 2, 3}, {2, 3}, {0, 2, 3}))),
+    # the fields are finite, but the sums of their squares or of their
+    # squared differences overflow: the reductions stay silent, and the
+    # check after them refuses the result; 257 replicas at 8x8 make two
+    # chunks, which run on worker threads when two CPUs are usable
+    _row("squares-overflow", "experiment convergence", _SQUARES_OVERFLOW, 2,
+         "error: the refinement errors are not finite: [inf, inf]\n"),
+    _row("squares-overflow", "experiment twin", _SQUARES_OVERFLOW, 2,
+         "error: the separation is not finite at t = 0\n"),
+    _row("squares-overflow", "run --allow-inadmissible",
+         _SQUARES_OVERFLOW + "replicas = 2\n", 3,
+         "error: step 0: diagnostics column h1_c is not finite..."),
+    *(_row(f"squares-overflow-{replicas}-replicas", "experiment ensemble",
+           _SQUARES_OVERFLOW + f"replicas = {replicas}\n", 3,
+           "error: replica 0 (base seed 1234) failed: sample at step 0 "
+           "failed: diagnostics column h1_c is not finite...")
+      for replicas in (2, 257)),
+    _row("squares-overflow", "experiment stratonovich",
+         _SQUARES_OVERFLOW + "replicas = 2\n", 2,
+         "error: the oxygen energy drift is not finite..."),
+    # the bump at the largest float overflows in its first drift step; the
+    # study stops as a run does and names the level, replica and step
+    _row("largest-oxygen", "experiment stratonovich",
+         "[grid]\nnx = 8\nny = 8\n"
+         "[ic]\nc_recipe = uniform\nc_value = 1.7e308\n" + _SMALL, 3,
+         "error: level dt = 0.004, replica 0 failed: step 1 failed: field c "
+         "is not finite..."),
+    # batched or not, a sample that is not finite is named by its column:
+    # the L2 norm of u overflows (the noise scale reads it as tanh(inf) = 1),
+    # 3 xi eta underflows to zero under the entropy weight, or the buoyancy
+    # n grad(phi) overflows inside the first step
+    *(_row(name, command, text + "[time]\nt_end = 0.01\n"
+           "[experiment]\nreplicas = 2\n", 3, f"...{column} is not finite...")
+      for name, text, column in (
+          ("velocity-norm", "[grid]\nnx = 6\nny = 8\nlx = 1e154\n", "l2_u"),
+          ("entropy-weight", "[grid]\nnx = 7\nny = 7\n"
+           "[physics]\neta = 5e-324\nmu = 5e-324\n", "entropy"),
+          ("buoyancy", "[grid]\nnx = 6\nny = 6\n[physics]\nphi_scale = 1e300\n"
+           "[ic]\nn_base = 1e300\n", "field u_x"))
+      for command in ("run --allow-inadmissible", "experiment ensemble")),
+    _row("ensemble-variance-overflows", "experiment ensemble",
+         "[grid]\nnx = 6\nny = 10\n[physics]\ndelta = 1e-300\n"
+         "[time]\nt_end = 0.01\n[experiment]\nreplicas = 2\n", 2,
+         "error: the ensemble variance of entropy is not finite\n"),
+    # K_f's term chi^2 / (2 delta f') is 0 or inf when 2 delta f' overflows,
+    # underflows to 0 (f'(2) = 1/9 for the saturating law) or the quotient
+    # overflows; the gate and the tracker take it silently
+    _row("delta-1e308", "run", _DELTA.format("1e308"), 0, ""),
+    _row("delta-5e-324", "run --allow-inadmissible", _DELTA.format("5e-324"),
+         3, "error: step 0: diagnostics column entropy is not finite: inf\n"),
+    *(_row("delta-f-prime-underflows", command,
+           _DELTA.format("5e-324\nf_name = saturating")
+           + "[ic]\nc_recipe = uniform\nc_value = 2\n", code, err, out)
+      for command, code, err, out in (
+          ("check-params", 1, "", "K_f = inf\n" + _FAIL_INF),
+          ("run --allow-inadmissible", 3, "error: step 0: diagnostics column "
+           "entropy is not finite: nan\n", None))),
+]
+
+
+def _matches(text: str, pattern: str) -> bool:
+    """Whether text is pattern, each "..." in it standing for any text."""
+    return re.fullmatch(".*".join(map(re.escape, pattern.split("..."))),
+                        text, re.DOTALL) is not None
+
+
+@pytest.mark.parametrize("command, text, code, err, out", _ROWS)
+def test_cli_contract_on_pinned_inputs(tmp_path, command, text, code, err,
+                                       out):
+    got, stdout, stderr = _contract(
+        tmp_path, _config_argv(tmp_path, command, text), text)
+    assert got in ({code} if isinstance(code, int) else code), stderr
+    assert err is None or _matches(stderr, err), stderr
+    assert out is None or _matches(stdout, out), stdout
+
+
 @pytest.mark.parametrize("command", _CONTRACT_COMMANDS,
                          ids=lambda c: "-".join(c).lstrip("-"))
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(text=_cli_configs(), cut=st.floats(0.0, 1.0, exclude_max=True),
        lx=st.sampled_from(["1", "5e-324", "1e300"]))
 def test_cli_contract_on_extreme_configs(command, text, cut, lx):
-    # every command ends with a defined exit code and at most one kind of
-    # message on stderr: an "error:" line, "GATE FAILURE:" lines or the
-    # run's refusal; no traceback, no numpy warning, and a successful
-    # command writes only finite numbers
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if command == ["snapshot-info"]:
-            # a snapshot cut short anywhere, header included
-            g = Grid(nx=5, ny=4, lx=float(lx), ly=1.0, dx=float(lx) / 5,
-                     dy=0.25)
-            write_snapshot(State(u=zeros_vector(g), c=zeros_scalar(g),
-                                 n=zeros_scalar(g), t=0.0), tmp / "s.cns")
-            blob = (tmp / "s.cns").read_bytes()
-            (tmp / "s.cns").write_bytes(blob[:int(cut * len(blob))])
-            argv = ["snapshot-info", str(tmp / "s.cns")]
-        else:
-            (tmp / "c.ini").write_text(text)
-            argv = [*command, "--config", str(tmp / "c.ini"),
-                    "--out", str(tmp / "out")]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except (Exception, SystemExit) as exc:   # or argparse's exit
-                pytest.fail(f"{argv[0]} raised {exc!r} on:\n{text}")
-        context = f"{argv}:\n{text}\nstderr: {err.getvalue()}"
-        assert code in (0, 1, 2, 3), context
-        assert not caught, f"{[str(w.message) for w in caught]} {context}"
-        lines = err.getvalue().splitlines()
-        if lines and lines[0].startswith("error: "):
-            assert len(lines) == 1 and code in (2, 3), context
-        elif lines and lines[0].startswith("GATE FAILURE: "):
-            assert code == 1, context
-            assert all(x.startswith("GATE FAILURE: ") for x in lines), context
-        elif lines:
-            assert lines[0].startswith("refusing to run: ") and code == 2, \
-                context
-        if code == 0:
-            assert not lines, context
-            if (tmp / "out").exists():
-                _finite_outputs(tmp / "out")
+        if command != ["snapshot-info"]:
+            _contract(tmp, _config_argv(tmp, command, text), text)
+            return
+        # a snapshot cut short anywhere, header included
+        g = Grid(nx=5, ny=4, lx=float(lx), ly=1.0, dx=float(lx) / 5, dy=0.25)
+        write_snapshot(State(u=zeros_vector(g), c=zeros_scalar(g),
+                             n=zeros_scalar(g), t=0.0), tmp / "s.cns")
+        blob = (tmp / "s.cns").read_bytes()
+        (tmp / "s.cns").write_bytes(blob[:int(cut * len(blob))])
+        _contract(tmp, ["snapshot-info", str(tmp / "s.cns")])

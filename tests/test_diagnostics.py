@@ -115,7 +115,7 @@ GATE_MARGIN_ULPS = 16
 
 
 @pytest.mark.parametrize("law", sorted(CONSUMPTION_LAWS))
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(chi=st.floats(0.0, 10.0), delta=st.floats(1e-3, 10.0),
        c0=st.floats(0.0, 1e300))
 def test_gate_matches_sampled_law_oracle(law, chi, delta, c0):
@@ -182,7 +182,7 @@ def _k0_forms(grid, v):
                                             (33, 17, 2.0, 0.6),
                                             (4, 5, 1.0, 1.0),
                                             (64, 64, 1.0, 1.0)])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 31))
 def test_k0_numerator_form_equals_denominator_form(nx, ny, lx, ly, seed):
     g = make_grid(nx, ny, lx, ly)

@@ -105,6 +105,26 @@ def test_convergence_uses_one_brownian_path():
     assert np.array_equal(a.errors, b.errors)
 
 
+def test_convergence_draws_each_increment_when_a_step_needs_it(monkeypatch):
+    # the coarsest of 3 levels sums 4 finest draws per step: when it takes
+    # its k-th step, 4 k draws exist, not the 16 of the whole path
+    drawn, merges = [], []
+    seeded, merge = experiments.seeded_increments, experiments.merge_increments
+
+    def counted(*args):
+        draw = seeded(*args)
+        return lambda index, dt: drawn.append(index) or draw(index, dt)
+
+    def merge_after_counting(parts):
+        merges.append(len(drawn))
+        return merge(parts)
+
+    monkeypatch.setattr(experiments, "seeded_increments", counted)
+    monkeypatch.setattr(experiments, "merge_increments", merge_after_counting)
+    convergence_dt(*_setup(nx=8), 3, 1e-3, 3, 0.016)
+    assert merges[:4] == [4, 8, 12, 16]
+
+
 # ----------------------------------------------------------------- transport
 
 def _strat_setup(gamma, nx=64):
@@ -277,9 +297,7 @@ def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
     assert sizes == ([] if workers == 1 else [workers])
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_ensemble_reports_failing_replica(monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
+def test_ensemble_reports_failing_replica():
     params, st = _setup()
     st = st.copy()
     st.u.u_x[5, 5] = 90.0   # every replica violates the advective bound

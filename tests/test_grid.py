@@ -68,7 +68,7 @@ def test_l2_norm_squared_equals_self_inner_product(rng):
     assert norm(f, "L2") ** 2 == pytest.approx(inner_product(f, f), rel=1e-13)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 31), a=st.floats(-5, 5), b=st.floats(-5, 5))
 def test_inner_product_symmetric_bilinear(seed, a, b):
     g = make_grid(8, 8, 1.0, 1.0)
@@ -82,7 +82,7 @@ def test_inner_product_symmetric_bilinear(seed, a, b):
         rel=1e-11, abs=1e-11)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 31))
 def test_cauchy_schwarz(seed):
     g = make_grid(8, 8, 1.0, 1.0)
