@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import struct
@@ -82,7 +83,8 @@ _SCHEMA = {
         "t_end": (float, 0.5, "must be >= 0", lambda v: v >= 0),
         "dt": (float, 1e-3, "must be > 0", lambda v: v > 0),
         "sample_every": (int, 10, "must be >= 1", lambda v: v >= 1),
-        "seed": (int, 1234, "any integer", lambda v: True),
+        "seed": (int, 1234, "must be in [0, 2^64), the range of the noise "
+                 "key", lambda v: 0 <= v < 2 ** 64),
     },
     "ic": {
         "n_recipe": (str, "gaussian_blob", "must be 'uniform' or 'gaussian_blob'",
@@ -148,19 +150,24 @@ def parse_config(text: str) -> dict[str, dict]:
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            typ, _default, constraint, pred = _SCHEMA[section][key]
-            try:
-                val = typ(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
-                                  f"as {typ.__name__}") from exc
-            if typ is float and not math.isfinite(val):
-                raise ConfigError(f"[{section}] {key} = {val}: must be finite")
-            if not pred(val):
-                raise ConfigError(f"[{section}] {key} = {val}: {constraint}")
-            values[section][key] = val
+            values[section][key] = _parse_value(section, key, raw)
     _cross_validate(values)
     return values
+
+
+def _parse_value(section: str, key: str, raw: str):
+    """The text of one schema key as its type, within its constraint."""
+    typ, _default, constraint, pred = _SCHEMA[section][key]
+    try:
+        val = typ(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
+                          f"as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"[{section}] {key} = {val}: must be finite")
+    if not pred(val):
+        raise ConfigError(f"[{section}] {key} = {val}: {constraint}")
+    return val
 
 
 def _cross_validate(cfg: dict[str, dict]) -> None:
@@ -197,7 +204,11 @@ def _cross_validate(cfg: dict[str, dict]) -> None:
 
 
 def load_config(path: str | Path) -> dict[str, dict]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _build_initial_velocity(grid: Grid, recipe: str, amplitude: float) -> VectorField:
@@ -330,8 +341,8 @@ def read_snapshot(path: str | Path) -> State:
 
 def _prepare(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["time"]["seed"] = args.seed
+    if args.seed is not None:   # the flag keeps the key's rule
+        cfg["time"]["seed"] = _parse_value("time", "seed", args.seed)
     params, initial = build_simulation(cfg)
     return cfg, params, initial
 
@@ -395,6 +406,13 @@ def cmd_run(args) -> int:
     return status
 
 
+def _write_report(report, path: Path) -> None:
+    """A study report's dataclass fields, in order, as a JSON object."""
+    payload = {f.name: np.asarray(getattr(report, f.name)).tolist()
+               for f in dataclasses.fields(report)}
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False))
+
+
 def cmd_experiment(args) -> int:
     cfg, params, initial = _prepare(args)
     outdir = Path(args.out or cfg["output"]["directory"])
@@ -417,10 +435,7 @@ def cmd_experiment(args) -> int:
     if args.which == "convergence":
         rep = convergence_dt(params, initial, seed, t["dt"], ex["levels"],
                              t["t_end"])
-        payload = {"dt_levels": list(rep.dt_levels), "errors": list(rep.errors),
-                   "slope": rep.slope}
-        (outdir / "convergence.json").write_text(
-            json.dumps(payload, indent=2, allow_nan=False))
+        _write_report(rep, outdir / "convergence.json")
         print(f"fitted strong-order slope: {rep.slope:.4f}")
         return 0
 
@@ -432,13 +447,7 @@ def cmd_experiment(args) -> int:
         rep = stratonovich_consistency(params, frozen, seed, t["dt"],
                                        ex["levels"], t["t_end"],
                                        n_replicas=ex["replicas"])
-        payload = {"dt_levels": list(rep.dt_levels),
-                   "drift_corrected": list(rep.drift_corrected),
-                   "drift_naive": list(rep.drift_naive),
-                   "gap": list(rep.gap),
-                   "reference_gap": rep.reference_gap}
-        (outdir / "stratonovich.json").write_text(
-            json.dumps(payload, indent=2, allow_nan=False))
+        _write_report(rep, outdir / "stratonovich.json")
         print(f"finest-level drift gap: {float(rep.gap[-1])!r} "
               f"(reference {rep.reference_gap!r})")
         return 0
@@ -480,8 +489,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="path to an INI config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override [time] seed")
+        p.add_argument("--seed", default=None,
+                       help="override [time] seed, under its rule")
         p.add_argument("--out", default=None, help="override output directory")
 
     p = sub.add_parser("run", help="integrate and write diagnostics")
@@ -508,7 +517,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit codes: 0 success; 1 failed post-run invariant gate (or, for
-    check-params, an inadmissible config); 2 bad config or snapshot, a run
+    check-params, an inadmissible config); 2 bad config or snapshot, a file
+    that cannot be read or an output directory that cannot be made, a run
     refused by the admissibility gate, or an experiment set-up the study
     rejects; 3 the integration failed mid-run, in a run, an experiment or
     one ensemble replica (the message names the replica and the step)."""
@@ -517,6 +527,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # a config, snapshot or output path
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:
         print(f"error: step {exc.step_index}: {exc.__cause__ or exc}",

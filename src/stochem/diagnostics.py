@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class DiagnosticsRow:
     clip_count: int
     div_residual: float
 
-    COLUMNS = ("step", "t", "mass_n", "min_n", "max_c", "l2_u", "h1_c",
-               "entropy", "energy_residual", "clip_count", "div_residual")
+
+DiagnosticsRow.COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def column(rows: list[DiagnosticsRow], name: str) -> np.ndarray:

@@ -152,11 +152,12 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
     """Shared-path step refinement; the fitted log-log slope is the strong order.
 
     The levels are dt * 2**k for k = levels - 1 down to 0.  A level's
-    increment is the sum of the 2**k finest draws it spans, each drawn when
-    the step needs it, so every level integrates the same Brownian path and
-    memory does not grow with the step count.  So t_end must be a whole number
-    n of finest steps, time_grid(t_end, dt) with no landing step, and every
-    level spans n dt.  An error that is not finite raises ExperimentError.
+    increment is the sum of the finest draws its step spans, 2**k for a full
+    step and fewer for a landing step, each drawn when the step needs it, so
+    every level integrates the same Brownian path and memory does not grow
+    with the step count.  So t_end must be a whole number n of finest steps,
+    time_grid(t_end, dt) with no landing step, and every level spans n dt.
+    An error that is not finite raises ExperimentError.
     """
     if levels < 3:
         raise ExperimentError(f"need >= 3 dt levels, got {levels}")
@@ -170,9 +171,11 @@ def convergence_dt(params: SimParams, initial: State, seed: int, dt: float,
     finals: list[State] = []
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         for d in dts:
-            def coarse(index: int, _dt: float, r: int = int(d / dt)):
-                return merge_increments([draw(s, dt) for s
-                                         in range(index * r, (index + 1) * r)])
+            def coarse(index: int, step: float, r: int = int(d / dt)):
+                # every step before this one is a full step of r draws
+                first = index * r
+                return merge_increments([draw(s, dt) for s in range(
+                    first, first + round(step / dt))])
             state = initial
             for _, state, _ in march(initial, params, time_grid(span, d),
                                      coarse):

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,6 +30,29 @@ from oracles import zero_transport_sigma
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+class Call(NamedTuple):
+    name: str
+    args: tuple
+    kwargs: dict
+
+
+def record_calls(monkeypatch, name, *modules, log=None) -> list[Call]:
+    """Wrap the function ``name`` at each of ``modules``, its binding sites,
+    so that every call appends a Call to ``log`` and then runs the original;
+    returns ``log``, a new list unless one is given, which lets several
+    functions share one log in the order of their calls."""
+    log = [] if log is None else log
+    original = getattr(modules[0], name)
+
+    def recorded(*args, **kwargs):
+        log.append(Call(name, args, kwargs))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recorded)
+    return log
 
 
 def random_scalar(grid, rng, positive=False, scale=1.0):

@@ -568,16 +568,22 @@ def _contract(tmp: Path, argv: list[str],
     return code, out.getvalue(), stderr
 
 
-def _config_argv(tmp: Path, command: list[str], text: str) -> list[str]:
-    (tmp / "c.ini").write_text(text)
-    return [*command, "--config", str(tmp / "c.ini"),
-            "--out", str(tmp / "out")]
+def _config_argv(tmp: Path, command: list[str],
+                 text: str | bytes) -> list[str]:
+    """Write the config to tmp / "c.ini" and return the command with it and
+    tmp / "out" as its paths; a command that names its own paths, with
+    {tmp} standing for tmp, is returned as named."""
+    path = tmp / "c.ini"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if any("{tmp}" in arg for arg in command):
+        return [arg.format(tmp=tmp) for arg in command]
+    return [*command, "--config", str(path), "--out", str(tmp / "out")]
 
 
 def _row(id, command, text, code, err=None, out=None):
-    """One pinned input: the command, the config text, the exit code (or the
-    set of codes allowed) and the stderr and stdout, in which "..." stands
-    for any text; None pins nothing beyond the contract."""
+    """One pinned input: the command, the config text (or bytes), the exit
+    code (or the set of codes allowed) and the stderr and stdout, in which
+    "..." stands for any text; None pins nothing beyond the contract."""
     return pytest.param(command.split(), text, code, err, out, id=id)
 
 
@@ -624,6 +630,8 @@ _DELTA = ("[grid]\nnx = 8\nny = 8\n[physics]\ndelta = {}\n"
 _FAIL_INF = "...consumption term: FAIL (margin -inf)..."
 _ADVECTIVE = "error: ...exceeds the advective bound..."
 _FAST_STEP = "dt=0.001 exceeds the advective bound"
+_SEED = ("error: [time] seed = {}: must be in [0, 2^64), the range of the "
+         "noise key\n")
 
 # The pinned inputs, one test per refusal: each runs its rows through
 # _contract, the runner of the random draws too.
@@ -654,6 +662,34 @@ test_unresolved_velocity_modes_exit_2 = _pinned(
            "error: [noise] k_modes = 50: must be <= (nx - 1)(ny - 1) = 49, "
            "the stream modes the grid resolves\n")
       for command in ("check-params", "run", "experiment ensemble")))
+
+# the noise generator keys on 64 bits of the seed: a seed outside them,
+# from the config or the flag, is refused rather than aliased
+test_seed_outside_64_bits_exits_2 = _pinned(
+    *(_row(f"{where}-{name}", command, text, 2, _SEED.format(seed))
+      for name, seed in (("2^64", 2 ** 64), ("-1", -1))
+      for where, command, text in (
+          ("config", "run", _DELTA.format(1) + f"seed = {seed}\n"),
+          ("flag", f"run --seed {seed}", _DELTA.format(1)))),
+    _row("config-2^64-1", "run", _DELTA.format(1) + f"seed = {2 ** 64 - 1}\n",
+         0, ""),
+    _row("flag-2^64-1", f"run --seed {2 ** 64 - 1}", _DELTA.format(1), 0, ""),
+    _row("flag-not-an-integer", "run --seed 1.5", _DELTA.format(1), 2,
+         "error: [time] seed: cannot parse '1.5' as int\n"))
+
+# a config, snapshot or output path that cannot be read or made
+test_file_errors_exit_2_with_one_error_line = _pinned(
+    _row("missing-config", "run --config {tmp}/missing.ini --out {tmp}/out",
+         "", 2, "error: ...missing.ini: No such file or directory\n"),
+    _row("config-is-a-directory", "run --config {tmp} --out {tmp}/out", "",
+         2, "error: ...: Is a directory\n"),
+    _row("config-not-utf-8", "run", b"\xff\xfe", 2,
+         "error: ...c.ini is not UTF-8 text: 'utf-8' codec can't decode byte "
+         "0xff in position 0: invalid start byte\n"),
+    _row("missing-snapshot", "snapshot-info {tmp}/missing.cns", "", 2,
+         "error: ...missing.cns: No such file or directory\n"),
+    _row("out-is-a-file", "run --config {tmp}/c.ini --out {tmp}/c.ini",
+         _DELTA.format(1), 2, "error: ...c.ini: File exists\n"))
 
 # an initial field, a perturbed copy, a potential gradient or a mode weight
 # past the float range, or a ladder, window or schedule the study cannot take

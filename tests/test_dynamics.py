@@ -18,7 +18,7 @@ from stochem.noise import make_velocity_noise, sample_increments
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
-    random_solenoidal
+    random_solenoidal, record_calls
 from oracles import scalar_from_function
 
 
@@ -391,24 +391,14 @@ def test_run_observes_all_lanes_in_one_pass(monkeypatch, lanes):
     # tracker, |c| and |u| for the row), whatever the lane count
     params, st = _reference_setup(nx=16)
     initial = st if lanes is None else stack_states([st] * lanes)
-    norms_at_record = []
-    calls = {"norm": 0}
-    original_norm, original_record = diagnostics.norm, diagnostics.record
-
-    def counted_norm(*args):
-        calls["norm"] += 1
-        return original_norm(*args)
-
-    def counted_record(*args, **kwargs):
-        norms_at_record.append(calls["norm"])
-        return original_record(*args, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "norm", counted_norm)
-    monkeypatch.setattr(diagnostics, "record", counted_record)
+    log = record_calls(monkeypatch, "norm", diagnostics)
+    record_calls(monkeypatch, "record", diagnostics, log=log)
     _, series = run(initial, params, 0.005, 1e-3, seed=3, sample_every=1)
     rows = series if lanes is None else series[0]
-    assert len(norms_at_record) == len(rows) == 6
-    assert np.diff(norms_at_record).tolist() == [3] * 5
+    at_record = [i for i, call in enumerate(log) if call.name == "record"]
+    assert len(at_record) == len(rows) == 6
+    # the norms between one record call and the next
+    assert (np.diff(at_record) - 1).tolist() == [3] * 5
 
 
 @pytest.mark.parametrize("gamma, calls", [(0.1, 1), (0.0, 0)])
@@ -417,14 +407,7 @@ def test_step_evaluates_noise_modes_once_per_use(monkeypatch, gamma, calls):
     # correction and the HS norm; the correction applies L_1 and L_2 with
     # its own one-axis stencils, not through transport_noise_modes
     params, st = _reference_setup(gamma=gamma)
-    seen = []
-    original = noise.transport_noise_modes
-
-    def counted(c, sigma):
-        seen.append(c)
-        return original(c, sigma)
-
-    monkeypatch.setattr(noise, "transport_noise_modes", counted)
+    seen = record_calls(monkeypatch, "transport_noise_modes", noise)
     inc = sample_increments(3, 0, 0, 1e-3, params.vnoise.n_modes)
     step(st, params, inc, 1e-3)
     assert len(seen) == calls
@@ -478,14 +461,7 @@ def test_run_builds_each_spectral_plan_once(monkeypatch):
     params = default_params(g, eta=0.9, mu=1.1, delta=0.7, gamma=0.1,
                             amplitude=0.02)
     st = quiescent_state(g, n=1.0, c=0.2)
-    builds = []
-    original = _spectral.neumann_eigenvalues
-
-    def counted(grid):
-        builds.append(grid)
-        return original(grid)
-
-    monkeypatch.setattr(_spectral, "neumann_eigenvalues", counted)
+    builds = record_calls(monkeypatch, "neumann_eigenvalues", _spectral)
     plans = (_spectral._poisson_divisor, _spectral._scalar_denominator,
              _spectral._velocity_denominators)
     for plan in plans:
@@ -494,7 +470,7 @@ def test_run_builds_each_spectral_plan_once(monkeypatch):
     final, _ = run(st, params, 10 * dt + landing, dt, seed=1,
                    sample_every=100)
     assert final.t == pytest.approx(10 * dt + landing, abs=1e-15)
-    assert builds == [g] * 5
+    assert [call.args for call in builds] == [(g,)] * 5
     scalar = _spectral._scalar_denominator.cache_info()
     velocity = _spectral._velocity_denominators.cache_info()
     assert (scalar.misses, scalar.currsize) == (4, 4)
@@ -512,15 +488,8 @@ def test_run_takes_face_gradients_once_per_field(monkeypatch, gamma,
     # projection and |grad c| for the energy tracker; the potential's
     # gradient is taken once with the parameters
     params, st = _reference_setup(nx=16, gamma=gamma, amplitude=amplitude)
-    original = grid_mod.scalar_face_gradients
-    calls = []
-
-    def counted(f):
-        calls.append(f)
-        return original(f)
-
-    for module in (grid_mod, dynamics, noise, operators):
-        monkeypatch.setattr(module, "scalar_face_gradients", counted)
+    calls = record_calls(monkeypatch, "scalar_face_gradients", grid_mod,
+                         dynamics, noise, operators)
     totals = []
     for steps in (5, 10):
         calls.clear()

@@ -14,7 +14,7 @@ from stochem.grid import (ScalarField, make_grid, scalar_face_gradients,
                           zeros_scalar, zeros_vector)
 from stochem.noise import make_transport_sigma
 
-from conftest import default_params, random_solenoidal
+from conftest import default_params, random_solenoidal, record_calls
 from oracles import bounded_by_exponential
 
 
@@ -97,32 +97,34 @@ def test_convergence_stochastic_order_floor():
     assert rep.slope >= 0.45
 
 
-def test_convergence_uses_one_brownian_path():
-    # rerunning with the same seed reproduces the report exactly
-    params, st = _setup(gamma=0.08, amplitude=0.03)
-    a = convergence_dt(params, st, 3, 5e-4, 3, 0.032)
-    b = convergence_dt(params, st, 3, 5e-4, 3, 0.032)
-    assert np.array_equal(a.errors, b.errors)
+def test_convergence_uses_one_brownian_path(monkeypatch):
+    # each of 3 levels sums every finest draw 0 .. n-1 once: at n = 16 the
+    # coarsest takes 4 full steps, at n = 10 it takes 2 and a landing step
+    # that sums the last 2 draws
+    log = record_calls(monkeypatch, "march", experiments)
+    record_calls(monkeypatch, "sample_increments", dynamics, log=log)
+    for t_end, n in ((0.016, 16), (0.01, 10)):
+        log.clear()
+        convergence_dt(*_setup(nx=8), 3, 1e-3, 3, t_end)
+        levels = []   # the step indices drawn by each level's march
+        for call in log:
+            if call.name == "march":
+                levels.append([])
+            else:
+                levels[-1].append(call.args[2])
+        assert [sorted(level) for level in levels] == [list(range(n))] * 3
 
 
 def test_convergence_draws_each_increment_when_a_step_needs_it(monkeypatch):
     # the coarsest of 3 levels sums 4 finest draws per step: when it takes
     # its k-th step, 4 k draws exist, not the 16 of the whole path
-    drawn, merges = [], []
-    seeded, merge = experiments.seeded_increments, experiments.merge_increments
-
-    def counted(*args):
-        draw = seeded(*args)
-        return lambda index, dt: drawn.append(index) or draw(index, dt)
-
-    def merge_after_counting(parts):
-        merges.append(len(drawn))
-        return merge(parts)
-
-    monkeypatch.setattr(experiments, "seeded_increments", counted)
-    monkeypatch.setattr(experiments, "merge_increments", merge_after_counting)
+    log = record_calls(monkeypatch, "sample_increments", dynamics)
+    record_calls(monkeypatch, "merge_increments", experiments, log=log)
     convergence_dt(*_setup(nx=8), 3, 1e-3, 3, 0.016)
-    assert merges[:4] == [4, 8, 12, 16]
+    at_merge = [i for i, call in enumerate(log)
+                if call.name == "merge_increments"]
+    # the draws made before each merge
+    assert [i - k for k, i in enumerate(at_merge)][:4] == [4, 8, 12, 16]
 
 
 # ----------------------------------------------------------------- transport
@@ -190,39 +192,16 @@ def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):
     # the corrected and the naive scheme are the two lanes of one pair, so
     # each step drifts and evaluates the modes once for both
     params, frozen = _strat_setup(0.15, nx=16)
-    calls = {"drift": 0, "modes": 0}
-    drift, modes = experiments.oxygen_drift, noise.transport_noise_modes
-
-    def counted_drift(*args):
-        calls["drift"] += 1
-        return drift(*args)
-
-    def counted_modes(*args):
-        calls["modes"] += 1
-        return modes(*args)
-
-    monkeypatch.setattr(experiments, "oxygen_drift", counted_drift)
-    monkeypatch.setattr(noise, "transport_noise_modes", counted_modes)
+    log = record_calls(monkeypatch, "oxygen_drift", experiments)
+    record_calls(monkeypatch, "transport_noise_modes", noise, log=log)
     stratonovich_consistency(params, frozen, 4, 2e-3, 2, 0.008,
                              n_replicas=2)
     steps = 2 * (2 + 4)   # replicas times the steps of both levels
-    assert calls == {"drift": steps, "modes": steps}
+    assert ([call.name for call in log]
+            == ["oxygen_drift", "transport_noise_modes"] * steps)
 
 
 # ----------------------------------------------------------------- ensembles
-
-def _counted_runs(monkeypatch) -> list[int]:
-    """Patch dynamics.run to log the lane count of every batched run."""
-    lanes = []
-    batched_run = dynamics.run
-
-    def counted(initial, *args, **kwargs):
-        lanes.append(initial.n.lanes[0])
-        return batched_run(initial, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "run", counted)
-    return lanes
-
 
 def _usable_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
@@ -245,29 +224,6 @@ def test_ensemble_mass_is_pathwise_conserved():
     assert np.max(stats.variance["mass_n"]) <= (1e-12 * m0) ** 2
 
 
-def test_ensemble_threaded_matches_serial(monkeypatch):
-    # one chunk of 4 on the calling thread against 4 chunks on 4 workers
-    params, st = _setup()
-    _usable_cpus(monkeypatch, 1)
-    serial = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10)
-    _usable_cpus(monkeypatch, 4)
-    monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24)
-    threaded = ensemble(params, st, 3, 4, 0.02, 1e-3, sample_every=10)
-    for col in ENSEMBLE_COLUMNS:
-        assert np.array_equal(serial.mean[col], threaded.mean[col])
-        assert np.array_equal(serial.variance[col], threaded.variance[col])
-
-
-def test_ensemble_threads_never_split_a_chunk(monkeypatch):
-    # 4 replicas at 24^2 fit in one chunk of BATCH_CELLS, so a second
-    # CPU finds no second chunk to run
-    params, st = _setup()
-    _usable_cpus(monkeypatch, 2)
-    lanes = _counted_runs(monkeypatch)
-    ensemble(params, st, 3, 4, 0.004, 1e-3)
-    assert lanes == [4]
-
-
 @pytest.mark.parametrize("chunks", [1, 2, 5])
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
@@ -276,25 +232,20 @@ def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
     monkeypatch.setattr(experiments, "BATCH_CELLS",
                         24 * 24 * {1: 5, 2: 3, 5: 1}[chunks])
     _usable_cpus(monkeypatch, cpus)
-    sizes = []
-    pool = experiments.ThreadPoolExecutor
-
-    def sized_pool(max_workers):
-        sizes.append(max_workers)
-        return pool(max_workers=max_workers)
 
     def no_start(self):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", sized_pool)
+    pools = record_calls(monkeypatch, "ThreadPoolExecutor", experiments)
     workers = min(chunks, cpus)
     if workers == 1:   # the chunks run on the calling thread
         monkeypatch.setattr(threading.Thread, "start", no_start)
     params, st = _setup()
-    lanes = _counted_runs(monkeypatch)
+    runs = record_calls(monkeypatch, "run", dynamics)
     ensemble(params, st, 3, 5, 0.002, 1e-3)
-    assert len(lanes) == chunks
-    assert sizes == ([] if workers == 1 else [workers])
+    assert len(runs) == chunks
+    assert ([call.kwargs["max_workers"] for call in pools]
+            == ([] if workers == 1 else [workers]))
 
 
 def test_ensemble_reports_failing_replica():
@@ -319,9 +270,10 @@ def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, cpus,
     # room for chunks[0] replicas of 24^2 cells in one chunk
     monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24 * chunks[0])
     _usable_cpus(monkeypatch, cpus)
-    lanes = _counted_runs(monkeypatch)
+    runs = record_calls(monkeypatch, "run", dynamics)
     stats = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4)
-    assert sorted(lanes, reverse=True) == chunks
+    assert sorted((call.args[0].n.lanes[0] for call in runs),
+                  reverse=True) == chunks
     for col in ENSEMBLE_COLUMNS:
         for got, want in ((stats.mean, reference.mean),
                           (stats.variance, reference.variance),

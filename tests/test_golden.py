@@ -7,6 +7,8 @@ the suite runs on; a different FFT backend may round differently.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -46,40 +48,10 @@ STUDY = NOISY + "\n[experiment]\nlevels = 3\nreplicas = 3\n"
 QUIET = (NOISY.replace("gamma = 0.1", "gamma = 0")
          .replace("amplitude = 0.02", "amplitude = 0"))
 
-# the README quick-start config
-PLUME = """\
-[grid]
-nx = 64
-ny = 64
-
-[physics]
-eta = 1.0        # fluid viscosity
-mu = 1.0         # oxygen diffusivity
-delta = 1.0      # cell diffusivity
-chi = 1.0        # chemotactic constant
-gamma = 0.1      # transport-noise intensity
-
-[noise]
-amplitude = 0.02 # velocity-forcing amplitude (0 disables)
-
-[time]
-t_end = 2.0
-dt = 1e-3
-sample_every = 20
-seed = 42
-
-[ic]
-n_recipe = gaussian_blob
-c_recipe = linear_gradient
-c_min = 0.05
-c_max = 0.3
-u_recipe = taylor_vortex_pair
-u_amplitude = 0.2
-
-[output]
-directory = out
-formats = csv,snapshot
-"""
+# the README quick-start config, found as CI's readme-smoke job finds it
+PLUME = re.search(r"```ini\n(# plume\.ini\n.*?)```",
+                  (Path(__file__).parents[1] / "README.md").read_text(
+                      encoding="utf-8"), re.S).group(1)
 
 GOLDEN = {
     "noisy": {
@@ -148,10 +120,11 @@ def test_ensemble_stats_match_golden_hash(tmp_path):
     assert _sha256(out / "ensemble_stats.csv") == GOLDEN_ENSEMBLE_STATS
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_multi_chunk_ensemble_stats_match_golden_hash(tmp_path, monkeypatch,
                                                       cpus):
-    # one 24^2 replica per chunk: 4 chunks, run serially or on the pool
+    # one 24^2 replica per chunk: 4 chunks, run serially or on a pool of 2
+    # or 4 workers, write the bytes of one chunk on the calling thread
     monkeypatch.setattr(experiments, "BATCH_CELLS", 24 * 24)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     cfg = tmp_path / "ensemble.ini"
