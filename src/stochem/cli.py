@@ -115,7 +115,8 @@ _SCHEMA = {
         "u_amplitude": (float, 0.1, "must be >= 0", lambda v: v >= 0),
     },
     "output": {
-        "directory": (str, "out", "any path", lambda v: True),
+        "directory": (str, "out", "must be a path without a NUL character",
+                      lambda v: "\0" not in v),
         "snapshot_every": (int, 0, "must be >= 0 (0 disables)", lambda v: v >= 0),
         "formats": (str, "csv", "comma list drawn from {csv, snapshot}",
                     lambda v: all(p.strip() in ("csv", "snapshot")

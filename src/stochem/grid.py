@@ -246,13 +246,18 @@ def flux_divergence(fx: np.ndarray, fy: np.ndarray, grid: Grid) -> np.ndarray:
     return d
 
 
+def node_sines(grid: Grid, axis: int, k: int) -> np.ndarray:
+    """sin(k pi s / l) at the n + 1 nodes s = i h of one axis (-2 for x,
+    -1 for y): the profile of a stream function of wavenumber k along it."""
+    n, h, length = ((grid.nx, grid.dx, grid.lx) if axis == -2
+                    else (grid.ny, grid.dy, grid.ly))
+    return np.sin(k * np.pi * (np.arange(n + 1) * h) / length)
+
+
 def stream_function_curl(grid: Grid, a: int, b: int) -> VectorField:
     """Discrete curl of the node stream function sin(a pi x/lx) sin(b pi y/ly):
     exactly divergence-free, with zero wall-normal faces."""
-    xn = np.arange(grid.nx + 1) * grid.dx
-    yn = np.arange(grid.ny + 1) * grid.dy
-    psi = np.outer(np.sin(a * np.pi * xn / grid.lx),
-                   np.sin(b * np.pi * yn / grid.ly))
+    psi = np.outer(node_sines(grid, -2, a), node_sines(grid, -1, b))
     return VectorField(grid,
                        (psi[:, 1:] - psi[:, :-1]) / grid.dy,
                        -(psi[1:, :] - psi[:-1, :]) / grid.dx)

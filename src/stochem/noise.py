@@ -9,6 +9,12 @@ clip((d - w)/w, 0, 1) in units of the face's distance d to the nearest wall,
 so faces within w of a wall are exactly zero and the covariance q(x,x)
 equals the identity at every cell at least 2w cells from the boundary.
 
+The velocity forcing's modes are discrete curls of the node stream functions
+sin(a pi x) sin(b pi y), so each face field of a mode is an outer product of
+two node profiles.  Only the profiles of the distinct wavenumbers are held,
+O(k_modes (nx + ny)) numbers, and an increment is summed once per distinct
+wavenumber.
+
 Brownian increments are counter-based: the value of every draw is a pure
 function of (seed, replica, step, mode), which is what makes twin paths,
 nested refinement, and parallel replicas replayable bit for bit.  A batched
@@ -24,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (INNER, Grid, ScalarField, VectorField, along, norm,
-                   pair_difference, pair_mean, per_lane, require_same_grid,
-                   scalar_face_gradients, stream_function_curl, zeros_vector)
+from .grid import (INNER, Grid, ScalarField, VectorField, along, node_sines,
+                   norm, pair_difference, pair_mean, per_lane,
+                   require_same_grid, scalar_face_gradients)
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,27 @@ def transport_hs_sq(modes: list[np.ndarray], sigma: TransportSigma):
 
 
 @dataclass(frozen=True)
+class StreamProfiles:
+    """The forcing's node profiles along one axis: one row per distinct
+    wavenumber k there, and the row of each mode's wavenumber."""
+    sines: np.ndarray        # (rows, n + 1): sin(k pi s / l) on the nodes
+    differences: np.ndarray  # (rows, n): the curl's face difference of each
+    rows: np.ndarray         # (n_modes,): the row of each mode
+
+
+@dataclass(frozen=True)
 class VelocityNoiseConfig:
+    """Unit-L2, discretely divergence-free stream modes, held as node
+    profiles: mode k is (sx[a_k] (x) dy[b_k], dx[a_k] (x) sy[b_k]) / norm_k,
+    with s the sines and d the differences of StreamProfiles x and y."""
+    grid: Grid
     n_modes: int
     amplitude: float
     multiplicative_gain: float
-    modes: tuple[VectorField, ...]   # unit-L2, discretely divergence-free
     lambdas: np.ndarray
+    mode_norms: np.ndarray   # L2 norm of each mode's stream_function_curl
+    x: StreamProfiles        # the wavenumbers a, along x
+    y: StreamProfiles        # the wavenumbers b, along y
 
 
 def _stream_mode_numbers(count: int, nx: int, ny: int) -> list:
@@ -170,13 +191,27 @@ def _stream_mode_numbers(count: int, nx: int, ny: int) -> list:
     return pairs[:count]
 
 
+def _axis_profiles(grid: Grid, axis: int, numbers) -> StreamProfiles:
+    """The node sines and the curl's face differences of the distinct
+    wavenumbers among ``numbers`` along ``axis``.  The curl is
+    (d_y psi, -d_x psi), so the x difference carries the sign."""
+    distinct = sorted(set(numbers))
+    sines = np.stack([node_sines(grid, axis, k) for k in distinct])
+    differences = pair_difference(sines, -1)
+    differences /= -grid.dx if axis == -2 else grid.dy
+    return StreamProfiles(sines, differences,
+                          np.searchsorted(distinct, numbers))
+
+
 def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
                         mode_decay: float = 2.0,
                         multiplicative_gain: float = 0.0) -> VelocityNoiseConfig:
     """Divergence-free trigonometric forcing modes with power-law weights.
 
     Each mode is a stream_function_curl, normalized to unit L2 norm so the
-    Hilbert-Schmidt sum is amplitude^2 * sum(lambda^2).
+    Hilbert-Schmidt sum is amplitude^2 * sum(lambda^2).  Both of its faces
+    are outer products of node profiles, so only the profiles are built,
+    and its squared norm combines their sums of squares.
     """
     resolved = (grid.nx - 1) * (grid.ny - 1)
     if not 1 <= n_modes <= resolved:
@@ -184,18 +219,18 @@ def make_velocity_noise(grid: Grid, n_modes: int, amplitude: float,
                          f"noise modes, got {n_modes}")
     if amplitude < 0.0:
         raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
-    modes = []
-    for a, b in _stream_mode_numbers(n_modes, grid.nx, grid.ny):
-        v = stream_function_curl(grid, a, b)
-        v_norm = norm(v, "L2")
-        v.u_x /= v_norm
-        v.u_y /= v_norm
-        modes.append(v)
+    a, b = zip(*_stream_mode_numbers(n_modes, grid.nx, grid.ny))
+    x = _axis_profiles(grid, -2, a)
+    y = _axis_profiles(grid, -1, b)
+    # |psi_k|^2 = (|sx|^2 |dy|^2 + |dx|^2 |sy|^2) dx dy, at mode k's rows
+    sx, dx, sy, dy = (np.sum(p * p, axis=-1)[prof.rows] for prof in (x, y)
+                      for p in (prof.sines, prof.differences))
+    mode_norms = np.sqrt(grid.cell_volume * (sx * dy + dx * sy))
     lambdas = (1.0 + np.arange(n_modes)) ** (-float(mode_decay))
     return VelocityNoiseConfig(
-        n_modes=n_modes, amplitude=float(amplitude),
-        multiplicative_gain=float(multiplicative_gain), modes=tuple(modes),
-        lambdas=lambdas)
+        grid=grid, n_modes=n_modes, amplitude=float(amplitude),
+        multiplicative_gain=float(multiplicative_gain), lambdas=lambdas,
+        mode_norms=mode_norms, x=x, y=y)
 
 
 # math.tanh applied per lane: numpy's vectorised tanh can differ from it in
@@ -213,14 +248,27 @@ def g_scale(u: VectorField, cfg: VelocityNoiseConfig):
 
 def g_apply(u: VectorField, cfg: VelocityNoiseConfig,
             inc: NoiseIncrement) -> VectorField:
-    """One increment of the velocity forcing, scale * sum_k lambda_k psi_k dW_k."""
-    out = zeros_vector(u.grid, u.lanes)
-    weights = np.asarray(g_scale(u, cfg))[..., None] * cfg.lambdas * inc.dw
-    for i, mode in enumerate(cfg.modes):
-        w = weights[..., i, None, None]   # per-lane scalars over the faces
-        out.u_x += w * mode.u_x
-        out.u_y += w * mode.u_y
-    return out
+    """One increment of the velocity forcing, scale * sum_k lambda_k psi_k dW_k,
+    summed once per distinct wavenumber.
+
+    With the weights w_k of the unit modes in an (a, b) table (zero where
+    no mode is), u_x = sum_b (sum_a w_ab sx[a]) (x) dy[b] and
+    u_y = sum_a dx[a] (x) (sum_b w_ab sy[b]).  einsum without ``optimize``
+    sums each entry's products in order, with no BLAS, so a lane keeps the
+    bits of its unbatched increment.
+    """
+    require_same_grid(u, cfg)
+    x, y = cfg.x, cfg.y
+    weights = (np.asarray(g_scale(u, cfg))[..., None] * cfg.lambdas
+               * inc.dw / cfg.mode_norms)
+    table = np.zeros(weights.shape[:-1] + (len(x.sines), len(y.sines)))
+    table[..., x.rows, y.rows] = weights
+    return VectorField(
+        u.grid,
+        np.einsum("...bi,bj->...ij",
+                  np.einsum("...ab,ai->...bi", table, x.sines), y.differences),
+        np.einsum("ai,...aj->...ij", x.differences,
+                  np.einsum("...ab,bj->...aj", table, y.sines)))
 
 
 _U64 = 0xFFFFFFFFFFFFFFFF

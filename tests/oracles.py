@@ -11,9 +11,9 @@ The rest are oracles and fixtures that no CLI command runs: field
 constructors, the full face gradient, the five-point Laplacians (the
 velocity one is the stencil ``solve_velocity_diffusion`` inverts), the
 velocity gradient seminorm, the transport-field contract check, the forcing's
-Hilbert-Schmidt norm and growth constant, the entropy functional of one
-state, the worst energy-identity defect of a series and the exponential
-envelope of a twin run's separation.
+unit modes as full fields, its Hilbert-Schmidt norm and growth constant, the
+entropy functional of one state, the worst energy-identity defect of a series
+and the exponential envelope of a twin run's separation.
 """
 
 import math
@@ -28,9 +28,9 @@ from stochem.diagnostics import (DiagnosticsRow, _entropy, _nlogn, column,
                                  compute_kf)
 from stochem.grid import (LANE_REDUCE, ScalarField, VectorField, cell_centers,
                           divergence, norm, per_lane, scalar_face_gradients,
-                          zeros_vector)
+                          stream_function_curl, zeros_vector)
 from stochem.noise import (TransportSigma, VelocityNoiseConfig,
-                           _face_distances, g_scale)
+                           _face_distances, _stream_mode_numbers, g_scale)
 from stochem.operators import buoyancy, convect_velocity
 
 POISSON_CG_TOL = 1e-12
@@ -339,10 +339,22 @@ def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
                             max_q_deviation=q_dev)
 
 
+def velocity_modes(cfg: VelocityNoiseConfig) -> tuple[VectorField, ...]:
+    """The forcing's unit modes as full face fields: the stream_function_curl
+    of each mode number, divided by its norm as a field."""
+    g = cfg.grid
+    modes = []
+    for a, b in _stream_mode_numbers(cfg.n_modes, g.nx, g.ny):
+        v = stream_function_curl(g, a, b)
+        v_norm = norm(v, "L2")
+        modes.append(VectorField(g, v.u_x / v_norm, v.u_y / v_norm))
+    return tuple(modes)
+
+
 def g_hilbert_schmidt(cfg: VelocityNoiseConfig, u: VectorField) -> float:
     """Hilbert-Schmidt norm of the forcing operator at the given state."""
-    s = math.sqrt(float(sum((lam * norm(m, "L2")) ** 2
-                            for lam, m in zip(cfg.lambdas, cfg.modes))))
+    s = math.sqrt(float(sum((lam * norm(m, "L2")) ** 2 for lam, m in
+                            zip(cfg.lambdas, velocity_modes(cfg)))))
     return g_scale(u, cfg) * s
 
 

@@ -689,7 +689,12 @@ test_file_errors_exit_2_with_one_error_line = _pinned(
     _row("missing-snapshot", "snapshot-info {tmp}/missing.cns", "", 2,
          "error: ...missing.cns: No such file or directory\n"),
     _row("out-is-a-file", "run --config {tmp}/c.ini --out {tmp}/c.ini",
-         _DELTA.format(1), 2, "error: ...c.ini: File exists\n"))
+         _DELTA.format(1), 2, "error: ...c.ini: File exists\n"),
+    *(_row(f"nul-in-directory-{_cmd(command)}", command + " --config "
+           "{tmp}/c.ini", _DELTA.format(1) + "[output]\n"
+           "directory = a\0b\n", 2, "error: [output] directory = a\0b: "
+           "must be a path without a NUL character\n")
+      for command in ("run", "experiment twin", "experiment ensemble")))
 
 # an initial field, a perturbed copy, a potential gradient or a mode weight
 # past the float range, or a ladder, window or schedule the study cannot take

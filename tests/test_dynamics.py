@@ -560,7 +560,9 @@ def test_step_path_never_writes_into_its_inputs(nx, lanes):
     params, st, inc = _noisy_setup(nx, lanes, dt)
     _freeze(*_state_arrays(st), params.phi.values, params.sigma.ramp_x,
             params.sigma.ramp_y, params.vnoise.lambdas, inc.dw, inc.dbeta,
-            *(a for m in params.vnoise.modes for a in (m.u_x, m.u_y)))
+            params.vnoise.mode_norms,
+            *(a for p in (params.vnoise.x, params.vnoise.y)
+              for a in (p.sines, p.differences, p.rows)))
     new, report = step(st, params, inc, dt)
     tracker = diagnostics.EnergyTracker(st, params)
     _freeze(*_state_arrays(new))

@@ -56,9 +56,9 @@ PLUME = re.search(r"```ini\n(# plume\.ini\n.*?)```",
 GOLDEN = {
     "noisy": {
         "diagnostics.csv":
-            "7cafb262de702f0ecb376c8c6f364a674ee86c7b7bab35ceeb975b050627e98e",
+            "5d6c9245b504e6130fd874019158d9de6fa4b0262def85b5adb0454681012fc5",
         "final.cns":
-            "0256d746c89f091ace0de903893e9594d4465d70de984d5fa283885aaa25d69d",
+            "0bacee7c2461e00ccfc408f8be42223881fa88b81efa3dd9ea9d6284934795ba",
     },
     "quiet": {
         "diagnostics.csv":
@@ -69,16 +69,16 @@ GOLDEN = {
 }
 
 GOLDEN_ENSEMBLE_STATS = \
-    "8cc989f0ea16c5c323f940aaef8c3e54524b3f53a2f87a7063a2e888681172b3"
+    "26b88a6b886a6a5b614b16520bd6b462c23790680e288629d69a0453d40c859c"
 
 # experiment name -> (output file, digest) on the STUDY config
 GOLDEN_STUDY = {
     "twin": (
         "twin.csv",
-        "417fc02054d911e679126f7c0fe906336273255995b3d71d4116b341d090dd7b"),
+        "8ec67bc1e8bbb9bfe7bbf49b9d20add40b370c1ee1bd6f2aa2c9807277136f0d"),
     "convergence": (
         "convergence.json",
-        "f5cada4f661a3ed0fe83170b44d236741e970fec10a66a621c72916405750117"),
+        "b871a5a64cdc7eb4d187849e57a23c9cef1175022110d0f368e34be67052655f"),
     "stratonovich": (
         "stratonovich.json",
         "b23b373a592556ebf1516ed90a4adcff507d106ec344cc255356e08b2496bcdf"),

@@ -1,6 +1,6 @@
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,18 +8,18 @@ import pytest
 from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
                           make_grid, norm, scalar_face_gradients, zeros_vector)
 from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
-                           combined_sigma_linf, g_apply,
+                           combined_sigma_linf, g_apply, g_scale,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
                            transport_hs_sq, transport_ito_correction,
                            transport_noise_apply, transport_noise_modes)
 from stochem.operators import divergence_residual
 
-from conftest import random_scalar
+from conftest import random_scalar, random_vector
 from oracles import (cells_clear_of_walls, check_sigma_assumptions,
                      full_scalar, g_hilbert_schmidt, masked_hs_sq,
                      scalar_from_function, velocity_growth_constant,
-                     zero_transport_sigma)
+                     velocity_modes, zero_transport_sigma)
 
 
 # --------------------------------------------------------------- sigma
@@ -199,7 +199,7 @@ def test_velocity_modes_are_the_lowest_resolved():
     cfg = make_velocity_noise(g, 49, 0.1)
     assert sorted(_stream_mode_numbers(49, 8, 8)) == [
         (a, b) for a in range(1, 8) for b in range(1, 8)]
-    for mode in cfg.modes:
+    for mode in velocity_modes(cfg):
         assert norm(mode, "L2") == pytest.approx(1.0, rel=1e-12)
         assert divergence_residual(mode) < 1e-12
     with pytest.raises(ValueError, match=r"\(ny - 1\) = 49 .*, got 50"):
@@ -217,12 +217,13 @@ def test_velocity_modes_are_the_lowest_resolved():
 def test_g_modes_divergence_free_and_hs_norm(rng):
     g = make_grid(32, 32, 1.0, 1.0)
     cfg = make_velocity_noise(g, 5, 0.3)
-    for mode in cfg.modes:
+    modes = velocity_modes(cfg)
+    for mode in modes:
         assert divergence_residual(mode) < 1e-12
         assert norm(mode, "L2") == pytest.approx(1.0, rel=1e-12)
     # gain 0: state-independent operator norm, verified by direct summation
     direct = np.sqrt(sum((lam * norm(m, "L2")) ** 2
-                         for lam, m in zip(cfg.lambdas, cfg.modes)))
+                         for lam, m in zip(cfg.lambdas, modes)))
     hs = g_hilbert_schmidt(cfg, zeros_vector(g))
     assert hs == pytest.approx(0.3 * direct, rel=1e-12)
     assert hs == pytest.approx(0.3 * np.sqrt(np.sum(cfg.lambdas ** 2)), rel=1e-12)
@@ -240,6 +241,55 @@ def test_g_apply_growth_bound(rng):
                    + norm(c, "H1_semi") ** 2)
     bound = velocity_growth_constant(cfg) * (1.0 + size)
     assert hs <= bound
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the numpy arrays a dataclass holds, nested ones included."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name)) for f in fields(obj))
+    return 0
+
+
+def test_forcing_holds_node_profiles_not_mode_fields():
+    # 64 modes as two face fields each would take 64.25 MiB at 256^2
+    g = make_grid(256, 256, 1.0, 1.0)
+    cfg = make_velocity_noise(g, 64, 0.1)
+    assert _array_bytes(cfg) < 2 ** 20
+
+
+@pytest.mark.parametrize("k_modes", [1, 4, 9, 64])
+def test_g_apply_is_the_weighted_sum_of_the_unit_modes(rng, k_modes):
+    g = make_grid(24, 20, 1.3, 0.8)
+    cfg = make_velocity_noise(g, k_modes, 0.3, multiplicative_gain=0.6)
+    u = random_vector(g, rng)
+    inc = sample_increments(5, 0, 2, 1e-2, k_modes)
+    got = g_apply(u, cfg, inc)
+    weights = g_scale(u, cfg) * cfg.lambdas * inc.dw
+    modes = velocity_modes(cfg)
+    for comp in ("u_x", "u_y"):
+        want = sum(w * getattr(m, comp) for w, m in zip(weights, modes))
+        err = np.max(np.abs(getattr(got, comp) - want))
+        assert err <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nx, ny, k_modes, lanes",
+                         [(24, 20, 1, 3), (32, 32, 4, 16), (24, 20, 9, 3),
+                          (24, 20, 64, 5)])
+def test_batched_g_apply_is_each_lane_alone(rng, nx, ny, k_modes, lanes):
+    g = make_grid(nx, ny, 1.3, 0.8)
+    cfg = make_velocity_noise(g, k_modes, 0.3, multiplicative_gain=0.6)
+    u = VectorField(g, rng.standard_normal((lanes, nx + 1, ny)),
+                    rng.standard_normal((lanes, nx, ny + 1)))
+    draws = [sample_increments(5, r, 2, 1e-2, k_modes) for r in range(lanes)]
+    batched = g_apply(u, cfg, NoiseIncrement(
+        dw=np.stack([d.dw for d in draws]),
+        dbeta=np.stack([d.dbeta for d in draws])))
+    for lane, draw in enumerate(draws):
+        alone = g_apply(VectorField(g, u.u_x[lane], u.u_y[lane]), cfg, draw)
+        assert batched.u_x[lane].tobytes() == alone.u_x.tobytes()
+        assert batched.u_y[lane].tobytes() == alone.u_y.tobytes()
 
 
 # --------------------------------------------------------------- increments
