@@ -30,8 +30,7 @@ from .diagnostics import DiagnosticsRow, check_conditions
 from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
                        run)
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
-                          ensemble, interior_bump, stratonovich_consistency,
-                          twin_run)
+                          ensemble, stratonovich_consistency, twin_run)
 from .grid import (Grid, GridError, ScalarField, VectorField, cell_centers,
                    make_grid, norm, stream_function_curl, zeros_scalar,
                    zeros_vector)
@@ -119,8 +118,7 @@ _SCHEMA = {
                       lambda v: "\0" not in v),
         "snapshot_every": (int, 0, "must be >= 0 (0 disables)", lambda v: v >= 0),
         "formats": (str, "csv", "comma list drawn from {csv, snapshot}",
-                    lambda v: all(p.strip() in ("csv", "snapshot")
-                                  for p in v.split(",") if p.strip())),
+                    lambda v: set(_formats(v)) <= {"csv", "snapshot"}),
     },
     "experiment": {
         "perturbation": (float, 1e-6, "must be in [0, 1), so that the "
@@ -197,11 +195,20 @@ def _cross_validate(cfg: dict[str, dict]) -> None:
     except OverflowError:
         raise ConfigError(f"[noise] mode_decay_exponent = {decay}: the mode "
                           f"weight k_modes^-exponent overflows") from None
+    every = cfg["output"]["snapshot_every"]
+    if every > 0 and "snapshot" not in _formats(cfg["output"]["formats"]):
+        raise ConfigError(f"[output] snapshot_every = {every}: must be 0 "
+                          f"unless formats includes snapshot")
     dt = cfg["time"]["dt"]
     steps = cfg["time"]["t_end"] / dt
     if not steps <= sys.maxsize:   # also catches an overflow to inf
         raise ConfigError(f"[time] dt = {dt}: t_end / dt = {steps:g}, must "
                           f"be at most {sys.maxsize}")
+
+
+def _formats(text: str) -> list[str]:
+    """The names in an ``[output] formats`` comma list."""
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
 def load_config(path: str | Path) -> dict[str, dict]:
@@ -349,7 +356,7 @@ def _prepare(args):
 
 
 def cmd_check_params(args) -> int:
-    cfg, params, initial = _prepare(args)
+    params, initial = build_simulation(load_config(args.config))
     report = check_conditions(params, norm(initial.c, "Linf"))
     for line in report.lines():
         print(line)
@@ -370,13 +377,12 @@ def cmd_run(args) -> int:
     outdir = Path(args.out or cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     t = cfg["time"]
-    formats = [p.strip() for p in cfg["output"]["formats"].split(",") if p.strip()]
+    formats = _formats(cfg["output"]["formats"])
     snap_every = cfg["output"]["snapshot_every"]
     sample_count = [0]
 
     def on_sample(state, rows):
-        if "snapshot" in formats and snap_every > 0 \
-                and sample_count[0] % snap_every == 0:
+        if snap_every > 0 and sample_count[0] % snap_every == 0:
             write_snapshot(state, outdir / f"snapshot_{rows[0].step:08d}.cns")
         sample_count[0] += 1
 
@@ -411,7 +417,8 @@ def _write_report(report, path: Path) -> None:
     """A study report's dataclass fields, in order, as a JSON object."""
     payload = {f.name: np.asarray(getattr(report, f.name)).tolist()
                for f in dataclasses.fields(report)}
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False))
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False),
+                    encoding="utf-8", newline="\n")
 
 
 def cmd_experiment(args) -> int:
@@ -425,7 +432,8 @@ def cmd_experiment(args) -> int:
     if args.which == "twin":
         rep = twin_run(params, initial, seed, ex["perturbation"],
                        t["t_end"], t["dt"], sample_every=t["sample_every"])
-        with open(outdir / "twin.csv", "w", encoding="utf-8") as fh:
+        with open(outdir / "twin.csv", "w", encoding="utf-8",
+                  newline="\n") as fh:
             fh.write("t,separation\n")
             for ti, yi in zip(rep.times, rep.separation):
                 fh.write(f"{_fmt(ti)},{_fmt(yi)}\n")
@@ -441,11 +449,8 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.which == "stratonovich":
-        c0 = interior_bump(params.grid, params.sigma, scale=max(
-            cfg["ic"]["c_max"], cfg["ic"]["c_value"]))
-        frozen = State(u=zeros_vector(params.grid), c=c0,
-                       n=zeros_scalar(params.grid), t=0.0)
-        rep = stratonovich_consistency(params, frozen, seed, t["dt"],
+        scale = max(cfg["ic"]["c_max"], cfg["ic"]["c_value"])
+        rep = stratonovich_consistency(params, scale, seed, t["dt"],
                                        ex["levels"], t["t_end"],
                                        n_replicas=ex["replicas"])
         _write_report(rep, outdir / "stratonovich.json")
@@ -456,7 +461,8 @@ def cmd_experiment(args) -> int:
     # argparse's choices leave only the ensemble here
     stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
                      t["dt"], sample_every=t["sample_every"])
-    with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8") as fh:
+    with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8",
+              newline="\n") as fh:
         header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
                           for s in ("mean", "var", "max", "ci95")]
         fh.write(",".join(header) + "\n")
@@ -488,8 +494,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                  description="stochastic chemotaxis-fluid simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config(p):
         p.add_argument("--config", required=True, help="path to an INI config")
+
+    def common(p):
+        config(p)
         p.add_argument("--seed", default=None,
                        help="override [time] seed, under its rule")
         p.add_argument("--out", default=None, help="override output directory")
@@ -501,7 +510,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("check-params", help="evaluate the admissibility gate")
-    common(p)
+    config(p)
     p.set_defaults(func=cmd_check_params)
 
     p = sub.add_parser("experiment", help="run a scripted study")

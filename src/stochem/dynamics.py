@@ -17,11 +17,12 @@ that order, so each later equation sees the freshest coupling fields:
    subspace.
 
 Diffusion is implicit and unconditionally stable, so the admissible step is
-advection-limited only; steps above the advective bound are rejected rather
-than silently subdivided.  march, on the steps of time_grid, is the one
-stepping loop of runs and experiments, but for the Stratonovich study: it
-freezes u and n and steps the oxygen alone, with oxygen_drift and
-oxygen_noise, the correction off on its naive lane.
+advection-limited only; steps above the advective bound, or above the cap
+DT_MAX, are rejected rather than silently subdivided.  march, on the steps
+of time_grid, is the one stepping loop of runs and experiments, but for the
+Stratonovich study: it steps an oxygen that no velocity carries and no cells
+consume, by the implicit diffusion solve at mu and oxygen_noise, the
+correction off on its naive lane.
 
 A state may carry one leading lane axis (see stack_states): every lane is an
 independent trajectory, one step advances them all, and each lane's numbers
@@ -61,7 +62,8 @@ DT_MAX = 0.1       # stable_dt's cap, and its value where nothing moves
 
 
 class CflError(LaneError):
-    """The requested step exceeds the advective stability bound."""
+    """The requested step exceeds the advective stability bound, or DT_MAX
+    where that cap is the tighter."""
 
 
 class SimulationError(RuntimeError):
@@ -342,7 +344,8 @@ def _checked_gradients(state: State, params: SimParams,
     if too_long.any():
         lane = first_failing_lane(too_long)
         limit = bound if lane is None else bound[lane]
-        raise CflError(f"dt={dt:g} exceeds the advective bound {limit:g}", lane)
+        what = "step cap" if limit >= DT_MAX else "advective bound"
+        raise CflError(f"dt={dt:g} exceeds the {what} {limit:g}", lane)
     return grad_c
 
 

@@ -22,7 +22,7 @@
 Each study takes scalars (a step, a level count, a replica count) and builds
 its own schedule from them.  Every study but the oxygen-only transport test
 steps through dynamics.march on dynamics.time_grid; that one steps the
-oxygen alone with the stepper's own dynamics.oxygen_drift and oxygen_noise.
+oxygen alone with the stepper's diffusion solve at mu and oxygen_noise.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
+from . import _spectral, noise as noise_mod
 from .diagnostics import DiagnosticsRow, column
 from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
-                       ito_rate, march, oxygen_drift, oxygen_noise,
-                       require_finite, seeded_increments, stack_states,
-                       time_grid)
+                       ito_rate, march, oxygen_noise, require_finite,
+                       seeded_increments, stack_states, time_grid)
 from .grid import LaneError, ScalarField, cell_centers, norm
 from .noise import merge_increments
 
@@ -203,17 +202,17 @@ class StratonovichReport:
     reference_gap: float            # gamma^2 |grad c0|_L2^2
 
 
-def stratonovich_consistency(params: SimParams, initial: State, seed: int,
+def stratonovich_consistency(params: SimParams, scale: float, seed: int,
                              dt: float, levels: int, t_end: float,
                              n_replicas: int = 16) -> StratonovichReport:
     """Pure transport test: the corrected and the naive oxygen scheme as the
     two lanes of one pair, driven by one draw per step.
 
-    Velocity and density stay frozen at their initial values (zero in the CLI
-    study), so the oxygen evolves by implicit diffusion plus the explicit
-    transport increment.  Each step is one call of the stepper's own
-    oxygen_drift and oxygen_noise for the pair; lane 1 takes the Ito
-    correction over a zero step, so it adds the kick alone.
+    The oxygen starts as interior_bump(grid, sigma, scale), built before any
+    other check, and no velocity or cells act on it: each step is one
+    implicit diffusion solve at mu and one call of the stepper's own
+    oxygen_noise for the pair; lane 1 takes the Ito correction over a zero
+    step, so it adds the kick alone.
     For each level the predictable drift of the interior |c|^2 is accumulated
     step by step (deterministic change plus the quadratic-variation
     compensator of the noise kick) and averaged over replicas.  The levels
@@ -223,6 +222,7 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
     step; a drift, gap or reference that is not finite raises
     ExperimentError.
     """
+    c0 = interior_bump(params.grid, params.sigma, scale)
     if levels < 1:
         raise ExperimentError(f"need at least one dt level, got {levels}")
     if n_replicas < 1:
@@ -233,9 +233,10 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
         raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
                               f"the Ito-correction bound "
                               f"{CFL_SAFETY / rate:g}")
+    g = params.grid
     sigma = params.sigma
     hs_sq = noise_mod.transport_hs_sq
-    pair = stack_states([initial, initial])
+    pair = ScalarField(g, np.stack([c0.values, c0.values]))
 
     # predictable (compensated) drift of the interior |c|^2: per step the
     # mean over the increment of |c_new|^2 is |m|^2 + dt sum_k |A_k|^2 with m
@@ -246,11 +247,11 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
         for (li, d), r in itertools.product(enumerate(dts),
                                             range(n_replicas)):
             draw = seeded_increments(seed, r, params.vnoise.n_modes)
-            c = pair.c
+            c = pair
             acc = np.zeros(2)
             for index, dt_step in enumerate(time_grid(t_end, d)):
-                c_mid, _ = oxygen_drift(replace(pair, c=c), pair.n, params,
-                                        dt_step)
+                c_mid = _spectral.solve_scalar_diffusion(g, c,
+                                                         dt_step * params.mu)
                 c_new, modes, correction = oxygen_noise(
                     c_mid, params, draw(index, dt_step),
                     np.array([dt_step, 0.0]))   # corrected, naive
@@ -270,7 +271,7 @@ def stratonovich_consistency(params: SimParams, initial: State, seed: int,
                 c = c_new
             drift[li] += acc / t_end
         drift /= n_replicas
-        ref = params.gamma ** 2 * norm(initial.c, "H1_semi") ** 2
+        ref = params.gamma ** 2 * norm(c0, "H1_semi") ** 2
     gap = drift[:, 1] - drift[:, 0]   # finite only where both drifts are
     if not (np.isfinite(gap).all() and math.isfinite(ref)):
         raise ExperimentError(f"the oxygen energy drift is not finite: gap "

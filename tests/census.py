@@ -8,9 +8,9 @@ then every dataclass field that no package code read, as
 ``module.Class.field``.  Lambdas and comprehensions are not counted, nor
 are reads from the generated ``__init__``, ``__eq__``, ``__repr__`` and
 ``__hash__``, from ``__post_init__`` or from ``dataclasses.replace``.  The
-commands are ``check-params``; ``run`` with snapshots and the saturating
-law; the four experiments; ``snapshot-info``; and one failing config each
-for exit codes 2 and 3.
+commands are ``check-params``; ``run`` with snapshots, the saturating law
+and no potential; the four experiments; ``snapshot-info``; and one failing
+config each for exit codes 2 and 3.
 
     PYTHONPATH=src python tests/census.py
 
@@ -58,7 +58,7 @@ snapshot_every = 1
 COMMANDS = [
     ("check-params --config {cfg}", CONFIG, 0),
     ("run --config {cfg} --out {out}",
-     CONFIG + "[physics]\nf_name = saturating\n", 0),
+     CONFIG + "[physics]\nf_name = saturating\nphi_kind = zero\n", 0),
     ("experiment twin --config {cfg} --out {out}", CONFIG, 0),
     ("experiment convergence --config {cfg} --out {out}", CONFIG, 0),
     ("experiment stratonovich --config {cfg} --out {out}", CONFIG, 0),

@@ -21,8 +21,8 @@ import pytest
 from stochem.cli import build_simulation, parse_config
 from stochem.diagnostics import check_conditions, column, compute_kf
 from stochem.dynamics import State, run
-from stochem.experiments import (convergence_dt, interior_bump,
-                                 stratonovich_consistency, twin_run, ensemble)
+from stochem.experiments import (convergence_dt, stratonovich_consistency,
+                                 twin_run, ensemble)
 from stochem.grid import (ScalarField, inner_product, make_grid, norm,
                           scalar_face_gradients, zeros_scalar, zeros_vector)
 from stochem.operators import (AdvectionMode, chemotaxis_div, convect_velocity,
@@ -115,10 +115,8 @@ def test_criterion_04_stratonovich_correction():
     g = make_grid(64, 64, 1.0, 1.0)
     params = default_params(g, mu=0.0, chi=0.0, gamma=0.15, amplitude=0.0,
                             k_modes=1)
-    c0 = interior_bump(g, params.sigma, scale=0.3)
-    frozen = State(u=zeros_vector(g), c=c0, n=zeros_scalar(g), t=0.0)
     t_end = 0.024
-    rep = stratonovich_consistency(params, frozen, seed=11, dt=t_end / 32,
+    rep = stratonovich_consistency(params, 0.3, seed=11, dt=t_end / 32,
                                    levels=3, t_end=t_end, n_replicas=8)
     r1 = rep.drift_corrected[1] / rep.drift_corrected[0]
     r2 = rep.drift_corrected[2] / rep.drift_corrected[1]

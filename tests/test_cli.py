@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -277,6 +278,33 @@ def test_cmd_experiment_ensemble(tmp_path):
     assert len(lines) == 1 + 5
 
 
+def test_text_outputs_translate_no_newline(tmp_path, monkeypatch):
+    # every text file a command writes is opened with newline="\n", so a
+    # rerun is byte-identical on any platform, not only where the platform
+    # newline is "\n"
+    written = {}
+    real_open = io.open
+
+    def recording(file, mode="r", buffering=-1, encoding=None, errors=None,
+                  newline=None, closefd=True, opener=None):
+        if "w" in mode and "b" not in mode:
+            written[Path(file).name] = newline
+        return real_open(file, mode, buffering, encoding, errors, newline,
+                         closefd, opener)
+
+    cfg = _write_cfg(tmp_path, "[grid]\nnx = 8\nny = 8\n[time]\n"
+                     "t_end = 0.004\n[experiment]\nlevels = 3\nreplicas = 2\n")
+    monkeypatch.setattr(builtins, "open", recording)
+    monkeypatch.setattr(io, "open", recording)
+    for command in ("run", "experiment twin", "experiment convergence",
+                    "experiment stratonovich", "experiment ensemble"):
+        assert main([*command.split(), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert written == dict.fromkeys(
+        ["diagnostics.csv", "twin.csv", "convergence.json",
+         "stratonovich.json", "ensemble_stats.csv"], "\n")
+
+
 def test_cmd_experiment_stratonovich(tmp_path, capsys):
     text = REFERENCE.replace("gamma = 0.08", "gamma = 0.15") \
                     .replace("nx = 24", "nx = 32").replace("ny = 24", "ny = 32") \
@@ -329,6 +357,18 @@ def test_threads_flag_is_unknown(tmp_path, capsys, command):
         main(command + ["--config", str(cfg), "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--out", "x"]],
+                         ids=["seed", "out"])
+def test_check_params_takes_only_config(tmp_path, capsys, flag):
+    # the gate reads neither the seed nor an output directory
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-params", "--config", str(cfg), *flag])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err)
 
 
 def test_long_schedule_is_accepted():
@@ -570,14 +610,17 @@ def _contract(tmp: Path, argv: list[str],
 
 def _config_argv(tmp: Path, command: list[str],
                  text: str | bytes) -> list[str]:
-    """Write the config to tmp / "c.ini" and return the command with it and
-    tmp / "out" as its paths; a command that names its own paths, with
-    {tmp} standing for tmp, is returned as named."""
+    """Write the config to tmp / "c.ini" and return the command with it as
+    its config and, but for check-params, tmp / "out" as its output
+    directory; a command that names its own paths, with {tmp} standing for
+    tmp, is returned as named."""
     path = tmp / "c.ini"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     if any("{tmp}" in arg for arg in command):
         return [arg.format(tmp=tmp) for arg in command]
-    return [*command, "--config", str(path), "--out", str(tmp / "out")]
+    argv = [*command, "--config", str(path)]
+    return argv if command[0] == "check-params" else [
+        *argv, "--out", str(tmp / "out")]
 
 
 def _row(id, command, text, code, err=None, out=None):
@@ -630,6 +673,7 @@ _DELTA = ("[grid]\nnx = 8\nny = 8\n[physics]\ndelta = {}\n"
 _FAIL_INF = "...consumption term: FAIL (margin -inf)..."
 _ADVECTIVE = "error: ...exceeds the advective bound..."
 _FAST_STEP = "dt=0.001 exceeds the advective bound"
+_CAPPED = "dt=0.2 exceeds the step cap 0.1"
 _SEED = ("error: [time] seed = {}: must be in [0, 2^64), the range of the "
          "noise key\n")
 
@@ -676,6 +720,15 @@ test_seed_outside_64_bits_exits_2 = _pinned(
     _row("flag-2^64-1", f"run --seed {2 ** 64 - 1}", _DELTA.format(1), 0, ""),
     _row("flag-not-an-integer", "run --seed 1.5", _DELTA.format(1), 2,
          "error: [time] seed: cannot parse '1.5' as int\n"))
+
+# a snapshot interval counts samples, and only the snapshot format writes
+# them: an interval without that format is refused with the config
+test_snapshot_every_needs_the_snapshot_format = _pinned(
+    _row("csv-only", "run", _DELTA.format(1) + "[output]\nformats = csv\n"
+         "snapshot_every = 2\n", 2, "error: [output] snapshot_every = 2: must "
+         "be 0 unless formats includes snapshot\n"),
+    _row("snapshot-listed", "run", _DELTA.format(1) + "[output]\n"
+         "formats = csv,snapshot\nsnapshot_every = 2\n", 0, ""))
 
 # a config, snapshot or output path that cannot be read or made
 test_file_errors_exit_2_with_one_error_line = _pinned(
@@ -767,6 +820,17 @@ test_convergence_zero_t_end_exits_2 = _pinned(
 test_cmd_run_mid_run_failure_exits_3 = _pinned(
     _row(None, "run --allow-inadmissible", _FAST_U, 3,
          f"error: step 1: {_FAST_STEP}..."))
+# where nothing moves, stable_dt returns its cap DT_MAX: a longer step is
+# refused as above the cap, not as above an advective bound
+test_still_step_above_the_cap_exits_3 = _pinned(
+    *(_row(_cmd(command), command, "[grid]\nnx = 16\nny = 16\n"
+           "[physics]\nchi = 0\ngamma = 0\n[noise]\namplitude = 0\n"
+           "[ic]\nu_recipe = zero\n[time]\ndt = 0.2\n", 3, err)
+      for command, err in (
+          ("run", f"error: step 1: {_CAPPED}\n"),
+          ("experiment twin", f"error: step 1: {_CAPPED}\n"),
+          ("experiment ensemble", "error: replica 0 (base seed 1234) failed: "
+           f"step 1 failed: {_CAPPED}\n"))))
 test_experiment_mid_run_failure_exits_3 = _pinned(
     *(_row(f"{_cmd(command)}-{err}", command, _FAST_U, 3, err + "...")
       for command, err in (

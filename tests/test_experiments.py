@@ -4,17 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochem import dynamics, experiments, noise
+from stochem import _spectral, dynamics, experiments, noise
 from stochem.diagnostics import column
 from stochem.dynamics import SimulationError, State, run
 from stochem.experiments import (ENSEMBLE_COLUMNS, ExperimentError,
                                  convergence_dt, ensemble, interior_bump,
                                  stratonovich_consistency, twin_run)
-from stochem.grid import (ScalarField, make_grid, scalar_face_gradients,
-                          zeros_scalar, zeros_vector)
+from stochem.grid import ScalarField, make_grid, scalar_face_gradients
 from stochem.noise import make_transport_sigma
 
-from conftest import default_params, random_solenoidal, record_calls
+from conftest import (default_params, quiescent_state, random_solenoidal,
+                      record_calls)
 from oracles import bounded_by_exponential
 
 
@@ -129,26 +129,20 @@ def test_convergence_draws_each_increment_when_a_step_needs_it(monkeypatch):
 
 # ----------------------------------------------------------------- transport
 
-def _strat_setup(gamma, nx=64):
-    g = make_grid(nx, nx, 1.0, 1.0)
-    params = default_params(g, mu=0.0, chi=0.0, gamma=gamma, amplitude=0.0,
-                            k_modes=1)
-    c0 = interior_bump(g, params.sigma, scale=0.3)
-    frozen = State(u=zeros_vector(g), c=c0, n=zeros_scalar(g), t=0.0)
-    return params, frozen
+def _strat_params(gamma, nx=64):
+    return default_params(make_grid(nx, nx, 1.0, 1.0), mu=0.0, chi=0.0,
+                          gamma=gamma, amplitude=0.0, k_modes=1)
 
 
 def test_stratonovich_zero_noise_paths_identical():
-    params, frozen = _strat_setup(0.0)
-    rep = stratonovich_consistency(params, frozen, 4, 1.5e-3, 2, 0.024,
-                                   n_replicas=2)
+    rep = stratonovich_consistency(_strat_params(0.0), 0.3, 4, 1.5e-3, 2,
+                                   0.024, n_replicas=2)
     assert np.array_equal(rep.drift_corrected, rep.drift_naive)
 
 
 def test_stratonovich_correction_drift_vanishes_linearly():
-    params, frozen = _strat_setup(0.15)
     T = 0.024
-    rep = stratonovich_consistency(params, frozen, 11, T / 32, 3, T,
+    rep = stratonovich_consistency(_strat_params(0.15), 0.3, 11, T / 32, 3, T,
                                    n_replicas=8)
     r1 = rep.drift_corrected[1] / rep.drift_corrected[0]
     r2 = rep.drift_corrected[2] / rep.drift_corrected[1]
@@ -159,11 +153,11 @@ def test_stratonovich_correction_drift_vanishes_linearly():
 
 
 def test_stratonovich_rejects_empty_study():
-    params, frozen = _strat_setup(0.15, nx=16)
+    params = _strat_params(0.15, nx=16)
     with pytest.raises(ExperimentError, match="t_end must be positive"):
-        stratonovich_consistency(params, frozen, 4, 1e-3, 1, 0.0)
+        stratonovich_consistency(params, 0.3, 4, 1e-3, 1, 0.0)
     with pytest.raises(ExperimentError, match="at least one replica"):
-        stratonovich_consistency(params, frozen, 4, 1e-3, 1, 0.004,
+        stratonovich_consistency(params, 0.3, 4, 1e-3, 1, 0.004,
                                  n_replicas=0)
 
 
@@ -179,26 +173,25 @@ def test_dt_ladder_needs_one_coarse_step():
 def test_stratonovich_refuses_level_above_ito_bound():
     # the study steps outside march, so it checks the bound that stable_dt
     # puts on the explicit Ito correction itself
-    params, frozen = _strat_setup(0.15, nx=16)
-    bound = dynamics.stable_dt(frozen, params,
-                               scalar_face_gradients(frozen.c))
+    params = _strat_params(0.15, nx=16)
+    still = quiescent_state(params.grid, c=0.3)
+    bound = dynamics.stable_dt(still, params, scalar_face_gradients(still.c))
     assert bound == dynamics.CFL_SAFETY / dynamics.ito_rate(params) < 0.1
     with pytest.raises(ExperimentError, match="Ito-correction bound"):
-        stratonovich_consistency(params, frozen, 4, 0.51 * bound, 2, 0.5,
+        stratonovich_consistency(params, 0.3, 4, 0.51 * bound, 2, 0.5,
                                  n_replicas=1)
 
 
 def test_stratonovich_evaluates_drift_and_modes_once_per_step(monkeypatch):
     # the corrected and the naive scheme are the two lanes of one pair, so
-    # each step drifts and evaluates the modes once for both
-    params, frozen = _strat_setup(0.15, nx=16)
-    log = record_calls(monkeypatch, "oxygen_drift", experiments)
+    # each step solves the diffusion and evaluates the modes once for both
+    params = _strat_params(0.15, nx=16)
+    log = record_calls(monkeypatch, "solve_scalar_diffusion", _spectral)
     record_calls(monkeypatch, "transport_noise_modes", noise, log=log)
-    stratonovich_consistency(params, frozen, 4, 2e-3, 2, 0.008,
-                             n_replicas=2)
+    stratonovich_consistency(params, 0.3, 4, 2e-3, 2, 0.008, n_replicas=2)
     steps = 2 * (2 + 4)   # replicas times the steps of both levels
     assert ([call.name for call in log]
-            == ["oxygen_drift", "transport_noise_modes"] * steps)
+            == ["solve_scalar_diffusion", "transport_noise_modes"] * steps)
 
 
 # ----------------------------------------------------------------- ensembles
