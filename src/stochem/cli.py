@@ -20,9 +20,18 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import struct
 import sys
 from pathlib import Path
+
+# The package makes no BLAS calls, but BLAS starts its threads when numpy is
+# imported, and ensemble chunks fork only from a process with one thread
+# (see experiments.fork_safe).  So the stochem command asks for one BLAS
+# thread, unless a count is set or numpy was imported before this module.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -231,8 +240,9 @@ def _build_initial_velocity(grid: Grid, recipe: str, amplitude: float) -> Vector
     return helmholtz_project(v)
 
 
-def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
-    """Resolve a validated config into coefficients and an initial state."""
+def build_params(cfg: dict[str, dict]) -> SimParams:
+    """Resolve a validated config's grid, physics and noise into
+    coefficients."""
     g = cfg["grid"]
     grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
     ph = cfg["physics"]
@@ -251,14 +261,34 @@ def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
                                  nz["multiplicative_gain"])
     sigma = make_transport_sigma(grid, nz["sigma_cutoff_width"])
     try:
-        params = SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
-                           chi=ph["chi"], gamma=ph["gamma"], phi=phi,
-                           f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
-                           sigma=sigma)
+        return SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
+                         chi=ph["chi"], gamma=ph["gamma"], phi=phi,
+                         f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
+                         sigma=sigma)
     except ValueError as exc:   # the schema checks every other coefficient
         raise ConfigError(f"[physics] phi_scale = {ph['phi_scale']!r}: "
                           f"{exc}") from exc
 
+
+def oxygen_height(ic: dict) -> float:
+    """The supremum over the domain of the selected ``[ic]`` oxygen recipe,
+    read from that recipe's keys alone."""
+    if ic["c_recipe"] == "uniform":
+        height = ic["c_value"]
+    elif ic["c_recipe"] == "linear_gradient":
+        height = ic["c_max"]   # at least c_min, as the config checks
+    else:
+        height = ic["c_base"] + ic["c_amplitude"]
+    if not math.isfinite(height):
+        raise ConfigError("[ic] c recipe produced a non-finite value")
+    return height
+
+
+def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
+    """Resolve a validated config into coefficients and an initial state."""
+    params = build_params(cfg)
+    grid = params.grid
+    x, y = cell_centers(grid)
     ic = cfg["ic"]
     # a recipe that overflows is silent here: the finite check below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,12 +377,11 @@ def read_snapshot(path: str | Path) -> State:
                  n=ScalarField(grid, n), t=t)
 
 
-def _prepare(args):
+def _config(args) -> dict[str, dict]:
     cfg = load_config(args.config)
     if args.seed is not None:   # the flag keeps the key's rule
         cfg["time"]["seed"] = _parse_value("time", "seed", args.seed)
-    params, initial = build_simulation(cfg)
-    return cfg, params, initial
+    return cfg
 
 
 def cmd_check_params(args) -> int:
@@ -365,7 +394,8 @@ def cmd_check_params(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, params, initial = _prepare(args)
+    cfg = _config(args)
+    params, initial = build_simulation(cfg)
     report = check_conditions(params, norm(initial.c, "Linf"))
     if not report.all_ok and not args.allow_inadmissible:
         print("refusing to run: admissibility conditions fail "
@@ -386,8 +416,13 @@ def cmd_run(args) -> int:
             write_snapshot(state, outdir / f"snapshot_{rows[0].step:08d}.cns")
         sample_count[0] += 1
 
-    final, rows = run(initial, params, t["t_end"], t["dt"], seed=t["seed"],
-                      sample_every=t["sample_every"], on_sample=on_sample)
+    # the run gets the only reference, so it can free the initial state
+    # once it has stepped past it
+    handed_over = [initial]
+    del initial
+    final, rows = run(handed_over.pop(), params, t["t_end"], t["dt"],
+                      seed=t["seed"], sample_every=t["sample_every"],
+                      on_sample=on_sample)
 
     if "csv" in formats:
         write_diagnostics_csv(rows, outdir / "diagnostics.csv")
@@ -422,7 +457,12 @@ def _write_report(report, path: Path) -> None:
 
 
 def cmd_experiment(args) -> int:
-    cfg, params, initial = _prepare(args)
+    cfg = _config(args)
+    if args.which == "stratonovich":
+        # the study steps a bump of the initial oxygen's height alone
+        params, scale = build_params(cfg), oxygen_height(cfg["ic"])
+    else:
+        params, initial = build_simulation(cfg)
     outdir = Path(args.out or cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     t = cfg["time"]
@@ -449,7 +489,6 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.which == "stratonovich":
-        scale = max(cfg["ic"]["c_max"], cfg["ic"]["c_value"])
         rep = stratonovich_consistency(params, scale, seed, t["dt"],
                                        ex["levels"], t["t_end"],
                                        n_replicas=ex["replicas"])
@@ -529,9 +568,11 @@ def main(argv=None) -> int:
     """Exit codes: 0 success; 1 failed post-run invariant gate (or, for
     check-params, an inadmissible config); 2 bad config or snapshot, a file
     that cannot be read or an output directory that cannot be made, a run
-    refused by the admissibility gate, or an experiment set-up the study
-    rejects; 3 the integration failed mid-run, in a run, an experiment or
-    one ensemble replica (the message names the replica and the step)."""
+    refused by the admissibility gate, an experiment set-up the study
+    rejects, or an ensemble chunk that raised outside a step or whose
+    worker process exited without its rows; 3 the integration failed
+    mid-run, in a run, an experiment or one ensemble replica (the message
+    names the replica and the step)."""
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)

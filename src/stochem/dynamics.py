@@ -76,6 +76,11 @@ class SimulationError(RuntimeError):
         self.step_index = step_index
         self.lane = lane
 
+    def __reduce__(self):
+        # pickled (an ensemble worker sends it through a pipe) from the
+        # arguments, which the default reduction would take from the message
+        return type(self), (self.reason, self.step_index, self.lane)
+
 
 @dataclass(frozen=True)
 class ConsumptionLaw:
@@ -427,15 +432,15 @@ def require_finite(fields) -> None:
                             first_failing_lane(~finite.all(axis=LANE_REDUCE)))
 
 
-def march(initial: State, params: SimParams, dts: TimeGrid, increments):
-    """The stepping loop: take one step per entry of ``dts`` and yield
-    (step number from 1, state, report) after each.
+def march(state: State, params: SimParams, dts: TimeGrid, increments):
+    """The stepping loop: take one step per entry of ``dts`` from ``state``
+    and yield (step number from 1, state, report) after each; it holds no
+    state it has stepped past.
 
     ``increments`` maps (step index from 0, dt) to a NoiseIncrement.  A
     failing step, including one that leaves a non-finite field, raises
     SimulationError naming the step and, for a batched state, the lane.
     """
-    state = initial
     for index, dt_step in enumerate(dts):
         try:
             # an overflow is silent here: a field it leaves non-finite is
@@ -469,6 +474,8 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     state that diagnostics rejects, raises SimulationError naming the step
     and, when batched, the lane.  ``initial`` is neither written into nor
     copied: with no step to take, the returned state is ``initial`` itself.
+    Nor is it held past the first step, so a caller that keeps no
+    reference to it lets it go.
     """
     if t_end < initial.t:
         raise ValueError(f"t_end={t_end} precedes initial time {initial.t}")
@@ -476,6 +483,7 @@ def run(initial: State, params: SimParams, t_end: float, dt: float, seed: int,
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     state = initial
+    del initial   # so that a caller's handed-over state dies after step 1
     lanes = state.lanes
     batched = lanes != [None]
     k_modes = params.vnoise.n_modes

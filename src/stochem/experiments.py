@@ -16,8 +16,14 @@
   increments, leaving the predictable defect the correction is supposed to
   cancel.  Its levels are the same dt * 2**k ladder.
 * ensemble runs independent replicas as the lanes of batched runs, in chunks
-  of at most BATCH_CELLS cells, one worker thread per chunk up to the usable
-  CPUs, and aggregates diagnostics columns with Welford statistics.
+  of at most BATCH_CELLS cells, and aggregates diagnostics columns with
+  Welford statistics.  Where the process may fork (the fork start method
+  and one OS thread, as in the stochem command, which asks for one BLAS
+  thread) a small ensemble splits further, towards one chunk per usable
+  CPU, and the chunks run in up to that many processes: the calling one and
+  forked workers.  Elsewhere the fewest chunks run on one worker thread
+  each, up to the usable CPUs.  The calling process's ru_maxrss leaves the
+  workers out.
 
 Each study takes scalars (a step, a level count, a replica count) and builds
 its own schedule from them.  Every study but the oxygen-only transport test
@@ -312,8 +318,20 @@ def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
 # Most cells in one batched ensemble run: 16 replicas at 32^2, one at 128^2.
 # On a 2-vCPU x86-64 host a 16-replica 32^2 ensemble ran at about 2,000
 # replica-steps/s in chunks of 16,384 cells, 1,750 at 8,192 and 1,600 at
-# 32,768 or more; larger chunks also only grow memory on large grids.
+# 32,768 or more; larger chunks also only grow memory on large grids.  Chunks
+# on threads share the GIL, and two of them ran 28 % slower than one, so
+# threads keep the fewest chunks.
 BATCH_CELLS = 16384
+
+# Fewest cells per chunk when chunks fork (see fork_safe) and a small
+# ensemble is split further to give each usable CPU a chunk: on the same
+# host, two forked 8-replica chunks (8,192 cells each) ran 16 replicas at
+# 32^2 1.3 to 1.5 times as fast as one chunk.  Smaller chunks, and more than
+# two processes, were not measured, so the split stops here.
+FORK_CELLS = 8192
+
+# The cgroup v2 CPU limit: "max", or a quota and a period in microseconds.
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 ENSEMBLE_COLUMNS = DiagnosticsRow.COLUMNS[2:]
 
@@ -332,10 +350,105 @@ class EnsembleStats:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    """CPUs this process may run on: its affinity mask, else the CPU count,
+    but no more than a cgroup v2 CPU quota at CPU_MAX, rounded up."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        with open(CPU_MAX, encoding="ascii") as limit:
+            quota, period = limit.read().split()
+        return max(1, min(cpus, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError, ZeroDivisionError):
+        return cpus   # no cgroup v2 limit here, or "max"
+
+
+def fork_safe() -> bool:
+    """Whether ensemble chunks may run in forked processes: multiprocessing
+    offers the fork start method, this process is no daemonic
+    multiprocessing worker (which may start no process) and it has one OS
+    thread, so no lock another thread holds is copied into a child (Python
+    3.12 warns about fork otherwise).  BLAS starts its threads at import
+    unless told otherwise, as the stochem command does; without /proc the
+    count is unknown and forking is taken as unsafe."""
+    # imported here, so that only ensembles pay for it at start-up
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def replica_chunks(n_replicas: int, cells: int,
+                   at_least: int = 1) -> list[range]:
+    """The replicas split evenly into the fewest contiguous chunks of at
+    most BATCH_CELLS cells (or one replica), but no fewer than
+    min(n_replicas, at_least)."""
+    count = max(math.ceil(n_replicas / max(1, BATCH_CELLS // cells)),
+                min(n_replicas, at_least))
+    edges = [n_replicas * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def forked_shares(n_replicas: int, cells: int,
+                  cpus: int) -> list[list[range]]:
+    """The chunks of an ensemble that forks, in min(chunks, cpus)
+    contiguous shares: the first for the calling process, one for each
+    forked worker.  Beyond the fewest chunks, the replicas split into up to
+    one chunk per CPU, but into no more chunks than their cells fill at
+    FORK_CELLS each."""
+    chunks = replica_chunks(n_replicas, cells,
+                            min(cpus, n_replicas * cells // FORK_CELLS))
+    processes = min(len(chunks), cpus)
+    edges = [len(chunks) * i // processes for i in range(processes + 1)]
+    return [chunks[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _in_forked_workers(one, shares: list[list[range]]) -> list:
+    """one(chunk) for every chunk, in chunk order: the first share on the
+    calling process while each other share runs in a forked worker, which
+    sends its results back through a pipe.  ``one`` must not raise.  A
+    worker that exits without its results raises ExperimentError; every
+    worker is joined before this returns or raises, and on an error the
+    workers still running are terminated first."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for share in shares[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            # fork copies this process as it is, so the target needs no
+            # pickling and sees this iteration's share and writer
+            worker = context.Process(target=lambda: writer.send(
+                [one(reps) for reps in share]))
+            worker.start()
+            writer.close()
+            workers.append((worker, reader, share))
+        results = [one(reps) for reps in shares[0]]
+        for worker, reader, share in workers:
+            try:
+                results += reader.recv()
+            except EOFError:
+                worker.join()
+                raise ExperimentError(
+                    f"the worker for replicas {share[0].start} to "
+                    f"{share[-1].stop - 1} exited with status "
+                    f"{worker.exitcode} before sending its rows") from None
+        return results
+    except BaseException:
+        for worker, _, _ in workers:
+            worker.terminate()   # a result no longer needed
+        raise
+    finally:
+        for worker, reader, _ in workers:
+            reader.close()
+            worker.join()
 
 
 def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
@@ -343,14 +456,21 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
     """Independent replicas, deterministic per-replica streams, Welford folds.
 
     Replicas integrate as the lanes of batched runs, one step per time step
-    for a whole chunk of contiguous replicas.  The replicas split evenly into
-    the fewest chunks of at most BATCH_CELLS cells (or one replica), and
-    those chunks run on min(chunks, usable_cpus()) worker threads; a chunk is
-    never split.  Every replica's rows are bitwise its unbatched run's, so
-    the statistics do not depend on the chunks or on the workers.  Every
-    chunk runs to its end or its failure; if any replica failed, the error
-    names the first to fail in time (the lowest replica among those failing
-    at the earliest step).
+    for a whole chunk of contiguous replicas, and a chunk is never split.
+    The replicas split evenly into the fewest chunks of at most BATCH_CELLS
+    cells (or one replica).  Where fork_safe(), a small ensemble splits
+    further, as forked_shares says, and the chunks run in min(chunks,
+    usable_cpus()) processes: contiguous shares of chunks, the first on the
+    calling process, each other in a forked worker.  Elsewhere the chunks
+    run on min(chunks, usable_cpus()) worker threads, or on the calling
+    thread when that is one.  Every replica's rows are bitwise its
+    unbatched run's, so the statistics do not depend on the chunks, the
+    threads or the processes.  Every chunk runs to its end or its failure;
+    if any replica failed, the error names the first to fail in time (the
+    lowest replica among those failing at the earliest step).  A chunk that
+    raises outside a step fails the ensemble with the lowest such chunk's
+    first replica; a worker that exits without its rows fails it with that
+    worker's replicas and exit status.
     """
     # looked up at call time, not hoisted: a tracer that wraps
     # stochem.dynamics.run after import still sees the ensemble's runs
@@ -359,31 +479,42 @@ def ensemble(params: SimParams, initial: State, seed: int, n_replicas: int,
     if n_replicas < 1:
         raise ExperimentError("need at least one replica")
     g = params.grid
-    chunk_count = math.ceil(n_replicas / max(1, BATCH_CELLS // (g.nx * g.ny)))
-    edges = [n_replicas * i // chunk_count for i in range(chunk_count + 1)]
-    chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    cells = g.nx * g.ny
 
     def failed(rep: int, reason) -> ExperimentError:
         return ExperimentError(
             f"replica {rep} (base seed {seed}) failed: {reason}")
 
     def one(reps: range):
-        batch = stack_states([initial] * len(reps))
+        # an error is returned, not raised, so that it can cross a pipe
         try:
-            return run(batch, params, t_end, dt, seed=seed,
-                       sample_every=sample_every, replica=reps.start)[1]
+            return run(stack_states([initial] * len(reps)), params, t_end,
+                       dt, seed=seed, sample_every=sample_every,
+                       replica=reps.start)[1]
         except SimulationError as exc:
             return exc   # weighed against the other chunks' failures below
         except Exception as exc:
-            raise failed(reps.start, exc) from exc
+            error = failed(reps.start, exc)
+            error.__cause__ = exc
+            return error
 
-    workers = min(len(chunks), usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunked = list(pool.map(one, chunks))
+    cpus = usable_cpus()
+    if fork_safe():
+        shares = forked_shares(n_replicas, cells, cpus)
+        chunks = [reps for share in shares for reps in share]
+        chunked = _in_forked_workers(one, shares)
     else:
-        # a single worker stays on the calling thread
-        chunked = [one(reps) for reps in chunks]
+        chunks = replica_chunks(n_replicas, cells)
+        workers = min(len(chunks), cpus)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                chunked = list(pool.map(one, chunks))
+        else:
+            # a single worker stays on the calling thread
+            chunked = [one(reps) for reps in chunks]
+    for exc in chunked:
+        if isinstance(exc, ExperimentError):
+            raise exc
     failures = [(exc.step_index, reps[exc.lane or 0], exc)
                 for reps, exc in zip(chunks, chunked)
                 if isinstance(exc, SimulationError)]

@@ -10,7 +10,8 @@ are reads from the generated ``__init__``, ``__eq__``, ``__repr__`` and
 ``__hash__``, from ``__post_init__`` or from ``dataclasses.replace``.  The
 commands are ``check-params``; ``run`` with snapshots, the saturating law
 and no potential; the four experiments; ``snapshot-info``; and one failing
-config each for exit codes 2 and 3.
+config each for exit codes 2 and 3.  The census runs with one BLAS thread,
+so the ensemble forks where it can; what a forked worker runs is not seen.
 
     PYTHONPATH=src python tests/census.py
 
@@ -32,6 +33,12 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+
+# one BLAS thread whatever the caller set, as in the benchmark's children:
+# the process then holds a single thread, so the ensemble takes its forking
+# path (see fork_safe)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import stochem
 from stochem.cli import main

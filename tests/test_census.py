@@ -15,6 +15,9 @@ import stochem
 ERROR_PATHS = {
     "experiments.ensemble.failed": "an ensemble replica that fails mid-run "
                                    "or raises outside a step",
+    "dynamics.SimulationError.__reduce__": "a replica that fails in a forked "
+                                           "ensemble worker, which pickles "
+                                           "the error",
 }
 
 # field -> who reads it, outside the package

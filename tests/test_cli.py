@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -422,6 +423,7 @@ def test_snapshot_with_extreme_grid_length_exits_2(tmp_path, capsys, rng):
     assert "lx = 1e-300" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 @settings(max_examples=50)
 @given(nx=st.integers(5, 12), ny=st.integers(5, 12),
        gamma=st.floats(0.0, 0.1), amplitude=st.floats(1e-3, 0.1),
@@ -437,7 +439,8 @@ def test_lanes_and_workers_leave_results_bitwise(
     # noisy configs (the CLI needs 5 cells a side for the transport cutoff
     # ring): every lane of a batched run is its own unbatched run, and an
     # ensemble writes the same bytes in one chunk, in several chunks on the
-    # calling thread, and in several chunks on two workers
+    # calling thread, in several chunks on two worker threads, and in one
+    # chunk per CPU on two processes
     t_end = (steps - 0.5 * landing) * 1e-3
     text = (f"[grid]\nnx = {nx}\nny = {ny}\n"
             f"[physics]\ngamma = {gamma!r}\nf_name = {law}\n"
@@ -465,11 +468,13 @@ def test_lanes_and_workers_leave_results_bitwise(
     cfg = _write_cfg(tmp, text)
     per_chunk = min(per_chunk, lanes - 1)   # so at least two chunks
 
-    def ensemble_csv(cpus, batch_cells):
-        out = tmp / f"out-{cpus}-{batch_cells}"
+    def ensemble_csv(cpus, batch_cells, forking=False):
+        out = tmp / f"out-{cpus}-{batch_cells}-{forking}"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "usable_cpus", lambda: cpus)
             mp.setattr(experiments, "BATCH_CELLS", batch_cells)
+            mp.setattr(experiments, "fork_safe", lambda: forking)
+            mp.setattr(experiments, "FORK_CELLS", nx * ny)   # 1 replica
             assert main(["experiment", "ensemble", "--config", str(cfg),
                          "--out", str(out)]) == 0
         return (out / "ensemble_stats.csv").read_bytes()
@@ -477,6 +482,7 @@ def test_lanes_and_workers_leave_results_bitwise(
     whole = ensemble_csv(1, experiments.BATCH_CELLS)
     assert ensemble_csv(1, nx * ny * per_chunk) == whole
     assert ensemble_csv(2, nx * ny * per_chunk) == whole
+    assert ensemble_csv(2, experiments.BATCH_CELLS, forking=True) == whole
 
 
 # ------------------------------------------------------- the CLI contract
@@ -870,7 +876,8 @@ test_huge_oxygen_exits_without_traceback = _pinned(
 # the fields are finite, but the sums of their squares or of their squared
 # differences overflow: the reductions stay silent, and the check after them
 # refuses the result; 257 replicas at 8x8 make two chunks, which run on
-# worker threads when two CPUs are usable
+# worker threads, or in two processes where chunks fork, when two CPUs are
+# usable
 test_overflowing_study_distance_exits_2 = _pinned(
     *(_row(f"{_cmd(command)}-{err}", command, _SQUARES_OVERFLOW, 2,
            f"error: {err}\n")
@@ -878,18 +885,111 @@ test_overflowing_study_distance_exits_2 = _pinned(
           ("experiment convergence",
            "the refinement errors are not finite: [inf, inf]"),
           ("experiment twin", "the separation is not finite at t = 0"))))
+_ENSEMBLE_OVERFLOW = [
+    _row(id, "experiment ensemble",
+         _SQUARES_OVERFLOW + f"replicas = {replicas}\n", 3,
+         "error: replica 0 (base seed 1234) failed: sample at step 0 "
+         "failed: diagnostics column h1_c is not finite...")
+    for id, replicas in (("ensemble", 2), ("ensemble-two-chunks", 257))]
 test_overflow_prints_only_the_error = _pinned(
     _row("allow-inadmissible", "run --allow-inadmissible",
          _SQUARES_OVERFLOW + "replicas = 2\n", 3,
          "error: step 0: diagnostics column h1_c is not finite..."),
-    *(_row(id, "experiment ensemble",
-           _SQUARES_OVERFLOW + f"replicas = {replicas}\n", 3,
-           "error: replica 0 (base seed 1234) failed: sample at step 0 "
-           "failed: diagnostics column h1_c is not finite...")
-      for id, replicas in (("ensemble", 2), ("ensemble-two-chunks", 257))),
+    *_ENSEMBLE_OVERFLOW,
     _row("stratonovich", "experiment stratonovich",
          _SQUARES_OVERFLOW + "replicas = 2\n", 2,
          "error: the oxygen energy drift is not finite..."))
+
+
+_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS")
+
+
+def _default_threads_env() -> dict:
+    """_child_env() without a BLAS thread count: the command's default."""
+    return {k: v for k, v in _child_env().items() if k not in _THREAD_COUNTS}
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_command_asks_for_one_blas_thread():
+    # imported first, the CLI leaves one thread, so ensemble chunks fork;
+    # imported after numpy, or with a count set, it changes nothing
+    forks = ("import sys, stochem.cli\n"
+             "from stochem.experiments import fork_safe\n"
+             "sys.exit(not fork_safe())\n")
+    late = ("import os, sys, numpy, stochem.cli\n"
+            "sys.exit('OPENBLAS_NUM_THREADS' in os.environ)\n")
+    chosen = ("import os, sys, stochem.cli\n"
+              "sys.exit(os.environ['OPENBLAS_NUM_THREADS'] != '2')\n")
+    env = _default_threads_env()
+    for code, extra in ((forks, {}), (late, {}),
+                        (chosen, {"OPENBLAS_NUM_THREADS": "2"})):
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**env, **extra})
+        assert done.returncode == 0, code
+
+
+def _single_threaded_cli(argv: list[str], cpus: int):
+    """Run ``stochem argv`` in a fresh interpreter with no BLAS thread count
+    set, pinned to the first ``cpus`` of the usable CPUs; the interpreter
+    exits with a message unless ensemble chunks may fork there, as they
+    should under the command's default of one BLAS thread."""
+    env = _default_threads_env()
+    script = ("import os, sys\n"
+              "cpus = sorted(os.sched_getaffinity(0))[:int(sys.argv[1])]\n"
+              "os.sched_setaffinity(0, cpus)\n"
+              "from stochem.cli import main\n"
+              "from stochem.experiments import fork_safe\n"
+              "if not fork_safe():\n"
+              "    sys.exit('ensemble chunks may not fork here')\n"
+              "sys.exit(main(sys.argv[2:]))\n")
+    return subprocess.run([sys.executable, "-c", script, str(cpus), *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs the fork start method and two usable CPUs")
+def test_forked_ensemble_matches_one_cpu(tmp_path):
+    # 16 replicas at 32^2 (one chunk, split in two where chunks fork) and
+    # the two chunks of 257 replicas at 8^2 run in two processes on two
+    # CPUs; the output bytes, and a failure's exit code and stderr, are
+    # those of a run on one CPU
+    cfg = _write_cfg(tmp_path, REFERENCE.replace(
+        "nx = 24\nny = 24", "nx = 32\nny = 32").replace("replicas = 2",
+                                                       "replicas = 16"))
+    outputs = []
+    for cpus in (2, 1):
+        out = tmp_path / f"out-{cpus}"
+        done = _single_threaded_cli(["experiment", "ensemble", "--config",
+                                     str(cfg), "--out", str(out)], cpus)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append((out / "ensemble_stats.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+    command, text, code, err, _ = _ENSEMBLE_OVERFLOW[1].values
+    (tmp_path / "two-chunks.ini").write_text(text)
+    failed = [_single_threaded_cli(
+        [*command, "--config", str(tmp_path / "two-chunks.ini"), "--out",
+         str(tmp_path / f"failed-{cpus}")], cpus) for cpus in (2, 1)]
+    assert failed[0].returncode == failed[1].returncode == code
+    assert failed[0].stderr == failed[1].stderr
+    assert _matches(failed[0].stderr, err), failed[0].stderr
+
+
+# the Stratonovich study builds only the oxygen recipe, and only for its
+# height: a cell recipe it never uses cannot refuse it, and a uniform
+# oxygen of 0.1 makes a bump of height 0.1 (the default gradient's is 0.3)
+test_stratonovich_reads_only_the_oxygen_recipe = _pinned(
+    *(_row(id, "experiment stratonovich",
+           f"[grid]\nnx = 7\nny = 7\n[ic]\n{ic}\n" + _SMALL, 0, "",
+           f"finest-level drift gap: ... (reference {reference}...)\n")
+      for id, ic, reference in (
+          ("cells-overflow", "n_base = 1e308\nn_amplitude = 1e308", "0.0036"),
+          ("uniform-oxygen", "c_recipe = uniform\nc_value = 0.1", "0.0004"))))
 
 # the bump at the largest float overflows in its first drift step; the study
 # stops as a run does and names the level, replica and step

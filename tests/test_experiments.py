@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import pickle
+import signal
 import threading
 from dataclasses import replace
 
@@ -217,28 +221,70 @@ def test_ensemble_mass_is_pathwise_conserved():
     assert np.max(stats.variance["mass_n"]) <= (1e-12 * m0) ** 2
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 5])
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
-                                                               cpus, chunks):
-    # 5 replicas at 24^2 in chunks of at most 5, 3 or 1 replicas
+_NEEDS_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method")
+
+
+def _forced_fork(test):
+    """Mark a test that makes the ensemble fork whatever fork_safe says: a
+    fork from this process, which may hold BLAS threads, is harmless here
+    but warns on Python 3.12+."""
+    return _NEEDS_FORK(pytest.mark.filterwarnings(
+        "ignore:This process:DeprecationWarning")(test))
+
+
+def _check_layout(monkeypatch, cpus: int, chunks: int,
+                  forking: bool) -> None:
+    """Run 5 replicas at 24^2 in chunks of at most 5, 3 or 1 replicas
+    (chunks = 1, 2 or 5) on ``cpus`` CPUs, forking or not, and check the
+    chunks, the threads and the processes that ran them; a forking
+    ensemble may split down to chunks of one replica."""
     monkeypatch.setattr(experiments, "BATCH_CELLS",
                         24 * 24 * {1: 5, 2: 3, 5: 1}[chunks])
+    monkeypatch.setattr(experiments, "FORK_CELLS", 24 * 24)
     _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(experiments, "fork_safe", lambda: forking)
 
     def no_start(self):
         raise AssertionError("a thread was started")
 
     pools = record_calls(monkeypatch, "ThreadPoolExecutor", experiments)
+    forks = record_calls(monkeypatch, "start",
+                         multiprocessing.context.ForkProcess)
+    if forking:
+        chunks = max(chunks, min(5, cpus))
     workers = min(chunks, cpus)
-    if workers == 1:   # the chunks run on the calling thread
+    if workers == 1 or forking:   # no chunk runs on a second thread
         monkeypatch.setattr(threading.Thread, "start", no_start)
     params, st = _setup()
     runs = record_calls(monkeypatch, "run", dynamics)
     ensemble(params, st, 3, 5, 0.002, 1e-3)
-    assert len(runs) == chunks
+    # a forked worker's runs are not recorded in this process
+    assert len(runs) == (chunks // workers if forking else chunks)
     assert ([call.kwargs["max_workers"] for call in pools]
-            == ([] if workers == 1 else [workers]))
+            == ([] if workers == 1 or forking else [workers]))
+    assert len(forks) == (workers - 1 if forking else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_ensemble_pool_has_one_worker_per_chunk_up_to_the_cpus(monkeypatch,
+                                                               cpus, chunks):
+    # where the process may not fork, the fewest chunks run on one thread
+    # each up to the CPUs, or on the calling thread
+    _check_layout(monkeypatch, cpus, chunks, forking=False)
+
+
+@_forced_fork
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_forking_ensemble_has_one_process_per_chunk_up_to_the_cpus(
+        monkeypatch, cpus, chunks):
+    # where it may fork, there is at least one chunk per CPU, and the
+    # calling process runs the first of min(chunks, cpus) even shares
+    _check_layout(monkeypatch, cpus, chunks, forking=True)
 
 
 def test_ensemble_reports_failing_replica():
@@ -258,6 +304,7 @@ def test_ensemble_is_bitwise_equal_across_thread_counts(monkeypatch, cpus,
     # a smaller BATCH_CELLS splits the 5 replicas into uneven chunks of
     # lanes; the statistics equal those of one batch of 5 bit for bit,
     # whatever number of threads runs the chunks
+    monkeypatch.setattr(experiments, "fork_safe", lambda: False)
     params, st = _setup()
     reference = ensemble(params, st, 6, 5, 0.012, 1e-3, sample_every=4)
     # room for chunks[0] replicas of 24^2 cells in one chunk
@@ -316,6 +363,105 @@ def test_ensemble_names_first_failure_in_time_across_chunks(monkeypatch,
     assert str(err.value) == ("replica 4 (base seed 8) failed: step 1 failed: "
                               "field c is not finite")
     assert isinstance(err.value.__cause__, SimulationError)
+
+
+@pytest.mark.parametrize("n_replicas, cells, cpus, shares", [
+    (16, 32 * 32, 1, [[(0, 16)]]),
+    (16, 32 * 32, 2, [[(0, 8)], [(8, 16)]]),
+    # no more processes on more CPUs: chunks stop at FORK_CELLS cells
+    (16, 32 * 32, 64, [[(0, 8)], [(8, 16)]]),
+    (257, 8 * 8, 128, [[(0, 128)], [(128, 257)]]),
+    (5, 24 * 24, 8, [[(0, 5)]]),
+    # the fewest chunks, one replica each at 128^2, one per process
+    (4, 128 * 128, 64, [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]),
+    (4, 128 * 128, 2, [[(0, 1), (1, 2)], [(2, 3), (3, 4)]]),
+], ids=["32^2-1cpu", "32^2-2cpus", "32^2-64cpus", "8^2-128cpus",
+        "24^2-8cpus", "128^2-64cpus", "128^2-2cpus"])
+def test_forked_split_stops_at_fork_cells(n_replicas, cells, cpus, shares):
+    got = experiments.forked_shares(n_replicas, cells, cpus)
+    assert [[(r.start, r.stop) for r in share] for share in got] == shares
+
+
+@pytest.mark.parametrize("limit, cpus", [("max 100000\n", 2),
+                                         ("50000 100000\n", 1),
+                                         ("150000 100000\n", 2),
+                                         ("100000 100000\n", 1)])
+def test_usable_cpus_honours_a_cgroup_quota(monkeypatch, tmp_path, limit,
+                                           cpus):
+    # two CPUs in the affinity mask; a quota of 0.5 or 1 CPU leaves one,
+    # 1.5 rounds up to two, and "max" sets no limit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiments, "CPU_MAX", str(tmp_path / "cpu.max"))
+    assert experiments.usable_cpus() == 2   # no such file
+    (tmp_path / "cpu.max").write_text(limit)
+    assert experiments.usable_cpus() == cpus
+
+
+@_NEEDS_FORK
+def test_fork_guard_counts_threads_and_daemons(monkeypatch):
+    # a process forks with one OS thread, unless it is a daemonic pool
+    # worker, which may start no process
+    threads = ["1"]
+    monkeypatch.setattr(os, "listdir", lambda path: threads)
+    assert experiments.fork_safe()
+    threads.append("2")
+    assert not experiments.fork_safe()
+    threads.pop()
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert not experiments.fork_safe()
+
+
+def test_simulation_error_survives_pickling():
+    # a forked ensemble worker sends a replica's failure through a pipe
+    exc = pickle.loads(pickle.dumps(SimulationError(
+        "field c is not finite", step_index=3, lane=2)))
+    assert isinstance(exc, SimulationError)
+    assert (str(exc), exc.reason, exc.step_index, exc.lane) == (
+        "lane 2: field c is not finite", "field c is not finite", 3, 2)
+
+
+@_forced_fork
+def test_forked_workers_end_with_the_ensemble(monkeypatch):
+    # 5 replicas on two processes: replicas 0-1 here, 2-4 in one worker;
+    # whether the ensemble succeeds, a replica fails or the worker is
+    # killed, no worker outlives the call
+    monkeypatch.setattr(experiments, "fork_safe", lambda: True)
+    monkeypatch.setattr(experiments, "FORK_CELLS", 24 * 24)
+    _usable_cpus(monkeypatch, 2)
+    params, st = _setup()
+    ensemble(params, st, 8, 5, 0.004, 1e-3)
+    assert multiprocessing.active_children() == []
+
+    _nan_dbeta(monkeypatch, {4: 0})
+    with pytest.raises(ExperimentError) as err:
+        ensemble(params, st, 8, 5, 0.004, 1e-3)
+    assert str(err.value) == ("replica 4 (base seed 8) failed: step 1 failed: "
+                              "field c is not finite")
+    assert multiprocessing.active_children() == []
+
+    parent, draw = os.getpid(), dynamics.sample_increments
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("the ensemble waited on a killed worker")
+
+    monkeypatch.setattr(dynamics, "sample_increments", killed)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ExperimentError) as err:
+            ensemble(params, st, 8, 5, 0.004, 1e-3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(err.value) == ("the worker for replicas 2 to 4 exited with "
+                              "status -9 before sending its rows")
+    assert multiprocessing.active_children() == []
 
 
 def test_ensemble_mean_energy_residual_is_martingale_small():
