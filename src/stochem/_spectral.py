@@ -11,12 +11,16 @@ one call, each lane bitwise as if it were solved alone.
 
 The arrays a solve divides by form its plan, built on first use and cached:
 per grid the Poisson divisor (the eigenvalues with the zero mode set to one,
-so no entry is zero), and per (grid, coef) the scalar denominator
-1 + coef*lambda and the two velocity denominators.  A fixed-step run builds
-one plan per coefficient; a landing step adds one more.  Plans are
-read-only, so threads share them.  A solve never writes into its right-hand
-side: a transform overwrites only an array that an earlier transform of the
-same solve allocated.
+so no entry is zero), and per (grid, coef) one table
+1 + coef*(lambda_x[k] + lambda_y[l]) over the wavenumbers k = 0..nx and
+l = 0..ny.  Every diffusion solve divides by a view of that table: the
+cosine modes [:nx, :ny] for a scalar, and the sine modes [1:nx, 1:] and
+[1:, 1:ny] for the two velocity components, so each coefficient holds one
+array of (nx + 1)(ny + 1) numbers whichever solves use it.  A fixed-step run
+builds one table per coefficient; a landing step adds one more per
+coefficient.  Plans are read-only, so threads share them.  A solve never
+writes into its right-hand side: a transform overwrites only an array that
+an earlier transform of the same solve allocated.
 """
 
 from __future__ import annotations
@@ -56,8 +60,16 @@ def _poisson_divisor(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _scalar_denominator(grid: Grid, coef: float) -> np.ndarray:
-    return _read_only(1.0 + coef * neumann_eigenvalues(grid))
+def _diffusion_table(grid: Grid, coef: float) -> np.ndarray:
+    """1 + coef*(lambda_x[k] + lambda_y[l]) for k = 0..nx, l = 0..ny: the
+    DCT-II modes 0..n-1, the DST-I modes 1..n-1 and the DST-II modes 1..n
+    of either axis are all among them."""
+    lx = _eigenvalues(np.arange(grid.nx + 1), grid.nx, grid.dx)
+    ly = _eigenvalues(np.arange(grid.ny + 1), grid.ny, grid.dy)
+    table = lx[:, None] + ly[None, :]
+    table *= coef
+    table += 1.0
+    return _read_only(table)
 
 
 def solve_poisson_neumann(grid: Grid, rhs: np.ndarray):
@@ -87,7 +99,7 @@ def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarF
     if coef == 0.0:
         return rhs.copy()
     chat = dctn(rhs.values, type=2, norm="ortho", axes=LANE_REDUCE)
-    chat /= _scalar_denominator(grid, coef)
+    chat /= _diffusion_table(grid, coef)[:grid.nx, :grid.ny]
     out = idctn(chat, type=2, norm="ortho", axes=LANE_REDUCE, overwrite_x=True)
     # the exact solve preserves the zero mode; pin it so the transform
     # round-trip cannot leak mass
@@ -96,26 +108,16 @@ def solve_scalar_diffusion(grid: Grid, rhs: ScalarField, coef: float) -> ScalarF
     return ScalarField(grid, out)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _velocity_denominators(grid: Grid,
-                           coef: float) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    # DST-I modes k = 1..n-1 on the n-1 interior faces along a component's
-    # own axis; DST-II modes k = 1..n, reflected ghost built in, across it
-    lam_x = (_eigenvalues(np.arange(1, nx), nx, dx)[:, None]
-             + _eigenvalues(np.arange(1, ny + 1), ny, dy)[None, :])
-    lam_y = (_eigenvalues(np.arange(1, nx + 1), nx, dx)[:, None]
-             + _eigenvalues(np.arange(1, ny), ny, dy)[None, :])
-    return (_read_only(1.0 + coef * lam_x), _read_only(1.0 + coef * lam_y))
-
-
 def solve_velocity_diffusion(grid: Grid, rhs: VectorField, coef: float) -> VectorField:
     """Solve (I - coef*lap) u = rhs componentwise with no-slip walls.
 
     Wall-normal boundary faces stay exactly zero; the tangential ghost
     reflection of the stencil is what the DST-II direction encodes.
     """
-    den_x, den_y = _velocity_denominators(grid, coef)
+    table = _diffusion_table(grid, coef)
+    # DST-I modes 1..n-1 on the n-1 interior faces along a component's own
+    # axis; DST-II modes 1..n, reflected ghost built in, across it
+    den_x, den_y = table[1:grid.nx, 1:], table[1:, 1:grid.ny]
     out_x = np.zeros_like(rhs.u_x)
     out_x[..., 1:-1, :] = _sine_solve(rhs.u_x[..., 1:-1, :], den_x, 1, 2)
     out_y = np.zeros_like(rhs.u_y)

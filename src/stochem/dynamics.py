@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
 from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, VectorField,
-                   first_failing_lane, neighbours, per_lane,
+                   along, first_failing_lane, neighbours, per_lane,
                    scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
@@ -103,8 +103,29 @@ CONSUMPTION_LAWS = {
 }
 
 
+def _axis_constant(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or, where it is constant bit for bit along a spatial
+    axis, a read-only broadcast view of one copied slice along that axis
+    (of one entry where it is constant along both): the same numbers in
+    O(nx + ny) bytes."""
+    kept = a
+    for axis in (-2, -1):
+        first = kept[along(axis, slice(0, 1))]
+        if np.broadcast_to(first, kept.shape).tobytes() == kept.tobytes():
+            kept = first
+    return a if kept is a else np.broadcast_to(kept.copy(), a.shape)
+
+
 @dataclass(frozen=True)
 class SimParams:
+    """The coefficients of a run, constant in time and shared by threads.
+
+    The potential ``phi`` and its face gradients ``phi_grad`` are held
+    once: where one of these fields is constant along a spatial axis, as
+    every potential the config offers is, it is a read-only broadcast view
+    of one slice, with the same numbers as the full array; any other
+    potential is held whole.
+    """
     eta: float                     # fluid viscosity
     mu: float                      # oxygen diffusivity
     delta: float                   # cell diffusivity
@@ -115,8 +136,7 @@ class SimParams:
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
-    # scalar_face_gradients(phi), computed once here and read-only, since
-    # the potential is constant in time and threads share the parameters
+    # scalar_face_gradients(phi), computed once here and read-only
     phi_grad: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
                                                     compare=False)
 
@@ -131,12 +151,15 @@ class SimParams:
         if not (math.isfinite(self.chi * self.chi)
                 and math.isfinite(self.gamma * self.gamma)):
             raise ValueError("chi and gamma must have finite squares")
+        phi = ScalarField(self.phi.grid, _axis_constant(self.phi.values))
+        object.__setattr__(self, "phi", phi)
         with np.errstate(over="ignore"):   # checked below
-            gx, gy = scalar_face_gradients(self.phi)
+            gx, gy = scalar_face_gradients(phi)
         if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
             raise ValueError("the gradient of the potential is not finite")
         gx.flags.writeable = gy.flags.writeable = False
-        object.__setattr__(self, "phi_grad", (gx, gy))
+        object.__setattr__(self, "phi_grad",
+                           (_axis_constant(gx), _axis_constant(gy)))
 
     @property
     def grid(self) -> Grid:

@@ -240,7 +240,10 @@ _lane_tanh = np.frompyfunc(math.tanh, 1, 1)
 
 def g_scale(u: VectorField, cfg: VelocityNoiseConfig):
     """State-dependent amplitude; bounded and 1-Lipschitz in |u|_L2; one
-    value per lane."""
+    value per lane.  At zero gain it is the amplitude, and |u|_L2 is not
+    taken."""
+    if cfg.multiplicative_gain == 0.0:
+        return per_lane(np.full(u.lanes, cfg.amplitude))
     scale = cfg.amplitude * (1.0 + cfg.multiplicative_gain
                              * _lane_tanh(norm(u, "L2")))
     return per_lane(np.asarray(scale, dtype=float))

@@ -7,7 +7,7 @@ from dataclasses import astuple, replace
 
 from stochem import _spectral, diagnostics, dynamics, noise, operators
 from stochem import grid as grid_mod
-from stochem.cli import build_simulation, parse_config
+from stochem.cli import build_params, build_simulation, parse_config
 from stochem.diagnostics import column
 from stochem.dynamics import (DT_MAX, CflError, SimulationError, State, run,
                               stable_dt, stack_states, step)
@@ -453,29 +453,25 @@ def test_grid_self_convergence_on_smooth_data():
 
 
 def test_run_builds_each_spectral_plan_once(monkeypatch):
-    # 10 full steps and a landing step: one Poisson plan for the grid, one
-    # scalar plan per dt * delta and dt * mu and one velocity plan per
-    # dt * eta, for dt and for the landing step; the Poisson and scalar
-    # plans each build the eigenvalues once
+    # 10 full steps and a landing step: one Poisson plan for the grid, built
+    # from the eigenvalues once, and one diffusion table per dt * delta,
+    # dt * mu and dt * eta, for dt and for the landing step, each looked up
+    # once per solve: the density, oxygen and velocity solve of every step
     g = make_grid(12, 12, 1.0, 1.0)
     params = default_params(g, eta=0.9, mu=1.1, delta=0.7, gamma=0.1,
                             amplitude=0.02)
     st = quiescent_state(g, n=1.0, c=0.2)
     builds = record_calls(monkeypatch, "neumann_eigenvalues", _spectral)
-    plans = (_spectral._poisson_divisor, _spectral._scalar_denominator,
-             _spectral._velocity_denominators)
-    for plan in plans:
+    for plan in (_spectral._poisson_divisor, _spectral._diffusion_table):
         plan.cache_clear()
     dt, landing = 1e-3, 5e-4
     final, _ = run(st, params, 10 * dt + landing, dt, seed=1,
                    sample_every=100)
     assert final.t == pytest.approx(10 * dt + landing, abs=1e-15)
-    assert [call.args for call in builds] == [(g,)] * 5
-    scalar = _spectral._scalar_denominator.cache_info()
-    velocity = _spectral._velocity_denominators.cache_info()
-    assert (scalar.misses, scalar.currsize) == (4, 4)
-    assert scalar.hits == 2 * 11 - 4
-    assert (velocity.misses, velocity.currsize) == (2, 2)
+    assert [call.args for call in builds] == [(g,)]
+    tables = _spectral._diffusion_table.cache_info()
+    assert (tables.misses, tables.currsize) == (6, 6)
+    assert tables.hits == 3 * 11 - 6
     assert _spectral._poisson_divisor.cache_info().misses == 1
 
 
@@ -590,3 +586,95 @@ def test_step_holds_at_most_ten_fields(nx, lanes):
     fields = (peak - before) / ((nx + 1) * nx * 8 * (lanes or 1))
     assert fields <= 10.0, f"a step peaked at {fields:.2f} fields"
     assert new.t == st.t + dt
+
+
+def _held_bytes(a: np.ndarray) -> int:
+    """The bytes of the array that owns the memory behind ``a``."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("kind", ["linear_y", "linear_x", "zero", "random"])
+def test_potential_is_held_in_one_slice_where_it_is_constant(rng, kind):
+    # every potential the config offers is constant along an axis, so the
+    # parameters hold it and its face gradients as read-only broadcast views
+    # of one slice, bitwise the full arrays; any other potential stays whole
+    nx = ny = 64
+    params = build_params(parse_config(
+        f"[grid]\nnx = {nx}\nny = {ny}\n[physics]\nphi_scale = -1.5\n"
+        f"phi_kind = {'zero' if kind == 'random' else kind}\n"))
+    g = params.grid
+    x, y = grid_mod.cell_centers(g)
+    full = {"linear_y": -1.5 * y, "linear_x": -1.5 * x,
+            "zero": np.zeros((nx, ny)),
+            "random": rng.standard_normal((nx, ny))}[kind]
+    if kind == "random":
+        params = replace(params, phi=ScalarField(g, full))
+        assert params.phi.values is full
+    held = [params.phi.values, *params.phi_grad]
+    for got, want in zip(held, (full, *scalar_face_gradients(
+            ScalarField(g, full)))):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if kind == "random":
+            assert _held_bytes(got) == want.nbytes
+        else:
+            assert _held_bytes(got) <= 8 * (nx + ny + 2)
+            assert not got.flags.writeable
+    assert all(not grad.flags.writeable for grad in params.phi_grad)
+
+
+# Memory budgets at 64^2 with the README physics, in units of one face field
+# of (nx + 1) ny doubles, as tracemalloc sees them; a change that regrows a
+# constant or a step temporary fails here.  Measured with numpy 2.4: a step
+# peaks 10.01 fields above its input state, and the parameters plus the
+# Poisson divisor and the one diffusion table of a run whose
+# eta = mu = delta hold 4.16 fields of array buffers (9.02 when each solve
+# kind had its own arrays and the potential was held whole).
+STEP_PEAK_FIELDS = 10.0
+PARAMS_AND_PLANS_FIELDS = 4.2
+NUMPY_DOMAIN = 389047   # the tracemalloc domain of numpy's array buffers
+
+
+def _array_bytes() -> int:
+    """The bytes of the numpy buffers that tracemalloc traces now."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, NUMPY_DOMAIN)])
+    return sum(trace.size for trace in snapshot.traces)
+
+
+def test_step_stays_within_its_measured_memory_budget():
+    nx, dt = 64, 5e-4
+    params, st, inc = _noisy_setup(nx, None, dt)
+    step(st, params, inc, dt)   # build the spectral plans first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step(st, params, inc, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - before) / ((nx + 1) * nx * 8)
+    assert fields <= STEP_PEAK_FIELDS + 1.0, \
+        f"a step peaked at {fields:.2f} fields"
+
+
+def test_parameters_and_plans_stay_within_their_measured_memory_budget():
+    nx, dt = 64, 5e-4
+    _, st, inc = _noisy_setup(nx, None, dt)
+    cfg = parse_config(f"[grid]\nnx = {nx}\nny = {nx}\n[physics]\n"
+                       f"gamma = 0.1\n[noise]\namplitude = 0.02\n")
+    for plan in (_spectral._poisson_divisor, _spectral._diffusion_table):
+        plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = _array_bytes()
+        params = build_params(cfg)
+        step(st, params, inc, dt)   # builds the plans; its state is dropped
+        held = _array_bytes() - before
+    finally:
+        tracemalloc.stop()
+    fields = held / ((nx + 1) * nx * 8)
+    assert fields <= PARAMS_AND_PLANS_FIELDS, \
+        f"the parameters and plans hold {fields:.2f} fields"

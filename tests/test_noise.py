@@ -5,6 +5,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from stochem import noise
 from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
                           make_grid, norm, scalar_face_gradients, zeros_vector)
 from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
@@ -15,7 +16,7 @@ from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
                            transport_noise_apply, transport_noise_modes)
 from stochem.operators import divergence_residual
 
-from conftest import random_scalar, random_vector
+from conftest import random_scalar, random_vector, record_calls
 from oracles import (cells_clear_of_walls, check_sigma_assumptions,
                      full_scalar, g_hilbert_schmidt, masked_hs_sq,
                      scalar_from_function, velocity_growth_constant,
@@ -290,6 +291,22 @@ def test_batched_g_apply_is_each_lane_alone(rng, nx, ny, k_modes, lanes):
         alone = g_apply(VectorField(g, u.u_x[lane], u.u_y[lane]), cfg, draw)
         assert batched.u_x[lane].tobytes() == alone.u_x.tobytes()
         assert batched.u_y[lane].tobytes() == alone.u_y.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_g_scale_takes_no_norm_at_zero_gain(monkeypatch, rng, lanes):
+    # at zero gain the scale is the amplitude per lane, which is what
+    # amplitude (1 + 0 tanh |u|_L2) gives bit for bit, and |u|_L2 is not taken
+    g = make_grid(12, 10, 1.0, 1.0)
+    u = VectorField(g, rng.standard_normal(lanes + (g.nx + 1, g.ny)),
+                    rng.standard_normal(lanes + (g.nx, g.ny + 1)))
+    calls = record_calls(monkeypatch, "norm", noise)
+    scale = g_scale(u, make_velocity_noise(g, 4, 0.3))
+    assert calls == []
+    assert type(scale) is (np.ndarray if lanes else float)
+    assert np.asarray(scale).tobytes() == np.full(lanes, 0.3).tobytes()
+    g_scale(u, make_velocity_noise(g, 4, 0.3, multiplicative_gain=0.6))
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------- increments

@@ -181,13 +181,16 @@ def test_poisson_divide_raises_no_warning(rng):
 
 
 def test_plans_are_read_only():
+    # the Poisson divisor, one coefficient's table and the views of it that
+    # the scalar and the two velocity solves divide by
     g = make_grid(8, 6, 1.0, 1.0)
-    plans = [_spectral._poisson_divisor(g),
-             _spectral._scalar_denominator(g, 0.1),
-             *_spectral._velocity_denominators(g, 0.1)]
+    table = _spectral._diffusion_table(g, 0.1)
+    assert table.shape == (g.nx + 1, g.ny + 1)
+    plans = [_spectral._poisson_divisor(g), table, table[:g.nx, :g.ny],
+             table[1:g.nx, 1:], table[1:, 1:g.ny]]
     for plan in plans:
         assert not plan.flags.writeable
         with pytest.raises(ValueError):
             plan[0, 0] = 2.0
     assert _spectral._poisson_divisor(g)[0, 0] == 1.0
-    assert _spectral._scalar_denominator(g, 0.1)[0, 0] == 1.0
+    assert _spectral._diffusion_table(g, 0.1)[0, 0] == 1.0
