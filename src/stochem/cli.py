@@ -40,9 +40,9 @@ from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
                        run)
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, stratonovich_consistency, twin_run)
-from .grid import (Grid, GridError, ScalarField, VectorField, cell_centers,
-                   make_grid, norm, stream_function_curl, zeros_scalar,
-                   zeros_vector)
+from .grid import (Grid, GridError, ScalarField, VectorField,
+                   cell_center_axes, cell_centers, make_grid, norm,
+                   stream_function_curl, zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
 from .operators import helmholtz_project
 
@@ -247,13 +247,15 @@ def build_params(cfg: dict[str, dict]) -> SimParams:
     grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
     ph = cfg["physics"]
 
-    x, y = cell_centers(grid)
+    # each potential varies along one axis at most: one slice, broadcast
+    x, y = cell_center_axes(grid)
     if ph["phi_kind"] == "linear_y":
-        phi = ScalarField(grid, ph["phi_scale"] * y)
+        phi_slice = ph["phi_scale"] * y
     elif ph["phi_kind"] == "linear_x":
-        phi = ScalarField(grid, ph["phi_scale"] * x)
+        phi_slice = (ph["phi_scale"] * x)[:, None]
     else:
-        phi = zeros_scalar(grid)
+        phi_slice = np.zeros(1)
+    phi = ScalarField(grid, np.broadcast_to(phi_slice, (grid.nx, grid.ny)))
 
     nz = cfg["noise"]
     vnoise = make_velocity_noise(grid, nz["k_modes"], nz["amplitude"],

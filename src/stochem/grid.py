@@ -150,20 +150,20 @@ class VectorField:
 Field = ScalarField | VectorField
 
 
-def zeros_scalar(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-
-
 def zeros_vector(grid: Grid, lanes: tuple[int, ...] = ()) -> VectorField:
     return VectorField(grid, np.zeros(lanes + (grid.nx + 1, grid.ny)),
                        np.zeros(lanes + (grid.nx, grid.ny + 1)))
 
 
+def cell_center_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D cell-center coordinates along x and along y."""
+    return ((np.arange(grid.nx) + 0.5) * grid.dx,
+            (np.arange(grid.ny) + 0.5) * grid.dy)
+
+
 def cell_centers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Meshgrids (indexing 'ij') of cell-center coordinates."""
-    x = (np.arange(grid.nx) + 0.5) * grid.dx
-    y = (np.arange(grid.ny) + 0.5) * grid.dy
-    return np.meshgrid(x, y, indexing="ij")
+    return np.meshgrid(*cell_center_axes(grid), indexing="ij")
 
 
 def require_same_grid(a: Field, b: Field) -> Grid:

@@ -3,11 +3,16 @@
 The transport fields are the canonical constant unit fields, ramped to zero
 over a ring of faces near the walls (the continuum construction is
 discontinuous at the boundary; the ramp width is the resolution knob).
-sigma_1 = (ramp_x, 0) lives on the vertical faces and sigma_2 = (0, ramp_y)
-on the horizontal ones, so only the two ramps are stored.  Face values follow
-clip((d - w)/w, 0, 1) in units of the face's distance d to the nearest wall,
-so faces within w of a wall are exactly zero and the covariance q(x,x)
-equals the identity at every cell at least 2w cells from the boundary.
+sigma_1 = (r_1, 0) lives on the vertical faces and sigma_2 = (0, r_2) on the
+horizontal ones.  A face's ramp is clip((d - w)/w, 0, 1) in units of its
+distance d to the nearest wall, so faces within w of a wall are exactly zero
+and the covariance q(x,x) equals the identity at every cell at least 2w
+cells from the boundary.  That distance is the smaller of the distances
+along x and along y, and the clip map is monotone, so each ramp is
+r[i, j] = min(r_x[i], r_y[j]) of two 1-D profiles, bit for bit.  Only the
+four profiles are held, and a face array is weighted only on its ring, the
+rows and the columns where a profile is below 1: everywhere else its ramp
+is exactly 1.
 
 The velocity forcing's modes are discrete curls of the node stream functions
 sin(a pi x) sin(b pi y), so each face field of a mode is an outer product of
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +40,40 @@ from .grid import (INNER, Grid, ScalarField, VectorField, along, node_sines,
                    require_same_grid, scalar_face_gradients)
 
 
+def _run_of_ones(p: np.ndarray) -> slice:
+    """The first run of entries of ``p`` that are exactly 1 (empty at the
+    end if there is none)."""
+    values = p.tolist()
+    start = values.index(1.0) if 1.0 in values else len(values)
+    stop = start
+    while stop < len(values) and values[stop] == 1.0:
+        stop += 1
+    return slice(start, stop)
+
+
+@dataclass(frozen=True)
+class Ramp:
+    """A transport field's ramp, min(x[i], y[j]) on its face (i, j), held as
+    the profile x over its rows and y over its columns, and ``core``, the
+    block of the first runs of ones of x and of y, where it is exactly 1."""
+    x: np.ndarray
+    y: np.ndarray
+    core: tuple[slice, slice] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "core",
+                           (_run_of_ones(self.x), _run_of_ones(self.y)))
+
+
 @dataclass(frozen=True)
 class TransportSigma:
     """The two transport fields, zero within ``cutoff_width`` w faces of
     the walls, and ``interior``, the block of cells at least 2w from every
-    wall, where q(x,x) = Id holds exactly."""
+    wall, where q(x,x) = Id holds exactly.  The ramps' profiles are
+    nonnegative."""
     grid: Grid
-    ramp_x: np.ndarray   # sigma_1 = (ramp_x, 0), on the vertical faces
-    ramp_y: np.ndarray   # sigma_2 = (0, ramp_y), on the horizontal faces
+    ramp_1: Ramp   # sigma_1 = (ramp_1, 0): x on nx + 1 faces, y on ny cells
+    ramp_2: Ramp   # sigma_2 = (0, ramp_2): x on nx cells, y on ny + 1 faces
     cutoff_width: int
     interior: tuple[slice, slice]   # [2w, nx - 2w) x [2w, ny - 2w)
 
@@ -53,18 +84,15 @@ class NoiseIncrement:
     dbeta: np.ndarray    # (..., 2) increments of the planar motion
 
 
-def _face_distances(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Distance (in cell units) of every face from the nearest wall."""
-    nx, ny = grid.nx, grid.ny
-    ix = np.arange(nx + 1, dtype=float)
-    jx = np.arange(ny, dtype=float)
-    dxf = np.minimum.outer(np.minimum(ix, nx - ix),
-                           np.minimum(jx + 0.5, ny - 0.5 - jx))
-    iy = np.arange(nx, dtype=float)
-    jy = np.arange(ny + 1, dtype=float)
-    dyf = np.minimum.outer(np.minimum(iy + 0.5, nx - 0.5 - iy),
-                           np.minimum(jy, ny - jy))
-    return dxf, dyf
+def _ramp_profiles(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """clip((d - w)/w, 0, 1) of the distance d = min(s, n - s), in cells,
+    to the nearer wall of an axis n cells long, at its n + 1 faces s = i
+    and at its n cell centres s = i + 1/2."""
+    profiles = []
+    for s in (np.arange(n + 1, dtype=float), np.arange(n, dtype=float) + 0.5):
+        d = np.minimum(s, n - s)
+        profiles.append(np.clip((d - w) / w, 0.0, 1.0))
+    return tuple(profiles)
 
 
 def make_transport_sigma(grid: Grid, cutoff_width: int = 1) -> TransportSigma:
@@ -75,19 +103,35 @@ def make_transport_sigma(grid: Grid, cutoff_width: int = 1) -> TransportSigma:
     if w >= min(grid.nx, grid.ny) / 4:
         raise ValueError(f"cutoff_width {w} too wide for a "
                          f"{grid.nx}x{grid.ny} grid (must be < min/4)")
-    dxf, dyf = _face_distances(grid)
-    return TransportSigma(grid=grid,
-                          ramp_x=np.clip((dxf - w) / w, 0.0, 1.0),
-                          ramp_y=np.clip((dyf - w) / w, 0.0, 1.0),
-                          cutoff_width=w,
+    x_faces, x_cells = _ramp_profiles(grid.nx, w)
+    y_faces, y_cells = _ramp_profiles(grid.ny, w)
+    return TransportSigma(grid=grid, ramp_1=Ramp(x_faces, y_cells),
+                          ramp_2=Ramp(x_cells, y_faces), cutoff_width=w,
                           interior=(slice(2 * w, grid.nx - 2 * w),
                                     slice(2 * w, grid.ny - 2 * w)))
 
 
 def combined_sigma_linf(sigma: TransportSigma) -> float:
-    """Root-sum-square of the per-field sup norms, as the noise conditions use."""
-    return math.sqrt(float(np.max(np.abs(sigma.ramp_x))) ** 2
-                     + float(np.max(np.abs(sigma.ramp_y))) ** 2)
+    """Root-sum-square of the per-field sup norms, as the noise conditions
+    use.  min(x[i], y[j]) of nonnegative profiles peaks at the smaller of
+    their maxima."""
+    return math.sqrt(sum(min(float(np.max(r.x)), float(np.max(r.y))) ** 2
+                         for r in (sigma.ramp_1, sigma.ramp_2)))
+
+
+def _weight_ring(face: np.ndarray, ramp: Ramp):
+    """face *= min(x[i], y[j]) in place, on the ring alone: the rows outside
+    the core, then, in the core's rows, the columns outside it.  The core's
+    weight is exactly 1 and every other entry is weighted once, so the
+    result is bitwise the product with the full ramp."""
+    x, y = ramp.x, ramp.y
+    rows, cols = ramp.core
+    for band in (slice(0, rows.start), slice(rows.stop, None)):
+        part = face[..., band, :]
+        part *= np.minimum.outer(x[band], y)
+    for band in (slice(0, cols.start), slice(cols.stop, None)):
+        part = face[..., rows, band]
+        part *= np.minimum(1.0, y[band])   # x is 1 on the core's rows
 
 
 def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:
@@ -99,21 +143,21 @@ def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndar
     """
     require_same_grid(c, sigma)
     gx, gy = scalar_face_gradients(c)
-    gx *= sigma.ramp_x
-    gy *= sigma.ramp_y
+    _weight_ring(gx, sigma.ramp_1)
+    _weight_ring(gy, sigma.ramp_2)
     return [pair_mean(gx, -2), pair_mean(gy, -1)]
 
 
-def _apply_mode(m: np.ndarray, ramp: np.ndarray, axis: int,
+def _apply_mode(m: np.ndarray, ramp: Ramp, axis: int,
                 h: float) -> np.ndarray:
     """L_k applied to the cell field ``m`` with the arithmetic of
     transport_noise_modes: the difference along ``axis`` over h on the
     interior faces, zero on the walls, weighted by the face ramp and averaged
     to the cells."""
-    face = np.zeros(m.shape[:-2] + ramp.shape)
+    face = np.zeros(m.shape[:-2] + (len(ramp.x), len(ramp.y)))
     inner = pair_difference(m, axis, out=face[along(axis, INNER)])
     inner /= h
-    face *= ramp
+    _weight_ring(face, ramp)
     return pair_mean(face, axis)
 
 
@@ -131,8 +175,8 @@ def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
     applied with its own one-axis stencil.
     """
     g = sigma.grid
-    acc = _apply_mode(modes[0], sigma.ramp_x, -2, g.dx)
-    acc += _apply_mode(modes[1], sigma.ramp_y, -1, g.dy)
+    acc = _apply_mode(modes[0], sigma.ramp_1, -2, g.dx)
+    acc += _apply_mode(modes[1], sigma.ramp_2, -1, g.dy)
     acc *= 0.5 * gamma ** 2
     return ScalarField(g, acc)
 

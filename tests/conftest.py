@@ -20,11 +20,11 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from stochem.dynamics import CONSUMPTION_LAWS, SimParams, State
-from stochem.grid import ScalarField, VectorField, zeros_scalar, zeros_vector
+from stochem.grid import ScalarField, VectorField, zeros_vector
 from stochem.noise import make_transport_sigma, make_velocity_noise
 from stochem.operators import helmholtz_project
 
-from oracles import zero_transport_sigma
+from oracles import zero_transport_sigma, zeros_scalar
 
 
 @pytest.fixture

@@ -29,8 +29,8 @@ from stochem.diagnostics import (DiagnosticsRow, _entropy, _nlogn, column,
 from stochem.grid import (LANE_REDUCE, ScalarField, VectorField, cell_centers,
                           divergence, norm, per_lane, scalar_face_gradients,
                           stream_function_curl, zeros_vector)
-from stochem.noise import (TransportSigma, VelocityNoiseConfig,
-                           _face_distances, _stream_mode_numbers, g_scale)
+from stochem.noise import (Ramp, TransportSigma, VelocityNoiseConfig,
+                           _stream_mode_numbers, g_scale)
 from stochem.operators import buoyancy, convect_velocity
 
 POISSON_CG_TOL = 1e-12
@@ -177,6 +177,10 @@ def sample_law(f, c0_linf: float, samples: int = 1024):
     return min_fp, max_f
 
 
+def zeros_scalar(grid) -> ScalarField:
+    return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
+
+
 def full_scalar(grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full((grid.nx, grid.ny), float(value)))
 
@@ -286,10 +290,39 @@ class AssumptionReport:
 
 def zero_transport_sigma(grid) -> TransportSigma:
     """Disabled transport noise: zero fields, empty identity-covariance region."""
-    return TransportSigma(grid=grid, ramp_x=np.zeros((grid.nx + 1, grid.ny)),
-                          ramp_y=np.zeros((grid.nx, grid.ny + 1)),
+    nx, ny = grid.nx, grid.ny
+    return TransportSigma(grid=grid,
+                          ramp_1=Ramp(np.zeros(nx + 1), np.zeros(ny)),
+                          ramp_2=Ramp(np.zeros(nx), np.zeros(ny + 1)),
                           cutoff_width=0,
                           interior=(slice(0, 0), slice(0, 0)))
+
+
+def face_distances(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Distance (in cell units) of every face from the nearest wall."""
+    nx, ny = grid.nx, grid.ny
+    ix = np.arange(nx + 1, dtype=float)
+    jx = np.arange(ny, dtype=float)
+    dxf = np.minimum.outer(np.minimum(ix, nx - ix),
+                           np.minimum(jx + 0.5, ny - 0.5 - jx))
+    iy = np.arange(nx, dtype=float)
+    jy = np.arange(ny + 1, dtype=float)
+    dyf = np.minimum.outer(np.minimum(iy + 0.5, nx - 0.5 - iy),
+                           np.minimum(jy, ny - jy))
+    return dxf, dyf
+
+
+def clipped_ramps(grid, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical ramps on the vertical and the horizontal faces as full
+    arrays, clip((d - w)/w, 0, 1) of each face's distance to the walls."""
+    return tuple(np.clip((d - w) / w, 0.0, 1.0) for d in face_distances(grid))
+
+
+def full_ramps(sigma: TransportSigma) -> tuple[np.ndarray, np.ndarray]:
+    """sigma's ramps on the vertical and the horizontal faces as full
+    arrays, min(x[i], y[j]) of each field's profiles."""
+    return tuple(np.minimum.outer(r.x, r.y) for r in (sigma.ramp_1,
+                                                      sigma.ramp_2))
 
 
 def cells_clear_of_walls(grid, width: int) -> np.ndarray:
@@ -315,25 +348,26 @@ def check_sigma_assumptions(sigma: TransportSigma) -> AssumptionReport:
     """Measure how well a transport family satisfies its structural contract.
 
     The covariance is q = diag(<ramp_x>^2, <ramp_y>^2) with cell averages
-    <.>; its off-diagonal vanishes by construction.
+    <.> of the full ramps; its off-diagonal vanishes by construction.
     """
     grid = sigma.grid
     w = sigma.cutoff_width
     block = sigma.interior
+    ramp_x, ramp_y = full_ramps(sigma)
     # div sigma_1 = d_x ramp_x and div sigma_2 = d_y ramp_y
-    div1 = np.diff(sigma.ramp_x, axis=0) / grid.dx
-    div2 = np.diff(sigma.ramp_y, axis=1) / grid.dy
-    qxx = (0.5 * (sigma.ramp_x[:-1, :] + sigma.ramp_x[1:, :])) ** 2
-    qyy = (0.5 * (sigma.ramp_y[:, :-1] + sigma.ramp_y[:, 1:])) ** 2
+    div1 = np.diff(ramp_x, axis=0) / grid.dx
+    div2 = np.diff(ramp_y, axis=1) / grid.dy
+    qxx = (0.5 * (ramp_x[:-1, :] + ramp_x[1:, :])) ** 2
+    qyy = (0.5 * (ramp_y[:, :-1] + ramp_y[:, 1:])) ** 2
     max_div = q_dev = 0.0
     if qxx[block].size:
         max_div = max(float(np.max(np.abs(div1[block]))),
                       float(np.max(np.abs(div2[block]))))
         q_dev = max(float(np.max(np.abs(qxx[block] - 1.0))),
                     float(np.max(np.abs(qyy[block] - 1.0))))
-    dxf, dyf = _face_distances(grid)
-    violations = (int(np.count_nonzero(sigma.ramp_x[dxf <= w]))
-                  + int(np.count_nonzero(sigma.ramp_y[dyf <= w])))
+    dxf, dyf = face_distances(grid)
+    violations = (int(np.count_nonzero(ramp_x[dxf <= w]))
+                  + int(np.count_nonzero(ramp_y[dyf <= w])))
     return AssumptionReport(max_interior_divergence=max_div,
                             boundary_zero_violations=violations,
                             max_q_deviation=q_dev)

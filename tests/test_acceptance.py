@@ -24,7 +24,7 @@ from stochem.dynamics import State, run
 from stochem.experiments import (convergence_dt, stratonovich_consistency,
                                  twin_run, ensemble)
 from stochem.grid import (ScalarField, inner_product, make_grid, norm,
-                          scalar_face_gradients, zeros_scalar, zeros_vector)
+                          scalar_face_gradients, zeros_vector)
 from stochem.operators import (AdvectionMode, chemotaxis_div, convect_velocity,
                                divergence_residual, helmholtz_project,
                                scalar_advect)
@@ -32,7 +32,7 @@ from stochem.operators import (AdvectionMode, chemotaxis_div, convect_velocity,
 from conftest import default_params, random_scalar, random_vector
 from oracles import (bounded_by_exponential, energy_identity_residual,
                      entropy_functional, full_scalar, laplacian_neumann,
-                     scalar_from_function)
+                     scalar_from_function, zeros_scalar)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

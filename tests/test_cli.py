@@ -25,7 +25,9 @@ from stochem.dynamics import (CONSUMPTION_LAWS, State, run, stack_states,
                               time_grid)
 from stochem.experiments import perturbed_copy
 from stochem.grid import (Grid, ScalarField, VectorField, make_grid,
-                          zeros_scalar, zeros_vector)
+                          zeros_vector)
+
+from oracles import zeros_scalar
 
 
 MINIMAL = "[grid]\nnx = 16\nny = 16\n"

@@ -12,13 +12,13 @@ from stochem.diagnostics import (admissible_c0_bound, check_conditions, column,
                                  compute_kf, estimate_k0, total_mass)
 from stochem.dynamics import (CONSUMPTION_LAWS, State, StepReport, run,
                               stack_states)
-from stochem.grid import (LaneError, ScalarField, make_grid, norm, zeros_scalar,
+from stochem.grid import (LaneError, ScalarField, make_grid, norm,
                           zeros_vector)
 from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar
 from oracles import (energy_identity_residual, entropy_functional, full_scalar,
-                     sample_law, scalar_from_function)
+                     sample_law, scalar_from_function, zeros_scalar)
 
 
 def test_total_mass_constants():

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from stochem import noise
 from stochem.grid import (ScalarField, VectorField, divergence, inner_product,
                           make_grid, norm, scalar_face_gradients, zeros_vector)
-from stochem.noise import (NoiseIncrement, _stream_mode_numbers,
+from stochem.noise import (NoiseIncrement, Ramp, _stream_mode_numbers,
                            combined_sigma_linf, g_apply, g_scale,
                            make_transport_sigma, make_velocity_noise,
                            merge_increments, sample_increments,
@@ -18,7 +19,8 @@ from stochem.operators import divergence_residual
 
 from conftest import random_scalar, random_vector, record_calls
 from oracles import (cells_clear_of_walls, check_sigma_assumptions,
-                     full_scalar, g_hilbert_schmidt, masked_hs_sq,
+                     clipped_ramps, full_ramps, full_scalar,
+                     g_hilbert_schmidt, masked_hs_sq,
                      scalar_from_function, velocity_growth_constant,
                      velocity_modes, zero_transport_sigma)
 
@@ -32,7 +34,7 @@ def test_canonical_sigma_satisfies_assumptions():
     assert rep.max_interior_divergence == 0.0
     assert rep.boundary_zero_violations == 0
     assert rep.max_q_deviation == 0.0
-    assert sig.ramp_x.max() == sig.ramp_y.max() == 1.0
+    assert all(r.max() == 1.0 for r in full_ramps(sig))
     assert rep.ok
     # q = Id exactly at every cell at least two cells from the boundary
     assert sig.interior == (slice(2, 62), slice(2, 62))
@@ -42,8 +44,9 @@ def test_canonical_sigma_satisfies_assumptions():
 def _full_fields(sig):
     """sigma_1 = (ramp_x, 0) and sigma_2 = (0, ramp_y) as face vector fields."""
     g = sig.grid
-    return (VectorField(g, sig.ramp_x, np.zeros_like(sig.ramp_y)),
-            VectorField(g, np.zeros_like(sig.ramp_x), sig.ramp_y))
+    ramp_x, ramp_y = full_ramps(sig)
+    return (VectorField(g, ramp_x, np.zeros_like(ramp_y)),
+            VectorField(g, np.zeros_like(ramp_x), ramp_y))
 
 
 def test_sigma_divergence_free_everywhere_it_matters():
@@ -76,19 +79,122 @@ def test_sigma_cutoff_too_wide():
         make_transport_sigma(g, 4)
 
 
+def _divided(ramp, d):
+    return Ramp(ramp.x / d, ramp.y / d)
+
+
 def test_sigma_report_detects_defects():
     g = make_grid(32, 32, 1.0, 1.0)
     sig = make_transport_sigma(g, 1)
-    # plant one nonzero boundary-adjacent face
-    bad_x = sig.ramp_x.copy()
-    bad_x[0, 10] = 0.5
-    rep = check_sigma_assumptions(replace(sig, ramp_x=bad_x))
+    # plant a nonzero wall entry in sigma_1's x profile
+    bad_x = sig.ramp_1.x.copy()
+    bad_x[0] = 0.5
+    rep = check_sigma_assumptions(replace(sig, ramp_1=Ramp(bad_x,
+                                                           sig.ramp_1.y)))
     assert rep.boundary_zero_violations >= 1
     # scale both fields by 1/sqrt(2): q = Id/2 in the interior
-    halved = replace(sig, ramp_x=sig.ramp_x / np.sqrt(2.0),
-                     ramp_y=sig.ramp_y / np.sqrt(2.0))
+    halved = replace(sig, ramp_1=_divided(sig.ramp_1, np.sqrt(2.0)),
+                     ramp_2=_divided(sig.ramp_2, np.sqrt(2.0)))
     rep = check_sigma_assumptions(halved)
     assert rep.max_q_deviation == pytest.approx(0.5, abs=1e-14)
+
+
+RING_GRIDS = [(8, 8), (9, 11), (48, 40), (64, 64)]
+
+
+def _allowed_cutoffs(g):
+    return range(1, (min(g.nx, g.ny) + 3) // 4)
+
+
+def _special_faces(shape, rng):
+    """Random faces with +-0, +-inf and NaN planted at random entries."""
+    face = rng.standard_normal(shape)
+    flat = face.reshape(-1)
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        flat[rng.choice(flat.size, size=max(1, flat.size // 16),
+                        replace=False)] = value
+    return face
+
+
+def _weighted(face, ramp):
+    out = face.copy()
+    with np.errstate(invalid="ignore"):   # inf * 0
+        noise._weight_ring(out, ramp)
+    return out
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+@pytest.mark.parametrize("nx, ny", RING_GRIDS)
+def test_ring_weighting_is_the_product_with_the_full_ramps(rng, nx, ny,
+                                                           lanes):
+    # at every cutoff the grid allows, weighting a face array on the ring
+    # of its profiles is bitwise the product with the full clipped ramp,
+    # for faces holding +-0, +-inf and NaN, on every lane
+    g = make_grid(nx, ny, 1.3, 0.7)
+    cutoffs = list(_allowed_cutoffs(g))
+    with pytest.raises(ValueError):
+        make_transport_sigma(g, cutoffs[-1] + 1)
+    for w in cutoffs:
+        sig = make_transport_sigma(g, w)
+        for ramp, full, held in zip((sig.ramp_1, sig.ramp_2),
+                                    clipped_ramps(g, w), full_ramps(sig)):
+            assert held.tobytes() == full.tobytes()
+            face = _special_faces(lanes + full.shape, rng)
+            with np.errstate(invalid="ignore"):
+                want = face * full
+            assert _weighted(face, ramp).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_ring_weighting_is_exact_for_any_profiles(rng, lanes):
+    # zero, halved and arbitrary profiles (below, at and above 1, and NaN):
+    # the ring may cover the whole array, and an entry weighted twice by a
+    # weight other than 1 would show
+    g = make_grid(9, 11, 1.0, 1.0)
+    sig = make_transport_sigma(g, 2)
+    halved = [_divided(r, np.sqrt(2.0)) for r in (sig.ramp_1, sig.ramp_2)]
+    values = np.array([0.0, 0.5, 1.0, 1.0, 1.0, 2.0, np.nan])
+    arbitrary = [Ramp(rng.choice(values, size=len(r.x)),
+                      rng.choice(values, size=len(r.y)))
+                 for r in (sig.ramp_1, sig.ramp_2) for _ in range(8)]
+    zero = zero_transport_sigma(g)
+    for ramps in ([zero.ramp_1, zero.ramp_2], halved, arbitrary):
+        for ramp in ramps:
+            full = np.minimum.outer(ramp.x, ramp.y)
+            face = _special_faces(lanes + full.shape, rng)
+            with np.errstate(invalid="ignore"):
+                want = face * full
+            assert _weighted(face, ramp).tobytes() == want.tobytes()
+
+
+def test_combined_sigma_linf_is_the_maximum_of_the_full_ramps():
+    for nx, ny in RING_GRIDS:
+        g = make_grid(nx, ny, 1.0, 1.0)
+        sigmas = [make_transport_sigma(g, w) for w in _allowed_cutoffs(g)]
+        ramp = sigmas[0].ramp_1
+        halved_x = replace(sigmas[0], ramp_1=Ramp(ramp.x / 2.0, ramp.y))
+        for sig in sigmas + [halved_x, zero_transport_sigma(g)]:
+            peaks = [float(np.max(np.abs(r))) for r in full_ramps(sig)]
+            assert combined_sigma_linf(sig) == np.sqrt(peaks[0] ** 2
+                                                       + peaks[1] ** 2)
+
+
+def test_transport_sigma_holds_only_its_profiles():
+    # at 256^2 the fields are four 1-D profiles, 2 (nx + ny + 1) numbers,
+    # and building them allocates no face-sized array
+    nx = ny = 256
+    g = make_grid(nx, ny, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        sig = make_transport_sigma(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [a for r in (sig.ramp_1, sig.ramp_2) for a in (r.x, r.y)]
+    assert [a.shape for a in arrays] == [(nx + 1,), (ny,), (nx,), (ny + 1,)]
+    assert all(a.base is None for a in arrays)
+    assert sum(a.size for a in arrays) == 2 * (nx + ny + 1)
+    assert peak < 8 * (nx + 1) * ny / 16, f"building peaked at {peak} B"
 
 
 # --------------------------------------------------------------- transport
