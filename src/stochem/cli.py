@@ -41,7 +41,7 @@ from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, stratonovich_consistency, twin_run)
 from .grid import (Grid, GridError, ScalarField, VectorField,
-                   cell_center_axes, cell_centers, make_grid, norm,
+                   cell_center_axes, make_grid, norm,
                    stream_function_curl, zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
 from .operators import helmholtz_project
@@ -242,20 +242,24 @@ def _build_initial_velocity(grid: Grid, recipe: str, amplitude: float) -> Vector
 
 def build_params(cfg: dict[str, dict]) -> SimParams:
     """Resolve a validated config's grid, physics and noise into
-    coefficients."""
+    coefficients.  Each config potential varies along one axis at most, so
+    its face gradient along that axis is the gradient of its 1-D profile on
+    the cell centres, and the other is zero; each is broadcast over the
+    grid, the zero from a single entry, which buoyancy multiplies fastest."""
     g = cfg["grid"]
     grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
     ph = cfg["physics"]
 
-    # each potential varies along one axis at most: one slice, broadcast
-    x, y = cell_center_axes(grid)
-    if ph["phi_kind"] == "linear_y":
-        phi_slice = ph["phi_scale"] * y
-    elif ph["phi_kind"] == "linear_x":
-        phi_slice = (ph["phi_scale"] * x)[:, None]
-    else:
-        phi_slice = np.zeros(1)
-    phi = ScalarField(grid, np.broadcast_to(phi_slice, (grid.nx, grid.ny)))
+    profiles = [np.zeros(1), np.zeros(1)]
+    axis = {"linear_x": 0, "linear_y": 1}.get(ph["phi_kind"])
+    if axis is not None:
+        s = ph["phi_scale"] * cell_center_axes(grid)[axis]
+        face = profiles[axis] = np.zeros(len(s) + 1)   # zero on the walls
+        with np.errstate(over="ignore"):   # SimParams rejects it
+            inner = np.subtract(s[1:], s[:-1], out=face[1:-1])
+            inner /= (grid.dx, grid.dy)[axis]
+    phi_grad = (np.broadcast_to(profiles[0][:, None], (grid.nx + 1, grid.ny)),
+                np.broadcast_to(profiles[1], (grid.nx, grid.ny + 1)))
 
     nz = cfg["noise"]
     vnoise = make_velocity_noise(grid, nz["k_modes"], nz["amplitude"],
@@ -264,7 +268,7 @@ def build_params(cfg: dict[str, dict]) -> SimParams:
     sigma = make_transport_sigma(grid, nz["sigma_cutoff_width"])
     try:
         return SimParams(eta=ph["eta"], mu=ph["mu"], delta=ph["delta"],
-                         chi=ph["chi"], gamma=ph["gamma"], phi=phi,
+                         chi=ph["chi"], gamma=ph["gamma"], phi_grad=phi_grad,
                          f=CONSUMPTION_LAWS[ph["f_name"]], vnoise=vnoise,
                          sigma=sigma)
     except ValueError as exc:   # the schema checks every other coefficient
@@ -290,7 +294,8 @@ def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
     """Resolve a validated config into coefficients and an initial state."""
     params = build_params(cfg)
     grid = params.grid
-    x, y = cell_centers(grid)
+    x, y = cell_center_axes(grid)
+    x = x[:, None]   # each recipe broadcasts its 1-D axes over the grid
     ic = cfg["ic"]
     # a recipe that overflows is silent here: the finite check below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -304,8 +309,9 @@ def build_simulation(cfg: dict[str, dict]) -> tuple[SimParams, State]:
         if ic["c_recipe"] == "uniform":
             c0 = ScalarField(grid, np.full((grid.nx, grid.ny), ic["c_value"]))
         elif ic["c_recipe"] == "linear_gradient":
-            c0 = ScalarField(grid, ic["c_min"]
-                             + (ic["c_max"] - ic["c_min"]) * y / grid.ly)
+            c0 = ScalarField(grid, np.tile(
+                ic["c_min"] + (ic["c_max"] - ic["c_min"]) * y / grid.ly,
+                (grid.nx, 1)))
         else:
             c0 = ScalarField(grid, ic["c_base"] + ic["c_amplitude"]
                              * np.cos(ic["c_mode_kx"] * np.pi * x / grid.lx)

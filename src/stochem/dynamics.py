@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _spectral, diagnostics, noise as noise_mod
 from .grid import (LANE_REDUCE, Grid, LaneError, ScalarField, VectorField,
-                   along, first_failing_lane, neighbours, per_lane,
+                   first_failing_lane, neighbours, per_lane,
                    scalar_face_gradients)
 from .noise import (NoiseIncrement, TransportSigma, VelocityNoiseConfig,
                     g_apply, sample_increments, transport_noise_apply)
@@ -103,42 +103,28 @@ CONSUMPTION_LAWS = {
 }
 
 
-def _axis_constant(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, or, where it is constant bit for bit along a spatial
-    axis, a read-only broadcast view of one copied slice along that axis
-    (of one entry where it is constant along both): the same numbers in
-    O(nx + ny) bytes."""
-    kept = a
-    for axis in (-2, -1):
-        first = kept[along(axis, slice(0, 1))]
-        if np.broadcast_to(first, kept.shape).tobytes() == kept.tobytes():
-            kept = first
-    return a if kept is a else np.broadcast_to(kept.copy(), a.shape)
-
-
 @dataclass(frozen=True)
 class SimParams:
     """The coefficients of a run, constant in time and shared by threads.
 
-    The potential ``phi`` and its face gradients ``phi_grad`` are held
-    once: where one of these fields is constant along a spatial axis, as
-    every potential the config offers is, it is a read-only broadcast view
-    of one slice, with the same numbers as the full array; any other
-    potential is held whole.
+    The fluid feels the potential only through the buoyancy n grad(phi),
+    so the parameters take ``phi_grad``, scalar_face_gradients of the
+    potential, and hold it as read-only views of the arrays given: the
+    config's potentials pass one 1-D profile per face array, broadcast
+    over the grid (see cli.build_params).
     """
     eta: float                     # fluid viscosity
     mu: float                      # oxygen diffusivity
     delta: float                   # cell diffusivity
     chi: float                     # chemotactic constant
     gamma: float                   # transport-noise intensity
-    phi: ScalarField               # gravitational / centrifugal potential
+    # face gradients of the gravitational / centrifugal potential
+    phi_grad: tuple[np.ndarray, np.ndarray] = field(repr=False,
+                                                    compare=False)
     f: ConsumptionLaw
     vnoise: VelocityNoiseConfig
     sigma: TransportSigma
     scalar_mode: AdvectionMode = AdvectionMode.UPWIND_FLUX
-    # scalar_face_gradients(phi), computed once here and read-only
-    phi_grad: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
-                                                    compare=False)
 
     def __post_init__(self):
         """Validate the coefficients, however the parameters are built."""
@@ -151,19 +137,23 @@ class SimParams:
         if not (math.isfinite(self.chi * self.chi)
                 and math.isfinite(self.gamma * self.gamma)):
             raise ValueError("chi and gamma must have finite squares")
-        phi = ScalarField(self.phi.grid, _axis_constant(self.phi.values))
-        object.__setattr__(self, "phi", phi)
-        with np.errstate(over="ignore"):   # checked below
-            gx, gy = scalar_face_gradients(phi)
-        if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
-            raise ValueError("the gradient of the potential is not finite")
-        gx.flags.writeable = gy.flags.writeable = False
-        object.__setattr__(self, "phi_grad",
-                           (_axis_constant(gx), _axis_constant(gy)))
+        g = self.grid
+        grads = tuple(a.view() for a in self.phi_grad)
+        for a, shape in zip(grads, ((g.nx + 1, g.ny), (g.nx, g.ny + 1))):
+            if a.shape != shape:
+                raise ValueError(f"a face gradient of the potential has "
+                                 f"shape {a.shape}, not {shape}")
+            # an axis of stride 0 repeats one slice: check that slice alone
+            once = a[tuple(slice(None) if s else slice(0, 1)
+                           for s in a.strides)]
+            if not np.isfinite(once).all():
+                raise ValueError("the gradient of the potential is not finite")
+            a.flags.writeable = False
+        object.__setattr__(self, "phi_grad", grads)
 
     @property
     def grid(self) -> Grid:
-        return self.phi.grid
+        return self.sigma.grid
 
     @property
     def xi(self) -> float:

@@ -46,7 +46,7 @@ from .diagnostics import DiagnosticsRow, column
 from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
                        ito_rate, march, oxygen_noise, require_finite,
                        seeded_increments, stack_states, time_grid)
-from .grid import LaneError, ScalarField, cell_centers, norm
+from .grid import LaneError, ScalarField, cell_center_axes, norm
 from .noise import merge_increments
 
 
@@ -95,8 +95,9 @@ def perturbed_copy(state: State, amplitude: float) -> State:
     if amplitude == 0.0:
         return out
     g = state.n.grid
-    x, y = cell_centers(g)
-    bump = np.sin(2.0 * np.pi * x / g.lx) * np.sin(2.0 * np.pi * y / g.ly)
+    x, y = cell_center_axes(g)
+    bump = (np.sin(2.0 * np.pi * x[:, None] / g.lx)
+            * np.sin(2.0 * np.pi * y / g.ly))
     out.n.values *= 1.0 + amplitude * bump
     out.c.values *= 1.0 + amplitude * bump
     return out
@@ -310,8 +311,9 @@ def interior_bump(grid, sigma, scale: float = 1.0) -> ScalarField:
         inside = (t > 0.0) & (t < 1.0)
         return np.where(inside, np.sin(np.pi * np.clip(t, 0.0, 1.0)) ** 2, 0.0)
 
-    x, y = cell_centers(grid)
-    vals = scale * window(x, grid.lx, grid.dx) * window(y, grid.ly, grid.dy)
+    x, y = cell_center_axes(grid)
+    vals = (scale * window(x[:, None], grid.lx, grid.dx)
+            * window(y, grid.ly, grid.dy))
     return ScalarField(grid, vals)
 
 

@@ -161,11 +161,6 @@ def cell_center_axes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
             (np.arange(grid.ny) + 0.5) * grid.dy)
 
 
-def cell_centers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrids (indexing 'ij') of cell-center coordinates."""
-    return np.meshgrid(*cell_center_axes(grid), indexing="ij")
-
-
 def require_same_grid(a: Field, b: Field) -> Grid:
     if a.grid is not b.grid and a.grid != b.grid:
         raise GridError("fields live on different grids")

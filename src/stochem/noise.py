@@ -10,9 +10,9 @@ and the covariance q(x,x) equals the identity at every cell at least 2w
 cells from the boundary.  That distance is the smaller of the distances
 along x and along y, and the clip map is monotone, so each ramp is
 r[i, j] = min(r_x[i], r_y[j]) of two 1-D profiles, bit for bit.  Only the
-four profiles are held, and a face array is weighted only on its ring, the
-rows and the columns where a profile is below 1: everywhere else its ramp
-is exactly 1.
+four profiles are held, with each ramp's weights on its ring, the rows and
+the columns where a profile is below 1, in O(w^2 + w) numbers; a face array
+is weighted only there, since everywhere else its ramp is exactly 1.
 
 The velocity forcing's modes are discrete curls of the node stream functions
 sin(a pi x) sin(b pi y), so each face field of a mode is an outer product of
@@ -40,29 +40,35 @@ from .grid import (INNER, Grid, ScalarField, VectorField, along, node_sines,
                    require_same_grid, scalar_face_gradients)
 
 
-def _run_of_ones(p: np.ndarray) -> slice:
+def _run_of_ones(p: np.ndarray) -> tuple[slice, np.ndarray]:
     """The first run of entries of ``p`` that are exactly 1 (empty at the
-    end if there is none)."""
+    end if there is none), and the indices outside it."""
     values = p.tolist()
     start = values.index(1.0) if 1.0 in values else len(values)
     stop = start
     while stop < len(values) and values[stop] == 1.0:
         stop += 1
-    return slice(start, stop)
+    return slice(start, stop), np.r_[:start, stop:len(values)]
 
 
 @dataclass(frozen=True)
 class Ramp:
     """A transport field's ramp, min(x[i], y[j]) on its face (i, j), held as
-    the profile x over its rows and y over its columns, and ``core``, the
-    block of the first runs of ones of x and of y, where it is exactly 1."""
+    the profile x over its rows and y over its columns.  The ramp is exactly
+    1 on the core, the block of the first runs of ones of x and of y, and
+    ``ring`` holds the weights of the rest, once, as (index, weight) pairs:
+    the corners outside the core's rows and columns, the rows outside it
+    across its columns, and its rows across the columns outside it."""
     x: np.ndarray
     y: np.ndarray
-    core: tuple[slice, slice] = field(init=False, repr=False, compare=False)
+    ring: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "core",
-                           (_run_of_ones(self.x), _run_of_ones(self.y)))
+        (rows, r), (cols, c) = _run_of_ones(self.x), _run_of_ones(self.y)
+        object.__setattr__(self, "ring", (
+            ((..., r[:, None], c), np.minimum.outer(self.x[r], self.y[c])),
+            ((..., r, cols), np.minimum(self.x[r], 1.0)[:, None]),  # y is 1
+            ((..., rows, c), np.minimum(1.0, self.y[c]))))          # x is 1
 
 
 @dataclass(frozen=True)
@@ -120,18 +126,12 @@ def combined_sigma_linf(sigma: TransportSigma) -> float:
 
 
 def _weight_ring(face: np.ndarray, ramp: Ramp):
-    """face *= min(x[i], y[j]) in place, on the ring alone: the rows outside
-    the core, then, in the core's rows, the columns outside it.  The core's
-    weight is exactly 1 and every other entry is weighted once, so the
+    """face *= min(x[i], y[j]) in place, on the ring alone, by the weights
+    the ramp holds.  The core's weight is exactly 1 and the ring's three
+    blocks do not overlap, so every other entry is weighted once and the
     result is bitwise the product with the full ramp."""
-    x, y = ramp.x, ramp.y
-    rows, cols = ramp.core
-    for band in (slice(0, rows.start), slice(rows.stop, None)):
-        part = face[..., band, :]
-        part *= np.minimum.outer(x[band], y)
-    for band in (slice(0, cols.start), slice(cols.stop, None)):
-        part = face[..., rows, band]
-        part *= np.minimum(1.0, y[band])   # x is 1 on the core's rows
+    for index, weight in ramp.ring:
+        face[index] *= weight
 
 
 def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndarray]:

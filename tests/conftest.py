@@ -20,7 +20,8 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from stochem.dynamics import CONSUMPTION_LAWS, SimParams, State
-from stochem.grid import ScalarField, VectorField, zeros_vector
+from stochem.grid import (ScalarField, VectorField, scalar_face_gradients,
+                          zeros_vector)
 from stochem.noise import make_transport_sigma, make_velocity_noise
 from stochem.operators import helmholtz_project
 
@@ -86,7 +87,8 @@ def default_params(grid, *, eta=1.0, mu=1.0, delta=1.0, chi=1.0, gamma=0.0,
     else:
         sigma = make_transport_sigma(grid, cutoff)
     return SimParams(eta=eta, mu=mu, delta=delta, chi=chi, gamma=gamma,
-                     phi=phi, f=f or CONSUMPTION_LAWS["linear"],
+                     phi_grad=scalar_face_gradients(phi),
+                     f=f or CONSUMPTION_LAWS["linear"],
                      vnoise=make_velocity_noise(grid, k_modes, amplitude),
                      sigma=sigma)
 

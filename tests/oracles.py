@@ -26,9 +26,10 @@ from scipy.sparse.linalg import LinearOperator, cg
 from stochem import _spectral
 from stochem.diagnostics import (DiagnosticsRow, _entropy, _nlogn, column,
                                  compute_kf)
-from stochem.grid import (LANE_REDUCE, ScalarField, VectorField, cell_centers,
-                          divergence, norm, per_lane, scalar_face_gradients,
-                          stream_function_curl, zeros_vector)
+from stochem.grid import (LANE_REDUCE, ScalarField, VectorField,
+                          cell_center_axes, divergence, norm, per_lane,
+                          scalar_face_gradients, stream_function_curl,
+                          zeros_vector)
 from stochem.noise import (Ramp, TransportSigma, VelocityNoiseConfig,
                            _stream_mode_numbers, g_scale)
 from stochem.operators import buoyancy, convect_velocity
@@ -183,6 +184,11 @@ def zeros_scalar(grid) -> ScalarField:
 
 def full_scalar(grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full((grid.nx, grid.ny), float(value)))
+
+
+def cell_centers(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Meshgrids (indexing 'ij') of cell-center coordinates."""
+    return np.meshgrid(*cell_center_axes(grid), indexing="ij")
 
 
 def scalar_from_function(grid, f) -> ScalarField:

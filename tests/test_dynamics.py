@@ -19,7 +19,7 @@ from stochem.operators import AdvectionMode
 
 from conftest import default_params, quiescent_state, random_scalar, \
     random_solenoidal, record_calls
-from oracles import scalar_from_function
+from oracles import cell_centers, scalar_from_function
 
 
 def test_quiescent_uniform_state_is_fixed_point():
@@ -77,6 +77,15 @@ def test_make_params_rejects_overflowing_square(key, value, message):
         replace(default_params(g), **{key: value})
 
 
+def test_make_params_rejects_potential_gradients_off_the_faces():
+    # buoyancy would broadcast a row or a transposed pair over the faces
+    g = make_grid(8, 6, 1.0, 1.0)
+    gx, gy = default_params(g).phi_grad
+    for bad in ((gy, gx), (gx[:1], gy), (gx, gy[None])):
+        with pytest.raises(ValueError, match="face gradient of the potential"):
+            replace(default_params(g), phi_grad=bad)
+
+
 def test_stable_dt_scaling(rng):
     g = make_grid(16, 16, 1.0, 1.0)
     params = default_params(g)
@@ -103,8 +112,9 @@ def _dense_neumann_solve(grid, rhs_vals, coef):
     return np.linalg.solve(a, rhs_vals.ravel()).reshape(grid.nx, grid.ny)
 
 
-def _oracle_step(state, params, dt):
-    """Loop/dense implementation of one deterministic step (gamma = eps = 0)."""
+def _oracle_step(state, params, phi, dt):
+    """Loop/dense implementation of one deterministic step (gamma = eps = 0)
+    under the potential with cell values ``phi``."""
     from test_operators import dense_flux_advection, dense_skew_convection_x
     from test_spectral import dense_neumann_laplacian, dense_velocity_systems
     g = state.u.grid
@@ -144,7 +154,6 @@ def _oracle_step(state, params, dt):
     conv_x = dense_skew_convection_x(u, u)
     swapped = VectorField(g, u.u_y.T.copy(), u.u_x.T.copy())
     conv_y = dense_skew_convection_x(swapped, swapped).T
-    phi = params.phi.values
     buoy_x = np.zeros_like(u.u_x)
     buoy_y = np.zeros_like(u.u_y)
     for i in range(1, g.nx):
@@ -179,15 +188,16 @@ def test_single_step_matches_dense_oracle(rng):
     g = make_grid(4, 4, 1.0, 1.0)
     x, y = np.meshgrid((np.arange(4) + 0.5) * g.dx, (np.arange(4) + 0.5) * g.dy,
                        indexing="ij")
+    phi = 0.3 * y + 0.1 * x
     params = default_params(g, eta=0.7, mu=0.9, delta=1.1, chi=0.8,
-                            phi_values=0.3 * y + 0.1 * x)
+                            phi_values=phi)
     st = State(u=random_solenoidal(g, rng, 0.2),
                c=random_scalar(g, rng, positive=True, scale=0.1),
                n=random_scalar(g, rng, positive=True), t=0.0)
     dt = 1e-3
     inc = sample_increments(0, 0, 0, dt, params.vnoise.n_modes)
     new, _ = step(st, params, inc, dt)
-    ox, oy, oc, on = _oracle_step(st, params, dt)
+    ox, oy, oc, on = _oracle_step(st, params, phi, dt)
     scale = max(norm(st.u, "Linf"), norm(st.n, "Linf"), 1.0)
     assert np.max(np.abs(new.n.values - on)) < 1e-13 * scale
     assert np.max(np.abs(new.c.values - oc)) < 1e-13 * scale
@@ -554,7 +564,7 @@ def test_step_path_never_writes_into_its_inputs(nx, lanes):
     # read-only here: an in-place update of an argument raises ValueError
     dt = 5e-4
     params, st, inc = _noisy_setup(nx, lanes, dt)
-    _freeze(*_state_arrays(st), params.phi.values, params.vnoise.lambdas,
+    _freeze(*_state_arrays(st), params.vnoise.lambdas,
             inc.dw, inc.dbeta, params.vnoise.mode_norms,
             *(a for r in (params.sigma.ramp_1, params.sigma.ramp_2)
               for a in (r.x, r.y)),
@@ -596,46 +606,45 @@ def _held_bytes(a: np.ndarray) -> int:
     return a.nbytes
 
 
-@pytest.mark.parametrize("kind", ["linear_y", "linear_x", "zero", "random"])
-def test_potential_is_held_in_one_slice_where_it_is_constant(rng, kind):
-    # every potential the config offers is constant along an axis, so the
-    # parameters hold it and its face gradients as read-only broadcast views
-    # of one slice, bitwise the full arrays; any other potential stays whole
-    nx = ny = 64
-    params = build_params(parse_config(
-        f"[grid]\nnx = {nx}\nny = {ny}\n[physics]\nphi_scale = -1.5\n"
-        f"phi_kind = {'zero' if kind == 'random' else kind}\n"))
-    g = params.grid
-    x, y = grid_mod.cell_centers(g)
-    full = {"linear_y": -1.5 * y, "linear_x": -1.5 * x,
-            "zero": np.zeros((nx, ny)),
-            "random": rng.standard_normal((nx, ny))}[kind]
-    if kind == "random":
-        params = replace(params, phi=ScalarField(g, full))
-        assert params.phi.values is full
-    held = [params.phi.values, *params.phi_grad]
-    for got, want in zip(held, (full, *scalar_face_gradients(
-            ScalarField(g, full)))):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        if kind == "random":
-            assert _held_bytes(got) == want.nbytes
-        else:
+@pytest.mark.parametrize("kind", ["linear_y", "linear_x", "zero"])
+def test_potential_is_held_in_one_slice_where_it_is_constant(kind):
+    # every potential the config offers varies along one axis at most, so
+    # build_params hands the parameters its face gradients as read-only
+    # broadcasts of one 1-D profile each, bitwise the face gradients of the
+    # full potential, on a square and on a non-square grid
+    for nx, ny, lx, ly in ((64, 64, 1.0, 1.0), (48, 40, 1.3, 0.7)):
+        params = build_params(parse_config(
+            f"[grid]\nnx = {nx}\nny = {ny}\nlx = {lx}\nly = {ly}\n"
+            f"[physics]\nphi_scale = -1.5\nphi_kind = {kind}\n"))
+        g = params.grid
+        x, y = cell_centers(g)
+        full = {"linear_y": -1.5 * y, "linear_x": -1.5 * x,
+                "zero": np.zeros((nx, ny))}[kind]
+        for got, want in zip(params.phi_grad,
+                             scalar_face_gradients(ScalarField(g, full))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
             assert _held_bytes(got) <= 8 * (nx + ny + 2)
             assert not got.flags.writeable
-    assert all(not grad.flags.writeable for grad in params.phi_grad)
+        # gradients given as writable arrays are held as read-only views
+        given = default_params(g, phi_values=full + 1.0).phi_grad
+        assert not any(grad.flags.writeable for grad in given)
+        assert all(grad.base.flags.writeable for grad in given)
 
 
-# Memory budgets at 64^2 with the README physics, in units of one face field
-# of (nx + 1) ny doubles, as tracemalloc sees them; a change that regrows a
-# constant or a step temporary fails here.  Measured with numpy 2.4: a step
-# peaks 10.01 fields above its input state, and the parameters plus the
-# Poisson divisor and the one diffusion table of a run whose
+# Memory budgets with the README physics, in units of one face field of
+# (nx + 1) ny doubles, as tracemalloc sees them; a change that regrows a
+# constant or a step temporary fails here.  Measured with numpy 2.4 at 64^2:
+# a step peaks 10.01 fields above its input state, and the parameters plus
+# the Poisson divisor and the one diffusion table of a run whose
 # eta = mu = delta hold 2.22 fields of array buffers (4.16 when the
 # transport ramps were full face arrays, 9.02 when each solve kind had its
-# own arrays and the potential was held whole).
+# own arrays and the potential was held whole).  At 256^2 build_params
+# peaks 0.09 fields above its start (4.09 when it built the potential whole
+# and took the gradients of that).
 STEP_PEAK_FIELDS = 10.0
 PARAMS_AND_PLANS_FIELDS = 2.25
+BUILD_PEAK_FIELDS = 0.25
 NUMPY_DOMAIN = 389047   # the tracemalloc domain of numpy's array buffers
 
 
@@ -680,3 +689,21 @@ def test_parameters_and_plans_stay_within_their_measured_memory_budget():
     fields = held / ((nx + 1) * nx * 8)
     assert fields <= PARAMS_AND_PLANS_FIELDS, \
         f"the parameters and plans hold {fields:.2f} fields"
+
+
+@pytest.mark.parametrize("kind", ["linear_y", "linear_x", "zero"])
+def test_building_the_parameters_stays_within_its_peak_budget(kind):
+    nx = 256
+    cfg = parse_config(f"[grid]\nnx = {nx}\nny = {nx}\n[physics]\n"
+                       f"gamma = 0.1\nphi_kind = {kind}\n[noise]\n"
+                       f"amplitude = 0.02\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_params(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - before) / ((nx + 1) * nx * 8)
+    assert fields <= BUILD_PEAK_FIELDS, \
+        f"building the parameters peaked at {fields:.2f} fields"

@@ -197,6 +197,18 @@ def test_transport_sigma_holds_only_its_profiles():
     assert peak < 8 * (nx + 1) * ny / 16, f"building peaked at {peak} B"
 
 
+def test_ramps_hold_their_ring_weights_in_small_blocks():
+    # each ramp holds its ring's weights once: the (4w)^2 corners and 4w
+    # row and 4w column weights, not a band of whole rows or columns
+    for nx, ny in RING_GRIDS + [(256, 256)]:
+        g = make_grid(nx, ny, 1.0, 1.0)
+        for w in _allowed_cutoffs(g):
+            sig = make_transport_sigma(g, w)
+            for ramp in (sig.ramp_1, sig.ramp_2):
+                sizes = [weight.size for _, weight in ramp.ring]
+                assert sizes == [16 * w * w, 4 * w, 4 * w]
+
+
 # --------------------------------------------------------------- transport
 
 def test_transport_noise_zero_cases(rng):
