@@ -11,7 +11,7 @@ that order, so each later equation sees the freshest coupling fields:
    counted, never silent) and implicit diffusion at mu, then oxygen_noise's
    explicit transport-noise increment and exact discrete Ito correction,
    both built from one evaluation of the noise modes sigma_k . grad c of
-   the drifted oxygen;
+   the drifted oxygen, and added in the drifted oxygen's array;
 3. velocity_substep: explicit convection, buoyancy and stochastic forcing,
    implicit viscosity, then projection onto the discretely divergence-free
    subspace.
@@ -30,12 +30,14 @@ are bitwise those of the same trajectory stepped alone.  Per-lane checks
 name the lowest failing lane.
 
 Ownership: a function may write into arrays it allocated, or that a callee
-allocated and returned to it, never into its arguments.  Nothing on the
-step path writes into the state it is given, so run steps from the
-caller's initial state without copying it, and each substep hands its
-intermediates straight on so that they are freed once consumed: a step
-holds about 8 field-sized arrays beyond its input, the 4 it returns
-included.
+allocated and returned to it, never into its arguments, with two named
+exceptions: oxygen_noise takes over the drifted oxygen it is given and
+builds the new oxygen in it, and transport_ito_correction empties the list
+of modes it is given.  Nothing on the step path writes into the state it
+is given, so run steps from the caller's initial state without copying
+it, and each substep hands its intermediates straight on so that they are
+freed once consumed: a step of march holds about 8 field-sized arrays
+beyond its input, the 4 it returns included.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
 
 CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
 DT_MAX = 0.1       # stable_dt's cap, and its value where nothing moves
+# elements of numpy's ufunc buffer while march takes a step: at numpy's
+# default 8192 every buffered operand, as a last-axis stencil's views are,
+# takes a 64 KiB scratch buffer; the size moves no result's bits
+STEP_BUFSIZE = 512
 
 
 class CflError(LaneError):
@@ -285,34 +291,41 @@ def oxygen_drift(state: State, n_new: ScalarField, params: SimParams,
 
 def oxygen_noise(c_mid: ScalarField, params: SimParams, inc: NoiseIncrement,
                  dt_correction: float | np.ndarray
-                 ) -> tuple[ScalarField, list[np.ndarray], np.ndarray]:
+                 ) -> tuple[ScalarField, float | np.ndarray, np.ndarray]:
     """The transport-noise increment of the drifted oxygen ``c_mid`` and its
     Ito correction taken over ``dt_correction``, a scalar or one step per
-    lane (0 leaves a lane uncorrected); returns the new oxygen, the modes
-    and the correction.
+    lane (0 leaves a lane uncorrected); returns the new oxygen,
+    transport_hs_sq of the modes and the correction.
 
-    The modes of c_mid are evaluated once and shared by the kick and the
-    correction; the new oxygen is built in the kick's array."""
+    It takes ``c_mid`` over, as a substep takes what a callee returned to
+    it: the new oxygen is built in c_mid's array, c_mid + kick, then
+    + correction, which are the bits of kick + c_mid + correction.  The
+    modes of c_mid are evaluated once: their sum of squares is taken
+    first, then the kick, and the correction consumes them, freeing each
+    once its stencil is done.  In that order glibc's heap reuses the
+    step's freed holes best, so a 256^2 run peaks lowest in RSS."""
     modes = noise_mod.transport_noise_modes(c_mid, params.sigma)
-    c_new = transport_noise_apply(modes, params.gamma, inc)
-    c_new += c_mid.values
+    hs_sq = noise_mod.transport_hs_sq(modes, params.sigma)
+    c_new = c_mid.values
+    c_new += transport_noise_apply(modes, params.gamma, inc)
     correction = noise_mod.transport_ito_correction(modes, params.sigma,
                                                     params.gamma).values
     correction *= np.asarray(dt_correction)[..., None, None]
     c_new += correction
-    return ScalarField(c_mid.grid, c_new), modes, correction
+    return ScalarField(c_mid.grid, c_new), hs_sq, correction
 
 
 def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
                    inc: NoiseIncrement,
                    dt: float) -> tuple[ScalarField, int, float]:
     """Drift, then oxygen_noise with the correction on; returns the new
-    oxygen, the limiter count and transport_hs_sq at the drifted oxygen."""
+    oxygen, built in the array oxygen_drift returned, the limiter count and
+    transport_hs_sq at the drifted oxygen."""
     c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
     if params.gamma <= 0.0:
         return c_mid, clip_count, 0.0
-    c_new, modes, _ = oxygen_noise(c_mid, params, inc, dt)
-    return c_new, clip_count, noise_mod.transport_hs_sq(modes, params.sigma)
+    c_new, hs_sq, _ = oxygen_noise(c_mid, params, inc, dt)
+    return c_new, clip_count, hs_sq
 
 
 def velocity_substep(state: State, n_new: ScalarField, params: SimParams,
@@ -453,15 +466,22 @@ def march(state: State, params: SimParams, dts: TimeGrid, increments):
     ``increments`` maps (step index from 0, dt) to a NoiseIncrement.  A
     failing step, including one that leaves a non-finite field, raises
     SimulationError naming the step and, for a batched state, the lane.
+    Each step runs with numpy's ufunc buffer at STEP_BUFSIZE elements, and
+    the caller's size is back in place whenever march yields or raises.
     """
     for index, dt_step in enumerate(dts):
         try:
             # an overflow is silent here: a field it leaves non-finite is
             # rejected below (the noise scale reads an infinite |u| as
-            # tanh(inf) = 1)
+            # tanh(inf) = 1).  numpy >= 2.0 ties the buffer size to the
+            # errstate context; the finally restores it on numpy 1.x too
             with np.errstate(over="ignore", invalid="ignore"):
-                state, report = step(state, params,
-                                     increments(index, dt_step), dt_step)
+                caller_bufsize = np.setbufsize(STEP_BUFSIZE)
+                try:
+                    state, report = step(state, params,
+                                         increments(index, dt_step), dt_step)
+                finally:
+                    np.setbufsize(caller_bufsize)
             require_finite((("n", state.n.values), ("c", state.c.values),
                             ("u_x", state.u.u_x), ("u_y", state.u.u_y)))
         except Exception as exc:

@@ -259,7 +259,9 @@ def stratonovich_consistency(params: SimParams, scale: float, seed: int,
             for index, dt_step in enumerate(time_grid(t_end, d)):
                 c_mid = _spectral.solve_scalar_diffusion(g, c,
                                                          dt_step * params.mu)
-                c_new, modes, correction = oxygen_noise(
+                # oxygen_noise builds c_new in c_mid's array
+                drifted = c_mid.values.copy()
+                c_new, kick_hs_sq, correction = oxygen_noise(
                     c_mid, params, draw(index, dt_step),
                     np.array([dt_step, 0.0]))   # corrected, naive
                 try:
@@ -271,9 +273,9 @@ def stratonovich_consistency(params: SimParams, scale: float, seed: int,
                         step_index=index + 1)
                     raise ExperimentError(f"level dt = {d:g}, replica {r} "
                                           f"failed: {failure}") from failure
-                mean = c_mid.values + correction
-                acc += (hs_sq([mean], sigma)
-                        + params.gamma ** 2 * dt_step * hs_sq(modes, sigma)
+                drifted += correction   # the mean of c_new
+                acc += (hs_sq([drifted], sigma)
+                        + params.gamma ** 2 * dt_step * kick_hs_sq
                         - hs_sq([c.values], sigma))
                 c = c_new
             drift[li] += acc / t_end

@@ -164,7 +164,9 @@ def _apply_mode(m: np.ndarray, ramp: Ramp, axis: int,
 def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
                              gamma: float) -> ScalarField:
     """Exact Ito correction of the discrete noise map, (gamma^2/2) sum_k L_k^2 c,
-    from the modes [L_1 c, L_2 c] of transport_noise_modes.
+    from the modes [L_1 c, L_2 c] of transport_noise_modes.  It consumes
+    the list: each mode is popped for its stencil, so the list is empty on
+    return and a mode no caller holds is freed once its stencil is done.
 
     Applying the same discrete operator twice is what makes the expected
     quadratic-variation growth of the noise cancel the correction's drain to
@@ -175,8 +177,8 @@ def transport_ito_correction(modes: list[np.ndarray], sigma: TransportSigma,
     applied with its own one-axis stencil.
     """
     g = sigma.grid
-    acc = _apply_mode(modes[0], sigma.ramp_1, -2, g.dx)
-    acc += _apply_mode(modes[1], sigma.ramp_2, -1, g.dy)
+    acc = _apply_mode(modes.pop(0), sigma.ramp_1, -2, g.dx)
+    acc += _apply_mode(modes.pop(0), sigma.ramp_2, -1, g.dy)
     acc *= 0.5 * gamma ** 2
     return ScalarField(g, acc)
 

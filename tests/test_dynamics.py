@@ -9,8 +9,8 @@ from stochem import _spectral, diagnostics, dynamics, noise, operators
 from stochem import grid as grid_mod
 from stochem.cli import build_params, build_simulation, parse_config
 from stochem.diagnostics import column
-from stochem.dynamics import (DT_MAX, CflError, SimulationError, State, run,
-                              stable_dt, stack_states, step)
+from stochem.dynamics import (DT_MAX, CflError, SimulationError, State,
+                              march, run, stable_dt, stack_states, step)
 from stochem.experiments import perturbed_copy, twin_run
 from stochem.grid import (ScalarField, VectorField, make_grid, norm,
                           scalar_face_gradients, zeros_vector)
@@ -315,6 +315,38 @@ def test_twin_run_stops_on_non_finite_state(monkeypatch):
     assert err.value.step_index == 3
 
 
+@pytest.mark.parametrize("caller", [None, 4096], ids=["default", "4096"])
+def test_march_keeps_the_callers_ufunc_buffer_size(monkeypatch, caller):
+    # each step runs with STEP_BUFSIZE elements of ufunc buffer, and the
+    # caller's size, numpy's default or its own, is back between steps,
+    # after the run and after a step that raises
+    g = make_grid(16, 16, 1.0, 1.0)
+    params = default_params(g, gamma=0.1)
+    seen = []
+    real_step = dynamics.step
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return real_step(*args)
+
+    monkeypatch.setattr(dynamics, "step", spy)
+    draw = dynamics.seeded_increments(1, 0, params.vnoise.n_modes)
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        expected = np.getbufsize()
+        st = quiescent_state(g, n=1.0, c=0.1)
+        for _ in march(st, params, dynamics.time_grid(3e-3, 1e-3), draw):
+            assert np.getbufsize() == expected
+        assert seen == [dynamics.STEP_BUFSIZE] * 3
+        assert np.getbufsize() == expected
+        st.u.u_x[5, 5] = 50.0   # above the advective bound at dt = 1e-3
+        with pytest.raises(SimulationError, match="advective bound"):
+            run(st, params, 0.01, 1e-3, seed=0)
+        assert seen[-1] == dynamics.STEP_BUFSIZE
+        assert np.getbufsize() == expected
+
+
 def _undershoot_setup():
     # the centered scalar stencil undershoots n below the entropy's
     # tolerance by step 5; the sampled row, not the step, detects it
@@ -529,17 +561,28 @@ def _state_arrays(st):
 def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
     # a pair with the correction over dt on lane 0 and over 0 on lane 1:
     # lane 0 is oxygen_substep's oxygen, lane 1 the drifted oxygen plus the
-    # kick, and every output lane is bitwise its unbatched call's; the
-    # drifted oxygen it is given is read-only.  At gamma = 0 the two lanes
-    # of one oxygen are bitwise equal.
+    # kick, and every output lane, its sum of squares of the modes and its
+    # correction are bitwise its unbatched call's.  oxygen_noise builds the
+    # new oxygen in the array it is given, so each call gets a copy of the
+    # read-only drifted oxygen.  At gamma = 0 the two lanes of one oxygen
+    # are bitwise equal.
     dt = 5e-4
     params, st, inc = _noisy_setup(32, None, dt)
     states = [st, perturbed_copy(st, 0.1)]
     drifted = [dynamics.oxygen_drift(s, s.n, params, dt)[0] for s in states]
     pair = ScalarField(params.grid, np.stack([c.values for c in drifted]))
     _freeze(pair.values, *(c.values for c in drifted))
-    c_pair, modes, correction = dynamics.oxygen_noise(pair, params, inc,
+
+    def given(c: ScalarField) -> ScalarField:
+        return ScalarField(c.grid, c.values.copy())
+
+    modes = noise.transport_noise_modes(pair, params.sigma)
+    mid = given(pair)
+    c_pair, hs_sq, correction = dynamics.oxygen_noise(mid, params, inc,
                                                       np.array([dt, 0.0]))
+    assert np.shares_memory(c_pair.values, mid.values)
+    assert hs_sq.tobytes() == noise.transport_hs_sq(modes,
+                                                    params.sigma).tobytes()
     corrected, _, _ = dynamics.oxygen_substep(st, st.n, params, inc, dt)
     assert c_pair.values[0].tobytes() == corrected.values.tobytes()
     kick = noise.transport_noise_apply(
@@ -547,15 +590,42 @@ def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
         inc)
     assert c_pair.values[1].tobytes() == (drifted[1].values + kick).tobytes()
     for lane, (c_mid, dt_lane) in enumerate(zip(drifted, (dt, 0.0))):
-        alone = dynamics.oxygen_noise(c_mid, params, inc, dt_lane)
-        assert c_pair.values[lane].tobytes() == alone[0].values.tobytes()
-        for m, m_alone in zip(modes, alone[1]):
+        for m, m_alone in zip(modes, noise.transport_noise_modes(
+                c_mid, params.sigma)):
             assert m[lane].tobytes() == m_alone.tobytes()
+        alone = dynamics.oxygen_noise(given(c_mid), params, inc, dt_lane)
+        assert c_pair.values[lane].tobytes() == alone[0].values.tobytes()
+        assert hs_sq[lane] == alone[1]
         assert correction[lane].tobytes() == alone[2].tobytes()
     same = ScalarField(params.grid, np.stack([drifted[0].values] * 2))
     quiet = replace(params, gamma=0.0)
     c_same, _, _ = dynamics.oxygen_noise(same, quiet, inc, np.array([dt, 0.0]))
     assert c_same.values[0].tobytes() == c_same.values[1].tobytes()
+
+
+def test_noisy_oxygen_substep_builds_in_the_drifted_array(monkeypatch):
+    # the new oxygen is the array oxygen_drift returned, and the correction
+    # consumes the list of modes it is handed, so no mode outlives its use
+    dt = 5e-4
+    params, st, inc = _noisy_setup(32, None, dt)
+    drifted, handed = [], []
+    real_drift = dynamics.oxygen_drift
+    real_correction = noise.transport_ito_correction
+
+    def drift(*args):
+        out = real_drift(*args)
+        drifted.append(out[0].values)
+        return out
+
+    def correction(modes, *args):
+        handed.append(modes)
+        return real_correction(modes, *args)
+
+    monkeypatch.setattr(dynamics, "oxygen_drift", drift)
+    monkeypatch.setattr(noise, "transport_ito_correction", correction)
+    c_new, _, _ = dynamics.oxygen_substep(st, st.n, params, inc, dt)
+    assert np.shares_memory(c_new.values, drifted[0])
+    assert handed == [[]]
 
 
 @pytest.mark.parametrize("nx, lanes", [(64, None), (32, 4)])
@@ -579,24 +649,30 @@ def test_step_path_never_writes_into_its_inputs(nx, lanes):
     assert final.t == pytest.approx(5 * dt)
 
 
-@pytest.mark.parametrize("nx, lanes", [(128, None), (32, 16)])
-def test_step_holds_at_most_ten_fields(nx, lanes):
-    # numpy registers its buffers with tracemalloc: one step's peak above
-    # the incoming state, the 4 arrays it returns included, in units of one
-    # face field (nx + 1) ny doubles per lane
+def _step_peak_fields(nx: int, lanes: int | None) -> float:
+    """numpy registers its buffers with tracemalloc: one step's peak above
+    the incoming state, the 4 arrays it returns included, in units of one
+    face field (nx + 1) ny doubles per lane.  The step is march's, so it
+    runs with march's ufunc buffer size."""
     dt = 5e-4
     params, st, inc = _noisy_setup(nx, lanes, dt)
     step(st, params, inc, dt)   # build the spectral plans first
+    one_step = dynamics.TimeGrid(dt, 1, ())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        new, _ = step(st, params, inc, dt)
+        _, new, _ = next(march(st, params, one_step, lambda index, d: inc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    fields = (peak - before) / ((nx + 1) * nx * 8 * (lanes or 1))
-    assert fields <= 10.0, f"a step peaked at {fields:.2f} fields"
     assert new.t == st.t + dt
+    return (peak - before) / ((nx + 1) * nx * 8 * (lanes or 1))
+
+
+@pytest.mark.parametrize("nx, lanes", [(128, None), (32, 16)])
+def test_step_holds_at_most_nine_fields(nx, lanes):
+    fields = _step_peak_fields(nx, lanes)
+    assert fields <= 9.0, f"a step peaked at {fields:.2f} fields"
 
 
 def _held_bytes(a: np.ndarray) -> int:
@@ -635,14 +711,16 @@ def test_potential_is_held_in_one_slice_where_it_is_constant(kind):
 # Memory budgets with the README physics, in units of one face field of
 # (nx + 1) ny doubles, as tracemalloc sees them; a change that regrows a
 # constant or a step temporary fails here.  Measured with numpy 2.4 at 64^2:
-# a step peaks 10.01 fields above its input state, and the parameters plus
+# a step of march peaks 8.20 fields above its input state (10.01 when it
+# ran with numpy's default 8192-element ufunc buffer, whose 64 KiB scratch
+# buffers cost 1.8 fields at this size), and the parameters plus
 # the Poisson divisor and the one diffusion table of a run whose
 # eta = mu = delta hold 2.22 fields of array buffers (4.16 when the
 # transport ramps were full face arrays, 9.02 when each solve kind had its
 # own arrays and the potential was held whole).  At 256^2 build_params
 # peaks 0.09 fields above its start (4.09 when it built the potential whole
 # and took the gradients of that).
-STEP_PEAK_FIELDS = 10.0
+STEP_PEAK_FIELDS = 8.2
 PARAMS_AND_PLANS_FIELDS = 2.25
 BUILD_PEAK_FIELDS = 0.25
 NUMPY_DOMAIN = 389047   # the tracemalloc domain of numpy's array buffers
@@ -656,17 +734,7 @@ def _array_bytes() -> int:
 
 
 def test_step_stays_within_its_measured_memory_budget():
-    nx, dt = 64, 5e-4
-    params, st, inc = _noisy_setup(nx, None, dt)
-    step(st, params, inc, dt)   # build the spectral plans first
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        step(st, params, inc, dt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    fields = (peak - before) / ((nx + 1) * nx * 8)
+    fields = _step_peak_fields(64, None)
     assert fields <= STEP_PEAK_FIELDS + 1.0, \
         f"a step peaked at {fields:.2f} fields"
 

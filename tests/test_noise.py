@@ -284,9 +284,10 @@ def test_transport_discrete_correction_cancels_quadratic_variation(rng):
     vals[10:-10, 10:-10] = rng.standard_normal((28, 28))
     c = ScalarField(g, vals)
     modes = transport_noise_modes(c, sig)
+    growth = transport_hs_sq(modes, sig)   # before the correction takes modes
     corr = transport_ito_correction(modes, sig, 1.0)  # (1/2) sum L_k^2 c
+    assert modes == []
     drain = 2.0 * inner_product(corr, c)
-    growth = transport_hs_sq(modes, sig)
     assert drain + growth == pytest.approx(0.0, abs=1e-11 * max(growth, 1.0))
 
 
