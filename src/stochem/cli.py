@@ -41,7 +41,7 @@ from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,
 from .experiments import (ENSEMBLE_COLUMNS, ExperimentError, convergence_dt,
                           ensemble, stratonovich_consistency, twin_run)
 from .grid import (Grid, GridError, ScalarField, VectorField,
-                   cell_center_axes, make_grid, norm,
+                   cell_center_axes, face_gradient, make_grid, norm,
                    stream_function_curl, zeros_vector)
 from .noise import make_transport_sigma, make_velocity_noise
 from .operators import helmholtz_project
@@ -254,10 +254,8 @@ def build_params(cfg: dict[str, dict]) -> SimParams:
     axis = {"linear_x": 0, "linear_y": 1}.get(ph["phi_kind"])
     if axis is not None:
         s = ph["phi_scale"] * cell_center_axes(grid)[axis]
-        face = profiles[axis] = np.zeros(len(s) + 1)   # zero on the walls
         with np.errstate(over="ignore"):   # SimParams rejects it
-            inner = np.subtract(s[1:], s[:-1], out=face[1:-1])
-            inner /= (grid.dx, grid.dy)[axis]
+            profiles[axis] = face_gradient(s, -1, (grid.dx, grid.dy)[axis])
     phi_grad = (np.broadcast_to(profiles[0][:, None], (grid.nx + 1, grid.ny)),
                 np.broadcast_to(profiles[1], (grid.nx, grid.ny + 1)))
 
@@ -335,12 +333,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_diagnostics_csv(rows: list[DiagnosticsRow], path: str | Path) -> None:
+def _write_csv(path: str | Path, header, rows) -> None:
+    """The ``header`` names, then one line per row of numbers, each in
+    _fmt's form; UTF-8 with "\\n" line ends, as every text output."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(DiagnosticsRow.COLUMNS) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(getattr(row, c))
-                              for c in DiagnosticsRow.COLUMNS) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_diagnostics_csv(rows: list[DiagnosticsRow], path: str | Path) -> None:
+    _write_csv(path, DiagnosticsRow.COLUMNS,
+               ([getattr(row, c) for c in DiagnosticsRow.COLUMNS]
+                for row in rows))
 
 
 def write_snapshot(state: State, path: str | Path) -> None:
@@ -480,11 +485,8 @@ def cmd_experiment(args) -> int:
     if args.which == "twin":
         rep = twin_run(params, initial, seed, ex["perturbation"],
                        t["t_end"], t["dt"], sample_every=t["sample_every"])
-        with open(outdir / "twin.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("t,separation\n")
-            for ti, yi in zip(rep.times, rep.separation):
-                fh.write(f"{_fmt(ti)},{_fmt(yi)}\n")
+        _write_csv(outdir / "twin.csv", ("t", "separation"),
+                   zip(rep.times, rep.separation))
         print(f"fitted growth rate: {rep.growth_rate!r}")
         print(f"max separation: {float(rep.separation.max())!r}")
         return 0
@@ -508,17 +510,13 @@ def cmd_experiment(args) -> int:
     # argparse's choices leave only the ensemble here
     stats = ensemble(params, initial, seed, ex["replicas"], t["t_end"],
                      t["dt"], sample_every=t["sample_every"])
-    with open(outdir / "ensemble_stats.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        header = ["t"] + [f"{c}_{s}" for c in ENSEMBLE_COLUMNS
-                          for s in ("mean", "var", "max", "ci95")]
-        fh.write(",".join(header) + "\n")
-        for i in range(len(stats.times)):
-            cells = [_fmt(stats.times[i])]
-            for c in ENSEMBLE_COLUMNS:
-                cells += [_fmt(stats.mean[c][i]), _fmt(stats.variance[c][i]),
-                          _fmt(stats.maximum[c][i]), _fmt(stats.ci95[c][i])]
-            fh.write(",".join(cells) + "\n")
+    columns = [(c, s, stat) for c in ENSEMBLE_COLUMNS
+               for s, stat in (("mean", stats.mean), ("var", stats.variance),
+                               ("max", stats.maximum), ("ci95", stats.ci95))]
+    _write_csv(outdir / "ensemble_stats.csv",
+               ["t"] + [f"{c}_{s}" for c, s, _ in columns],
+               ([t] + [stat[c][i] for c, _, stat in columns]
+                for i, t in enumerate(stats.times)))
     print(f"replicas: {stats.n_replicas}; "
           f"sup entropy across replicas: {stats.sup_over_replicas('entropy')!r}")
     return 0

@@ -6,23 +6,24 @@ that order, so each later equation sees the freshest coupling fields:
 1. density_substep: explicit upwind advection and chemotactic drift, implicit
    diffusion (mass is conserved to round-off: both explicit pieces are
    wall-tight flux forms and the implicit solve preserves the mean);
-2. oxygen_substep: oxygen_drift's explicit advection, explicit consumption
-   limited to the oxygen actually available in the cell (the limiter is
-   counted, never silent) and implicit diffusion at mu, then oxygen_noise's
-   explicit transport-noise increment and exact discrete Ito correction,
-   both built from one evaluation of the noise modes sigma_k . grad c of
-   the drifted oxygen, and added in the drifted oxygen's array;
+2. oxygen_drift: explicit advection, explicit consumption limited to the
+   oxygen actually available in the cell (the limiter is counted, never
+   silent) and implicit diffusion at mu; then, where gamma > 0, oxygen_noise
+   adds in the drifted oxygen's array the explicit transport-noise increment
+   and exact discrete Ito correction, both built from one evaluation of the
+   noise modes sigma_k . grad c of the drifted oxygen;
 3. velocity_substep: explicit convection, buoyancy and stochastic forcing,
    implicit viscosity, then projection onto the discretely divergence-free
    subspace.
 
-Diffusion is implicit and unconditionally stable, so the admissible step is
-advection-limited only; steps above the advective bound, or above the cap
-DT_MAX, are rejected rather than silently subdivided.  march, on the steps
-of time_grid, is the one stepping loop of runs and experiments, but for the
-Stratonovich study: it steps an oxygen that no velocity carries and no cells
-consume, by the implicit diffusion solve at mu and oxygen_noise, the
-correction off on its naive lane.
+Diffusion is implicit, so step_bound bounds the step by the explicit terms
+alone, advection and the Ito correction, and caps it at DT_MAX; check_step
+rejects a longer step, naming the limit that binds, rather than subdividing
+it.  march, on the steps of time_grid, is the one stepping loop of runs and
+experiments, but for the Stratonovich study: it steps an oxygen that no
+velocity carries and no cells consume, by the implicit diffusion solve at mu
+and oxygen_noise, the correction off on its naive lane, and passes its
+coarsest level through check_step.
 
 A state may carry one leading lane axis (see stack_states): every lane is an
 independent trajectory, one step advances them all, and each lane's numbers
@@ -59,8 +60,8 @@ from .operators import (AdvectionMode, buoyancy, chemotaxis_div,
                         helmholtz_project, scalar_advect)
 
 
-CFL_SAFETY = 0.5   # fraction of the advective bound that stable_dt returns
-DT_MAX = 0.1       # stable_dt's cap, and its value where nothing moves
+CFL_SAFETY = 0.5   # fraction of the stability limit that step_bound returns
+DT_MAX = 0.1       # step_bound's cap, and its value where nothing moves
 # elements of numpy's ufunc buffer while march takes a step: at numpy's
 # default 8192 every buffered operand, as a last-axis stencil's views are,
 # takes a 64 KiB scratch buffer; the size moves no result's bits
@@ -68,8 +69,8 @@ STEP_BUFSIZE = 512
 
 
 class CflError(LaneError):
-    """The requested step exceeds the advective stability bound, or DT_MAX
-    where that cap is the tighter."""
+    """The requested step exceeds step_bound: the advective bound, the
+    Ito-correction bound or the cap DT_MAX, whichever is the tightest."""
 
 
 class SimulationError(RuntimeError):
@@ -218,8 +219,8 @@ class StepReport:
 
 def stable_dt(state: State, params: SimParams,
               grad_c: tuple[np.ndarray, np.ndarray]):
-    """Advective step bound: safety / max cell Courant rate, capped at DT_MAX;
-    one bound per lane of a batched state.
+    """step_bound of the advective rate, the max cell Courant rate; one
+    bound per lane of a batched state.
 
     ``grad_c`` is scalar_face_gradients(state.c).  The per-cell rate adds the
     fluid speed and the chemotactic drift speed chi |grad c| on each axis;
@@ -231,12 +232,32 @@ def stable_dt(state: State, params: SimParams,
     rate_y = _cell_speed(state.u.u_y, grad_c[1], params.chi, -1)
     rate_y /= g.dy
     rate_x += rate_y
-    rate = np.max(rate_x, axis=LANE_REDUCE)
-    if params.gamma > 0.0:
-        rate = np.maximum(rate, ito_rate(params))
+    return step_bound(np.max(rate_x, axis=LANE_REDUCE), params)
+
+
+def step_bound(rate, params: SimParams):
+    """The step bound of an advective rate, per lane: CFL_SAFETY over the
+    larger of it and ito_rate, capped at DT_MAX, which is also the bound
+    where both rates are 0."""
+    rate = np.maximum(rate, ito_rate(params))
     with np.errstate(divide="ignore"):
         bound = np.fmin(DT_MAX, CFL_SAFETY / rate)
     return per_lane(np.where(rate > 0.0, bound, DT_MAX))
+
+
+def check_step(dt: float, bound, params: SimParams) -> None:
+    """Raise CflError unless dt is within ``bound``, step_bound's, up to a
+    relative 1e-12.  The error names the lowest lane above its bound and
+    the limit that binds there: the step cap DT_MAX, else the Ito-correction
+    bound where the bound is step_bound(0), the one with nothing advected,
+    else the advective bound."""
+    too_long = np.asarray(dt > bound * (1.0 + 1e-12))
+    if too_long.any():
+        lane = first_failing_lane(too_long)
+        limit = bound if lane is None else bound[lane]
+        what = ("step cap" if limit >= DT_MAX else "Ito-correction bound"
+                if limit >= step_bound(0.0, params) else "advective bound")
+        raise CflError(f"dt={dt:g} exceeds the {what} {limit:g}", lane)
 
 
 def _cell_speed(u_face: np.ndarray, grad_face: np.ndarray, chi: float,
@@ -253,7 +274,7 @@ def _cell_speed(u_face: np.ndarray, grad_face: np.ndarray, chi: float,
 
 def ito_rate(params: SimParams) -> float:
     """Rate of the explicit discrete Ito correction, a forward-Euler
-    diffusion at gamma^2/2, which stable_dt bounds as it bounds advection."""
+    diffusion at gamma^2/2, which step_bound bounds as it bounds advection."""
     g = params.grid
     return 0.5 * params.gamma ** 2 * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
 
@@ -315,19 +336,6 @@ def oxygen_noise(c_mid: ScalarField, params: SimParams, inc: NoiseIncrement,
     return ScalarField(c_mid.grid, c_new), hs_sq, correction
 
 
-def oxygen_substep(state: State, n_new: ScalarField, params: SimParams,
-                   inc: NoiseIncrement,
-                   dt: float) -> tuple[ScalarField, int, float]:
-    """Drift, then oxygen_noise with the correction on; returns the new
-    oxygen, built in the array oxygen_drift returned, the limiter count and
-    transport_hs_sq at the drifted oxygen."""
-    c_mid, clip_count = oxygen_drift(state, n_new, params, dt)
-    if params.gamma <= 0.0:
-        return c_mid, clip_count, 0.0
-    c_new, hs_sq, _ = oxygen_noise(c_mid, params, inc, dt)
-    return c_new, clip_count, hs_sq
-
-
 def velocity_substep(state: State, n_new: ScalarField, params: SimParams,
                      inc: NoiseIncrement,
                      dt: float) -> tuple[VectorField, float]:
@@ -341,9 +349,17 @@ def velocity_substep(state: State, n_new: ScalarField, params: SimParams,
 
 def _forced_velocity(state: State, n_new: ScalarField, params: SimParams,
                      inc: NoiseIncrement, dt: float) -> VectorField:
-    """The explicit part of the velocity update: _drifted_velocity plus the
-    stochastic forcing."""
-    forced = _drifted_velocity(state, n_new, params, dt)
+    """The explicit part of the velocity update, u + dt (buoyancy -
+    convection) plus the stochastic forcing, built in convect_velocity's
+    result."""
+    forced = convect_velocity(state.u, state.u)
+    buoy = buoyancy(n_new, params.phi_grad)
+    for d, b, u in ((forced.u_x, buoy.u_x, state.u.u_x),
+                    (forced.u_y, buoy.u_y, state.u.u_y)):
+        np.subtract(b, d, out=d)
+        d *= dt
+        d += u
+    del buoy, b   # freed before the kick is built
     if params.vnoise.amplitude > 0.0:
         kick = g_apply(state.u, params.vnoise, inc)
         forced.u_x += kick.u_x
@@ -351,46 +367,22 @@ def _forced_velocity(state: State, n_new: ScalarField, params: SimParams,
     return forced
 
 
-def _drifted_velocity(state: State, n_new: ScalarField, params: SimParams,
-                      dt: float) -> VectorField:
-    """u + dt (buoyancy - convection), built in convect_velocity's result."""
-    drifted = convect_velocity(state.u, state.u)
-    buoy = buoyancy(n_new, params.phi_grad)
-    for d, b, u in ((drifted.u_x, buoy.u_x, state.u.u_x),
-                    (drifted.u_y, buoy.u_y, state.u.u_y)):
-        np.subtract(b, d, out=d)
-        d *= dt
-        d += u
-    return drifted
-
-
-def _checked_gradients(state: State, params: SimParams,
-                       dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The face gradients of state.c, once dt is checked against the
-    advective bound they give; raises CflError naming the lowest lane above
-    its bound."""
-    grad_c = scalar_face_gradients(state.c)
-    bound = stable_dt(state, params, grad_c)
-    too_long = np.asarray(dt > bound * (1.0 + 1e-12))
-    if too_long.any():
-        lane = first_failing_lane(too_long)
-        limit = bound if lane is None else bound[lane]
-        what = "step cap" if limit >= DT_MAX else "advective bound"
-        raise CflError(f"dt={dt:g} exceeds the {what} {limit:g}", lane)
-    return grad_c
-
-
 def step(state: State, params: SimParams, inc: NoiseIncrement,
          dt: float) -> tuple[State, StepReport]:
     """One Euler-Maruyama step of every lane; raises CflError naming the
-    lowest lane above its advective bound.  The face gradients of the
+    lowest lane above its step bound.  The face gradients of the
     incoming oxygen are taken once, for the bound and the chemotactic drift,
     and freed after the density substep."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_new = density_substep(state, params, _checked_gradients(state, params, dt),
-                            dt)
-    c_new, clip_count, hs_sq = oxygen_substep(state, n_new, params, inc, dt)
+    grad_c = scalar_face_gradients(state.c)
+    check_step(dt, stable_dt(state, params, grad_c), params)
+    n_new = density_substep(state, params, grad_c, dt)
+    del grad_c
+    c_new, clip_count = oxygen_drift(state, n_new, params, dt)
+    hs_sq = 0.0
+    if params.gamma > 0.0:   # the correction is not kept past the call
+        c_new, hs_sq = oxygen_noise(c_new, params, inc, dt)[:2]
     u_new, proj_res = velocity_substep(state, n_new, params, inc, dt)
     new_state = State(u=u_new, c=c_new, n=n_new, t=state.t + dt)
     report = StepReport(dt=dt, clip_count=clip_count,

@@ -43,9 +43,9 @@ import numpy as np
 
 from . import _spectral, noise as noise_mod
 from .diagnostics import DiagnosticsRow, column
-from .dynamics import (CFL_SAFETY, SimParams, SimulationError, State,
-                       ito_rate, march, oxygen_noise, require_finite,
-                       seeded_increments, stack_states, time_grid)
+from .dynamics import (CflError, SimParams, SimulationError, State,
+                       check_step, march, oxygen_noise, require_finite,
+                       seeded_increments, stack_states, step_bound, time_grid)
 from .grid import LaneError, ScalarField, cell_center_axes, norm
 from .noise import merge_increments
 
@@ -223,8 +223,9 @@ def stratonovich_consistency(params: SimParams, scale: float, seed: int,
     For each level the predictable drift of the interior |c|^2 is accumulated
     step by step (deterministic change plus the quadratic-variation
     compensator of the noise kick) and averaged over replicas.  The levels
-    are dt * 2**k for k = levels - 1 down to 0, and the coarsest must keep
-    the explicit Ito correction within the bound stable_dt enforces.  A
+    are dt * 2**k for k = levels - 1 down to 0, and the coarsest must pass
+    check_step, as a step of march must, against step_bound with nothing
+    advected: the Ito-correction bound or the cap DT_MAX.  A
     non-finite oxygen field fails as in march, naming the level, replica and
     step; a drift, gap or reference that is not finite raises
     ExperimentError.
@@ -235,11 +236,10 @@ def stratonovich_consistency(params: SimParams, scale: float, seed: int,
     if n_replicas < 1:
         raise ExperimentError(f"need at least one replica, got {n_replicas}")
     dts = dt_ladder(dt, levels, t_end)
-    rate = ito_rate(params)
-    if dts[0] * rate > CFL_SAFETY * (1.0 + 1e-12):
-        raise ExperimentError(f"the coarsest level dt = {dts[0]:g} exceeds "
-                              f"the Ito-correction bound "
-                              f"{CFL_SAFETY / rate:g}")
+    try:   # nothing advects the oxygen: its advective rate is 0
+        check_step(dts[0], step_bound(0.0, params), params)
+    except CflError as exc:
+        raise ExperimentError(f"the coarsest level {exc}") from None
     g = params.grid
     sigma = params.sigma
     hs_sq = noise_mod.transport_hs_sq

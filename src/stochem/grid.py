@@ -17,8 +17,8 @@ reduces per lane over ``LANE_REDUCE``, so a lane's numbers are bitwise those
 of the same field without the lane axis.
 
 A stencil is written once for both directions: ``along(axis, s)`` indexes
-one spatial axis (-2 for x, -1 for y), and ``neighbours``, ``pair_mean`` and
-``pair_difference`` act on the neighbour pairs along it.
+one spatial axis (-2 for x, -1 for y), and ``neighbours``, ``pair_mean``,
+``pair_difference`` and ``face_gradient`` act on the neighbour pairs along it.
 """
 
 from __future__ import annotations
@@ -214,16 +214,23 @@ def pair_difference(a: np.ndarray, axis: int, out=None) -> np.ndarray:
     return np.subtract(hi, lo, out=out)
 
 
+def face_gradient(a: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The gradient along ``axis`` of the cell array ``a`` on the faces
+    across it, in a new array: (a[i + 1] - a[i]) / h on the interior faces
+    and zero on the two walls (Neumann)."""
+    shape = list(a.shape)
+    shape[axis] += 1
+    face = np.empty(shape)
+    face[along(axis, 0)] = face[along(axis, -1)] = 0.0
+    inner = pair_difference(a, axis, out=face[along(axis, INNER)])
+    inner /= h
+    return face
+
+
 def scalar_face_gradients(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Face-normal gradients of a cell scalar; zero on boundary faces (Neumann)."""
     g = f.grid
-    gx = np.empty(f.lanes + (g.nx + 1, g.ny))
-    gy = np.empty(f.lanes + (g.nx, g.ny + 1))
-    for axis, face, h in ((-2, gx, g.dx), (-1, gy, g.dy)):
-        face[along(axis, 0)] = face[along(axis, -1)] = 0.0
-        inner = pair_difference(f.values, axis, out=face[along(axis, INNER)])
-        inner /= h
-    return gx, gy
+    return face_gradient(f.values, -2, g.dx), face_gradient(f.values, -1, g.dy)
 
 
 def divergence(v: VectorField) -> ScalarField:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (INNER, Grid, ScalarField, VectorField, along, node_sines,
+from .grid import (Grid, ScalarField, VectorField, face_gradient, node_sines,
                    norm, pair_difference, pair_mean, per_lane,
                    require_same_grid, scalar_face_gradients)
 
@@ -151,12 +151,9 @@ def transport_noise_modes(c: ScalarField, sigma: TransportSigma) -> list[np.ndar
 def _apply_mode(m: np.ndarray, ramp: Ramp, axis: int,
                 h: float) -> np.ndarray:
     """L_k applied to the cell field ``m`` with the arithmetic of
-    transport_noise_modes: the difference along ``axis`` over h on the
-    interior faces, zero on the walls, weighted by the face ramp and averaged
-    to the cells."""
-    face = np.zeros(m.shape[:-2] + (len(ramp.x), len(ramp.y)))
-    inner = pair_difference(m, axis, out=face[along(axis, INNER)])
-    inner /= h
+    transport_noise_modes: the face gradient along ``axis``, weighted by the
+    face ramp and averaged to the cells."""
+    face = face_gradient(m, axis, h)
     _weight_ring(face, ramp)
     return pair_mean(face, axis)
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochem import experiments
-from stochem.cli import (_SCHEMA, ConfigError, SnapshotError,
+from stochem import dynamics, experiments
+from stochem.cli import (_SCHEMA, ConfigError, SnapshotError, build_params,
                          build_simulation, main, parse_config, read_snapshot,
                          write_snapshot)
 from stochem.dynamics import (CONSUMPTION_LAWS, State, run, stack_states,
@@ -679,7 +679,7 @@ _SMALL = "[time]\nt_end = 0.01\n[experiment]\nlevels = 3\nreplicas = 2\n"
 _DELTA = ("[grid]\nnx = 8\nny = 8\n[physics]\ndelta = {}\n"
           "[time]\nt_end = 0.004\n")
 _FAIL_INF = "...consumption term: FAIL (margin -inf)..."
-_ADVECTIVE = "error: ...exceeds the advective bound..."
+_ITO_BOUND = "error: ...exceeds the Ito-correction bound..."
 _FAST_STEP = "dt=0.001 exceeds the advective bound"
 _CAPPED = "dt=0.2 exceeds the step cap 0.1"
 _SEED = ("error: [time] seed = {}: must be in [0, 2^64), the range of the "
@@ -829,16 +829,61 @@ test_cmd_run_mid_run_failure_exits_3 = _pinned(
     _row(None, "run --allow-inadmissible", _FAST_U, 3,
          f"error: step 1: {_FAST_STEP}..."))
 # where nothing moves, stable_dt returns its cap DT_MAX: a longer step is
-# refused as above the cap, not as above an advective bound
+# refused as above the cap, not as above an advective bound, by every
+# command; the Stratonovich study refuses its coarsest level as set-up
+_STILL = ("[grid]\nnx = 16\nny = 16\n[physics]\nchi = 0\ngamma = {gamma}\n"
+          "[noise]\namplitude = 0\n[ic]\nu_recipe = zero\n"
+          "[time]\ndt = {dt!r}\nt_end = {t_end!r}\n"
+          "[experiment]\nlevels = 3\nreplicas = 2\n")
 test_still_step_above_the_cap_exits_3 = _pinned(
-    *(_row(_cmd(command), command, "[grid]\nnx = 16\nny = 16\n"
-           "[physics]\nchi = 0\ngamma = 0\n[noise]\namplitude = 0\n"
-           "[ic]\nu_recipe = zero\n[time]\ndt = 0.2\n", 3, err)
+    *(_row(_cmd(command), command, _STILL.format(gamma=0, dt=0.2, t_end=0.5),
+           3, err)
       for command, err in (
           ("run", f"error: step 1: {_CAPPED}\n"),
           ("experiment twin", f"error: step 1: {_CAPPED}\n"),
           ("experiment ensemble", "error: replica 0 (base seed 1234) failed: "
-           f"step 1 failed: {_CAPPED}\n"))))
+           f"step 1 failed: {_CAPPED}\n"))),
+    # the ladder 0.6, 0.3, 0.15 fits t_end
+    *(_row(_cmd(command), command,
+           _STILL.format(gamma=0.01, dt=0.15, t_end=0.6), code, err)
+      for command, code, err in (
+          ("experiment convergence", 3,
+           "error: step 1: dt=0.6 exceeds the step cap 0.1\n"),
+          ("experiment stratonovich", 2,
+           "error: the coarsest level dt=0.6 exceeds the step cap 0.1\n"))))
+
+
+def test_ito_bound_has_one_name_and_one_boundary(tmp_path):
+    # on a still config where the explicit Ito correction binds, a run and
+    # the Stratonovich study's coarsest level both take a step equal to the
+    # bound, and both refuse the next float above its relative tolerance of
+    # 1e-12, in the same words
+    params = build_params(parse_config(_STILL.format(gamma=1.0, dt=1e-3,
+                                                     t_end=1e-3)))
+    bound = dynamics.CFL_SAFETY / dynamics.ito_rate(params)
+    assert bound < dynamics.DT_MAX
+    above = math.nextafter(bound * (1.0 + 1e-12), math.inf)
+    refusals = []
+    for dt in (bound, above):
+        # the command, its config's dt, the codes that take the step (the
+        # run's gates may fail, its step may not) and the refusal's code
+        for command, level, taken, refused in (
+                ("run --allow-inadmissible", dt, (0, 1), 3),
+                ("experiment stratonovich", dt / 4, (0,), 2)):
+            tmp = tmp_path / f"{command.split()[-1]}-{dt!r}"
+            tmp.mkdir()
+            text = _STILL.format(gamma=1.0, dt=level, t_end=dt)
+            code, _, stderr = _contract(
+                tmp, _config_argv(tmp, command.split(), text), text)
+            assert code in (taken if dt == bound else (refused,)), stderr
+            if dt == above:
+                refusals.append(stderr)
+    run_error, study_error = refusals
+    limit = f"exceeds the Ito-correction bound {bound:g}\n"
+    assert run_error == f"error: step 1: dt={above:g} {limit}"
+    assert study_error == f"error: the coarsest level dt={above:g} {limit}"
+
+
 test_experiment_mid_run_failure_exits_3 = _pinned(
     *(_row(f"{_cmd(command)}-{err}", command, _FAST_U, 3, err + "...")
       for command, err in (
@@ -854,12 +899,12 @@ test_huge_gamma_exits_without_traceback = _pinned(
            "[physics]\ngamma = 1e100\n" + _SMALL, code, err)
       for command, code, err in (
           ("check-params", 1, ""), ("run", 2, "refusing to run: ..."),
-          ("run --allow-inadmissible", 3, _ADVECTIVE),
-          ("experiment twin", 3, _ADVECTIVE),
-          ("experiment convergence", 3, _ADVECTIVE),
-          ("experiment stratonovich", 2, "error: the coarsest level dt = "
-           "0.004 exceeds the Ito-correction bound ..."),
-          ("experiment ensemble", 3, _ADVECTIVE))))
+          ("run --allow-inadmissible", 3, _ITO_BOUND),
+          ("experiment twin", 3, _ITO_BOUND),
+          ("experiment convergence", 3, _ITO_BOUND),
+          ("experiment stratonovich", 2, "error: the coarsest level "
+           "dt=0.004 exceeds the Ito-correction bound ..."),
+          ("experiment ensemble", 3, _ITO_BOUND))))
 
 # max f^2 overflows (linear) or f'(c0) underflows to 0 (saturating): the gate
 # fails the consumption condition at margin -inf, and a command that

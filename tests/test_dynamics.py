@@ -560,8 +560,10 @@ def _state_arrays(st):
 
 def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
     # a pair with the correction over dt on lane 0 and over 0 on lane 1:
-    # lane 0 is oxygen_substep's oxygen, lane 1 the drifted oxygen plus the
-    # kick, and every output lane, its sum of squares of the modes and its
+    # lane 0 is the oxygen a step builds from the drifted oxygen (see
+    # test_noisy_oxygen_substep_builds_in_the_drifted_array), lane 1 the
+    # drifted oxygen plus the kick, and every output lane, its sum of
+    # squares of the modes and its
     # correction are bitwise its unbatched call's.  oxygen_noise builds the
     # new oxygen in the array it is given, so each call gets a copy of the
     # read-only drifted oxygen.  At gamma = 0 the two lanes of one oxygen
@@ -583,8 +585,6 @@ def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
     assert np.shares_memory(c_pair.values, mid.values)
     assert hs_sq.tobytes() == noise.transport_hs_sq(modes,
                                                     params.sigma).tobytes()
-    corrected, _, _ = dynamics.oxygen_substep(st, st.n, params, inc, dt)
-    assert c_pair.values[0].tobytes() == corrected.values.tobytes()
     kick = noise.transport_noise_apply(
         noise.transport_noise_modes(drifted[1], params.sigma), params.gamma,
         inc)
@@ -604,10 +604,17 @@ def test_oxygen_noise_lanes_are_corrected_and_naive_substeps():
 
 
 def test_noisy_oxygen_substep_builds_in_the_drifted_array(monkeypatch):
-    # the new oxygen is the array oxygen_drift returned, and the correction
-    # consumes the list of modes it is handed, so no mode outlives its use
+    # a step's new oxygen is oxygen_noise of the drifted oxygen, with the
+    # correction over the step, built in the array oxygen_drift returned;
+    # the correction consumes the list of modes it is handed, so no mode
+    # outlives its use
     dt = 5e-4
     params, st, inc = _noisy_setup(32, None, dt)
+    new, report = step(st, params, inc, dt)
+    c_mid, clip_count = dynamics.oxygen_drift(st, new.n, params, dt)
+    c_new, hs_sq, _ = dynamics.oxygen_noise(c_mid, params, inc, dt)
+    assert new.c.values.tobytes() == c_new.values.tobytes()
+    assert (report.clip_count, report.noise_hs_sq) == (clip_count, hs_sq)
     drifted, handed = [], []
     real_drift = dynamics.oxygen_drift
     real_correction = noise.transport_ito_correction
@@ -623,8 +630,8 @@ def test_noisy_oxygen_substep_builds_in_the_drifted_array(monkeypatch):
 
     monkeypatch.setattr(dynamics, "oxygen_drift", drift)
     monkeypatch.setattr(noise, "transport_ito_correction", correction)
-    c_new, _, _ = dynamics.oxygen_substep(st, st.n, params, inc, dt)
-    assert np.shares_memory(c_new.values, drifted[0])
+    new, _ = step(st, params, inc, dt)
+    assert np.shares_memory(new.c.values, drifted[0])
     assert handed == [[]]
 
 
