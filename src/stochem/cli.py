@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -25,15 +26,38 @@ import struct
 import sys
 from pathlib import Path
 
-# The package makes no BLAS calls, but BLAS starts its threads when numpy is
-# imported, and ensemble chunks fork only from a process with one thread
+# Two start-up settings hold only where this module imports numpy first, so
+# that a program which imported numpy itself keeps numpy's own behaviour.
+# (1) The package makes no BLAS calls, but BLAS starts its threads when numpy
+# is imported, and ensemble chunks fork only from a process with one thread
 # (see experiments.fork_safe).  So the stochem command asks for one BLAS
-# thread, unless a count is set or numpy was imported before this module.
-if "numpy" not in sys.modules:
+# thread, unless a count is set.  (2) scipy.fft's array-API layer reads every
+# name in numpy's namespace, which executes numpy submodules the package
+# never uses (f2py alone takes about 60 ms and 5.6 MiB).  So the command
+# binds them unexecuted, through importlib.util.LazyLoader: a later real use
+# executes one on its first attribute access.
+_OWNS_NUMPY = "numpy" not in sys.modules
+if _OWNS_NUMPY:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
 import numpy as np
+
+# the full names of the numpy submodules bound unexecuted here
+DEFERRED: tuple = ()
+if _OWNS_NUMPY:
+    for _name in ("f2py", "testing", "ma", "polynomial", "ctypeslib", "char",
+                  "rec", "strings"):
+        _full = f"numpy.{_name}"
+        _spec = (None if _full in sys.modules
+                 else importlib.util.find_spec(_full))
+        if _spec is None:   # loaded already, or absent from this numpy
+            continue
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_full] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_full])
+        setattr(np, _name, sys.modules[_full])
+        DEFERRED += (_full,)
 
 from .diagnostics import DiagnosticsRow, check_conditions
 from .dynamics import (CONSUMPTION_LAWS, SimParams, SimulationError, State,

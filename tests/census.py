@@ -5,13 +5,16 @@ this thread and on any worker thread and a read hook on every package
 dataclass.  It prints every function defined under ``src/stochem`` that
 none of the commands executed, one per line as ``module.qualified.name``,
 then every dataclass field that no package code read, as
-``module.Class.field``.  Lambdas and comprehensions are not counted, nor
-are reads from the generated ``__init__``, ``__eq__``, ``__repr__`` and
-``__hash__``, from ``__post_init__`` or from ``dataclasses.replace``.  The
-commands are ``check-params``; ``run`` with snapshots, the saturating law
-and no potential; the four experiments; ``snapshot-info``; and one failing
-config each for exit codes 2 and 3.  The census runs with one BLAS thread,
-so the ensemble forks where it can; what a forked worker runs is not seen.
+``module.Class.field``, and last every numpy submodule that
+``stochem.cli`` bound unexecuted (``stochem.cli.DEFERRED``) but that the
+import or a command executed, as ``numpy.name``.  Lambdas and
+comprehensions are not counted, nor are reads from the generated
+``__init__``, ``__eq__``, ``__repr__`` and ``__hash__``, from
+``__post_init__`` or from ``dataclasses.replace``.  The commands are
+``check-params``; ``run`` with snapshots, the saturating law and no
+potential; the four experiments; ``snapshot-info``; and one failing config
+each for exit codes 2 and 3.  The census runs with one BLAS thread, so the
+ensemble forks where it can; what a forked worker runs is not seen.
 
     PYTHONPATH=src python tests/census.py
 
@@ -31,6 +34,7 @@ import os
 import sys
 import tempfile
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -41,7 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import stochem
-from stochem.cli import main
+from stochem.cli import DEFERRED, main
 
 CONFIG = """\
 [grid]
@@ -177,9 +181,10 @@ def run_commands(scratch: Path, fields) -> tuple[set, set]:
     return called, reads
 
 
-def census() -> tuple[list[str], list[str]]:
-    """Dotted names of the package functions no command executed and of
-    the dataclass fields no package code read."""
+def census() -> tuple[list[str], list[str], list[str]]:
+    """Dotted names of the package functions no command executed, of the
+    dataclass fields no package code read and of the deferred numpy
+    submodules that were executed."""
     fields = package_fields()
     with tempfile.TemporaryDirectory() as scratch:
         called, reads = run_commands(Path(scratch), fields)
@@ -191,14 +196,20 @@ def census() -> tuple[list[str], list[str]]:
             and os.path.dirname(os.path.realpath(code.co_filename)) == package}
     return (sorted(name for key, name in package_functions().items()
                    if key not in ran),
-            sorted(name for key, name in fields.items() if key not in read))
+            sorted(name for key, name in fields.items() if key not in read),
+            # LazyLoader turns a module into a plain one when it executes it
+            sorted(name for name in DEFERRED
+                   if type(sys.modules[name]) is types.ModuleType))
 
 
 if __name__ == "__main__":
-    functions, fields = census()
+    functions, fields, executed = census()
     print(f"{len(functions)} package functions no CLI command executed:")
     for name in functions:
         print(f"  {name}")
     print(f"{len(fields)} dataclass fields no package code read:")
     for name in fields:
+        print(f"  {name}")
+    print(f"{len(executed)} deferred numpy submodules a CLI command executed:")
+    for name in executed:
         print(f"  {name}")

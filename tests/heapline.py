@@ -4,10 +4,12 @@ Runs ``stochem.cli.main`` in-process with ``dynamics.step`` wrapped, and
 after every step prints one line: the step number (counted over the whole
 command, so an ensemble's replicas follow each other), the resident set
 size now, the peak resident set size so far (``ru_maxrss``) and the minor
-page faults of that step (``ru_minflt``).  Line 0 is the state on entry to
-the first step, after imports and set-up.  A heap that the step's
-temporaries make glibc trim and regrow shows as a climbing ``ru_maxrss``
-and as page faults every few steps.
+page faults of that step (``ru_minflt``).  A first line ``import`` is the
+state right after ``import stochem.cli``, which the script makes before it
+imports numpy, as the ``stochem`` command does; its faults are those of
+the whole start-up.  Line 0 is the state on entry to the first step, after
+set-up.  A heap that the step's temporaries make glibc trim and regrow
+shows as a climbing ``ru_maxrss`` and as page faults every few steps.
 
     PYTHONPATH=src python tests/heapline.py run --config CONFIG.ini
     PYTHONPATH=src python tests/heapline.py --workload plume256 [--seed N]
@@ -29,29 +31,37 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from stochem import dynamics
-from stochem.cli import main
-
 MIB = 1024.0 * 1024.0
 PAGE = os.sysconf("SC_PAGE_SIZE")
 
 
-def rss_mib() -> float:
+def sample():
+    """The resident set size now, in MiB, and this process's rusage."""
     with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * PAGE / MIB
+        rss = int(fh.read().split()[1]) * PAGE / MIB
+    return rss, resource.getrusage(resource.RUSAGE_SELF)
+
+
+# stochem.cli first, so that it imports numpy and its start-up settings hold
+# as in the stochem command
+from stochem.cli import main
+from stochem import dynamics
+
+IMPORTED = sample()
 
 
 def watch_steps():
-    """Wrap dynamics.step so that each step prints its line; returns the
+    """Wrap dynamics.step so that each step prints its line, after a line
+    ``import`` taken right after ``import stochem.cli``; returns the
     printer, which labels a line given a label."""
     inner = dynamics.step
     count = 0
-    last_flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    last_flt = 0
 
-    def line(label=None) -> None:
+    def line(label=None, taken=None) -> None:
         nonlocal last_flt
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        print(f"{count if label is None else label:>6} {rss_mib():10.2f} "
+        rss, usage = taken or sample()
+        print(f"{count if label is None else label:>6} {rss:10.2f} "
               f"{usage.ru_maxrss / 1024.0:12.2f} "
               f"{usage.ru_minflt - last_flt:10d}", flush=True)
         last_flt = usage.ru_minflt
@@ -67,6 +77,7 @@ def watch_steps():
 
     dynamics.step = step
     print(f"{'step':>6} {'rss_MiB':>10} {'maxrss_MiB':>12} {'minflt':>10}")
+    line("import", IMPORTED)
     return line
 
 

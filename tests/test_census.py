@@ -42,4 +42,6 @@ def test_cli_runs_every_package_function_but_error_paths():
             sections[-1].append(line.strip())
         else:
             sections.append([])
-    assert sections == [sorted(ERROR_PATHS), sorted(OUTSIDE_READERS)]
+    # the third section lists the numpy submodules that stochem.cli defers
+    # and that a command executed anyway: none may be
+    assert sections == [sorted(ERROR_PATHS), sorted(OUTSIDE_READERS), []]

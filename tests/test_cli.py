@@ -977,6 +977,32 @@ def test_command_asks_for_one_blas_thread():
         assert done.returncode == 0, code
 
 
+def test_command_defers_unused_numpy_submodules():
+    # imported first, the CLI leaves f2py and testing unexecuted, warning
+    # about nothing, and a real use of testing still loads it
+    code = ("import sys, stochem.cli\n"
+            "early = {'numpy.f2py.crackfortran', 'unittest'} & set(sys.modules)\n"
+            "if early:\n"
+            "    sys.exit(f'executed at import: {sorted(early)}')\n"
+            "import numpy\n"
+            "numpy.testing.assert_array_equal([1], [1])\n"
+            "sys.exit('unittest' not in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_numpy_imported_first_defers_nothing():
+    # a program that imported numpy keeps numpy's own import behaviour
+    code = ("import sys, types, numpy, stochem.cli\n"
+            "lazy = [name for name, module in list(sys.modules.items())\n"
+            "        if name.startswith('numpy')\n"
+            "        and type(module) is not types.ModuleType]\n"
+            "sys.exit(bool(stochem.cli.DEFERRED or lazy))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env())
+    assert done.returncode == 0
+
+
 def _single_threaded_cli(argv: list[str], cpus: int):
     """Run ``stochem argv`` in a fresh interpreter with no BLAS thread count
     set, pinned to the first ``cpus`` of the usable CPUs; the interpreter
